@@ -439,19 +439,30 @@ def run_scenario(path: str, command: str, args) -> int:
     return code
 
 
+def _count(text: str) -> int:
+    """argparse type for sample, index, depth, retry and worker counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="64-bit master seed (default 0)")
     common.add_argument("--tol", type=Fraction, default=Fraction(1, 10**9),
                         help="certification tolerance (default 1e-9)")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_count, default=1,
                         help="worker threads for verification campaigns")
     common.add_argument("--report-dir", default=None,
                         help="write text + machine reports into this directory")
     common.add_argument("--report", choices=("text", "machine"), default="text",
                         help="stdout format (default text)")
-    common.add_argument("--node-budget", type=int, default=200_000)
+    common.add_argument("--node-budget", type=_count, default=200_000)
     common.add_argument("--horizon", type=int, default=None,
                         help="realization horizon for lazy points")
 
@@ -471,44 +482,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--point", default="lazy",
                    help="named scenario point, or 'lazy' to sample one")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
+    p.add_argument("--n-max", dest="n_max", type=_count, default=None)
 
     p = sub.add_parser("strong-approx", parents=[common],
                        help="smallest certified strong-approximation index")
     p.add_argument("scenario")
     p.add_argument("--point", default="lazy")
     p.add_argument("--epsilon", type=Fraction, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
+    p.add_argument("--n-max", dest="n_max", type=_count, default=None)
 
     p = sub.add_parser("weak-approx", parents=[common],
                        help="single-coordinate mixing certificate for E[f]")
     p.add_argument("scenario")
     p.add_argument("--r", type=Fraction, default=None,
                    help="override the target value (default: midpoint of E[f])")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--retries", type=int, default=8)
+    p.add_argument("--depth", type=_count, default=None)
+    p.add_argument("--retries", type=_count, default=8)
 
     p = sub.add_parser("verify-strong", parents=[common],
                        help="Monte Carlo campaign for strong approximations")
     p.add_argument("scenario")
     p.add_argument("--epsilon", type=Fraction, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--n-max", dest="n_max", type=_count, default=None)
+    p.add_argument("--samples", type=_count, default=None)
 
     p = sub.add_parser("verify-weak", parents=[common],
                        help="Monte Carlo campaign for weak 0-approximations")
     p.add_argument("scenario")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--depth", type=_count, default=None)
+    p.add_argument("--samples", type=_count, default=None)
 
     p = sub.add_parser("game", parents=[common],
                        help="minmax evaluation, purification, naming demo")
     p.add_argument("scenario")
     p.add_argument("verb", choices=("value", "purify", "naming-demo"))
     p.add_argument("--epsilon", type=Fraction, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--retries", type=int, default=8)
+    p.add_argument("--n-max", dest="n_max", type=_count, default=None)
+    p.add_argument("--samples", type=_count, default=None)
+    p.add_argument("--retries", type=_count, default=8)
 
     return parser
 

@@ -191,6 +191,20 @@ def _try_oracle(f: TailFunction, mu: Measure, horizon: Optional[int],
     return None
 
 
+def _oracle_result(vb: ValueBounds, tol: Fraction) -> ExpectationResult:
+    status = CERTIFIED if vb.width <= 2 * tol else BUDGET_EXHAUSTED
+    return ExpectationResult(vb.interval, 0, status, vb.eta, True)
+
+
+def _check_settings(tol: Rational, node_budget: int) -> Fraction:
+    tol = as_fraction(tol)
+    if tol <= 0:
+        raise ValidationError("tol must be positive")
+    if node_budget < 1:
+        raise ValidationError("node budget must be positive")
+    return tol
+
+
 def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
            node_budget: int = DEFAULT_NODE_BUDGET, use_oracle: bool = True,
            horizon: Optional[int] = None,
@@ -201,18 +215,13 @@ def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
     the node budget runs out, or when the best achievable enclosure at
     the realization horizon is wider than 2*tol.
     """
-    tol = as_fraction(tol)
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    if node_budget < 1:
-        raise ValidationError("node budget must be positive")
+    tol = _check_settings(tol, node_budget)
     eta_target = as_fraction(eta_target)
 
     if use_oracle:
         vb = _try_oracle(f, mu, horizon, eta_target)
         if vb is not None:
-            status = CERTIFIED if vb.width <= 2 * tol else BUDGET_EXHAUSTED
-            return ExpectationResult(vb.interval, 0, status, vb.eta, True)
+            return _oracle_result(vb, tol)
 
     switch = _switch_index(mu)
     h = horizon if horizon is not None else DEFAULT_HORIZON

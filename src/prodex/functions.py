@@ -51,7 +51,9 @@ class ValueBounds:
     eta: Fraction = F0
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        # a point enclosure holds one object at both ends; comparing long
+        # exact rationals multiplies their big integers, so skip it then
+        if self.lo is not self.hi and self.lo > self.hi:
             raise ValidationError(f"invalid bounds [{self.lo}, {self.hi}]")
         if self.eta < 0:
             raise ValidationError("eta must be nonnegative")
@@ -314,11 +316,19 @@ class DiscountedSum(TailFunction):
     def _spread(self, mass: Fraction):
         return mass * self.score_min, mass * self.score_max
 
+    def _weighted_scores(self, first: int, symbols) -> Fraction:
+        """sum_t w_{first+t} * score(symbols[t]), each weight one
+        multiplication away from the previous one."""
+        total = F0
+        w = self.weights.weight_at(first)
+        for s in symbols:
+            total += w * self.score_of(s)
+            w *= self.weights.ratio
+        return total
+
     def bounds_over(self, prefix, rest=None, rest_from=None,
                     horizon=DEFAULT_HORIZON) -> ValueBounds:
-        lo = hi = sum(
-            (self.weights.weight_at(i) * self.score_of(s)
-             for i, s in enumerate(prefix, start=1)), F0)
+        lo = hi = self._weighted_scores(1, prefix)
         m = len(prefix)
         if rest is None:
             dlo, dhi = self._spread(self.weights.tail_sum(m))
@@ -330,24 +340,21 @@ class DiscountedSum(TailFunction):
         lo, hi = lo + wlo, hi + whi
         # pinned rest: explicit reads up to K, closed form or spread beyond
         stream = rest.eventual_stream()
-        limit = _read_limit(rest, horizon)
         if stream is not None:
             k = max(start - 1, stream.start - 1)
-            exact = sum(
-                (self.weights.weight_at(i) * self.score_of(rest.coordinate(i))
-                 for i in range(start, k + 1)), F0)
-            period = len(stream.symbols)
-            for off in range(period):
-                first = k + 1 + off
-                exact += (self.score_of(stream.symbol_at(first))
-                          * self.weights.periodic_tail_sum(first, period))
-            return ValueBounds(lo + exact, hi + exact)
-        k = max(start - 1, limit)
-        exact = sum(
-            (self.weights.weight_at(i) * self.score_of(rest.coordinate(i))
-             for i in range(start, k + 1)), F0)
-        dlo, dhi = self._spread(self.weights.tail_sum(k))
-        return ValueBounds(lo + exact + dlo, hi + exact + dhi)
+        else:
+            k = max(start - 1, _read_limit(rest, horizon))
+        exact = self._weighted_scores(
+            start, (rest.coordinate(i) for i in range(start, k + 1)))
+        if stream is None:
+            dlo, dhi = self._spread(self.weights.tail_sum(k))
+            return ValueBounds(lo + exact + dlo, hi + exact + dhi)
+        period = len(stream.symbols)
+        for off in range(period):
+            first = k + 1 + off
+            exact += (self.score_of(stream.symbol_at(first))
+                      * self.weights.periodic_tail_sum(first, period))
+        return ValueBounds(lo + exact, hi + exact)
 
 
 # ---------------------------------------------------------------------------
@@ -395,26 +402,38 @@ class ProductIndicator(TailFunction):
         Returns (verdict, eta): verdict False is hard; verdict True
         carries the residual bound for unrealized lazy coordinates.
         """
-        stream = rest.eventual_stream()
-        targets = self.targets_stream()
-        if stream is not None:
-            k = max(start - 1, stream.start - 1, targets.start - 1)
-            for i in range(start, k + 1):
-                if rest.coordinate(i) != self.target_at(i):
-                    return False, F0
-            return streams_eventually_equal(stream, targets), F0
-        root, depth = _root_of(rest)
-        measure = root.measure
-        k = max(start - 1, horizon, depth, targets.start - 1)
+        k = max(start - 1, self._read_depth(rest, horizon))
         for i in range(start, k + 1):
             if rest.coordinate(i) != self.target_at(i):
                 return False, F0
+        stream = rest.eventual_stream()
+        if stream is not None:
+            return streams_eventually_equal(stream, self.targets_stream()), F0
+        return True, self._unread_eta(rest, k)
+
+    def _read_depth(self, rest: PointSpec, horizon: int) -> int:
+        """Coordinates of rest that `_tail_match` reads explicitly, at least.
+
+        Beyond them a described rest is settled by its periodic stream and
+        a lazily sampled one by `_unread_eta`.
+        """
+        targets = self.targets_stream()
+        stream = rest.eventual_stream()
+        if stream is not None:
+            return max(stream.start - 1, targets.start - 1)
+        _, depth = _root_of(rest)
+        return max(horizon, depth, targets.start - 1)
+
+    def _unread_eta(self, rest: PointSpec, k: int) -> Fraction:
+        """Bound on P(a coordinate > k of the lazily sampled rest misses)."""
+        measure = _root_of(rest)[0].measure
         eta = F0
         boundary = max(k, measure.head_len)
         for i in range(k + 1, boundary + 1):
             eta += 1 - measure.coordinate_measure(i).weight_of(self.target_at(i))
-        eta += measure.tail.disagreement_bound(targets, boundary, measure.head_len)
-        return True, min(eta, F1)
+        eta += measure.tail.disagreement_bound(
+            self.targets_stream(), boundary, measure.head_len)
+        return min(eta, F1)
 
     def bounds_over(self, prefix, rest=None, rest_from=None,
                     horizon=DEFAULT_HORIZON) -> ValueBounds:

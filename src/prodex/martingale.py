@@ -6,6 +6,15 @@ every coordinate is pinned, so g_1(x) = f(x); as n grows the sequence
 converges to E[f] for almost every sampled x, and `find_strong_approx`
 searches for the first n where |g_n(x) - E[f]| <= epsilon is certified.
 
+g_{n+1}(x) differs from g_n(x) only at coordinate n, which is
+integrated out instead of pinned.  `trace` and `find_strong_approx`
+use that step for the oracle families (discounted sums and product
+indicators): the point is realized once up to its read limit and each
+further index costs O(1) exact operations, so a scan to n_max costs
+O(n_max + horizon) per point.  Cylinders, user-defined functions and
+runs without the oracles evaluate each g_n on its own (`g_n`), which
+stays the single-index API.  Both routes give identical enclosures.
+
 Comparisons are decided on interval separation only: a verdict is
 issued when the two enclosures admit no other answer, otherwise the
 index is reported undecided.  No membership claim ever rests on
@@ -14,6 +23,7 @@ numerical slack.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,12 +32,27 @@ from .engine import (
     DEFAULT_ETA_TARGET,
     DEFAULT_NODE_BUDGET,
     ExpectationResult,
+    _check_settings,
+    _indicator_horizon,
+    _oracle_result,
     expect,
 )
-from .errors import ToleranceConfigError, ValidationError
-from .functions import TailFunction
-from .model import HybridMeasure, PointSpec, ProductMeasure
-from .numeric import F0, Interval, Rational, abs_difference, as_fraction
+from .errors import ToleranceConfigError, UnsupportedTailError, ValidationError
+from .functions import (
+    DEFAULT_HORIZON,
+    DiscountedSum,
+    ProductIndicator,
+    TailFunction,
+    ValueBounds,
+    _read_limit,
+)
+from .model import (
+    HybridMeasure,
+    PointSpec,
+    ProductMeasure,
+    streams_eventually_equal,
+)
+from .numeric import F0, F1, Interval, Rational, abs_difference, as_fraction
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -94,6 +119,91 @@ def g_n(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n: int,
                   horizon=horizon, eta_target=eta_target)
 
 
+def _discounted_steps(f: DiscountedSum, sigma: ProductMeasure, x: PointSpec,
+                      horizon: Optional[int]):
+    """Oracle enclosures of g_1(x), g_2(x), ... for a discounted sum.
+
+    g_1 is f at x.  Each step integrates coordinate n out:
+    g_{n+1} = g_n + w_n * (E_{sigma_n}[score] - v_n), where v_n is
+    score(x_n) while x_n is read, and the score bounds once n is past the
+    read limit of a lazily sampled point (its spread then shrinks by w_n).
+    """
+    h = DEFAULT_HORIZON if horizon is None else horizon
+    read = None if x.eventual_stream() is not None else _read_limit(x, h)
+    vb = f.bounds_over((), rest=x, rest_from=1, horizon=h)
+    lo, hi = vb.lo, vb.hi
+    w, ratio = f.weights.weight_at(1), f.weights.ratio
+    for n in itertools.count(1):
+        yield ValueBounds(lo, hi)
+        mean = sigma.coordinate_measure(n).mean_score(f.score_of)
+        if read is None or n <= read:
+            step = w * (mean - f.score_of(x.coordinate(n)))
+            lo, hi = lo + step, hi + step
+        else:
+            lo += w * (mean - f.score_min)
+            hi += w * (mean - f.score_max)
+        w *= ratio
+
+
+def _indicator_steps(f: ProductIndicator, sigma: ProductMeasure, x: PointSpec,
+                     horizon: Optional[int], eta_target: Fraction):
+    """Oracle enclosures of g_1(x), g_2(x), ... for a product indicator.
+
+    g_n = prod_{i<n} sigma_i(target_i) when x hits every target from n
+    on, else 0.  Up to the read depth K that holds exactly when the last
+    mismatch in [1, K] lies below n; beyond K it rests on the periodic
+    stream of a described x, or on the residual eta of a lazy one.
+    Yields None for an index whose residual has no closed form.
+    """
+    h = _indicator_horizon(f, x, horizon, eta_target)
+    depth = f._read_depth(x, h)
+    last_miss = next((i for i in range(depth, 0, -1)
+                      if x.coordinate(i) != f.target_at(i)), 0)
+    stream = x.eventual_stream()
+    hits_eventually = (stream is None
+                       or streams_eventually_equal(stream, f.targets_stream()))
+    product = F1
+    for n in itertools.count(1):
+        if product == 0 or last_miss >= n or not hits_eventually:
+            yield ValueBounds.point(0)
+        elif stream is not None:
+            yield ValueBounds(product, product)
+        else:
+            try:
+                eta = f._unread_eta(x, max(n - 1, depth))
+            except UnsupportedTailError:
+                yield None
+            else:
+                yield ValueBounds(product, product, eta)
+        if product != 0:
+            product *= sigma.coordinate_measure(n).weight_of(f.target_at(n))
+
+
+def _scan(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
+          tol: Rational, *, node_budget: int, use_oracle: bool,
+          horizon: Optional[int], eta_target: Rational):
+    """Enclosures of g_1(x) .. g_{n_max}(x), in order, each equal to `g_n`'s.
+
+    The oracle families take one step per index; every other case, and
+    any index the step cannot settle, calls `g_n`.
+    """
+    tol = _check_settings(tol, node_budget)
+    eta_target = as_fraction(eta_target)
+    steps = None
+    if use_oracle and isinstance(f, DiscountedSum):
+        steps = _discounted_steps(f, sigma, x, horizon)
+    elif use_oracle and isinstance(f, ProductIndicator):
+        steps = _indicator_steps(f, sigma, x, horizon, eta_target)
+    for n in range(1, n_max + 1):
+        vb = None if steps is None else next(steps)
+        if vb is None:
+            yield g_n(f, sigma, x, n, tol, node_budget=node_budget,
+                      use_oracle=use_oracle, horizon=horizon,
+                      eta_target=eta_target)
+        else:
+            yield _oracle_result(vb, tol)
+
+
 def trace(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
           tol: Rational = Fraction(1, 10**9), *, node_budget: int = DEFAULT_NODE_BUDGET,
           use_oracle: bool = True, horizon: Optional[int] = None,
@@ -101,11 +211,10 @@ def trace(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
     """Trace of g_n(x) for n = 1..n_max with the reference E[f]."""
     if n_max < 1:
         raise ValidationError("trace length must be >= 1")
-    entries = []
-    for n in range(1, n_max + 1):
-        res = g_n(f, sigma, x, n, tol, node_budget=node_budget,
-                  use_oracle=use_oracle, horizon=horizon, eta_target=eta_target)
-        entries.append(TraceEntry(n, res.interval, res.eta))
+    scan = _scan(f, sigma, x, n_max, tol, node_budget=node_budget,
+                 use_oracle=use_oracle, horizon=horizon, eta_target=eta_target)
+    entries = [TraceEntry(n, res.interval, res.eta)
+               for n, res in enumerate(scan, start=1)]
     reference = expect(f, sigma, tol, node_budget=node_budget,
                        use_oracle=use_oracle, horizon=horizon,
                        eta_target=eta_target)
@@ -153,9 +262,9 @@ def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
                            eta_target=eta_target)
     undecided = []
     eta = reference.eta
-    for n in range(1, n_max + 1):
-        res = g_n(f, sigma, x, n, tol_f, node_budget=node_budget,
-                  use_oracle=use_oracle, horizon=horizon, eta_target=eta_target)
+    scan = _scan(f, sigma, x, n_max, tol_f, node_budget=node_budget,
+                 use_oracle=use_oracle, horizon=horizon, eta_target=eta_target)
+    for n, res in enumerate(scan, start=1):
         eta = max(eta, res.eta)
         verdict = compare_to_epsilon(res, reference, eps)
         if verdict == YES:

@@ -5,10 +5,12 @@ spaces.  Infinite objects (measures, points) carry an explicit finite
 head plus a finitely described tail rule, so every coordinate resolves
 in O(1) and closed-form tail computations stay exact.
 
-All types are immutable after construction except the realized-prefix
-cache of lazy points, which is a pure memo: coordinate i of a lazy point
-is a deterministic function of (master seed, i), so realization order
-cannot matter.
+All types are immutable after construction except three pure memos:
+the realized-prefix cache of lazy points, and the per-index tail spaces
+and tail measures of space families and product measures.  Each memoized
+value is a deterministic function of the object and the index, so
+evaluation order cannot matter, and each tail measure is built and
+validated once per index.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ class SpaceFamily:
 
     head: tuple
     tail_symbols: tuple
+    _tail_spaces: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for pos, space in enumerate(self.head, start=1):
@@ -79,7 +82,10 @@ class SpaceFamily:
             raise ValidationError(f"coordinate index must be >= 1, got {i}")
         if i <= len(self.head):
             return self.head[i - 1]
-        return CoordinateSpace(i, self.tail_symbols)
+        space = self._tail_spaces.get(i)
+        if space is None:
+            space = self._tail_spaces[i] = CoordinateSpace(i, self.tail_symbols)
+        return space
 
     def any_alternatives_beyond(self, i: int) -> bool:
         """True when some coordinate > i has at least two symbols."""
@@ -489,6 +495,7 @@ class ProductMeasure:
     spaces: SpaceFamily
     head: tuple
     tail: TailMeasureRule
+    _tail_measures: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for pos, m in enumerate(self.head, start=1):
@@ -511,7 +518,11 @@ class ProductMeasure:
             raise ValidationError(f"coordinate index must be >= 1, got {i}")
         if i <= len(self.head):
             return self.head[i - 1]
-        return self.tail.measure_at(i, len(self.head), self.spaces.space_at(i))
+        m = self._tail_measures.get(i)
+        if m is None:
+            m = self._tail_measures[i] = self.tail.measure_at(
+                i, len(self.head), self.spaces.space_at(i))
+        return m
 
 
 def resolve_coordinate_measure(sigma: ProductMeasure, i: int) -> CoordinateMeasure:

@@ -43,6 +43,7 @@ from .model import (
     SpaceFamily,
     formula_tail,
 )
+from .numeric import as_fraction
 
 SCHEMA_VERSION = 1
 
@@ -92,6 +93,31 @@ def _require(mapping, key, location):
     return mapping[key]
 
 
+def _number(value, location) -> Fraction:
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ScenarioError(f"expected a number, got {value!r}",
+                            location) from None
+
+
+def _numbers(values, location) -> list:
+    if not isinstance(values, list):
+        raise ScenarioError(f"expected a list of numbers, got {values!r}",
+                            location)
+    return [_number(v, f"{location}[{pos}]") for pos, v in enumerate(values)]
+
+
+def _value_range(data, location):
+    """Optional declared [lo, hi] of a function or game, as Fractions."""
+    if data is None:
+        return None
+    bounds = _numbers(data, location)
+    if len(bounds) != 2:
+        raise ScenarioError("a range is a [lo, hi] pair", location)
+    return tuple(bounds)
+
+
 def _build_spaces(data, loc) -> SpaceFamily:
     head = []
     for pos, entry in enumerate(data.get("head", []), start=1):
@@ -104,6 +130,7 @@ def _build_spaces(data, loc) -> SpaceFamily:
 
 def _build_measure_vector(index, weights, spaces, loc) -> CoordinateMeasure:
     space = spaces.space_at(index)
+    weights = _numbers(weights, loc)
     if len(weights) != space.size:
         raise ScenarioError(
             f"{len(weights)} weights for {space.size} symbols at "
@@ -117,10 +144,14 @@ def _build_measure_tail(data, spaces, head_len, loc):
     if kind == "constant":
         weights = _require(data, "weights", loc)
         return ConstantMeasureTail(
-            _build_measure_vector(probe, weights, spaces, loc))
+            _build_measure_vector(probe, weights, spaces, f"{loc}.weights"))
     if kind == "periodic":
         templates = []
-        for off, weights in enumerate(_require(data, "weights", loc)):
+        periods = _require(data, "weights", loc)
+        if not isinstance(periods, list):
+            raise ScenarioError("periodic weights are a list of weight lists",
+                                f"{loc}.weights")
+        for off, weights in enumerate(periods):
             templates.append(
                 _build_measure_vector(probe + off, weights, spaces,
                                       f"{loc}.weights[{off}]").at_index(probe))
@@ -152,14 +183,15 @@ def _build_symbol_tail(data, loc):
 
 def _build_function(data, spaces, loc) -> TailFunction:
     family = _require(data, "family", loc)
-    value_range = data.get("range")
+    value_range = _value_range(data.get("range"), f"{loc}.range")
     if family == "cylinder":
         depth = _require(data, "depth", loc)
         entries = []
         for pos, row in enumerate(_require(data, "table", loc)):
             rloc = f"{loc}.table[{pos}]"
             entries.append((tuple(_require(row, "prefix", rloc)),
-                            _require(row, "value", rloc)))
+                            _number(_require(row, "value", rloc),
+                                    f"{rloc}.value")))
         f = Cylinder.from_entries(depth, entries, value_range)
         # every prefix over the declared spaces must be covered
         import itertools
@@ -174,18 +206,29 @@ def _build_function(data, spaces, loc) -> TailFunction:
         if _require(wspec, "kind", f"{loc}.weights") != "geometric":
             raise ScenarioError("only geometric weight sequences are supported",
                                 f"{loc}.weights")
-        weights = GeometricWeights.of(_require(wspec, "coef", f"{loc}.weights"),
-                                      _require(wspec, "ratio", f"{loc}.weights"))
+        weights = GeometricWeights(
+            _number(_require(wspec, "coef", f"{loc}.weights"),
+                    f"{loc}.weights.coef"),
+            _number(_require(wspec, "ratio", f"{loc}.weights"),
+                    f"{loc}.weights.ratio"))
+        pairs = _require(data, "scores", loc)
+        if not isinstance(pairs, list):
+            raise ScenarioError("scores are a list of [symbol, score] pairs",
+                                f"{loc}.scores")
         scores = {}
-        for pos, pair in enumerate(_require(data, "scores", loc)):
-            if len(pair) != 2:
+        for pos, pair in enumerate(pairs):
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise ScenarioError("score entries are [symbol, score] pairs",
                                     f"{loc}.scores[{pos}]")
-            scores[pair[0]] = pair[1]
+            scores[pair[0]] = _number(pair[1], f"{loc}.scores[{pos}][1]")
+        for space in (*spaces.head, spaces.space_at(len(spaces.head) + 1)):
+            for sym in space.symbols:
+                if sym not in scores:
+                    raise ScenarioError(
+                        f"symbol {sym!r} of coordinate {space.index} has no "
+                        f"score", f"{loc}.scores")
         lo, hi = (None, None) if value_range is None else value_range
-        return DiscountedSum(weights, scores,
-                             None if lo is None else Fraction(lo),
-                             None if hi is None else Fraction(hi))
+        return DiscountedSum(weights, scores, lo, hi)
     if family == "product_indicator":
         targets = _require(data, "targets", loc)
         head = tuple(targets.get("head", []))
@@ -213,13 +256,13 @@ def _build_point(data, measure, loc) -> PointSpec:
 
 def _build_game(data, spaces, loc) -> GameSpec:
     actions = tuple(_require(data, "actions", loc))
-    rng = _require(data, "range", loc)
+    rng = _value_range(_require(data, "range", loc), f"{loc}.range")
     payoffs = {}
     for a in actions:
         key = str(a)
         spec = _require(_require(data, "payoffs", loc), key, f"{loc}.payoffs")
         payoffs[a] = _build_function(spec, spaces, f"{loc}.payoffs.{key}")
-    return GameSpec(actions, spaces, payoffs, Fraction(rng[0]), Fraction(rng[1]))
+    return GameSpec(actions, spaces, payoffs, rng[0], rng[1])
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:

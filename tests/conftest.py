@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import settings
 
 from prodex.functions import (
     Cylinder,
@@ -28,6 +29,11 @@ from prodex.model import (
 )
 
 F = Fraction
+
+# The same examples on every run, and no per-example time limit: wall
+# time on a shared machine says nothing about correctness.
+settings.register_profile("prodex", derandomize=True, deadline=None)
+settings.load_profile("prodex")
 
 
 def binary_spaces(head_count: int = 0) -> SpaceFamily:

@@ -1,24 +1,48 @@
 """Reverse-martingale sequence and the strong approximation finder."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prodex.engine import expect
+from prodex.engine import DEFAULT_ETA_TARGET, DEFAULT_NODE_BUDGET, expect
 from prodex.errors import ToleranceConfigError
-from prodex.functions import Cylinder, eval_function
+from prodex.functions import (
+    Cylinder,
+    DiscountedSum,
+    GeometricWeights,
+    ProductIndicator,
+    eval_function,
+)
+from prodex.harness import verify_strong
 from prodex.martingale import (
     FOUND,
     INCONCLUSIVE,
     NOT_FOUND,
+    _scan,
     find_strong_approx,
     g_n,
     trace,
 )
-from prodex.model import modify_point
+from prodex.model import (
+    ConstantMeasureTail,
+    ConstantSymbol,
+    CoordinateMeasure,
+    DescribedPoint,
+    LazyPoint,
+    ModifiedPoint,
+    PeriodicMeasuresTail,
+    PeriodicSymbols,
+    ProductMeasure,
+    formula_tail,
+    modify_point,
+)
 
 from conftest import (
     all_ones_point,
+    binary_spaces,
     discounted_unit,
     geometric_indicator_envelope,
     geometric_sigma,
@@ -237,3 +261,142 @@ class TestGeometricStrictness:
         for n in (10, 20, 40):
             gap = partial_product(n - 1) - lo
             assert gap < F(1, 2**(n - 2))
+
+
+# ---------------------------------------------------------------------------
+# The one-pass scan against per-index g_n
+# ---------------------------------------------------------------------------
+
+PROBS = st.sampled_from([F(0), F(1, 4), F(1, 2), F(2, 3), F(1)])
+BITS = st.sampled_from([0, 1])
+
+
+def bernoulli(i, p):
+    return CoordinateMeasure.from_weights(i, (0, 1), (1 - p, p))
+
+
+@st.composite
+def product_measures(draw):
+    head = tuple(bernoulli(i, p) for i, p in
+                 enumerate(draw(st.lists(PROBS, max_size=3)), start=1))
+    probe = len(head) + 1
+    kind = draw(st.sampled_from(["constant", "periodic", "geometric"]))
+    if kind == "constant":
+        tail = ConstantMeasureTail(bernoulli(probe, draw(PROBS)))
+    elif kind == "periodic":
+        tail = PeriodicMeasuresTail(tuple(
+            bernoulli(probe, p)
+            for p in draw(st.lists(PROBS, min_size=1, max_size=3))))
+    else:
+        tail = formula_tail("geometric_bernoulli")
+    return ProductMeasure(binary_spaces(), head, tail)
+
+
+@st.composite
+def symbol_rules(draw):
+    symbols = draw(st.lists(BITS, min_size=1, max_size=3))
+    if len(symbols) == 1:
+        return ConstantSymbol(symbols[0])
+    return PeriodicSymbols(tuple(symbols))
+
+
+@st.composite
+def points(draw, sigma):
+    kind = draw(st.sampled_from(["described", "lazy", "modified"]))
+    if kind == "lazy" or (kind == "modified" and draw(st.booleans())):
+        base = LazyPoint(draw(st.integers(0, 2**32)), sigma)
+    else:
+        base = DescribedPoint(tuple(draw(st.lists(BITS, max_size=4))),
+                              draw(symbol_rules()))
+    if kind != "modified":
+        return base
+    overrides = draw(st.dictionaries(st.integers(1, 12), BITS,
+                                     min_size=1, max_size=3))
+    return ModifiedPoint(base, tuple(sorted(overrides.items())))
+
+
+@st.composite
+def discounted_sums(draw):
+    scores = st.sampled_from([F(-1), F(0), F(1, 2), F(2)])
+    weights = GeometricWeights.of(draw(st.sampled_from([1, F(1, 2), 3])),
+                                  draw(st.sampled_from([F(1, 2), F(1, 3),
+                                                        F(3, 4)])))
+    return DiscountedSum(weights, {0: draw(scores), 1: draw(scores)})
+
+
+@st.composite
+def product_indicators(draw):
+    return ProductIndicator(binary_spaces(),
+                            tuple(draw(st.lists(BITS, max_size=3))),
+                            draw(symbol_rules()))
+
+
+def _fields(res):
+    return (res.interval.lo, res.interval.hi, res.eta, res.status)
+
+
+def assert_scan_matches_g_n(f, sigma, x, n_max, horizon):
+    scanned = list(_scan(f, sigma, x, n_max, TOL,
+                         node_budget=DEFAULT_NODE_BUDGET, use_oracle=True,
+                         horizon=horizon, eta_target=DEFAULT_ETA_TARGET))
+    assert len(scanned) == n_max
+    for n, res in enumerate(scanned, start=1):
+        assert _fields(res) == _fields(g_n(f, sigma, x, n, TOL,
+                                           horizon=horizon)), n
+
+
+class TestScanMatchesPerIndex:
+    """Each step of the scan equals the g_n evaluated on its own, exactly,
+    including indices past the realization horizon of a lazy point."""
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_discounted_sum(self, data):
+        sigma = data.draw(product_measures())
+        assert_scan_matches_g_n(
+            data.draw(discounted_sums()), sigma, data.draw(points(sigma)),
+            data.draw(st.integers(1, 16)),
+            data.draw(st.one_of(st.none(), st.integers(0, 10))))
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_product_indicator(self, data):
+        sigma = data.draw(product_measures())
+        assert_scan_matches_g_n(
+            data.draw(product_indicators()), sigma, data.draw(points(sigma)),
+            data.draw(st.integers(1, 16)),
+            data.draw(st.one_of(st.none(), st.integers(0, 10))))
+
+    @pytest.mark.parametrize("f", [discounted_unit(), indicator_all_ones()],
+                             ids=["discounted", "indicator"])
+    def test_past_the_default_horizon(self, f):
+        sigma = geometric_sigma()
+        for seed in (2, 5):
+            assert_scan_matches_g_n(f, sigma, LazyPoint(seed, sigma), 70, None)
+
+    def test_matched_lazy_point_carries_eta_at_every_index(self):
+        # all-ones targets under Dirac-on-1 coordinates: the verdict holds
+        # at every index and rests on the unrealized tail
+        sigma = ProductMeasure(binary_spaces(), (bernoulli(1, F(1, 2)),),
+                               formula_tail("geometric_bernoulli"))
+        x = modify_point(LazyPoint(0, sigma), {i: 1 for i in range(1, 9)})
+        assert_scan_matches_g_n(indicator_all_ones(), sigma, x, 12, 8)
+
+
+class TestMeasureMemo:
+    @pytest.mark.parametrize("f, sigma", [
+        (indicator_all_ones(), geometric_sigma()),
+        (discounted_unit(), uniform_sigma(head_weights=(F(1, 3),))),
+    ], ids=["indicator", "discounted"])
+    def test_each_tail_measure_built_once_per_campaign(self, f, sigma,
+                                                       monkeypatch):
+        built = Counter()
+        validate = CoordinateMeasure.__post_init__
+
+        def counting(self):
+            built[self.space_index] += 1
+            validate(self)
+
+        monkeypatch.setattr(CoordinateMeasure, "__post_init__", counting)
+        verify_strong(f, sigma, F(1, 100), 40, 30, TOL, seed=4, horizon=30)
+        assert built and max(built.values()) == 1

@@ -1,6 +1,7 @@
 """Scenario ingestion and the command-line interface."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -210,3 +211,99 @@ class TestCli:
                   "--report-dir", str(d)])
             outs.append((d / "verify-weak-cylinder-mix.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+DISCOUNTED = """
+{
+  "name": "discounted",
+  "spaces": {"head": [], "tail": {"symbols": [0, 1]}},
+  "measure": {"head": [],
+              "tail": {"kind": "periodic", "weights": [[0.5, 0.5]]}},
+  "function": {"family": "discounted_sum",
+               "weights": {"kind": "geometric", "coef": 1, "ratio": 0.5},
+               "scores": [[0, 0], [1, 1]],
+               "range": [0, 1]}
+}
+"""
+
+
+# (scenario, text replaced, replacement, JSON path the error must name)
+BAD_NUMBERS = [
+    ("minimal", "[0.25, 0.75]", '["abc", 0.75]', "measure.head[0][0]"),
+    ("minimal", "[0.25, 0.75]", "[0.25, null]", "measure.head[0][1]"),
+    ("minimal", "[0.25, 0.75]", "null", "measure.head[0]"),
+    ("minimal", '"weights": [0.5, 0.5]', '"weights": [0.5, "1/0"]',
+     "measure.tail.weights[1]"),
+    ("minimal", '"value": 1}', '"value": "one"}',
+     "function.table[1].value"),
+    ("discounted", "[[0.5, 0.5]]", "[[0.5, true]]",
+     "measure.tail.weights[0][1]"),
+    ("discounted", '"coef": 1', '"coef": "abc"', "function.weights.coef"),
+    ("discounted", '"ratio": 0.5', '"ratio": null',
+     "function.weights.ratio"),
+    ("discounted", "[1, 1]]", '[1, "x"]]', "function.scores[1][1]"),
+    ("discounted", "[1, 1]]", "[1, null]]", "function.scores[1][1]"),
+    ("discounted", '"range": [0, 1]', '"range": [0, "abc"]',
+     "function.range[1]"),
+    ("discounted", '"range": [0, 1]', '"range": [0]', "function.range"),
+]
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("base, old, new, location", BAD_NUMBERS,
+                             ids=[f"{c[3]}={c[2]}" for c in BAD_NUMBERS])
+    def test_bad_number_names_its_json_path(self, base, old, new, location):
+        text = {"minimal": MINIMAL, "discounted": DISCOUNTED}[base]
+        assert old in text
+        with pytest.raises(ScenarioError, match=re.escape(location)):
+            parse_scenario(text.replace(old, new))
+
+    def test_bad_number_exits_two_with_location(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(DISCOUNTED.replace('"coef": 1', '"coef": "abc"'))
+        code = main(["expect", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "function.weights.coef" in err and "Traceback" not in err
+
+    def test_scores_must_cover_every_space_symbol(self, tmp_path, capsys):
+        text = DISCOUNTED.replace('"scores": [[0, 0], [1, 1]]',
+                                  '"scores": [[1, 1]]')
+        with pytest.raises(ScenarioError, match="symbol 0 .* has no score"):
+            parse_scenario(text)
+        bad = tmp_path / "unscored.json"
+        bad.write_text(text)
+        assert main(["verify-strong", str(bad), "--samples", "2"]) == 2
+        assert "function.scores" in capsys.readouterr().err
+
+    def test_well_formed_discounted_scenario_loads(self):
+        sc = parse_scenario(DISCOUNTED)
+        assert sc.function.weights.ratio == F(1, 2)
+        assert sc.function.score_of(1) == 1
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ["verify-strong", "discounted-uniform", "--samples", "-1"],
+        ["verify-weak", "cylinder-mix", "--samples", "0"],
+        ["gn-trace", "example-3-4", "--n-max", "0"],
+        ["strong-approx", "example-3-4", "--n-max", "-4"],
+        ["verify-weak", "cylinder-mix", "--threads", "0"],
+        ["verify-strong", "discounted-uniform", "--threads", "-3"],
+        ["weak-approx", "cylinder-mix", "--depth", "0"],
+        ["verify-weak", "cylinder-mix", "--depth", "-2"],
+        ["weak-approx", "cylinder-mix", "--retries", "0"],
+        ["game", "purify-demo", "purify", "--retries", "-1"],
+        ["expect", "example-3-4", "--node-budget", "0"],
+    ])
+    def test_count_below_one_exits_two_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_non_integer_count_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-strong", "discounted-uniform", "--samples", "many"])
+        assert exc.value.code == 2
+        assert "invalid count 'many'" in capsys.readouterr().err
