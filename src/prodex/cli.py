@@ -67,9 +67,7 @@ def _default(args, scenario: Scenario, key: str, fallback):
         return cli_value
     value = scenario.defaults.get(key.replace("_", "-"),
                                   scenario.defaults.get(key))
-    if value is None:
-        return fallback
-    return int(value) if isinstance(fallback, int) else value
+    return fallback if value is None else value
 
 
 def _resolve_point(args, scenario: Scenario):
@@ -251,7 +249,7 @@ def _cmd_verify_strong(args, scenario: Scenario):
     samples = _default(args, scenario, "samples", 200)
     horizon = args.horizon
     if horizon is None and "horizon" in scenario.defaults:
-        horizon = int(scenario.defaults["horizon"])
+        horizon = scenario.defaults["horizon"]
     report = verify_strong(
         f, scenario.measure, epsilon, samples, n_max, args.tol, args.seed,
         horizon=horizon, threads=args.threads, node_budget=args.node_budget,
@@ -277,7 +275,7 @@ def _cmd_verify_weak(args, scenario: Scenario):
     samples = _default(args, scenario, "samples", 200)
     horizon = args.horizon
     if horizon is None:
-        horizon = int(scenario.defaults.get("horizon", DEFAULT_HORIZON))
+        horizon = scenario.defaults.get("horizon", DEFAULT_HORIZON)
     report = verify_weak(
         f, scenario.measure, depth, samples, args.tol, args.seed,
         horizon=horizon, threads=args.threads, node_budget=args.node_budget,

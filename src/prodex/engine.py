@@ -3,9 +3,14 @@
 `expect` encloses E_mu[f] for a product or hybrid measure in an exact
 rational interval.  Two routes:
 
-* exact oracles for the discounted-sum and product-indicator families,
-  evaluating tail contributions in closed form (width 0 or below 1e-12);
-* generic best-first refinement of the prefix tree, each node scored by
+* exact oracles for all three built-in families.  Discounted sums and
+  product indicators evaluate their tail contributions in closed form
+  (width 0 or below 1e-12).  A cylinder of depth d is a finite table
+  sum: each row consistent with the Dirac coordinates is weighted by the
+  measure of its free prefix, in O(|table| * d) exact operations, so a
+  g_n on a cylinder costs one pass over the table;
+* generic best-first refinement of the prefix tree, for user-defined
+  functions and tails without closed forms, each node scored by
   (cylinder measure x oscillation bound) and leaves pruned as soon as
   their enclosure width hits zero.  Dirac coordinates are substituted,
   never branched, so hybrid measures keep the tree narrow past the
@@ -27,10 +32,12 @@ from typing import Optional, Union
 from .errors import UnsupportedTailError, ValidationError
 from .functions import (
     DEFAULT_HORIZON,
+    Cylinder,
     DiscountedSum,
     ProductIndicator,
     TailFunction,
     ValueBounds,
+    _read_limit,
 )
 from .model import (
     DiracAssignment,
@@ -179,8 +186,72 @@ def _discounted_oracle(f: DiscountedSum, mu: Measure,
     return ValueBounds(head + tail.lo, head + tail.hi)
 
 
+def _cylinder_oracle(f: Cylinder, mu: Measure,
+                     horizon: Optional[int]) -> Optional[ValueBounds]:
+    """E_mu[f] as an exact sum over the rows of the table.
+
+    The first k = min(switch - 1, depth) coordinates are integrated out;
+    the coordinates after them are Dirac and are read up to the read
+    limit of their point.  Rows that disagree with a read symbol drop
+    out, the rest are grouped by their first k symbols, and each group
+    adds weight(prefix) x [min, max] of its values.  Returns None when
+    the groups miss a prefix of positive mass, so that the generic route
+    reports the uncovered table.
+    """
+    h = DEFAULT_HORIZON if horizon is None else horizon
+    switch = _switch_index(mu)
+    k = f.depth if switch is None else min(switch - 1, f.depth)
+    pins = []
+    if k < f.depth:
+        point = _assignment(mu, k + 1).point
+        limit = _read_limit(point, h)
+        top = f.depth if limit is None else min(f.depth, limit)
+        pins = [(i - 1, point.coordinate(i)) for i in range(k + 1, top + 1)]
+    groups = {}
+    for key, value in f.table.items():
+        if any(key[pos] != sym for pos, sym in pins):
+            continue
+        prefix = key[:k]
+        seen = groups.get(prefix)
+        if seen is None:
+            groups[prefix] = (value, value)
+        elif value < seen[0]:
+            groups[prefix] = (value, seen[1])
+        elif value > seen[1]:
+            groups[prefix] = (seen[0], value)
+
+    weights, mass = [], F1
+    for i in range(1, k + 1):
+        a = _assignment(mu, i)
+        if isinstance(a, DiracAssignment):
+            weights.append({a.point.coordinate(i): F1})
+        else:
+            weights.append(dict(a.measure.items()))
+            mass *= sum(a.measure.weights, F0)
+    memo = {(): F1}  # prefix weights: a shared prefix is multiplied once
+    lo = hi = covered = F0
+    for prefix, (vlo, vhi) in groups.items():
+        known = len(prefix)
+        while prefix[:known] not in memo:
+            known -= 1
+        w = memo[prefix[:known]]
+        for j in range(known, len(prefix)):
+            if w:
+                w *= weights[j].get(prefix[j], F0)
+            memo[prefix[:j + 1]] = w
+        if w:
+            covered += w
+            lo += w * vlo
+            hi += w * vhi
+    if covered != mass:
+        return None
+    return ValueBounds(lo, hi)
+
+
 def _try_oracle(f: TailFunction, mu: Measure, horizon: Optional[int],
                 eta_target: Fraction) -> Optional[ValueBounds]:
+    if isinstance(f, Cylinder):
+        return _cylinder_oracle(f, mu, horizon)
     try:
         if isinstance(f, ProductIndicator):
             return exact_expectation_product_indicator(f, mu, horizon, eta_target)

@@ -94,6 +94,16 @@ def _read_limit(rest: PointSpec, horizon: int) -> Optional[int]:
     return None
 
 
+def _explicit_limit(rest: PointSpec, horizon: int) -> int:
+    """Last coordinate read one by one from a rest with no periodic stream.
+
+    That is the horizon, raised to cover modified coordinates, whether
+    the rest is lazily sampled or a user-defined point: functions that
+    depend on infinitely many coordinates enclose the rest beyond it.
+    """
+    return max(horizon, _root_of(rest)[1])
+
+
 class TailFunction:
     """A bounded function with certified cylinder enclosures."""
 
@@ -159,7 +169,7 @@ class Cylinder(TailFunction):
     range_hi: Fraction = None
 
     family = "cylinder"
-    has_exact_oracle = False
+    has_exact_oracle = True
 
     def __post_init__(self):
         if self.depth < 0:
@@ -213,6 +223,16 @@ class Cylinder(TailFunction):
         if rest is not None:
             start = m + 1 if rest_from is None else rest_from
             limit = _read_limit(rest, horizon)
+            if start <= m + 1 and (limit is None or limit >= self.depth):
+                # every coordinate past the prefix is read: one lookup
+                key = tuple(prefix) + tuple(
+                    rest.coordinate(i) for i in range(m + 1, self.depth + 1))
+                value = self.table.get(key)
+                if value is None:
+                    raise ValidationError(
+                        f"no cylinder table entry is consistent with "
+                        f"prefix {prefix!r}")
+                return ValueBounds(value, value)
             for i in range(max(start, m + 1), self.depth + 1):
                 if limit is None or i <= limit:
                     pinned[i] = rest.coordinate(i)
@@ -343,7 +363,7 @@ class DiscountedSum(TailFunction):
         if stream is not None:
             k = max(start - 1, stream.start - 1)
         else:
-            k = max(start - 1, _read_limit(rest, horizon))
+            k = max(start - 1, _explicit_limit(rest, horizon))
         exact = self._weighted_scores(
             start, (rest.coordinate(i) for i in range(start, k + 1)))
         if stream is None:
@@ -421,8 +441,7 @@ class ProductIndicator(TailFunction):
         stream = rest.eventual_stream()
         if stream is not None:
             return max(stream.start - 1, targets.start - 1)
-        _, depth = _root_of(rest)
-        return max(horizon, depth, targets.start - 1)
+        return max(_explicit_limit(rest, horizon), targets.start - 1)
 
     def _unread_eta(self, rest: PointSpec, k: int) -> Fraction:
         """Bound on P(a coordinate > k of the lazily sampled rest misses)."""

@@ -11,9 +11,11 @@ integrated out instead of pinned.  `trace` and `find_strong_approx`
 use that step for the oracle families (discounted sums and product
 indicators): the point is realized once up to its read limit and each
 further index costs O(1) exact operations, so a scan to n_max costs
-O(n_max + horizon) per point.  Cylinders, user-defined functions and
-runs without the oracles evaluate each g_n on its own (`g_n`), which
-stays the single-index API.  Both routes give identical enclosures.
+O(n_max + horizon) per point.  Cylinders evaluate each g_n on its own
+(`g_n`, which stays the single-index API) as one exact table sum, so a
+cylinder of depth d costs O(|table| * d) per index; user-defined
+functions and runs without the oracles evaluate each g_n on the generic
+tree.  All routes give identical enclosures.
 
 Comparisons are decided on interval separation only: a verdict is
 issued when the two enclosures admit no other answer, otherwise the
@@ -44,7 +46,7 @@ from .functions import (
     ProductIndicator,
     TailFunction,
     ValueBounds,
-    _read_limit,
+    _explicit_limit,
 )
 from .model import (
     HybridMeasure,
@@ -129,7 +131,7 @@ def _discounted_steps(f: DiscountedSum, sigma: ProductMeasure, x: PointSpec,
     read limit of a lazily sampled point (its spread then shrinks by w_n).
     """
     h = DEFAULT_HORIZON if horizon is None else horizon
-    read = None if x.eventual_stream() is not None else _read_limit(x, h)
+    read = None if x.eventual_stream() is not None else _explicit_limit(x, h)
     vb = f.bounds_over((), rest=x, rest_from=1, horizon=h)
     lo, hi = vb.lo, vb.hi
     w, ratio = f.weights.weight_at(1), f.weights.ratio

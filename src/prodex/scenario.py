@@ -13,6 +13,7 @@ malformed weight names the coordinate it belongs to.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,7 +88,21 @@ class Scenario:
         return None if value is None else Fraction(value)
 
 
+def _object(value, location) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"expected an object, got {value!r}", location)
+    return value
+
+
+def _list(value, location) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"expected a list, got {value!r}", location)
+    return value
+
+
 def _require(mapping, key, location):
+    if not isinstance(mapping, dict):  # inline: called twice per table row
+        raise ScenarioError(f"expected an object, got {mapping!r}", location)
     if key not in mapping:
         raise ScenarioError(f"missing required key {key!r}", location)
     return mapping[key]
@@ -99,6 +114,44 @@ def _number(value, location) -> Fraction:
     except (TypeError, ValueError, ZeroDivisionError):
         raise ScenarioError(f"expected a number, got {value!r}",
                             location) from None
+
+
+def _integer(value, location, minimum: int) -> int:
+    number = _number(value, location)
+    if number.denominator != 1 or number < minimum:
+        raise ScenarioError(f"expected an integer >= {minimum}, got {value!r}",
+                            location)
+    return int(number)
+
+
+#: JSON numbers and strings as parsed here; lists and objects are not
+#: hashable, and booleans would alias the symbols 0 and 1
+_SYMBOL_TYPES = frozenset({int, str, Fraction})
+
+
+def _symbol(value, location):
+    if type(value) not in _SYMBOL_TYPES:
+        raise ScenarioError(
+            f"a symbol is a number or a string, got {value!r}", location)
+    return value
+
+
+def _symbols(values, location) -> tuple:
+    return tuple(_symbol(v, f"{location}[{pos}]")
+                 for pos, v in enumerate(_list(values, location)))
+
+
+def _check_prefixes(prefixes, location) -> None:
+    """Each cylinder table prefix is a list of symbols.
+
+    Checked in bulk, and row by row only to name a bad one: generated
+    tables hold thousands of rows, and loading them is start-up time.
+    """
+    if (set(map(type, prefixes)) <= {list} and _SYMBOL_TYPES.issuperset(
+            map(type, itertools.chain.from_iterable(prefixes)))):
+        return
+    for pos, prefix in enumerate(prefixes):
+        _symbols(prefix, f"{location}[{pos}].prefix")
 
 
 def _numbers(values, location) -> list:
@@ -120,11 +173,14 @@ def _value_range(data, location):
 
 def _build_spaces(data, loc) -> SpaceFamily:
     head = []
-    for pos, entry in enumerate(data.get("head", []), start=1):
-        symbols = tuple(_require(entry, "symbols", f"{loc}.head[{pos - 1}]"))
+    entries = _list(_object(data, loc).get("head", []), f"{loc}.head")
+    for pos, entry in enumerate(entries, start=1):
+        eloc = f"{loc}.head[{pos - 1}]"
+        symbols = _symbols(_require(entry, "symbols", eloc), f"{eloc}.symbols")
         head.append(CoordinateSpace(pos, symbols))
     tail = _require(data, "tail", loc)
-    tail_symbols = tuple(_require(tail, "symbols", f"{loc}.tail"))
+    tail_symbols = _symbols(_require(tail, "symbols", f"{loc}.tail"),
+                            f"{loc}.tail.symbols")
     return SpaceFamily(tuple(head), tail_symbols)
 
 
@@ -164,7 +220,8 @@ def _build_measure_tail(data, spaces, head_len, loc):
 
 def _build_measure(data, spaces, loc) -> ProductMeasure:
     head = []
-    for pos, weights in enumerate(data.get("head", []), start=1):
+    entries = _list(_object(data, loc).get("head", []), f"{loc}.head")
+    for pos, weights in enumerate(entries, start=1):
         head.append(
             _build_measure_vector(pos, weights, spaces, f"{loc}.head[{pos - 1}]"))
     tail = _build_measure_tail(_require(data, "tail", loc), spaces,
@@ -175,9 +232,11 @@ def _build_measure(data, spaces, loc) -> ProductMeasure:
 def _build_symbol_tail(data, loc):
     kind = _require(data, "kind", loc)
     if kind == "constant_symbol":
-        return ConstantSymbol(_require(data, "symbol", loc))
+        return ConstantSymbol(_symbol(_require(data, "symbol", loc),
+                                      f"{loc}.symbol"))
     if kind == "periodic_symbols":
-        return PeriodicSymbols(tuple(_require(data, "symbols", loc)))
+        return PeriodicSymbols(_symbols(_require(data, "symbols", loc),
+                                        f"{loc}.symbols"))
     raise ScenarioError(f"unknown symbol tail kind {kind!r}", loc)
 
 
@@ -185,16 +244,17 @@ def _build_function(data, spaces, loc) -> TailFunction:
     family = _require(data, "family", loc)
     value_range = _value_range(data.get("range"), f"{loc}.range")
     if family == "cylinder":
-        depth = _require(data, "depth", loc)
+        depth = _integer(_require(data, "depth", loc), f"{loc}.depth", 0)
         entries = []
-        for pos, row in enumerate(_require(data, "table", loc)):
+        table = _list(_require(data, "table", loc), f"{loc}.table")
+        for pos, row in enumerate(table):
             rloc = f"{loc}.table[{pos}]"
-            entries.append((tuple(_require(row, "prefix", rloc)),
+            entries.append((_require(row, "prefix", rloc),
                             _number(_require(row, "value", rloc),
                                     f"{rloc}.value")))
+        _check_prefixes([prefix for prefix, _ in entries], f"{loc}.table")
         f = Cylinder.from_entries(depth, entries, value_range)
         # every prefix over the declared spaces must be covered
-        import itertools
         lists = [spaces.space_at(i).symbols for i in range(1, depth + 1)]
         for combo in itertools.product(*lists):
             if combo not in f.table:
@@ -220,7 +280,8 @@ def _build_function(data, spaces, loc) -> TailFunction:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ScenarioError("score entries are [symbol, score] pairs",
                                     f"{loc}.scores[{pos}]")
-            scores[pair[0]] = _number(pair[1], f"{loc}.scores[{pos}][1]")
+            symbol = _symbol(pair[0], f"{loc}.scores[{pos}][0]")
+            scores[symbol] = _number(pair[1], f"{loc}.scores[{pos}][1]")
         for space in (*spaces.head, spaces.space_at(len(spaces.head) + 1)):
             for sym in space.symbols:
                 if sym not in scores:
@@ -231,7 +292,7 @@ def _build_function(data, spaces, loc) -> TailFunction:
         return DiscountedSum(weights, scores, lo, hi)
     if family == "product_indicator":
         targets = _require(data, "targets", loc)
-        head = tuple(targets.get("head", []))
+        head = _symbols(targets.get("head", []), f"{loc}.targets.head")
         tail = _build_symbol_tail(_require(targets, "tail", f"{loc}.targets"),
                                   f"{loc}.targets.tail")
         return ProductIndicator(spaces, head, tail)
@@ -241,7 +302,7 @@ def _build_function(data, spaces, loc) -> TailFunction:
 def _build_point(data, measure, loc) -> PointSpec:
     kind = _require(data, "kind", loc)
     if kind == "described":
-        head = tuple(data.get("head", []))
+        head = _symbols(data.get("head", []), f"{loc}.head")
         tail = _build_symbol_tail(_require(data, "tail", loc), f"{loc}.tail")
         point = DescribedPoint(head, tail)
         point.validate_against(measure.spaces)
@@ -255,7 +316,7 @@ def _build_point(data, measure, loc) -> PointSpec:
 
 
 def _build_game(data, spaces, loc) -> GameSpec:
-    actions = tuple(_require(data, "actions", loc))
+    actions = _symbols(_require(data, "actions", loc), f"{loc}.actions")
     rng = _value_range(_require(data, "range", loc), f"{loc}.range")
     payoffs = {}
     for a in actions:
@@ -263,6 +324,35 @@ def _build_game(data, spaces, loc) -> GameSpec:
         spec = _require(_require(data, "payoffs", loc), key, f"{loc}.payoffs")
         payoffs[a] = _build_function(spec, spaces, f"{loc}.payoffs.{key}")
     return GameSpec(actions, spaces, payoffs, rng[0], rng[1])
+
+
+def _thresholds(data, loc) -> dict:
+    """Per-command threshold numbers, e.g. min_certified_fraction."""
+    return {
+        command: {key: _number(value, f"{loc}.{command}.{key}")
+                  for key, value in _object(section, f"{loc}.{command}").items()}
+        for command, section in _object(data, loc).items()
+    }
+
+
+#: defaults read by the CLI, each with its smallest admissible value
+_COUNT_DEFAULTS = {"n_max": 1, "n-max": 1, "depth": 1, "samples": 1,
+                   "horizon": 0}
+
+
+def _defaults(data, loc) -> dict:
+    """CLI defaults, converted and range-checked at load."""
+    out = {}
+    for key, value in _object(data, loc).items():
+        if key in _COUNT_DEFAULTS:
+            value = _integer(value, f"{loc}.{key}", _COUNT_DEFAULTS[key])
+        elif key == "epsilon":
+            value = _number(value, f"{loc}.{key}")
+            if value < 0:
+                raise ScenarioError("epsilon must be nonnegative",
+                                    f"{loc}.{key}")
+        out[key] = value
+    return out
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
@@ -285,11 +375,13 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         if "function" in data:
             function = _build_function(data["function"], spaces, "function")
         points = {}
-        for name, spec in data.get("points", {}).items():
+        for name, spec in _object(data.get("points", {}), "points").items():
             points[name] = _build_point(spec, measure, f"points.{name}")
         game = None
         if "game" in data:
             game = _build_game(data["game"], spaces, "game")
+        thresholds = _thresholds(data.get("thresholds", {}), "thresholds")
+        defaults = _defaults(data.get("defaults", {}), "defaults")
     except ScenarioError:
         raise
     except ProdexError as exc:
@@ -302,8 +394,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         function=function,
         points=points,
         game=game,
-        thresholds=data.get("thresholds", {}),
-        defaults=data.get("defaults", {}),
+        thresholds=thresholds,
+        defaults=defaults,
         digest=digest,
         source=source,
     )

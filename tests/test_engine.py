@@ -4,19 +4,29 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodex.engine import (
     exact_expectation_product_indicator,
     expect,
 )
-from prodex.errors import UnsupportedTailError
+from prodex.errors import UnsupportedTailError, ValidationError
 from prodex.functions import Cylinder, cylinder_sum
 from prodex.model import (
     ConstantMeasureTail,
+    ConstantSymbol,
     CoordinateMeasure,
+    DescribedPoint,
+    DiracAssignment,
     HybridMeasure,
+    LazyPoint,
+    MeasureAssignment,
+    ModifiedPoint,
     PeriodicMeasuresTail,
+    PeriodicSymbols,
     ProductMeasure,
+    SpaceFamily,
     bernoulli_measure,
     dirac_measure,
     modify_point,
@@ -241,3 +251,171 @@ class TestEngineContracts:
         res = expect(indicator_all_ones(), sigma, F(1, 4))
         assert not res.oracle_used
         assert res.certified
+
+
+# ---------------------------------------------------------------------------
+# The cylinder table-sum oracle against the fully expanded tree
+# ---------------------------------------------------------------------------
+
+RAW_WEIGHTS = st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any)
+
+
+def measure_from_raw(i, raw, arity):
+    raw = raw[:arity] if any(raw[:arity]) else [1] * arity
+    total = sum(raw)
+    return CoordinateMeasure.from_weights(
+        i, range(arity), [F(r, total) for r in raw])
+
+
+@st.composite
+def cylinder_setups(draw):
+    """A measure over symbols 0..arity-1 and a cylinder covering them.
+
+    Ternary cylinders stop at depth 3 and binary ones at depth 5, so
+    the fully expanded tree stays small.  Weights may vanish, which
+    makes some coordinates Dirac.
+    """
+    arity = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(1, 3 if arity == 3 else 5))
+    head = tuple(measure_from_raw(i, draw(RAW_WEIGHTS), arity)
+                 for i in range(1, draw(st.integers(0, depth + 1)) + 1))
+    probe = len(head) + 1
+    templates = [measure_from_raw(probe, raw, arity)
+                 for raw in draw(st.lists(RAW_WEIGHTS, min_size=1,
+                                          max_size=2))]
+    tail = (ConstantMeasureTail(templates[0]) if len(templates) == 1
+            else PeriodicMeasuresTail(tuple(templates)))
+    sigma = ProductMeasure(SpaceFamily.uniform(range(arity)), head, tail)
+    rows = itertools.product(range(arity), repeat=depth)
+    f = Cylinder(depth, {row: F(draw(st.integers(0, 6)), 2) for row in rows})
+    return arity, sigma, f
+
+
+@st.composite
+def tail_points(draw, sigma, arity):
+    """A lazy, a described and a modified point over symbols 0..arity-1."""
+    symbols = st.integers(0, arity - 1)
+    lazy = LazyPoint(draw(st.integers(0, 2**32)), sigma)
+    tail = draw(st.lists(symbols, min_size=1, max_size=2))
+    rule = (ConstantSymbol(tail[0]) if len(tail) == 1
+            else PeriodicSymbols(tuple(tail)))
+    described = DescribedPoint(tuple(draw(st.lists(symbols, max_size=4))),
+                               rule)
+    base = lazy if draw(st.booleans()) else described
+    overrides = draw(st.dictionaries(st.integers(1, 7), symbols,
+                                     min_size=1, max_size=3))
+    return [lazy, described,
+            ModifiedPoint(base, tuple(sorted(overrides.items())))]
+
+
+def assert_oracle_matches_tree(f, mu, horizon=None):
+    oracle = expect(f, mu, TOL, horizon=horizon)
+    # tol far below every leaf's mass x width: the tree expands fully
+    tree = expect(f, mu, F(1, 10**12), use_oracle=False, horizon=horizon)
+    assert oracle.oracle_used and oracle.nodes_expanded == 0
+    assert not tree.oracle_used
+    assert (oracle.interval, oracle.eta) == (tree.interval, tree.eta)
+
+
+class TestCylinderOracle:
+    @given(setup=cylinder_setups())
+    @settings(max_examples=40)
+    def test_product_measure(self, setup):
+        _, sigma, f = setup
+        assert_oracle_matches_tree(f, sigma)
+
+    @given(data=st.data())
+    @settings(max_examples=25)
+    def test_hybrid_measures_then_point(self, data):
+        arity, sigma, f = data.draw(cylinder_setups())
+        for x in data.draw(tail_points(sigma, arity)):
+            for n, horizon in itertools.product(range(1, f.depth + 3),
+                                                [None, *range(f.depth + 1)]):
+                assert_oracle_matches_tree(
+                    f, HybridMeasure.measures_then_point(sigma, x, n), horizon)
+
+    @given(data=st.data())
+    @settings(max_examples=25)
+    def test_hybrid_with_dirac_head(self, data):
+        arity, sigma, f = data.draw(cylinder_setups())
+        x, y, z = data.draw(tail_points(sigma, arity))
+        switch = f.depth + 1
+        dirac = data.draw(st.lists(st.booleans(), min_size=f.depth,
+                                   max_size=f.depth))
+        head = tuple(
+            DiracAssignment(y if i % 2 else z) if dirac[i - 1]
+            else MeasureAssignment(sigma.coordinate_measure(i))
+            for i in range(1, switch))
+        for horizon in (None, *range(f.depth + 1)):
+            assert_oracle_matches_tree(f, HybridMeasure(head, switch, x),
+                                       horizon)
+            assert_oracle_matches_tree(
+                f, HybridMeasure(head[:1], 2, x), horizon)
+
+    def test_uncovered_positive_mass_row_raises(self):
+        f = Cylinder(2, {(0, 0): F(1), (0, 1): F(2)})
+        with pytest.raises(ValidationError, match="prefix \\(1,\\)"):
+            expect(f, uniform_sigma(), TOL)
+
+    def test_uncovered_table_falls_back_to_the_tree(self):
+        # the tree settles prefix (1,) on its one row and never asks for
+        # (1, 1); the oracle declines rather than guess that row's value
+        f = Cylinder(2, {(0, 0): F(1), (0, 1): F(2), (1, 0): F(3)})
+        res = expect(f, uniform_sigma(), TOL)
+        assert not res.oracle_used and res.nodes_expanded == 2
+        assert res.interval.is_point and res.interval.lo == F(9, 4)
+
+    def test_coverage_is_measured_against_the_actual_masses(self):
+        # weights within 1e-12 of summing to 1 are accepted by the model;
+        # full coverage then means the product of those sums
+        p, q = F(1, 2), F(1, 2) - F(1, 10**13)
+        sigma = ProductMeasure(
+            SpaceFamily.uniform((0, 1)),
+            (CoordinateMeasure.from_weights(1, (0, 1), (p, q)),),
+            ConstantMeasureTail(bernoulli_measure(2, F(1, 2))))
+        res = expect(Cylinder(1, {(0,): F(2), (1,): F(4)}), sigma, TOL)
+        assert res.oracle_used and res.interval.lo == 2 * p + 4 * q
+
+    def test_uncovered_zero_mass_row_is_exact(self):
+        f = Cylinder(2, {(0, 0): F(1), (0, 1): F(2), (1, 0): F(3)})
+        sigma = uniform_sigma(head_weights=(F(1, 2), F(0)))
+        res = expect(f, sigma, TOL)
+        assert res.oracle_used and res.interval.is_point
+        assert res.interval.lo == F(1, 2) * 1 + F(1, 2) * 3
+
+
+def scanned_bounds(f, prefix, pinned):
+    """Independent [min, max] over the rows consistent with the pins."""
+    values = [v for key, v in f.table.items()
+              if key[:len(prefix)] == prefix
+              and all(key[i - 1] == sym for i, sym in pinned.items())]
+    return min(values), max(values)
+
+
+class TestCylinderPinnedLookup:
+    def test_fully_pinned_lookup_equals_row_scan(self):
+        f = Cylinder.from_callable([(0, 1, 2)] * 3,
+                                   lambda a, b, c: F(a + 2 * b + 4 * c, 7))
+        sigma = uniform_sigma()
+        points = [DescribedPoint((2, 0), ConstantSymbol(1)),
+                  modify_point(LazyPoint(3, sigma), {2: 2})]
+        for x, m in itertools.product(points, range(4)):
+            prefix = tuple(x.coordinate(i) for i in range(1, m + 1))
+            for rest_from, horizon in ((m + 1, 64), (m + 2, 64), (1, 1)):
+                vb = f.bounds_over(prefix, rest=x, rest_from=rest_from,
+                                   horizon=horizon)
+                limit = 3 if isinstance(x, DescribedPoint) else max(horizon, 2)
+                pinned = {i: x.coordinate(i)
+                          for i in range(max(rest_from, m + 1), 4)
+                          if i <= limit}
+                assert (vb.lo, vb.hi) == scanned_bounds(f, prefix, pinned)
+
+    def test_missing_row_error_is_the_row_scan_error(self):
+        f = Cylinder(2, {(0, 0): F(1), (0, 1): F(2)})
+        ones = DescribedPoint((), ConstantSymbol(1))
+        lazy = LazyPoint(0, uniform_sigma())
+        message = "no cylinder table entry is consistent with prefix \\(1,\\)"
+        with pytest.raises(ValidationError, match=message):
+            f.bounds_over((1,), rest=ones, rest_from=2)  # one lookup
+        with pytest.raises(ValidationError, match=message):
+            f.bounds_over((1,), rest=lazy, rest_from=2, horizon=0)  # scan

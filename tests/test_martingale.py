@@ -35,6 +35,7 @@ from prodex.model import (
     ModifiedPoint,
     PeriodicMeasuresTail,
     PeriodicSymbols,
+    PointSpec,
     ProductMeasure,
     formula_tail,
     modify_point,
@@ -381,6 +382,35 @@ class TestScanMatchesPerIndex:
                                formula_tail("geometric_bernoulli"))
         x = modify_point(LazyPoint(0, sigma), {i: 1 for i in range(1, 9)})
         assert_scan_matches_g_n(indicator_all_ones(), sigma, x, 12, 8)
+
+
+class OnesPoint(PointSpec):
+    """A user-defined point: neither lazily sampled nor described."""
+
+    def coordinate(self, i):
+        return 1
+
+
+class TestUserDefinedPoint:
+    def test_discounted_sum_reads_up_to_the_horizon(self):
+        f, sigma, x = discounted_unit(), uniform_sigma(), OnesPoint()
+        for horizon in (None, 0, 3, 10):
+            h = 64 if horizon is None else horizon
+            # g_n = (n-1)/2 over the integrated coordinates, sum of
+            # 2**-i over n..h read from x, and [0, 2**-h] beyond h
+            for n in (1, 2, 5, 12):
+                read = sum((F(1, 2**i) for i in range(n, h + 1)), F(0))
+                head = F(1, 2) * (1 - F(1, 2**(n - 1)))
+                unread = F(1, 2**max(h, n - 1))
+                res = g_n(f, sigma, x, n, TOL, horizon=horizon)
+                assert (res.interval.lo, res.interval.hi) == (
+                    head + read, head + read + unread)
+            assert_scan_matches_g_n(f, sigma, x, 14, horizon)
+            entries = trace(f, sigma, x, 14, horizon=horizon).entries
+            assert [e.n for e in entries] == list(range(1, 15))
+        found = find_strong_approx(f, sigma, x, F(1, 10), 10)
+        # g_3 ~ 5/8 misses E = 1/2 by more than 1/10; g_4 ~ 9/16 does not
+        assert found.is_found and found.n == 4
 
 
 class TestMeasureMemo:

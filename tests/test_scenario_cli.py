@@ -282,6 +282,65 @@ class TestMalformedNumbers:
         assert sc.function.score_of(1) == 1
 
 
+# (text replaced in MINIMAL_WITH_SETTINGS, replacement, JSON path named)
+BAD_SETTINGS = [
+    ('"min_certified_fraction": 1.0', '"min_certified_fraction": "abc"',
+     "thresholds.verify-strong.min_certified_fraction"),
+    ('"samples": 4', '"samples": -1', "defaults.samples"),
+    ('"horizon": 8', '"horizon": "x"', "defaults.horizon"),
+    ('"n_max": 3', '"n_max": 2.5', "defaults.n_max"),
+    ('"epsilon": 0.2', '"epsilon": -0.2', "defaults.epsilon"),
+    ('"thresholds": {', '"thresholds": {"verify-weak": 1, ',
+     "thresholds.verify-weak"),
+    ('"spaces": {"head": [], "tail": {"symbols": [0, 1]}}', '"spaces": [1, 2]',
+     "spaces"),
+    ('"tail": {"symbols": [0, 1]}', '"tail": {"symbols": [[0], [1]]}',
+     "spaces.tail.symbols[0]"),
+    ('{"prefix": [0], "value": 0}', '{"prefix": [[0]], "value": 0}',
+     "function.table[0].prefix[0]"),
+    ('"symbol": 1}}}', '"symbol": [1]}}}', "points.one.tail.symbol"),
+]
+
+MINIMAL_WITH_SETTINGS = MINIMAL.rstrip()[:-1] + """,
+  "defaults": {"samples": 4, "horizon": 8, "n_max": 3, "epsilon": 0.2},
+  "thresholds": {"verify-strong": {"min_certified_fraction": 1.0}}
+}
+"""
+
+
+class TestMalformedSettingsAndSymbols:
+    @pytest.mark.parametrize("old, new, location", BAD_SETTINGS,
+                             ids=[f"{c[2]}" for c in BAD_SETTINGS])
+    def test_exits_two_with_its_json_path(self, old, new, location,
+                                          tmp_path, capsys):
+        assert old in MINIMAL_WITH_SETTINGS
+        text = MINIMAL_WITH_SETTINGS.replace(old, new)
+        with pytest.raises(ScenarioError, match=re.escape(location)):
+            parse_scenario(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["verify-strong", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert location in err and "Traceback" not in err
+
+    def test_well_formed_settings_are_converted_at_load(self):
+        sc = parse_scenario(MINIMAL_WITH_SETTINGS)
+        assert sc.defaults == {"samples": 4, "horizon": 8, "n_max": 3,
+                               "epsilon": F(1, 5)}
+        assert sc.threshold("verify-strong", "min_certified_fraction") == 1
+
+
+class TestCylinderExpectRoute:
+    def test_expect_reports_the_table_sum_oracle(self, capsys):
+        assert main(["expect", "cylinder-threshold", "--report",
+                     "machine"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["oracle_used"] is True
+        assert result["nodes_expanded"] == 0
+        assert result["status"] == "certified"
+
+
 class TestCountFlags:
     @pytest.mark.parametrize("argv", [
         ["verify-strong", "discounted-uniform", "--samples", "-1"],
