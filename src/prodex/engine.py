@@ -37,7 +37,6 @@ from .functions import (
     ProductIndicator,
     TailFunction,
     ValueBounds,
-    _read_limit,
 )
 from .model import (
     DiracAssignment,
@@ -191,25 +190,23 @@ def _cylinder_oracle(f: Cylinder, mu: Measure,
     """E_mu[f] as an exact sum over the rows of the table.
 
     The first k = min(switch - 1, depth) coordinates are integrated out;
-    the coordinates after them are Dirac and are read up to the read
-    limit of their point.  Rows that disagree with a read symbol drop
-    out, the rest are grouped by their first k symbols, and each group
-    adds weight(prefix) x [min, max] of its values.  Returns None when
-    the groups miss a prefix of positive mass, so that the generic route
-    reports the uncovered table.
+    the coordinates after them are Dirac, and the table is matched on
+    them as `Cylinder.pinned_coordinates` reads them.  Rows that disagree
+    with a read symbol drop out, the rest are grouped by their first k
+    symbols, and each group adds weight(prefix) x [min, max] of its
+    values.  Returns None when the groups miss a prefix of positive
+    mass, so that the generic route reports the uncovered table.
     """
-    h = DEFAULT_HORIZON if horizon is None else horizon
     switch = _switch_index(mu)
     k = f.depth if switch is None else min(switch - 1, f.depth)
-    pins = []
+    pins = {}
     if k < f.depth:
-        point = _assignment(mu, k + 1).point
-        limit = _read_limit(point, h)
-        top = f.depth if limit is None else min(f.depth, limit)
-        pins = [(i - 1, point.coordinate(i)) for i in range(k + 1, top + 1)]
+        pins = f.pinned_coordinates(
+            _assignment(mu, k + 1).point, k + 1,
+            DEFAULT_HORIZON if horizon is None else horizon)
     groups = {}
     for key, value in f.table.items():
-        if any(key[pos] != sym for pos, sym in pins):
+        if any(key[i - 1] != sym for i, sym in pins.items()):
             continue
         prefix = key[:k]
         seen = groups.get(prefix)

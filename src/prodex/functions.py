@@ -108,7 +108,6 @@ class TailFunction:
     """A bounded function with certified cylinder enclosures."""
 
     family = "abstract"
-    has_exact_oracle = False
 
     range_lo: Fraction
     range_hi: Fraction
@@ -169,7 +168,6 @@ class Cylinder(TailFunction):
     range_hi: Fraction = None
 
     family = "cylinder"
-    has_exact_oracle = True
 
     def __post_init__(self):
         if self.depth < 0:
@@ -214,6 +212,18 @@ class Cylinder(TailFunction):
         except KeyError:
             raise ValidationError(f"prefix {key!r} not covered by cylinder table")
 
+    def pinned_coordinates(self, rest: PointSpec, start: int,
+                           horizon: int) -> dict:
+        """Coordinates start..depth of `rest` that the table is matched on.
+
+        Each is read unless `rest` is lazily sampled and the index lies
+        past its read limit (see `_read_limit`); unread coordinates stay
+        free.  Maps index -> symbol, in increasing index order.
+        """
+        limit = _read_limit(rest, horizon)
+        top = self.depth if limit is None else min(self.depth, limit)
+        return {i: rest.coordinate(i) for i in range(start, top + 1)}
+
     def bounds_over(self, prefix, rest=None, rest_from=None,
                     horizon=DEFAULT_HORIZON) -> ValueBounds:
         m = len(prefix)
@@ -221,21 +231,16 @@ class Cylinder(TailFunction):
             return ValueBounds.point(self.value_at_prefix(prefix))
         pinned = {}
         if rest is not None:
-            start = m + 1 if rest_from is None else rest_from
-            limit = _read_limit(rest, horizon)
-            if start <= m + 1 and (limit is None or limit >= self.depth):
+            start = m + 1 if rest_from is None else max(rest_from, m + 1)
+            pinned = self.pinned_coordinates(rest, start, horizon)
+            if len(pinned) == self.depth - m:
                 # every coordinate past the prefix is read: one lookup
-                key = tuple(prefix) + tuple(
-                    rest.coordinate(i) for i in range(m + 1, self.depth + 1))
-                value = self.table.get(key)
+                value = self.table.get(tuple(prefix) + tuple(pinned.values()))
                 if value is None:
                     raise ValidationError(
                         f"no cylinder table entry is consistent with "
                         f"prefix {prefix!r}")
                 return ValueBounds(value, value)
-            for i in range(max(start, m + 1), self.depth + 1):
-                if limit is None or i <= limit:
-                    pinned[i] = rest.coordinate(i)
         lo = hi = None
         for key, value in self.table.items():
             if tuple(key[:m]) != tuple(prefix):
@@ -305,7 +310,6 @@ class DiscountedSum(TailFunction):
     range_hi: Fraction = None
 
     family = "discounted_sum"
-    has_exact_oracle = True
 
     def __post_init__(self):
         if not self.scores:
@@ -390,7 +394,6 @@ class ProductIndicator(TailFunction):
     targets_tail: SymbolRule
 
     family = "product_indicator"
-    has_exact_oracle = True
     range_lo = F0
     range_hi = F1
 

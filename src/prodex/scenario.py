@@ -101,9 +101,7 @@ def _list(value, location) -> list:
 
 
 def _require(mapping, key, location):
-    if not isinstance(mapping, dict):  # inline: called twice per table row
-        raise ScenarioError(f"expected an object, got {mapping!r}", location)
-    if key not in mapping:
+    if key not in _object(mapping, location):
         raise ScenarioError(f"missing required key {key!r}", location)
     return mapping[key]
 
@@ -137,21 +135,11 @@ def _symbol(value, location):
 
 
 def _symbols(values, location) -> tuple:
-    return tuple(_symbol(v, f"{location}[{pos}]")
-                 for pos, v in enumerate(_list(values, location)))
-
-
-def _check_prefixes(prefixes, location) -> None:
-    """Each cylinder table prefix is a list of symbols.
-
-    Checked in bulk, and row by row only to name a bad one: generated
-    tables hold thousands of rows, and loading them is start-up time.
-    """
-    if (set(map(type, prefixes)) <= {list} and _SYMBOL_TYPES.issuperset(
-            map(type, itertools.chain.from_iterable(prefixes)))):
-        return
-    for pos, prefix in enumerate(prefixes):
-        _symbols(prefix, f"{location}[{pos}].prefix")
+    values = _list(values, location)
+    if not _SYMBOL_TYPES.issuperset(map(type, values)):
+        for pos, v in enumerate(values):
+            _symbol(v, f"{location}[{pos}]")
+    return tuple(values)
 
 
 def _numbers(values, location) -> list:
@@ -249,10 +237,10 @@ def _build_function(data, spaces, loc) -> TailFunction:
         table = _list(_require(data, "table", loc), f"{loc}.table")
         for pos, row in enumerate(table):
             rloc = f"{loc}.table[{pos}]"
-            entries.append((_require(row, "prefix", rloc),
+            entries.append((_symbols(_require(row, "prefix", rloc),
+                                     f"{rloc}.prefix"),
                             _number(_require(row, "value", rloc),
                                     f"{rloc}.value")))
-        _check_prefixes([prefix for prefix, _ in entries], f"{loc}.table")
         f = Cylinder.from_entries(depth, entries, value_range)
         # every prefix over the declared spaces must be covered
         lists = [spaces.space_at(i).symbols for i in range(1, depth + 1)]
