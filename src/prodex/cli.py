@@ -252,7 +252,7 @@ def _cmd_verify_strong(args, scenario: Scenario):
         horizon = scenario.defaults["horizon"]
     report = verify_strong(
         f, scenario.measure, epsilon, samples, n_max, args.tol, args.seed,
-        horizon=horizon, threads=args.threads, node_budget=args.node_budget,
+        horizon=horizon, node_budget=args.node_budget,
         scenario_digest=scenario.digest)
     threshold = scenario.threshold("verify-strong", "min_certified_fraction")
     met = threshold is None or report.certified_fraction >= threshold
@@ -278,7 +278,7 @@ def _cmd_verify_weak(args, scenario: Scenario):
         horizon = scenario.defaults.get("horizon", DEFAULT_HORIZON)
     report = verify_weak(
         f, scenario.measure, depth, samples, args.tol, args.seed,
-        horizon=horizon, threads=args.threads, node_budget=args.node_budget,
+        horizon=horizon, node_budget=args.node_budget,
         scenario_digest=scenario.digest)
     threshold = scenario.threshold("verify-weak", "min_certified_fraction")
     met = threshold is None or report.certified_fraction >= threshold
@@ -438,7 +438,7 @@ def run_scenario(path: str, command: str, args) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type for sample, index, depth, retry and worker counts."""
+    """argparse type for sample, index, depth, retry and node counts."""
     try:
         value = int(text)
     except ValueError:
@@ -454,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="64-bit master seed (default 0)")
     common.add_argument("--tol", type=Fraction, default=Fraction(1, 10**9),
                         help="certification tolerance (default 1e-9)")
-    common.add_argument("--threads", type=_count, default=1,
-                        help="worker threads for verification campaigns")
     common.add_argument("--report-dir", default=None,
                         help="write text + machine reports into this directory")
     common.add_argument("--report", choices=("text", "machine"), default="text",

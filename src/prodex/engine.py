@@ -3,9 +3,12 @@
 `expect` encloses E_mu[f] for a product or hybrid measure in an exact
 rational interval.  Two routes:
 
-* exact oracles for all three built-in families.  Discounted sums and
-  product indicators evaluate their tail contributions in closed form
-  (width 0 or below 1e-12).  A cylinder of depth d is a finite table
+* exact oracles for all three built-in families.  Each reads the
+  coordinates of a product or hybrid measure through one assignment
+  per index (a coordinate measure or a Dirac point), so both kinds of
+  measure share one loop.  Discounted sums and product indicators
+  evaluate their tail contributions in closed form (width 0 or below
+  1e-12).  A cylinder of depth d is a finite table
   sum: each row consistent with the Dirac coordinates is weighted by the
   measure of its free prefix, in O(|table| * d) exact operations, so a
   g_n on a cylinder costs one pass over the table;
@@ -17,9 +20,9 @@ rational interval.  Two routes:
   switch index.
 
 Accumulation is exact (Fractions), so results are independent of
-evaluation order and identical across thread counts.  Results carry a
-residual probability `eta`, nonzero only when an indicator verdict
-rests on the unrealized tail of a lazily sampled point.
+evaluation order.  Results carry a residual probability `eta`, nonzero
+only when an indicator verdict rests on the unrealized tail of a lazily
+sampled point.
 """
 
 from __future__ import annotations
@@ -119,70 +122,61 @@ def exact_expectation_product_indicator(
         eta_target: Rational = DEFAULT_ETA_TARGET) -> ValueBounds:
     """Closed-form E_mu[f] for a product indicator.
 
-    Every coordinate contributes its weight on the target symbol (Dirac
-    coordinates contribute exactly 0 or 1); the infinite tail product is
-    evaluated in closed form or enclosed to width below 1e-12.  Raises
+    Every head coordinate contributes its weight on the target symbol
+    (Dirac coordinates contribute exactly 0 or 1); the infinite tail
+    product is evaluated in closed form or enclosed to width below 1e-12,
+    or is a hybrid's pinned point matched against the targets.  Raises
     UnsupportedTailError when the measure tail rule has no closed form.
     """
     if not isinstance(f, ProductIndicator):
         raise ValidationError("exact indicator oracle needs a ProductIndicator")
     eta_target = as_fraction(eta_target)
     targets = f.targets_stream()
-
-    if isinstance(mu, HybridMeasure):
-        product = F1
-        for i in range(1, mu.switch_index):
-            a = mu.assignment_at(i)
-            if isinstance(a, DiracAssignment):
-                if a.point.coordinate(i) != f.target_at(i):
-                    return ValueBounds.point(0)
-            else:
-                product *= a.measure.weight_of(f.target_at(i))
-                if product == 0:
-                    return ValueBounds.point(0)
-        h = _indicator_horizon(f, mu.tail_point, horizon, eta_target)
-        matched, eta = f._tail_match(mu.tail_point, mu.switch_index, h)
-        if not matched:
-            return ValueBounds.point(0)
-        return ValueBounds(product, product, eta)
-
-    boundary = max(mu.head_len, targets.start - 1)
+    switch = _switch_index(mu)
+    boundary = (max(mu.head_len, targets.start - 1) if switch is None
+                else switch - 1)
     product = F1
     for i in range(1, boundary + 1):
-        product *= mu.coordinate_measure(i).weight_of(f.target_at(i))
-        if product == 0:
-            return ValueBounds.point(0)
-    tail = mu.tail.indicator_tail_product(targets, boundary, mu.head_len)
-    return ValueBounds(product * tail.lo, product * tail.hi)
+        a = _assignment(mu, i)
+        if isinstance(a, DiracAssignment):
+            if a.point.coordinate(i) != f.target_at(i):
+                return ValueBounds.point(0)
+        else:
+            product *= a.measure.weight_of(f.target_at(i))
+            if product == 0:
+                return ValueBounds.point(0)
+    if switch is None:
+        tail = mu.tail.indicator_tail_product(targets, boundary, mu.head_len)
+        return ValueBounds(product * tail.lo, product * tail.hi)
+    h = _indicator_horizon(f, mu.tail_point, horizon, eta_target)
+    tail = f._tail_match(mu.tail_point, switch, h)
+    return ValueBounds(product * tail.lo, product * tail.hi, tail.eta)
 
 
 def _discounted_oracle(f: DiscountedSum, mu: Measure,
                        horizon: Optional[int]) -> ValueBounds:
-    """E_mu[f] = sum_i w_i E_i[score], coordinate by coordinate."""
-    h = DEFAULT_HORIZON if horizon is None else horizon
-    if isinstance(mu, HybridMeasure):
-        head = F0
-        for i in range(1, mu.switch_index):
-            a = mu.assignment_at(i)
-            w = f.weights.weight_at(i)
-            if isinstance(a, DiracAssignment):
-                head += w * f.score_of(a.point.coordinate(i))
-            else:
-                head += w * a.measure.mean_score(f.score_of)
-        # family logic handles the pinned tail; strip its free-window spread
-        vb = f.bounds_over((), rest=mu.tail_point, rest_from=mu.switch_index,
-                           horizon=h)
-        window = f.weights.tail_sum(0) - f.weights.tail_sum(mu.switch_index - 1)
-        return ValueBounds(head + vb.lo - window * f.score_min,
-                           head + vb.hi - window * f.score_max)
+    """E_mu[f] = sum_i w_i E_i[score], coordinate by coordinate; the tail
+    is a closed form, or a hybrid's pinned point summed as a pinned rest."""
+    switch = _switch_index(mu)
+    boundary = mu.head_len if switch is None else switch - 1
     head = F0
-    for i in range(1, mu.head_len + 1):
-        head += f.weights.weight_at(i) * mu.coordinate_measure(i).mean_score(f.score_of)
-    probe = mu.head_len + 1
-    tail = mu.tail.mean_tail_sum(
-        f.weights.coef, f.weights.ratio, f.score_of, mu.head_len,
-        mu.head_len, mu.spaces.space_at(probe))
-    return ValueBounds(head + tail.lo, head + tail.hi)
+    for i in range(1, boundary + 1):
+        a = _assignment(mu, i)
+        w = f.weights.weight_at(i)
+        if isinstance(a, DiracAssignment):
+            head += w * f.score_of(a.point.coordinate(i))
+        else:
+            head += w * a.measure.mean_score(f.score_of)
+    if switch is None:
+        tail = mu.tail.mean_tail_sum(
+            f.weights.coef, f.weights.ratio, f.score_of, boundary,
+            mu.head_len, mu.spaces.space_at(boundary + 1))
+        lo, hi = tail.lo, tail.hi
+    else:
+        lo, hi = f._rest_bounds(
+            mu.tail_point, switch,
+            DEFAULT_HORIZON if horizon is None else horizon)
+    return ValueBounds(head + lo, head + hi)
 
 
 def _cylinder_oracle(f: Cylinder, mu: Measure,
@@ -293,7 +287,7 @@ def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
 
     switch = _switch_index(mu)
     h = horizon if horizon is not None else DEFAULT_HORIZON
-    if isinstance(f, ProductIndicator) and isinstance(mu, HybridMeasure):
+    if isinstance(f, ProductIndicator) and switch is not None:
         h = _indicator_horizon(f, mu.tail_point, horizon, eta_target)
 
     settled_lo = settled_hi = settled_eta = F0
@@ -303,15 +297,13 @@ def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
     def place(prefix: tuple, rank: tuple, weight: Fraction):
         nonlocal settled_lo, settled_hi, settled_eta, frontier_lo, frontier_hi
         nxt = len(prefix) + 1
-        if switch is not None and nxt >= switch:
+        pinned = switch is not None and nxt >= switch
+        if pinned:
             vb = f.bounds_over(prefix, rest=mu.tail_point, rest_from=nxt,
                                horizon=h)
-            settled_lo += weight * vb.lo
-            settled_hi += weight * vb.hi
-            settled_eta += weight * vb.eta
-            return
-        vb = f.bounds_over(prefix)
-        if vb.width == 0:
+        else:
+            vb = f.bounds_over(prefix)
+        if pinned or vb.width == 0:
             settled_lo += weight * vb.lo
             settled_hi += weight * vb.hi
             settled_eta += weight * vb.eta

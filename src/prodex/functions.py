@@ -350,6 +350,26 @@ class DiscountedSum(TailFunction):
             w *= self.weights.ratio
         return total
 
+    def _rest_bounds(self, rest: PointSpec, start: int, horizon: int):
+        """Enclosure (lo, hi) of sum_{i >= start} w_i * score(rest_i):
+        explicit reads up to K, closed form or spread beyond."""
+        stream = rest.eventual_stream()
+        if stream is not None:
+            k = max(start - 1, stream.start - 1)
+        else:
+            k = max(start - 1, _explicit_limit(rest, horizon))
+        exact = self._weighted_scores(
+            start, (rest.coordinate(i) for i in range(start, k + 1)))
+        if stream is None:
+            dlo, dhi = self._spread(self.weights.tail_sum(k))
+            return exact + dlo, exact + dhi
+        period = len(stream.symbols)
+        for off in range(period):
+            first = k + 1 + off
+            exact += (self.score_of(stream.symbol_at(first))
+                      * self.weights.periodic_tail_sum(first, period))
+        return exact, exact
+
     def bounds_over(self, prefix, rest=None, rest_from=None,
                     horizon=DEFAULT_HORIZON) -> ValueBounds:
         lo = hi = self._weighted_scores(1, prefix)
@@ -361,24 +381,8 @@ class DiscountedSum(TailFunction):
         # free window between the prefix and the pinned rest
         window_mass = self.weights.tail_sum(m) - self.weights.tail_sum(start - 1)
         wlo, whi = self._spread(window_mass)
-        lo, hi = lo + wlo, hi + whi
-        # pinned rest: explicit reads up to K, closed form or spread beyond
-        stream = rest.eventual_stream()
-        if stream is not None:
-            k = max(start - 1, stream.start - 1)
-        else:
-            k = max(start - 1, _explicit_limit(rest, horizon))
-        exact = self._weighted_scores(
-            start, (rest.coordinate(i) for i in range(start, k + 1)))
-        if stream is None:
-            dlo, dhi = self._spread(self.weights.tail_sum(k))
-            return ValueBounds(lo + exact + dlo, hi + exact + dhi)
-        period = len(stream.symbols)
-        for off in range(period):
-            first = k + 1 + off
-            exact += (self.score_of(stream.symbol_at(first))
-                      * self.weights.periodic_tail_sum(first, period))
-        return ValueBounds(lo + exact, hi + exact)
+        rlo, rhi = self._rest_bounds(rest, start, horizon)
+        return ValueBounds(lo + wlo + rlo, hi + whi + rhi)
 
 
 # ---------------------------------------------------------------------------
@@ -419,43 +423,49 @@ class ProductIndicator(TailFunction):
     def targets_stream(self) -> PeriodicStream:
         return self.targets_tail.stream(len(self.targets_head))
 
-    def _tail_match(self, rest: PointSpec, start: int, horizon: int):
-        """Do coordinates >= start of rest all hit their targets?
+    def _tail_match(self, rest: PointSpec, start: int,
+                    horizon: int) -> ValueBounds:
+        """Enclosure of [every coordinate >= start of rest hits its target].
 
-        Returns (verdict, eta): verdict False is hard; verdict True
-        carries the residual bound for unrealized lazy coordinates.
+        A mismatch read explicitly is the hard point 0; past the read depth
+        a described rest is settled by its stream, any other by
+        `_unread_match`.
         """
         k = max(start - 1, self._read_depth(rest, horizon))
         for i in range(start, k + 1):
             if rest.coordinate(i) != self.target_at(i):
-                return False, F0
+                return ValueBounds.point(0)
         stream = rest.eventual_stream()
         if stream is not None:
-            return streams_eventually_equal(stream, self.targets_stream()), F0
-        return True, self._unread_eta(rest, k)
+            hit = streams_eventually_equal(stream, self.targets_stream())
+            return ValueBounds.point(1 if hit else 0)
+        return self._unread_match(rest, k)
 
     def _read_depth(self, rest: PointSpec, horizon: int) -> int:
-        """Coordinates of rest that `_tail_match` reads explicitly, at least.
-
-        Beyond them a described rest is settled by its periodic stream and
-        a lazily sampled one by `_unread_eta`.
-        """
+        """Coordinates of rest that `_tail_match` reads explicitly, at least."""
         targets = self.targets_stream()
         stream = rest.eventual_stream()
         if stream is not None:
             return max(stream.start - 1, targets.start - 1)
         return max(_explicit_limit(rest, horizon), targets.start - 1)
 
-    def _unread_eta(self, rest: PointSpec, k: int) -> Fraction:
-        """Bound on P(a coordinate > k of the lazily sampled rest misses)."""
-        measure = _root_of(rest)[0].measure
+    def _unread_match(self, rest: PointSpec, k: int) -> ValueBounds:
+        """Enclosure of [every coordinate > k of rest hits its target].
+
+        A lazily sampled rest gives 1 with eta bounding P(an unread
+        coordinate misses); a user-defined rest, the hard interval [0, 1].
+        """
+        root = _root_of(rest)[0]
+        if not isinstance(root, LazyPoint):
+            return ValueBounds(F0, F1)
+        measure = root.measure
         eta = F0
         boundary = max(k, measure.head_len)
         for i in range(k + 1, boundary + 1):
             eta += 1 - measure.coordinate_measure(i).weight_of(self.target_at(i))
         eta += measure.tail.disagreement_bound(
             self.targets_stream(), boundary, measure.head_len)
-        return min(eta, F1)
+        return ValueBounds(F1, F1, min(eta, F1))
 
     def bounds_over(self, prefix, rest=None, rest_from=None,
                     horizon=DEFAULT_HORIZON) -> ValueBounds:
@@ -469,9 +479,9 @@ class ProductIndicator(TailFunction):
         start = m + 1 if rest_from is None else max(rest_from, m + 1)
         free_deviation = any(
             self.spaces.space_at(i).size >= 2 for i in range(m + 1, start))
-        matched, eta = self._tail_match(rest, start, horizon)
-        if not matched:
-            return ValueBounds.point(0)
+        match = self._tail_match(rest, start, horizon)
+        if match.hi == 0:
+            return match
         if free_deviation:
             return ValueBounds(F0, F1)
-        return ValueBounds(F1, F1, eta)
+        return match

@@ -3,16 +3,15 @@
 The strong and weak approximation sets both carry full measure under
 the sampling measure, an asymptotic claim a finite artifact can only
 witness empirically: draw points, run the certified finder or
-constructor on each, and report the certified fraction.  Sample j always uses the substream seed
-``derive_seed(master, "<campaign>-sample", j)``, so campaigns are
-deterministic given (scenario, master seed, sample count) and
-parallelize without order effects; records are assembled in sample
-order regardless of thread count.
+constructor on each, and report the certified fraction.  Sample j
+always uses the substream seed ``derive_seed(master, "<campaign>-sample",
+j)``, so campaigns are deterministic given (scenario, master seed,
+sample count); samples run one after another and records come out in
+sample order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -85,13 +84,6 @@ class VerificationReport:
         return max((r.eta for r in self.records), default=F0)
 
 
-def _run_samples(worker, samples: int, threads: int):
-    if threads <= 1:
-        return [worker(j) for j in range(samples)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(samples)))
-
-
 def _report(theorem, records, samples, seed, digest) -> VerificationReport:
     counts = {CERTIFIED: 0, INCONCLUSIVE: 0, FAILED: 0}
     for r in records:
@@ -104,7 +96,7 @@ def _report(theorem, records, samples, seed, digest) -> VerificationReport:
 def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
                   samples: int, n_max: int,
                   tol: Rational = Fraction(1, 10**9), seed: int = 0, *,
-                  horizon: Optional[int] = None, threads: int = 1,
+                  horizon: Optional[int] = None,
                   node_budget: int = DEFAULT_NODE_BUDGET,
                   eta_target: Rational = DEFAULT_ETA_TARGET,
                   scenario_digest: Optional[str] = None) -> VerificationReport:
@@ -132,13 +124,13 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
             return SampleRecord(j, sub, FAILED, None, res.eta)
         return SampleRecord(j, sub, INCONCLUSIVE, None, res.eta)
 
-    records = _run_samples(worker, samples, threads)
+    records = [worker(j) for j in range(samples)]
     return _report(STRONG, records, samples, seed, scenario_digest)
 
 
 def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
                 tol: Rational = Fraction(1, 10**9), seed: int = 0, *,
-                horizon: int = DEFAULT_HORIZON, threads: int = 1,
+                horizon: int = DEFAULT_HORIZON,
                 enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
                 node_budget: int = DEFAULT_NODE_BUDGET,
                 scenario_digest: Optional[str] = None) -> VerificationReport:
@@ -172,5 +164,5 @@ def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
         outcome = CERTIFIED if exact else FAILED
         return SampleRecord(j, sub, outcome, cert.coordinate, cert.eta)
 
-    records = _run_samples(worker, samples, threads)
+    records = [worker(j) for j in range(samples)]
     return _report(WEAK, records, samples, seed, scenario_digest)

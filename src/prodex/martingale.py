@@ -154,8 +154,9 @@ def _indicator_steps(f: ProductIndicator, sigma: ProductMeasure, x: PointSpec,
     g_n = prod_{i<n} sigma_i(target_i) when x hits every target from n
     on, else 0.  Up to the read depth K that holds exactly when the last
     mismatch in [1, K] lies below n; beyond K it rests on the periodic
-    stream of a described x, or on the residual eta of a lazy one.
-    Yields None for an index whose residual has no closed form.
+    stream of a described x or on the residual eta of a lazy one, and a
+    user-defined x leaves it open: [0, prod].  Yields None for an index
+    whose residual has no closed form.
     """
     h = _indicator_horizon(f, x, horizon, eta_target)
     depth = f._read_depth(x, h)
@@ -172,11 +173,12 @@ def _indicator_steps(f: ProductIndicator, sigma: ProductMeasure, x: PointSpec,
             yield ValueBounds(product, product)
         else:
             try:
-                eta = f._unread_eta(x, max(n - 1, depth))
+                tail = f._unread_match(x, max(n - 1, depth))
             except UnsupportedTailError:
                 yield None
             else:
-                yield ValueBounds(product, product, eta)
+                yield ValueBounds(product * tail.lo, product * tail.hi,
+                                  tail.eta)
         if product != 0:
             product *= sigma.coordinate_measure(n).weight_of(f.target_at(n))
 

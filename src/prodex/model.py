@@ -229,18 +229,6 @@ class PeriodicStream:
 
 
 @dataclass(frozen=True)
-class ConstantSymbol:
-    kind = "constant_symbol"
-    symbol: Symbol
-
-    def symbol_at(self, i: int, head_len: int):
-        return self.symbol
-
-    def stream(self, head_len: int) -> PeriodicStream:
-        return PeriodicStream(head_len + 1, (self.symbol,))
-
-
-@dataclass(frozen=True)
 class PeriodicSymbols:
     kind = "periodic_symbols"
     symbols: tuple
@@ -256,7 +244,20 @@ class PeriodicSymbols:
         return PeriodicStream(head_len + 1, tuple(self.symbols))
 
 
-SymbolRule = Union[ConstantSymbol, PeriodicSymbols]
+class ConstantSymbol(PeriodicSymbols):
+    """The period-1 symbol rule: every coordinate past the head is `symbol`."""
+
+    kind = "constant_symbol"
+
+    def __init__(self, symbol: Symbol):
+        super().__init__((symbol,))
+
+    @property
+    def symbol(self) -> Symbol:
+        return self.symbols[0]
+
+
+SymbolRule = PeriodicSymbols
 
 
 def streams_eventually_equal(a: PeriodicStream, b: PeriodicStream) -> bool:
@@ -315,36 +316,6 @@ def _geometric_sum(coef: Fraction, ratio: Fraction, first: int, step: int) -> Fr
 
 
 @dataclass(frozen=True)
-class ConstantMeasureTail(TailMeasureRule):
-    kind = "constant"
-    template: CoordinateMeasure
-
-    def measure_at(self, i, head_len, space):
-        m = self.template.at_index(i)
-        _check_alignment(m, space)
-        return m
-
-    def indicator_tail_product(self, targets, from_index, head_len):
-        factors = [self.template.weight_of(t) for t in targets.symbols]
-        return Interval.point(1 if all(f == 1 for f in factors) else 0)
-
-    def mean_tail_sum(self, coef, ratio, score_of, from_index, head_len, space):
-        e = self.template.mean_score(score_of)
-        return Interval.point(e * _geometric_sum(coef, ratio, from_index + 1, 1))
-
-    def disagreement_bound(self, targets, from_index, head_len):
-        ok = all(self.template.weight_of(t) == 1 for t in targets.symbols)
-        return F0 if ok else F1
-
-    def horizon_for_disagreement(self, targets, eta, head_len):
-        bound = self.disagreement_bound(targets, 0, head_len)
-        return 0 if bound <= eta else None
-
-    def sup_weight_beyond(self, from_index, head_len):
-        return self.template.max_weight
-
-
-@dataclass(frozen=True)
 class PeriodicMeasuresTail(TailMeasureRule):
     kind = "periodic"
     templates: tuple
@@ -392,6 +363,20 @@ class PeriodicMeasuresTail(TailMeasureRule):
 
     def sup_weight_beyond(self, from_index, head_len):
         return max(t.max_weight for t in self.templates)
+
+
+class ConstantMeasureTail(PeriodicMeasuresTail):
+    """The period-1 measure rule: every coordinate past the head follows
+    `template`, re-indexed."""
+
+    kind = "constant"
+
+    def __init__(self, template: CoordinateMeasure):
+        super().__init__((template,))
+
+    @property
+    def template(self) -> CoordinateMeasure:
+        return self.templates[0]
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .functions import (
 )
 from .games import GameSpec
 from .model import (
+    FORMULA_FAMILIES,
     ConstantMeasureTail,
     ConstantSymbol,
     CoordinateMeasure,
@@ -109,7 +110,7 @@ def _require(mapping, key, location):
 def _number(value, location) -> Fraction:
     try:
         return as_fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ScenarioError(f"expected a number, got {value!r}",
                             location) from None
 
@@ -202,7 +203,15 @@ def _build_measure_tail(data, spaces, head_len, loc):
         return PeriodicMeasuresTail(tuple(templates))
     if kind == "formula":
         family = _require(data, "family", loc)
-        return formula_tail(family, data.get("params", {}))
+        if not isinstance(family, str) or family not in FORMULA_FAMILIES:
+            raise ScenarioError(f"unknown formula family {family!r}",
+                                f"{loc}.family")
+        params = _object(data.get("params", {}), f"{loc}.params")
+        try:
+            return formula_tail(family, params)
+        except TypeError as exc:
+            raise ScenarioError(f"bad parameters for {family}: {exc}",
+                                f"{loc}.params") from None
     raise ScenarioError(f"unknown measure tail kind {kind!r}", loc)
 
 
@@ -279,7 +288,7 @@ def _build_function(data, spaces, loc) -> TailFunction:
         lo, hi = (None, None) if value_range is None else value_range
         return DiscountedSum(weights, scores, lo, hi)
     if family == "product_indicator":
-        targets = _require(data, "targets", loc)
+        targets = _object(_require(data, "targets", loc), f"{loc}.targets")
         head = _symbols(targets.get("head", []), f"{loc}.targets.head")
         tail = _build_symbol_tail(_require(targets, "tail", f"{loc}.targets"),
                                   f"{loc}.targets.tail")
@@ -306,6 +315,8 @@ def _build_point(data, measure, loc) -> PointSpec:
 def _build_game(data, spaces, loc) -> GameSpec:
     actions = _symbols(_require(data, "actions", loc), f"{loc}.actions")
     rng = _value_range(_require(data, "range", loc), f"{loc}.range")
+    if rng is None:
+        raise ScenarioError("a range is a [lo, hi] pair", f"{loc}.range")
     payoffs = {}
     for a in actions:
         key = str(a)

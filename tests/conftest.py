@@ -10,6 +10,7 @@ from math import prod
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from prodex.functions import (
     Cylinder,
@@ -22,6 +23,10 @@ from prodex.model import (
     ConstantSymbol,
     CoordinateMeasure,
     DescribedPoint,
+    LazyPoint,
+    ModifiedPoint,
+    PeriodicMeasuresTail,
+    PeriodicSymbols,
     ProductMeasure,
     SpaceFamily,
     formula_tail,
@@ -110,3 +115,71 @@ def sigma_uniform():
 @pytest.fixture
 def sigma_geometric():
     return geometric_sigma()
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategies: binary product measures, points and functions
+# ---------------------------------------------------------------------------
+
+PROBS = st.sampled_from([F(0), F(1, 4), F(1, 2), F(2, 3), F(1)])
+BITS = st.sampled_from([0, 1])
+
+
+def bernoulli(i, p):
+    return CoordinateMeasure.from_weights(i, (0, 1), (1 - p, p))
+
+
+@st.composite
+def product_measures(draw):
+    head = tuple(bernoulli(i, p) for i, p in
+                 enumerate(draw(st.lists(PROBS, max_size=3)), start=1))
+    probe = len(head) + 1
+    kind = draw(st.sampled_from(["constant", "periodic", "geometric"]))
+    if kind == "constant":
+        tail = ConstantMeasureTail(bernoulli(probe, draw(PROBS)))
+    elif kind == "periodic":
+        tail = PeriodicMeasuresTail(tuple(
+            bernoulli(probe, p)
+            for p in draw(st.lists(PROBS, min_size=1, max_size=3))))
+    else:
+        tail = formula_tail("geometric_bernoulli")
+    return ProductMeasure(binary_spaces(), head, tail)
+
+
+@st.composite
+def symbol_rules(draw):
+    symbols = draw(st.lists(BITS, min_size=1, max_size=3))
+    if len(symbols) == 1:
+        return ConstantSymbol(symbols[0])
+    return PeriodicSymbols(tuple(symbols))
+
+
+@st.composite
+def points(draw, sigma):
+    kind = draw(st.sampled_from(["described", "lazy", "modified"]))
+    if kind == "lazy" or (kind == "modified" and draw(st.booleans())):
+        base = LazyPoint(draw(st.integers(0, 2**32)), sigma)
+    else:
+        base = DescribedPoint(tuple(draw(st.lists(BITS, max_size=4))),
+                              draw(symbol_rules()))
+    if kind != "modified":
+        return base
+    overrides = draw(st.dictionaries(st.integers(1, 12), BITS,
+                                     min_size=1, max_size=3))
+    return ModifiedPoint(base, tuple(sorted(overrides.items())))
+
+
+@st.composite
+def discounted_sums(draw):
+    scores = st.sampled_from([F(-1), F(0), F(1, 2), F(2)])
+    weights = GeometricWeights.of(draw(st.sampled_from([1, F(1, 2), 3])),
+                                  draw(st.sampled_from([F(1, 2), F(1, 3),
+                                                        F(3, 4)])))
+    return DiscountedSum(weights, {0: draw(scores), 1: draw(scores)})
+
+
+@st.composite
+def product_indicators(draw):
+    return ProductIndicator(binary_spaces(),
+                            tuple(draw(st.lists(BITS, max_size=3))),
+                            draw(symbol_rules()))

@@ -12,7 +12,7 @@ from prodex.engine import (
     expect,
 )
 from prodex.errors import UnsupportedTailError, ValidationError
-from prodex.functions import Cylinder, cylinder_sum
+from prodex.functions import Cylinder, ProductIndicator, cylinder_sum
 from prodex.model import (
     ConstantMeasureTail,
     ConstantSymbol,
@@ -36,12 +36,16 @@ from prodex.seeds import unit_fraction
 from conftest import (
     all_ones_point,
     binary_spaces,
+    discounted_sums,
     discounted_unit,
     geometric_indicator_envelope,
     geometric_sigma,
     indicator_all_ones,
     mix_cylinder,
     partial_product,
+    points,
+    product_indicators,
+    product_measures,
     uniform_sigma,
 )
 
@@ -193,6 +197,56 @@ class TestSoundness:
         generic = expect(f, sigma, F(1, 50), use_oracle=False)
         assert generic.certified
         assert generic.interval.contains(oracle.interval.lo)
+
+
+def assert_oracle_inside_tree(f, mu, horizon):
+    oracle = expect(f, mu, TOL, horizon=horizon)
+    # tol far below every leaf's mass x width: the tree expands fully
+    tree = expect(f, mu, F(1, 10**12), use_oracle=False, horizon=horizon)
+    assert oracle.oracle_used and not tree.oracle_used
+    assert tree.interval.lo <= oracle.interval.lo
+    assert oracle.interval.hi <= tree.interval.hi
+    assert f.range_lo <= oracle.interval.lo
+    assert oracle.interval.hi <= f.range_hi
+
+
+SEPARABLE = st.one_of(discounted_sums(), product_indicators())
+HORIZONS = st.one_of(st.none(), st.integers(0, 8))
+
+
+def draw_point(data, sigma, f):
+    """A lazy, described or modified point; for an indicator, sometimes
+    the point that hits every target, so that the head decides."""
+    if isinstance(f, ProductIndicator) and data.draw(st.booleans()):
+        return DescribedPoint(f.targets_head, f.targets_tail)
+    return data.draw(points(sigma))
+
+
+class TestHybridSoundness:
+    """The separable oracles under hybrid measures lie inside the generic
+    tree's enclosure and inside the declared range."""
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_measures_then_point(self, data):
+        sigma, f = data.draw(product_measures()), data.draw(SEPARABLE)
+        x, horizon = draw_point(data, sigma, f), data.draw(HORIZONS)
+        for n in range(1, 6):
+            assert_oracle_inside_tree(
+                f, HybridMeasure.measures_then_point(sigma, x, n), horizon)
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_dirac_head_assignments(self, data):
+        sigma, f = data.draw(product_measures()), data.draw(SEPARABLE)
+        x, y = draw_point(data, sigma, f), data.draw(points(sigma))
+        dirac = data.draw(st.lists(st.booleans(), max_size=5))
+        head = tuple(
+            DiracAssignment(y) if pinned
+            else MeasureAssignment(sigma.coordinate_measure(i))
+            for i, pinned in enumerate(dirac, start=1))
+        assert_oracle_inside_tree(f, HybridMeasure(head, len(head) + 1, x),
+                                  data.draw(HORIZONS))
 
 
 class TestEngineContracts:

@@ -1,5 +1,6 @@
 """Tail-function families: evaluation, cylinder bounds, oscillation."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from prodex.model import (
 
 from conftest import (
     all_ones_point,
+    all_zeros_point,
     binary_spaces,
     discounted_unit,
     geometric_sigma,
@@ -145,6 +147,24 @@ class TestOscBound:
     def test_bounded_by_range_width(self):
         for f in (indicator_all_ones(), discounted_unit(), mix_cylinder()):
             assert osc_bound(f, ()) <= f.range_hi - f.range_lo
+
+
+class TestFreeWindow:
+    @pytest.mark.parametrize("f", [discounted_unit(), indicator_all_ones()],
+                             ids=["discounted", "indicator"])
+    def test_window_between_prefix_and_rest_is_free(self, f):
+        # independent oracle: the exact value at every completion of the
+        # window, each a described point evaluated without a window
+        for base in (all_zeros_point(), all_ones_point()):
+            x = modify_point(base, {6: 1})
+            for prefix, rest_from in (((1,), 4), ((), 3), ((0, 1), 3)):
+                vb = f.bounds_over(prefix, rest=x, rest_from=rest_from)
+                free = rest_from - 1 - len(prefix)
+                values = [
+                    eval_function(f, modify_point(x, dict(enumerate(
+                        prefix + window, start=1)))).lo
+                    for window in itertools.product((0, 1), repeat=free)]
+                assert (vb.lo, vb.hi) == (min(values), max(values))
 
 
 class TestConstruction:

@@ -67,15 +67,6 @@ class TestVerifyStrong:
                           40, 10, TOL, seed=9)
         assert a.records == b.records
 
-    def test_identical_across_thread_counts(self):
-        kwargs = dict(tol=TOL, seed=11)
-        one = verify_strong(discounted_unit(), uniform_sigma(), F(1, 10),
-                            60, 10, threads=1, **kwargs)
-        four = verify_strong(discounted_unit(), uniform_sigma(), F(1, 10),
-                             60, 10, threads=4, **kwargs)
-        assert one.records == four.records
-        assert one.certified_fraction == four.certified_fraction
-
 
 class TestVerifyWeak:
     def test_mix_cylinder_depth_two_full_success(self):
@@ -102,9 +93,8 @@ class TestVerifyWeak:
         ]
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
-    def test_identical_across_thread_counts(self):
-        one = verify_weak(mix_cylinder(), uniform_sigma(), 2, 60, TOL,
-                          seed=12, threads=1)
-        four = verify_weak(mix_cylinder(), uniform_sigma(), 2, 60, TOL,
-                           seed=12, threads=4)
-        assert one.records == four.records
+    def test_deterministic_given_seed(self):
+        a = verify_weak(mix_cylinder(), uniform_sigma(), 2, 60, TOL, seed=12)
+        b = verify_weak(mix_cylinder(), uniform_sigma(), 2, 60, TOL, seed=12)
+        assert a.records == b.records
+        assert [r.index for r in a.records] == list(range(60))

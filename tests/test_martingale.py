@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 
 from prodex.engine import DEFAULT_ETA_TARGET, DEFAULT_NODE_BUDGET, expect
 from prodex.errors import ToleranceConfigError
-from prodex.functions import (
-    Cylinder,
-    DiscountedSum,
-    GeometricWeights,
-    ProductIndicator,
-    eval_function,
-)
+from prodex.functions import Cylinder, eval_function
 from prodex.harness import verify_strong
 from prodex.martingale import (
     FOUND,
@@ -27,14 +21,10 @@ from prodex.martingale import (
     trace,
 )
 from prodex.model import (
-    ConstantMeasureTail,
     ConstantSymbol,
     CoordinateMeasure,
     DescribedPoint,
     LazyPoint,
-    ModifiedPoint,
-    PeriodicMeasuresTail,
-    PeriodicSymbols,
     PointSpec,
     ProductMeasure,
     formula_tail,
@@ -43,13 +33,18 @@ from prodex.model import (
 
 from conftest import (
     all_ones_point,
+    bernoulli,
     binary_spaces,
+    discounted_sums,
     discounted_unit,
     geometric_indicator_envelope,
     geometric_sigma,
     indicator_all_ones,
     mix_cylinder,
     partial_product,
+    points,
+    product_indicators,
+    product_measures,
     uniform_sigma,
 )
 
@@ -268,70 +263,6 @@ class TestGeometricStrictness:
 # The one-pass scan against per-index g_n
 # ---------------------------------------------------------------------------
 
-PROBS = st.sampled_from([F(0), F(1, 4), F(1, 2), F(2, 3), F(1)])
-BITS = st.sampled_from([0, 1])
-
-
-def bernoulli(i, p):
-    return CoordinateMeasure.from_weights(i, (0, 1), (1 - p, p))
-
-
-@st.composite
-def product_measures(draw):
-    head = tuple(bernoulli(i, p) for i, p in
-                 enumerate(draw(st.lists(PROBS, max_size=3)), start=1))
-    probe = len(head) + 1
-    kind = draw(st.sampled_from(["constant", "periodic", "geometric"]))
-    if kind == "constant":
-        tail = ConstantMeasureTail(bernoulli(probe, draw(PROBS)))
-    elif kind == "periodic":
-        tail = PeriodicMeasuresTail(tuple(
-            bernoulli(probe, p)
-            for p in draw(st.lists(PROBS, min_size=1, max_size=3))))
-    else:
-        tail = formula_tail("geometric_bernoulli")
-    return ProductMeasure(binary_spaces(), head, tail)
-
-
-@st.composite
-def symbol_rules(draw):
-    symbols = draw(st.lists(BITS, min_size=1, max_size=3))
-    if len(symbols) == 1:
-        return ConstantSymbol(symbols[0])
-    return PeriodicSymbols(tuple(symbols))
-
-
-@st.composite
-def points(draw, sigma):
-    kind = draw(st.sampled_from(["described", "lazy", "modified"]))
-    if kind == "lazy" or (kind == "modified" and draw(st.booleans())):
-        base = LazyPoint(draw(st.integers(0, 2**32)), sigma)
-    else:
-        base = DescribedPoint(tuple(draw(st.lists(BITS, max_size=4))),
-                              draw(symbol_rules()))
-    if kind != "modified":
-        return base
-    overrides = draw(st.dictionaries(st.integers(1, 12), BITS,
-                                     min_size=1, max_size=3))
-    return ModifiedPoint(base, tuple(sorted(overrides.items())))
-
-
-@st.composite
-def discounted_sums(draw):
-    scores = st.sampled_from([F(-1), F(0), F(1, 2), F(2)])
-    weights = GeometricWeights.of(draw(st.sampled_from([1, F(1, 2), 3])),
-                                  draw(st.sampled_from([F(1, 2), F(1, 3),
-                                                        F(3, 4)])))
-    return DiscountedSum(weights, {0: draw(scores), 1: draw(scores)})
-
-
-@st.composite
-def product_indicators(draw):
-    return ProductIndicator(binary_spaces(),
-                            tuple(draw(st.lists(BITS, max_size=3))),
-                            draw(symbol_rules()))
-
-
 def _fields(res):
     return (res.interval.lo, res.interval.hi, res.eta, res.status)
 
@@ -391,6 +322,13 @@ class OnesPoint(PointSpec):
         return 1
 
 
+class MissAtFour(PointSpec):
+    """A user-defined point that misses the all-ones target at 4 only."""
+
+    def coordinate(self, i):
+        return 0 if i == 4 else 1
+
+
 class TestUserDefinedPoint:
     def test_discounted_sum_reads_up_to_the_horizon(self):
         f, sigma, x = discounted_unit(), uniform_sigma(), OnesPoint()
@@ -411,6 +349,28 @@ class TestUserDefinedPoint:
         found = find_strong_approx(f, sigma, x, F(1, 10), 10)
         # g_3 ~ 5/8 misses E = 1/2 by more than 1/10; g_4 ~ 9/16 does not
         assert found.is_found and found.n == 4
+
+    def test_product_indicator_leaves_the_unread_rest_open(self):
+        f, sigma = indicator_all_ones(), geometric_sigma()
+        for x, miss in ((OnesPoint(), 0), (MissAtFour(), 4)):
+            for horizon in (None, 0, 3, 10):
+                # x is read up to the horizon and says nothing past it:
+                # g_n = 0 when a read coordinate >= n misses, else
+                # prod_{i<n} sigma_i(1) * [0, 1]
+                h = 64 if horizon is None else horizon
+                seen = miss if h >= miss else 0
+                for n in (1, 2, 4, 5, 12):
+                    res = g_n(f, sigma, x, n, TOL, horizon=horizon)
+                    hi = 0 if n <= seen else partial_product(n - 1)
+                    assert (res.interval.lo, res.interval.hi, res.eta) == (
+                        0, hi, 0)
+                assert_scan_matches_g_n(f, sigma, x, 14, horizon)
+                entries = trace(f, sigma, x, 14, horizon=horizon).entries
+                assert [e.n for e in entries] == list(range(1, 15))
+        # E[f] ~ 0.289 lies inside every open g_n, so no index is decided
+        found = find_strong_approx(f, sigma, OnesPoint(), F(1, 100), 10)
+        assert found.outcome == INCONCLUSIVE
+        assert found.undecided == tuple(range(1, 11))
 
 
 class TestMeasureMemo:

@@ -1,10 +1,14 @@
 """Scenario ingestion and the command-line interface."""
 
+import copy
 import json
 import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodex.cli import main
 from prodex.errors import ScenarioError
@@ -202,13 +206,12 @@ class TestCli:
                 (d / "verify-strong-discounted-uniform.json").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_machine_reports_byte_identical_across_thread_counts(self, tmp_path):
+    def test_verify_weak_reports_byte_identical_across_runs(self, tmp_path):
         outs = []
-        for run, threads in (("a", "1"), ("b", "4")):
+        for run in ("a", "b"):
             d = tmp_path / run
             main(["verify-weak", "cylinder-mix", "--samples", "30",
-                  "--seed", "21", "--threads", threads,
-                  "--report-dir", str(d)])
+                  "--seed", "21", "--report-dir", str(d)])
             outs.append((d / "verify-weak-cylinder-mix.json").read_bytes())
         assert outs[0] == outs[1]
 
@@ -347,8 +350,8 @@ class TestCountFlags:
         ["verify-weak", "cylinder-mix", "--samples", "0"],
         ["gn-trace", "example-3-4", "--n-max", "0"],
         ["strong-approx", "example-3-4", "--n-max", "-4"],
-        ["verify-weak", "cylinder-mix", "--threads", "0"],
-        ["verify-strong", "discounted-uniform", "--threads", "-3"],
+        ["game", "naming-game", "naming-demo", "--samples", "0"],
+        ["game", "purify-demo", "purify", "--n-max", "-3"],
         ["weak-approx", "cylinder-mix", "--depth", "0"],
         ["verify-weak", "cylinder-mix", "--depth", "-2"],
         ["weak-approx", "cylinder-mix", "--retries", "0"],
@@ -366,3 +369,101 @@ class TestCountFlags:
             main(["verify-strong", "discounted-uniform", "--samples", "many"])
         assert exc.value.code == 2
         assert "invalid count 'many'" in capsys.readouterr().err
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+BUILTIN_TEXTS = {
+    name: resources.files("prodex").joinpath("scenarios", file).read_text(
+        encoding="utf-8")
+    for name, file in sorted(BUILTIN_SCENARIOS.items())
+}
+
+# JSON values of every wrong kind; inf and nan dump as Infinity and NaN,
+# which the JSON reader accepts
+WRONG_VALUES = [None, "abc", "1/0", [], {}, [[1]], [None], {"a": {"b": 1}},
+                True, 0, -1, -0.5, 2.5, 10**30, float("inf"), float("nan")]
+# one value of each kind, tried at every key of every built-in
+ONE_OF_EACH_KIND = [None, "abc", [], {}, [[1]], True, -1, 2.5, float("inf")]
+DROP = object()
+
+
+def _mutated(doc, path, value):
+    """A copy of doc with the key or item at path dropped or replaced."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def assert_only_scenario_error(doc, what):
+    try:
+        parse_scenario(json.dumps(doc))
+    except ScenarioError:
+        pass
+    except Exception as exc:  # any other escape is the defect looked for
+        pytest.fail(f"{what}: {type(exc).__name__}: {exc}")
+
+
+@st.composite
+def mutations(draw):
+    """One to three keys or items of a built-in scenario dropped or
+    replaced."""
+    doc = json.loads(BUILTIN_TEXTS[draw(st.sampled_from(sorted(BUILTIN_TEXTS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(doc))[1:]))
+        doc = _mutated(doc, path, draw(st.sampled_from([DROP, *WRONG_VALUES])))
+    return doc
+
+
+class TestParseScenarioFuzz:
+    """parse_scenario is total: malformed input raises ScenarioError only."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_TEXTS))
+    def test_every_single_mutation(self, name):
+        doc = json.loads(BUILTIN_TEXTS[name])
+        for path in list(_json_paths(doc))[1:]:
+            for value in [DROP, *ONE_OF_EACH_KIND]:
+                assert_only_scenario_error(
+                    _mutated(doc, path, value),
+                    f"{name}: {'.'.join(map(str, path))} = "
+                    f"{'dropped' if value is DROP else repr(value)}")
+
+    @given(doc=mutations())
+    @settings(max_examples=150)
+    def test_combined_mutations(self, doc):
+        assert_only_scenario_error(doc, json.dumps(doc))
+
+    @pytest.mark.parametrize("name, path, value, location", [
+        ("example-3-4", ("function", "targets"), None, "function.targets"),
+        ("example-3-4", ("measure", "tail", "family"), [],
+         "measure.tail.family"),
+        ("example-3-4", ("measure", "tail", "params"), -1,
+         "measure.tail.params"),
+        ("example-3-4", ("measure", "tail", "params"), {"a": 1},
+         "measure.tail.params"),
+        ("example-3-4", ("defaults", "epsilon"), float("inf"),
+         "defaults.epsilon"),
+        ("purify-demo", ("game", "range"), None, "game.range"),
+    ])
+    def test_found_escapes_name_their_json_path(self, name, path, value,
+                                                location):
+        doc = _mutated(json.loads(BUILTIN_TEXTS[name]), path, value)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert exc.value.location == location
