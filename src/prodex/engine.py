@@ -149,8 +149,7 @@ def exact_expectation_product_indicator(
         tail = mu.tail.indicator_tail_product(targets, boundary, mu.head_len)
         return ValueBounds(product * tail.lo, product * tail.hi)
     h = _indicator_horizon(f, mu.tail_point, horizon, eta_target)
-    tail = f._tail_match(mu.tail_point, switch, h)
-    return ValueBounds(product * tail.lo, product * tail.hi, tail.eta)
+    return f._tail_match(mu.tail_point, switch, h).scaled(product)
 
 
 def _discounted_oracle(f: DiscountedSum, mu: Measure,

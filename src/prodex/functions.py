@@ -63,6 +63,12 @@ class ValueBounds:
         v = as_fraction(value)
         return cls(v, v, as_fraction(eta))
 
+    def scaled(self, factor: Fraction) -> "ValueBounds":
+        """[factor * lo, factor * hi] with the same eta, for factor >= 0."""
+        lo = factor * self.lo
+        hi = lo if self.lo is self.hi else factor * self.hi
+        return ValueBounds(lo, hi, self.eta)
+
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo

@@ -177,8 +177,7 @@ def _indicator_steps(f: ProductIndicator, sigma: ProductMeasure, x: PointSpec,
             except UnsupportedTailError:
                 yield None
             else:
-                yield ValueBounds(product * tail.lo, product * tail.hi,
-                                  tail.eta)
+                yield tail.scaled(product)
         if product != 0:
             product *= sigma.coordinate_measure(n).weight_of(f.target_at(n))
 
