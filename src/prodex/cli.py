@@ -14,6 +14,7 @@ threshold failure, 2 usage and validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import re
@@ -520,9 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on first use, then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return run_scenario(args.scenario, args.command, args)
     except ScenarioError as exc:

@@ -305,7 +305,9 @@ def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
         if pinned or vb.width == 0:
             settled_lo += weight * vb.lo
             settled_hi += weight * vb.hi
-            settled_eta += weight * vb.eta
+            # every leaf's eta bounds the same event (an unread coordinate
+            # of the pinned point misses), so they do not add up
+            settled_eta = max(settled_eta, vb.eta)
             return
         frontier_lo += weight * vb.lo
         frontier_hi += weight * vb.hi

@@ -248,10 +248,12 @@ class Cylinder(TailFunction):
                         f"prefix {prefix!r}")
                 return ValueBounds(value, value)
         lo = hi = None
+        head = tuple(prefix)
+        pins = [(i - 1, sym) for i, sym in pinned.items()]
         for key, value in self.table.items():
-            if tuple(key[:m]) != tuple(prefix):
+            if key[:m] != head:
                 continue
-            if any(key[i - 1] != sym for i, sym in pinned.items()):
+            if any(key[j] != sym for j, sym in pins):
                 continue
             if lo is None or value < lo:
                 lo = value

@@ -27,11 +27,7 @@ from .martingale import FOUND, NOT_FOUND, find_strong_approx
 from .model import LazyPoint, ProductMeasure
 from .numeric import F0, Rational, as_fraction
 from .seeds import derive_seed
-from .tailclass import (
-    DEFAULT_ENUMERATION_BUDGET,
-    classify,
-    construct_weak_zero,
-)
+from .tailclass import classify, construct_weak_zero
 
 STRONG = "strong-epsilon"
 WEAK = "weak-zero"
@@ -131,7 +127,6 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
 def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
                 tol: Rational = Fraction(1, 10**9), seed: int = 0, *,
                 horizon: int = DEFAULT_HORIZON,
-                enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
                 node_budget: int = DEFAULT_NODE_BUDGET,
                 scenario_digest: Optional[str] = None) -> VerificationReport:
     """Fraction of sampled points whose depth-m hull certifies E[f].
@@ -151,7 +146,7 @@ def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
     def worker(j: int) -> SampleRecord:
         sub = derive_seed(seed, "weak-sample", j)
         x = LazyPoint(sub, sigma)
-        verdict = classify(f, sigma, x, r, m, enumeration_budget, horizon)
+        verdict = classify(f, sigma, x, r, m, horizon=horizon)
         if not verdict.certified:
             return SampleRecord(j, sub, INCONCLUSIVE, m, verdict.hull.eta)
         try:

@@ -646,7 +646,10 @@ def modify_point(x: PointSpec, overrides: Mapping[int, Symbol]) -> PointSpec:
         head = [x.coordinate(i) for i in range(1, top + 1)]
         for i, sym in clean.items():
             head[i - 1] = sym
-        return DescribedPoint(tuple(head), x.tail)
+        # the tail rule is phased from the end of the head: re-anchor it
+        symbols = x.eventual_stream().rebase(top + 1).symbols
+        tail = x.tail if symbols == x.tail.symbols else PeriodicSymbols(symbols)
+        return DescribedPoint(tuple(head), tail)
     if isinstance(x, ModifiedPoint):
         merged = dict(x.overrides)
         merged.update(clean)

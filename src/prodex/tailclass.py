@@ -2,7 +2,10 @@
 
 Changing finitely many coordinates of a point keeps it in the same tail
 class, so the span of f over depth-m modifications is an inner estimate
-of the class hull.  When that span straddles a target value r, walking
+of the class hull.  `hull_estimate` spans them by one route, a
+bound-guided search that builds a concrete witness for each endpoint;
+for the built-in families, whose window bounds are attained, it returns
+the exact span over all modifications.  When that span straddles a target value r, walking
 from the low witness to the high witness one coordinate at a time must
 cross r between two adjacent points that differ in a single coordinate;
 mixing those two symbols with the right weight hits r exactly.  This is
@@ -18,7 +21,6 @@ undetermined rather than certified.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,7 +45,6 @@ from .model import (
 from .numeric import DETERMINED_WIDTH, F0, F1, Rational, as_fraction
 from .seeds import derive_seed
 
-DEFAULT_ENUMERATION_BUDGET = 2**20
 DEFAULT_RETRIES = 8
 
 Z0_CERTIFIED = "z0_certified"
@@ -54,9 +55,9 @@ UNDETERMINED = "undetermined"
 class HullEstimate:
     """Span of f over modifications of coordinates 1..depth of a base point.
 
-    `exhaustive` runs report the exact span; budget-exceeded runs fall
-    back to bound-guided coordinate search and report achieved (inner)
-    endpoints.  Both endpoints are witnessed by concrete points.
+    Both endpoints are attained: lo = f(witness_min), hi = f(witness_max),
+    each witness differing from the base point only in 1..depth.  The span
+    is therefore inner, and exact for the built-in families.
     """
 
     depth: int
@@ -64,7 +65,6 @@ class HullEstimate:
     hi: Fraction
     witness_min: PointSpec
     witness_max: PointSpec
-    exhaustive: bool
     eta: Fraction = F0
 
     def contains(self, value: Rational) -> bool:
@@ -129,43 +129,24 @@ def _determined_value(f: TailFunction, x: PointSpec,
 
 
 def hull_estimate(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
-                  enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-                  horizon: int = DEFAULT_HORIZON) -> HullEstimate:
-    """Span of f over all modifications of coordinates 1..m of x.
+                  *, horizon: int = DEFAULT_HORIZON) -> HullEstimate:
+    """Span of f over modifications of coordinates 1..m of x.
 
-    Exhaustive enumeration while the modification count fits the budget;
-    beyond it, a bound-guided per-coordinate search (exact for the
-    built-in families, whose cylinder bounds are attained).
+    One bound-guided witness per endpoint (`_guided_witness`), at a cost
+    of |space| window bounds per coordinate instead of a product over all
+    |space|**m modifications.  Each endpoint is the value of its witness,
+    so the span is inner; for the built-in families it is the exact span,
+    because their window bounds are attained and the search never leaves
+    an optimal completion.
     """
     if m < 0:
         raise ValidationError("hull depth must be >= 0")
     base = _determined_value(f, x, horizon)
     if m == 0:
-        return HullEstimate(0, base.midpoint, base.midpoint, x, x, True, base.eta)
-
-    symbol_lists = [spaces.space_at(i).symbols for i in range(1, m + 1)]
-    count = 1
-    for syms in symbol_lists:
-        count *= len(syms)
-
-    if count <= enumeration_budget:
-        lo = hi = None
-        wmin = wmax = None
-        eta = F0
-        for combo in itertools.product(*symbol_lists):
-            pt = modify_point(x, dict(enumerate(combo, start=1)))
-            vb = _determined_value(f, pt, horizon)
-            eta = max(eta, vb.eta)
-            v = vb.midpoint
-            if lo is None or v < lo:
-                lo, wmin = v, pt
-            if hi is None or v > hi:
-                hi, wmax = v, pt
-        return HullEstimate(m, lo, hi, wmin, wmax, True, eta)
-
+        return HullEstimate(0, base.midpoint, base.midpoint, x, x, base.eta)
     wmin, vmin, eta_min = _guided_witness(f, x, m, spaces, horizon, maximize=False)
     wmax, vmax, eta_max = _guided_witness(f, x, m, spaces, horizon, maximize=True)
-    return HullEstimate(m, vmin, vmax, wmin, wmax, False, max(eta_min, eta_max))
+    return HullEstimate(m, vmin, vmax, wmin, wmax, max(eta_min, eta_max))
 
 
 def _guided_witness(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
@@ -194,8 +175,7 @@ def _guided_witness(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
 
 
 def classify(f: TailFunction, sigma: ProductMeasure, x: PointSpec, r: Rational,
-             m: int, enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-             horizon: int = DEFAULT_HORIZON) -> ClassVerdict:
+             m: int, *, horizon: int = DEFAULT_HORIZON) -> ClassVerdict:
     """Certify r inside the depth-m modification hull of x, if it is.
 
     Finite modifications never leave the tail class of x, so a hull
@@ -204,7 +184,7 @@ def classify(f: TailFunction, sigma: ProductMeasure, x: PointSpec, r: Rational,
     reported undetermined (never a negative certificate).
     """
     rv = as_fraction(r)
-    hull = hull_estimate(f, x, m, sigma.spaces, enumeration_budget, horizon)
+    hull = hull_estimate(f, x, m, sigma.spaces, horizon=horizon)
     verdict = Z0_CERTIFIED if hull.contains(rv) else UNDETERMINED
     return ClassVerdict(verdict, m, rv, hull)
 
@@ -284,7 +264,6 @@ def weak_zero_from_sample(f: TailFunction, sigma: ProductMeasure,
                           tol: Rational = Fraction(1, 10**9),
                           m: int = 1, seed: int = 0, *,
                           retries: int = DEFAULT_RETRIES,
-                          enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
                           horizon: int = DEFAULT_HORIZON,
                           node_budget: int = DEFAULT_NODE_BUDGET,
                           reference: Optional[Fraction] = None
@@ -304,7 +283,7 @@ def weak_zero_from_sample(f: TailFunction, sigma: ProductMeasure,
         r = as_fraction(reference)
     for attempt in range(retries):
         x = LazyPoint(derive_seed(seed, "weak-sample", attempt), sigma)
-        hull = hull_estimate(f, x, m, sigma.spaces, enumeration_budget, horizon)
+        hull = hull_estimate(f, x, m, sigma.spaces, horizon=horizon)
         if hull.contains(r):
             return construct_weak_zero(f, sigma, hull.witness_min,
                                        hull.witness_max, r, horizon)

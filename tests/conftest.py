@@ -5,6 +5,7 @@ Expected values in the tests are frozen from independent oracles
 here or inline, never from the code paths under test.
 """
 
+import itertools
 from fractions import Fraction
 from math import prod
 
@@ -13,6 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from prodex.functions import (
+    DEFAULT_HORIZON,
     Cylinder,
     DiscountedSum,
     GeometricWeights,
@@ -30,6 +32,7 @@ from prodex.model import (
     ProductMeasure,
     SpaceFamily,
     formula_tail,
+    modify_point,
     uniform_measure,
 )
 
@@ -105,6 +108,19 @@ def geometric_indicator_envelope(terms: int = 60):
     """
     p = partial_product(terms)
     return p * (1 - F(1, 2**terms)), p
+
+
+def enumerated_hull(f, x, m, spaces, horizon=DEFAULT_HORIZON):
+    """Independent oracle: (lo, hi, eta) of f over all |space|**m
+    modifications of coordinates 1..m of x, each one evaluated."""
+    symbol_lists = [spaces.space_at(i).symbols for i in range(1, m + 1)]
+    values, eta = [], F(0)
+    for combo in itertools.product(*symbol_lists):
+        vb = f.eval_soft(modify_point(x, dict(enumerate(combo, start=1))),
+                         horizon=horizon)
+        values.append(vb.midpoint)
+        eta = max(eta, vb.eta)
+    return min(values), max(values), eta
 
 
 @pytest.fixture
@@ -183,3 +199,12 @@ def product_indicators(draw):
     return ProductIndicator(binary_spaces(),
                             tuple(draw(st.lists(BITS, max_size=3))),
                             draw(symbol_rules()))
+
+
+@st.composite
+def cylinders(draw):
+    """A binary cylinder of depth 1..6 over a full table; few distinct
+    values, so that ties are common."""
+    depth = draw(st.integers(1, 6))
+    rows = itertools.product((0, 1), repeat=depth)
+    return Cylinder(depth, {row: F(draw(st.integers(0, 6)), 2) for row in rows})

@@ -13,6 +13,7 @@ from prodex.engine import (
 )
 from prodex.errors import UnsupportedTailError, ValidationError
 from prodex.functions import Cylinder, ProductIndicator, cylinder_sum
+from prodex.martingale import g_n
 from prodex.model import (
     ConstantMeasureTail,
     ConstantSymbol,
@@ -208,6 +209,8 @@ def assert_oracle_inside_tree(f, mu, horizon):
     assert oracle.interval.hi <= tree.interval.hi
     assert f.range_lo <= oracle.interval.lo
     assert oracle.interval.hi <= f.range_hi
+    if isinstance(f, ProductIndicator):
+        assert tree.eta == oracle.eta
 
 
 SEPARABLE = st.one_of(discounted_sums(), product_indicators())
@@ -247,6 +250,24 @@ class TestHybridSoundness:
             for i, pinned in enumerate(dirac, start=1))
         assert_oracle_inside_tree(f, HybridMeasure(head, len(head) + 1, x),
                                   data.draw(HORIZONS))
+
+    def test_tree_eta_is_the_unread_miss_bound(self):
+        # every pinned leaf bounds the one event "an unread coordinate of
+        # x misses", so the tree's eta is their max, not a weighted sum
+        f, sigma = indicator_all_ones(), geometric_sigma()
+        x = modify_point(LazyPoint(0, sigma), {i: 1 for i in range(1, 9)})
+        tree = g_n(f, sigma, x, 4, horizon=8, use_oracle=False)
+        assert tree.eta == g_n(f, sigma, x, 4, horizon=8).eta == F(1, 256)
+        for seed in range(5):
+            x = modify_point(LazyPoint(seed, sigma),
+                             {i: 1 for i in range(1, 9)})
+            for n in range(1, 8):
+                for horizon in (None, 0, 3, 8, 12):
+                    tree = g_n(f, sigma, x, n, horizon=horizon,
+                               use_oracle=False)
+                    oracle = g_n(f, sigma, x, n, horizon=horizon)
+                    assert not tree.oracle_used and oracle.oracle_used
+                    assert tree.eta == oracle.eta
 
 
 class TestEngineContracts:

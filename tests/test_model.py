@@ -188,6 +188,17 @@ class TestPoints:
         assert [point_coordinate(q, i) for i in range(1, 7)] == [1, 0, 1, 1, 0, 1]
         assert point_coordinate(q, 100) == 1
 
+    def test_modify_described_keeps_periodic_tail_phase(self):
+        # the tail rule is phased from the end of the head, so extending
+        # the head must not shift the periodic tail
+        p = DescribedPoint((1,), PeriodicSymbols((0, 1, 1)))
+        for overrides in ({1: 0}, {2: 1}, {4: 0}, {2: 0, 6: 0}):
+            q = modify_point(p, overrides)
+            assert isinstance(q, DescribedPoint)
+            for i in range(1, 20):
+                want = overrides.get(i, point_coordinate(p, i))
+                assert point_coordinate(q, i) == want
+
     def test_modify_lazy_overrides_only_named(self, sigma_uniform):
         x = LazyPoint(5, sigma_uniform)
         y = modify_point(x, {3: 1 - point_coordinate(x, 3)})

@@ -215,6 +215,27 @@ class TestCli:
             outs.append((d / "verify-weak-cylinder-mix.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_parser_built_at_most_once_per_process(self, monkeypatch,
+                                                   capsys):
+        import prodex.cli as cli
+        calls = []
+        build = cli.build_parser
+
+        def counting_build():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        outs = []
+        for _ in range(2):
+            assert main(["expect", "cylinder-mix", "--report", "machine"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert len(calls) <= 1
+        assert outs[0] == outs[1]
+        # the public builder still hands out a fresh parser on each call
+        assert build() is not build()
+
 
 DISCOUNTED = """
 {

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from prodex.engine import expect
 from prodex.errors import NotStraddlingError, StraddleNotFoundError
-from prodex.functions import Cylinder, eval_function
+from prodex.functions import Cylinder, ProductIndicator, eval_function
 from prodex.model import (
     ConstantSymbol,
     DescribedPoint,
@@ -31,11 +31,17 @@ from conftest import (
     all_ones_point,
     all_zeros_point,
     binary_spaces,
+    cylinders,
+    discounted_sums,
     discounted_unit,
+    enumerated_hull,
     geometric_indicator_envelope,
     geometric_sigma,
     indicator_all_ones,
     mix_cylinder,
+    points,
+    product_indicators,
+    product_measures,
     uniform_sigma,
 )
 
@@ -48,7 +54,6 @@ class TestHullEstimate:
         f = indicator_all_ones()
         hull = hull_estimate(f, all_ones_point(), 1, binary_spaces())
         assert (hull.lo, hull.hi) == (0, 1)
-        assert hull.exhaustive
         assert point_coordinate(hull.witness_min, 1) == 0
         assert point_coordinate(hull.witness_max, 1) == 1
         # witnesses differ from the base only within depth
@@ -91,21 +96,47 @@ class TestHullEstimate:
             assert outer.lo <= inner.lo and inner.hi <= outer.hi
 
     def test_guided_search_matches_enumeration(self):
-        # same inputs through both paths: a budget of 1 forces the guided
-        # search, whose achieved endpoints must equal the exhaustive hull
         f = discounted_unit()
         x = modify_point(all_zeros_point(), {2: 1})
-        full = hull_estimate(f, x, 4, binary_spaces())
-        guided = hull_estimate(f, x, 4, binary_spaces(), enumeration_budget=1)
-        assert full.exhaustive and not guided.exhaustive
-        assert (guided.lo, guided.hi) == (full.lo, full.hi)
+        hull = hull_estimate(f, x, 4, binary_spaces())
+        assert (hull.lo, hull.hi, hull.eta) == \
+            enumerated_hull(f, x, 4, binary_spaces())
 
     def test_guided_search_matches_enumeration_indicator(self):
         f = indicator_all_ones()
         x = all_ones_point()
-        full = hull_estimate(f, x, 3, binary_spaces())
-        guided = hull_estimate(f, x, 3, binary_spaces(), enumeration_budget=1)
-        assert (guided.lo, guided.hi) == (full.lo, full.hi) == (0, 1)
+        hull = hull_estimate(f, x, 3, binary_spaces())
+        assert (hull.lo, hull.hi, hull.eta) == \
+            enumerated_hull(f, x, 3, binary_spaces()) == (0, 1, 0)
+
+    @given(data=st.data())
+    @settings(max_examples=120)
+    def test_guided_search_matches_enumeration_randomized(self, data):
+        sigma = data.draw(product_measures())
+        f = data.draw(st.one_of(cylinders(), discounted_sums(),
+                                product_indicators()))
+        x, m = data.draw(points(sigma)), data.draw(st.integers(0, 6))
+        # indicators at short horizons leave lazy tails unread (eta > 0);
+        # discounted sums on lazy points need a long one to be determined
+        horizon = (data.draw(st.sampled_from([0, 3, 8, 128]))
+                   if isinstance(f, ProductIndicator) else 128)
+        hull = hull_estimate(f, x, m, binary_spaces(), horizon=horizon)
+        assert (hull.lo, hull.hi, hull.eta) == \
+            enumerated_hull(f, x, m, binary_spaces(), horizon)
+        for witness, value in ((hull.witness_min, hull.lo),
+                               (hull.witness_max, hull.hi)):
+            assert f.eval_soft(witness, horizon=horizon).midpoint == value
+            for i in range(m + 1, m + 16):
+                assert point_coordinate(witness, i) == point_coordinate(x, i)
+
+    def test_horizon_is_keyword_only(self):
+        # a stale call passing an enumeration budget positionally must
+        # not turn it into a horizon
+        f, x, sigma = mix_cylinder(), all_zeros_point(), uniform_sigma()
+        with pytest.raises(TypeError):
+            hull_estimate(f, x, 2, binary_spaces(), 2**20)
+        with pytest.raises(TypeError):
+            classify(f, sigma, x, F(1, 2), 2, 2**20, 64)
 
 
 class TestClassify:
