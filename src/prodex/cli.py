@@ -90,8 +90,7 @@ def _need_function(scenario: Scenario):
 
 def _cmd_expect(args, scenario: Scenario):
     f = _need_function(scenario)
-    res = expect(f, scenario.measure, args.tol, node_budget=args.node_budget,
-                 horizon=args.horizon)
+    res = expect(f, scenario.measure, args.tol, horizon=args.horizon)
     lines = [
         f"expectation of {f.family} under {scenario.name}",
         f"  interval  [{float(res.interval.lo)!r}, {float(res.interval.hi)!r}]",
@@ -111,7 +110,7 @@ def _cmd_expect(args, scenario: Scenario):
         "eta": float(res.eta),
         "oracle_used": res.oracle_used,
     }
-    params = {"tol": float(Fraction(args.tol)), "node_budget": args.node_budget}
+    params = {"tol": float(Fraction(args.tol))}
     return (0 if res.certified else 1), lines, _payload(
         "expect", scenario, params, result)
 
@@ -121,7 +120,7 @@ def _cmd_gn_trace(args, scenario: Scenario):
     point, point_name = _resolve_point(args, scenario)
     n_max = _default(args, scenario, "n_max", 8)
     tr = trace(f, scenario.measure, point, n_max, args.tol,
-               node_budget=args.node_budget, horizon=args.horizon)
+               horizon=args.horizon)
     lines = [f"g_n trace at point {point_name} ({scenario.name})",
              "# n  g_n"]
     entries = []
@@ -147,8 +146,7 @@ def _cmd_strong_approx(args, scenario: Scenario):
     epsilon = _default(args, scenario, "epsilon", 0.01)
     n_max = _default(args, scenario, "n_max", 32)
     res = find_strong_approx(f, scenario.measure, point, epsilon, n_max,
-                             args.tol, node_budget=args.node_budget,
-                             horizon=args.horizon)
+                             args.tol, horizon=args.horizon)
     lines = [f"strong approximation search at point {point_name} "
              f"(epsilon={float(Fraction(epsilon))}, n_max={n_max})"]
     if res.is_found:
@@ -181,8 +179,7 @@ def _cmd_weak_approx(args, scenario: Scenario):
     reference = None if args.r is None else Fraction(args.r)
     cert = weak_zero_from_sample(
         f, scenario.measure, args.tol, depth, args.seed,
-        retries=args.retries, horizon=horizon,
-        node_budget=args.node_budget, reference=reference)
+        retries=args.retries, horizon=horizon, reference=reference)
     lines = [
         f"weak 0-approximation certificate ({scenario.name}, depth {depth})",
         f"  coordinate   {cert.coordinate}",
@@ -253,8 +250,7 @@ def _cmd_verify_strong(args, scenario: Scenario):
         horizon = scenario.defaults["horizon"]
     report = verify_strong(
         f, scenario.measure, epsilon, samples, n_max, args.tol, args.seed,
-        horizon=horizon, node_budget=args.node_budget,
-        scenario_digest=scenario.digest)
+        horizon=horizon, scenario_digest=scenario.digest)
     threshold = scenario.threshold("verify-strong", "min_certified_fraction")
     met = threshold is None or report.certified_fraction >= threshold
     lines = _verification_lines(
@@ -279,8 +275,7 @@ def _cmd_verify_weak(args, scenario: Scenario):
         horizon = scenario.defaults.get("horizon", DEFAULT_HORIZON)
     report = verify_weak(
         f, scenario.measure, depth, samples, args.tol, args.seed,
-        horizon=horizon, node_budget=args.node_budget,
-        scenario_digest=scenario.digest)
+        horizon=horizon, scenario_digest=scenario.digest)
     threshold = scenario.threshold("verify-weak", "min_certified_fraction")
     met = threshold is None or report.certified_fraction >= threshold
     lines = _verification_lines(
@@ -312,8 +307,7 @@ def _cmd_game(args, scenario: Scenario):
     if verb == "value":
         if scenario.game is None:
             raise ScenarioError("scenario declares no game", scenario.source)
-        res = best_response_value(scenario.game, scenario.measure, args.tol,
-                                  node_budget=args.node_budget)
+        res = best_response_value(scenario.game, scenario.measure, args.tol)
         lines = [f"best response against the scenario profile ({scenario.name})",
                  f"  value in [{float(res.interval.lo)!r}, "
                  f"{float(res.interval.hi)!r}]",
@@ -333,8 +327,7 @@ def _cmd_game(args, scenario: Scenario):
         epsilon = _default(args, scenario, "epsilon", 0.1)
         n_max = _default(args, scenario, "n_max", 16)
         res = purify(scenario.game, scenario.measure, epsilon, n_max,
-                     args.tol, args.seed, retries=args.retries,
-                     node_budget=args.node_budget)
+                     args.tol, args.seed, retries=args.retries)
         lines = [
             f"purified profile ({scenario.name}, epsilon="
             f"{float(Fraction(epsilon))})",
@@ -439,7 +432,7 @@ def run_scenario(path: str, command: str, args) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type for sample, index, depth, retry and node counts."""
+    """argparse type for sample, index, depth and retry counts."""
     try:
         value = int(text)
     except ValueError:
@@ -459,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write text + machine reports into this directory")
     common.add_argument("--report", choices=("text", "machine"), default="text",
                         help="stdout format (default text)")
-    common.add_argument("--node-budget", type=_count, default=200_000)
     common.add_argument("--horizon", type=int, default=None,
                         help="realization horizon for lazy points")
 

@@ -11,9 +11,11 @@ rational interval.  Two routes:
   1e-12).  A cylinder of depth d is a finite table
   sum: each row consistent with the Dirac coordinates is weighted by the
   measure of its free prefix, in O(|table| * d) exact operations, so a
-  g_n on a cylinder costs one pass over the table;
-* generic best-first refinement of the prefix tree, for user-defined
-  functions and tails without closed forms, each node scored by
+  g_n on a cylinder costs one pass over the table; a table that misses
+  a prefix of positive mass raises;
+* generic best-first refinement of the prefix tree, the paper's general
+  case, for user-defined functions and tails without closed forms (no
+  built-in scenario reaches it), each node scored by
   (cylinder measure x oscillation bound) and leaves pruned as soon as
   their enclosure width hits zero.  Dirac coordinates are substituted,
   never branched, so hybrid measures keep the tree narrow past the
@@ -179,7 +181,7 @@ def _discounted_oracle(f: DiscountedSum, mu: Measure,
 
 
 def _cylinder_oracle(f: Cylinder, mu: Measure,
-                     horizon: Optional[int]) -> Optional[ValueBounds]:
+                     horizon: Optional[int]) -> ValueBounds:
     """E_mu[f] as an exact sum over the rows of the table.
 
     The first k = min(switch - 1, depth) coordinates are integrated out;
@@ -187,8 +189,8 @@ def _cylinder_oracle(f: Cylinder, mu: Measure,
     them as `Cylinder.pinned_coordinates` reads them.  Rows that disagree
     with a read symbol drop out, the rest are grouped by their first k
     symbols, and each group adds weight(prefix) x [min, max] of its
-    values.  Returns None when the groups miss a prefix of positive
-    mass, so that the generic route reports the uncovered table.
+    values.  Raises ValidationError naming the shortest prefix of
+    positive mass that no row covers; zero-mass gaps are legal.
     """
     switch = _switch_index(mu)
     k = f.depth if switch is None else min(switch - 1, f.depth)
@@ -234,7 +236,16 @@ def _cylinder_oracle(f: Cylinder, mu: Measure,
             lo += w * vlo
             hi += w * vhi
     if covered != mass:
-        return None
+        # memo holds every prefix of a group: walk the positive-mass
+        # prefixes level by level to the shortest one no group extends
+        seen, level = (memo if groups else {}), [()]
+        while all(p in seen for p in level):
+            level = [p + (sym,) for p in level
+                     for sym, w in weights[len(p)].items() if w]
+        missing = next(p for p in level if p not in seen)
+        where = f" that agrees with the point at {pins}" if pins else ""
+        raise ValidationError(f"cylinder table has no row for prefix "
+                              f"{missing!r} of positive mass{where}")
     return ValueBounds(lo, hi)
 
 

@@ -1,6 +1,8 @@
 """Expectation engine: oracles, refinement, soundness, determinism."""
 
+import ast
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -432,13 +434,42 @@ class TestCylinderOracle:
         with pytest.raises(ValidationError, match="prefix \\(1,\\)"):
             expect(f, uniform_sigma(), TOL)
 
-    def test_uncovered_table_falls_back_to_the_tree(self):
-        # the tree settles prefix (1,) on its one row and never asks for
-        # (1, 1); the oracle declines rather than guess that row's value
+    def test_uncovered_deep_row_raises(self):
+        # the tree would settle prefix (1,) on its one row and give (1, 1)
+        # that row's value; the oracle names the missing row instead
         f = Cylinder(2, {(0, 0): F(1), (0, 1): F(2), (1, 0): F(3)})
-        res = expect(f, uniform_sigma(), TOL)
-        assert not res.oracle_used and res.nodes_expanded == 2
-        assert res.interval.is_point and res.interval.lo == F(9, 4)
+        with pytest.raises(ValidationError, match="prefix \\(1, 1\\)"):
+            expect(f, uniform_sigma(), TOL)
+
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_partial_table_raises_or_matches_the_tree(self, data):
+        _, sigma, f = data.draw(cylinder_setups())
+        keep = data.draw(st.lists(st.booleans(), min_size=len(f.table),
+                                  max_size=len(f.table)))
+        rows = {k: v for (k, v), kept in zip(f.table.items(), keep) if kept}
+        if not rows:
+            return
+        partial = Cylinder(f.depth, rows)
+
+        def mass(prefix):
+            w = F(1)
+            for i, sym in enumerate(prefix, start=1):
+                w *= sigma.coordinate_measure(i).weight_of(sym)
+            return w
+
+        def has_row(prefix):
+            return any(k[:len(prefix)] == prefix for k in rows)
+
+        if all(k in rows or mass(k) == 0 for k in f.table):
+            assert_oracle_matches_tree(partial, sigma)
+            return
+        with pytest.raises(ValidationError) as exc:
+            expect(partial, sigma, TOL)
+        named = ast.literal_eval(
+            re.search(r"prefix (\(.*?\)) of", str(exc.value)).group(1))
+        assert mass(named) > 0 and not has_row(named)
+        assert all(has_row(named[:j]) for j in range(len(named)))
 
     def test_coverage_is_measured_against_the_actual_masses(self):
         # weights within 1e-12 of summing to 1 are accepted by the model;

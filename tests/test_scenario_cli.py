@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodex.cli import main
+from prodex.engine import expect
 from prodex.errors import ScenarioError
+from prodex.martingale import g_n
+from prodex.model import LazyPoint
 from prodex.scenario import BUILTIN_SCENARIOS, load_scenario, parse_scenario
 
 F = Fraction
@@ -365,6 +368,42 @@ class TestCylinderExpectRoute:
         assert result["status"] == "certified"
 
 
+def _builtin_functions():
+    """(scenario, function) for every built-in function and game payoff."""
+    for name in sorted(BUILTIN_SCENARIOS):
+        sc = load_scenario(name)
+        if sc.function is not None:
+            yield sc, sc.function
+        if sc.game is not None:
+            for action in sc.game.actions:
+                yield sc, sc.game.payoff(action)
+
+
+class TestBuiltinRoutes:
+    def test_every_builtin_expectation_takes_an_oracle(self):
+        # the prefix tree serves user-defined functions only: no built-in
+        # function or payoff reaches it from expect or from g_n
+        calls = 0
+        for sc, f in _builtin_functions():
+            assert expect(f, sc.measure).oracle_used
+            points = [LazyPoint(seed, sc.measure) for seed in range(3)]
+            points += sc.points.values()
+            for x in points:
+                for n in range(1, 7):
+                    for horizon in (None, 0, 3):
+                        res = g_n(f, sc.measure, x, n, horizon=horizon)
+                        assert res.oracle_used and res.nodes_expanded == 0
+                        calls += 1
+        assert calls >= 500
+
+
+def test_node_budget_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expect", "example-3-4", "--node-budget", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --node-budget" in capsys.readouterr().err
+
+
 class TestCountFlags:
     @pytest.mark.parametrize("argv", [
         ["verify-strong", "discounted-uniform", "--samples", "-1"],
@@ -377,7 +416,7 @@ class TestCountFlags:
         ["verify-weak", "cylinder-mix", "--depth", "-2"],
         ["weak-approx", "cylinder-mix", "--retries", "0"],
         ["game", "purify-demo", "purify", "--retries", "-1"],
-        ["expect", "example-3-4", "--node-budget", "0"],
+        ["verify-strong", "example-3-4", "--n-max", "0"],
     ])
     def test_count_below_one_exits_two_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
