@@ -90,7 +90,8 @@ def _need_function(scenario: Scenario):
 
 def _cmd_expect(args, scenario: Scenario):
     f = _need_function(scenario)
-    res = expect(f, scenario.measure, args.tol, horizon=args.horizon)
+    res = expect(f, scenario.measure, args.tol,
+                 horizon=_default(args, scenario, "horizon", None))
     lines = [
         f"expectation of {f.family} under {scenario.name}",
         f"  interval  [{float(res.interval.lo)!r}, {float(res.interval.hi)!r}]",
@@ -120,7 +121,7 @@ def _cmd_gn_trace(args, scenario: Scenario):
     point, point_name = _resolve_point(args, scenario)
     n_max = _default(args, scenario, "n_max", 8)
     tr = trace(f, scenario.measure, point, n_max, args.tol,
-               horizon=args.horizon)
+               horizon=_default(args, scenario, "horizon", None))
     lines = [f"g_n trace at point {point_name} ({scenario.name})",
              "# n  g_n"]
     entries = []
@@ -146,7 +147,8 @@ def _cmd_strong_approx(args, scenario: Scenario):
     epsilon = _default(args, scenario, "epsilon", 0.01)
     n_max = _default(args, scenario, "n_max", 32)
     res = find_strong_approx(f, scenario.measure, point, epsilon, n_max,
-                             args.tol, horizon=args.horizon)
+                             args.tol,
+                             horizon=_default(args, scenario, "horizon", None))
     lines = [f"strong approximation search at point {point_name} "
              f"(epsilon={float(Fraction(epsilon))}, n_max={n_max})"]
     if res.is_found:
@@ -175,11 +177,12 @@ def _cmd_strong_approx(args, scenario: Scenario):
 def _cmd_weak_approx(args, scenario: Scenario):
     f = _need_function(scenario)
     depth = _default(args, scenario, "depth", 2)
-    horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
     reference = None if args.r is None else Fraction(args.r)
     cert = weak_zero_from_sample(
         f, scenario.measure, args.tol, depth, args.seed,
-        retries=args.retries, horizon=horizon, reference=reference)
+        retries=args.retries,
+        horizon=_default(args, scenario, "horizon", DEFAULT_HORIZON),
+        reference=reference)
     lines = [
         f"weak 0-approximation certificate ({scenario.name}, depth {depth})",
         f"  coordinate   {cert.coordinate}",
@@ -245,9 +248,7 @@ def _cmd_verify_strong(args, scenario: Scenario):
     epsilon = _default(args, scenario, "epsilon", 0.01)
     n_max = _default(args, scenario, "n_max", 32)
     samples = _default(args, scenario, "samples", 200)
-    horizon = args.horizon
-    if horizon is None and "horizon" in scenario.defaults:
-        horizon = scenario.defaults["horizon"]
+    horizon = _default(args, scenario, "horizon", None)
     report = verify_strong(
         f, scenario.measure, epsilon, samples, n_max, args.tol, args.seed,
         horizon=horizon, scenario_digest=scenario.digest)
@@ -270,9 +271,7 @@ def _cmd_verify_weak(args, scenario: Scenario):
     f = _need_function(scenario)
     depth = _default(args, scenario, "depth", 2)
     samples = _default(args, scenario, "samples", 200)
-    horizon = args.horizon
-    if horizon is None:
-        horizon = scenario.defaults.get("horizon", DEFAULT_HORIZON)
+    horizon = _default(args, scenario, "horizon", DEFAULT_HORIZON)
     report = verify_weak(
         f, scenario.measure, depth, samples, args.tol, args.seed,
         horizon=horizon, scenario_digest=scenario.digest)
@@ -304,10 +303,12 @@ def _profile_payload(profile: FinitisticProfile) -> dict:
 
 def _cmd_game(args, scenario: Scenario):
     verb = args.verb
+    if verb != "naming-demo" and scenario.game is None:
+        raise ScenarioError("scenario declares no game", scenario.source)
     if verb == "value":
-        if scenario.game is None:
-            raise ScenarioError("scenario declares no game", scenario.source)
-        res = best_response_value(scenario.game, scenario.measure, args.tol)
+        res = best_response_value(
+            scenario.game, scenario.measure, args.tol,
+            horizon=_default(args, scenario, "horizon", None))
         lines = [f"best response against the scenario profile ({scenario.name})",
                  f"  value in [{float(res.interval.lo)!r}, "
                  f"{float(res.interval.hi)!r}]",
@@ -322,12 +323,11 @@ def _cmd_game(args, scenario: Scenario):
                                   {"tol": float(Fraction(args.tol))}, result)
 
     if verb == "purify":
-        if scenario.game is None:
-            raise ScenarioError("scenario declares no game", scenario.source)
         epsilon = _default(args, scenario, "epsilon", 0.1)
         n_max = _default(args, scenario, "n_max", 16)
         res = purify(scenario.game, scenario.measure, epsilon, n_max,
-                     args.tol, args.seed, retries=args.retries)
+                     args.tol, args.seed, retries=args.retries,
+                     horizon=_default(args, scenario, "horizon", None))
         lines = [
             f"purified profile ({scenario.name}, epsilon="
             f"{float(Fraction(epsilon))})",

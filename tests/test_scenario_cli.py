@@ -397,6 +397,44 @@ class TestBuiltinRoutes:
         assert calls >= 500
 
 
+class TestHorizonResolution:
+    @pytest.mark.parametrize("argv", [
+        ["gn-trace", "example-3-4", "--seed", "5", "--n-max", "6"],
+        ["strong-approx", "example-3-4", "--seed", "4"],
+        ["weak-approx", "example-3-4", "--seed", "3", "--depth", "4"],
+    ])
+    def test_scenario_default_horizon_equals_the_flag(self, argv, capsys):
+        # example-3-4 declares "horizon": 60 among its defaults; the
+        # fallback horizon 64 gives a different eta
+        reports = []
+        for extra in ([], ["--horizon", "60"], ["--horizon", "64"]):
+            main(argv + ["--report", "machine"] + extra)
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] != reports[2]
+
+    def test_game_purify_honours_horizon(self, tmp_path, capsys):
+        # discounted payoffs read the lazily sampled tail up to the
+        # horizon; at horizon 0 no index certifies epsilon 0.3
+        scenario = json.loads(BUILTIN_TEXTS["purify-demo"])
+
+        def payoff(scores):
+            return {"family": "discounted_sum",
+                    "weights": {"kind": "geometric", "coef": 1,
+                                "ratio": 0.5},
+                    "scores": scores, "range": [0, 1]}
+
+        scenario["game"]["payoffs"] = {"a": payoff([[0, 0], [1, 1]]),
+                                       "b": payoff([[0, 1], [1, 0]])}
+        scenario["defaults"]["epsilon"] = 0.3
+        path = tmp_path / "purify-discounted.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["game", str(path), "purify", "--seed", "3"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--horizon", "0"]) == 1
+        assert "PurificationFailedError" in capsys.readouterr().err
+
+
 def test_node_budget_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expect", "example-3-4", "--node-budget", "10"])
