@@ -209,8 +209,24 @@ def _cmd_weak_approx(args, scenario: Scenario):
     return 0, lines, _payload("weak-approx", scenario, params, result)
 
 
-def _verification_payload(report, threshold):
-    return {
+def _campaign(command: str, title: str, scenario: Scenario, report,
+              params: dict):
+    """Exit code, text and payload of a campaign against its threshold."""
+    threshold = scenario.threshold(command, "min_certified_fraction")
+    met = threshold is None or report.certified_fraction >= threshold
+    lines = [
+        title,
+        f"  samples              {report.samples}",
+        f"  certified_fraction   {float(report.certified_fraction)!r}"
+        f"  ({report.certified}/{report.samples})",
+        f"  inconclusive         {report.inconclusive}",
+        f"  failed               {report.failed}",
+        f"  max eta              {float(report.max_eta)!r}",
+    ]
+    if threshold is not None:
+        lines.append(f"  threshold            {float(threshold)!r} "
+                     f"-> {'met' if met else 'MISSED'}")
+    result = {
         "samples": report.samples,
         "certified": report.certified,
         "inconclusive": report.inconclusive,
@@ -225,22 +241,8 @@ def _verification_payload(report, threshold):
             for r in report.records
         ],
     }
-
-
-def _verification_lines(title, report, threshold, met):
-    lines = [
-        title,
-        f"  samples              {report.samples}",
-        f"  certified_fraction   {float(report.certified_fraction)!r}"
-        f"  ({report.certified}/{report.samples})",
-        f"  inconclusive         {report.inconclusive}",
-        f"  failed               {report.failed}",
-        f"  max eta              {float(report.max_eta)!r}",
-    ]
-    if threshold is not None:
-        lines.append(f"  threshold            {float(threshold)!r} "
-                     f"-> {'met' if met else 'MISSED'}")
-    return lines
+    return (0 if met else 1), lines, _payload(command, scenario, params,
+                                              result)
 
 
 def _cmd_verify_strong(args, scenario: Scenario):
@@ -252,19 +254,13 @@ def _cmd_verify_strong(args, scenario: Scenario):
     report = verify_strong(
         f, scenario.measure, epsilon, samples, n_max, args.tol, args.seed,
         horizon=horizon, scenario_digest=scenario.digest)
-    threshold = scenario.threshold("verify-strong", "min_certified_fraction")
-    met = threshold is None or report.certified_fraction >= threshold
-    lines = _verification_lines(
-        f"strong-approximation campaign ({scenario.name}, "
-        f"epsilon={float(Fraction(epsilon))}, n_max={n_max})",
-        report, threshold, met)
-    result = _verification_payload(report, threshold)
     params = {"epsilon": float(Fraction(epsilon)), "n_max": n_max,
               "samples": samples, "seed": args.seed,
-              "tol": float(Fraction(args.tol)),
-              "horizon": horizon}
-    return (0 if met else 1), lines, _payload(
-        "verify-strong", scenario, params, result)
+              "tol": float(Fraction(args.tol)), "horizon": horizon}
+    return _campaign(
+        "verify-strong", f"strong-approximation campaign ({scenario.name}, "
+        f"epsilon={float(Fraction(epsilon))}, n_max={n_max})",
+        scenario, report, params)
 
 
 def _cmd_verify_weak(args, scenario: Scenario):
@@ -275,16 +271,12 @@ def _cmd_verify_weak(args, scenario: Scenario):
     report = verify_weak(
         f, scenario.measure, depth, samples, args.tol, args.seed,
         horizon=horizon, scenario_digest=scenario.digest)
-    threshold = scenario.threshold("verify-weak", "min_certified_fraction")
-    met = threshold is None or report.certified_fraction >= threshold
-    lines = _verification_lines(
-        f"weak-approximation campaign ({scenario.name}, depth={depth})",
-        report, threshold, met)
-    result = _verification_payload(report, threshold)
     params = {"depth": depth, "samples": samples, "seed": args.seed,
               "tol": float(Fraction(args.tol)), "horizon": horizon}
-    return (0 if met else 1), lines, _payload(
-        "verify-weak", scenario, params, result)
+    return _campaign(
+        "verify-weak",
+        f"weak-approximation campaign ({scenario.name}, depth={depth})",
+        scenario, report, params)
 
 
 def _profile_payload(profile: FinitisticProfile) -> dict:

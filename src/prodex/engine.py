@@ -8,14 +8,13 @@ rational interval.  Two routes:
   per index (a coordinate measure or a Dirac point), so both kinds of
   measure share one loop.  Discounted sums and product indicators
   evaluate their tail contributions in closed form (width 0 or below
-  1e-12).  A cylinder of depth d is a finite table
-  sum: each row consistent with the Dirac coordinates is weighted by the
-  measure of its free prefix, in O(|table| * d) exact operations, so a
-  g_n on a cylinder costs one pass over the table; a table that misses
-  a prefix of positive mass raises;
-* generic best-first refinement of the prefix tree, the paper's general
-  case, for user-defined functions and tails without closed forms (no
-  built-in scenario reaches it), each node scored by
+  1e-12).  A cylinder of depth d is a finite table sum: each row
+  consistent with the Dirac coordinates is weighted by the measure of
+  its free prefix, in O(|table| * d) exact operations, so a g_n on a
+  cylinder costs one pass over the table; a partial table raises;
+* generic best-first refinement of the prefix tree (the paper's general
+  case; no built-in scenario reaches it), for user-defined functions
+  and tails without closed forms, each node scored by
   (cylinder measure x oscillation bound) and leaves pruned as soon as
   their enclosure width hits zero.  Dirac coordinates are substituted,
   never branched, so hybrid measures keep the tree narrow past the
@@ -236,8 +235,7 @@ def _cylinder_oracle(f: Cylinder, mu: Measure,
             lo += w * vlo
             hi += w * vhi
     if covered != mass:
-        # memo holds every prefix of a group: walk the positive-mass
-        # prefixes level by level to the shortest one no group extends
+        # memo keys are the groups' prefixes: find the shortest gap
         seen, level = (memo if groups else {}), [()]
         while all(p in seen for p in level):
             level = [p + (sym,) for p in level
