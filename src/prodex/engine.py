@@ -236,11 +236,11 @@ def _cylinder_oracle(f: Cylinder, mu: Measure,
             hi += w * vhi
     if covered != mass:
         # memo keys are the groups' prefixes: find the shortest gap
-        seen, level = (memo if groups else {}), [()]
-        while all(p in seen for p in level):
+        reached, level = (memo if groups else {}), [()]
+        while all(p in reached for p in level):
             level = [p + (sym,) for p in level
                      for sym, w in weights[len(p)].items() if w]
-        missing = next(p for p in level if p not in seen)
+        missing = next(p for p in level if p not in reached)
         where = f" that agrees with the point at {pins}" if pins else ""
         raise ValidationError(f"cylinder table has no row for prefix "
                               f"{missing!r} of positive mass{where}")
