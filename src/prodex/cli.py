@@ -26,6 +26,7 @@ from .engine import expect
 from .errors import ProdexError, ScenarioError
 from .functions import DEFAULT_HORIZON, Cylinder
 from .games import (
+    DEFAULT_PURIFY_RETRIES,
     FinitisticProfile,
     best_response_value,
     naming_game_exploit,
@@ -38,7 +39,7 @@ from .model import HybridMeasure, LazyPoint, MeasureAssignment
 from .numeric import F0, F1, Interval
 from .scenario import BUILTIN_SCENARIOS, Scenario, load_scenario
 from .seeds import derive_seed
-from .tailclass import weak_zero_from_sample
+from .tailclass import DEFAULT_RETRIES, weak_zero_from_sample
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -478,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=Fraction, default=None,
                    help="override the target value (default: midpoint of E[f])")
     p.add_argument("--depth", type=_count, default=None)
-    p.add_argument("--retries", type=_count, default=8)
+    p.add_argument("--retries", type=_count, default=DEFAULT_RETRIES)
 
     p = sub.add_parser("verify-strong", parents=[common],
                        help="Monte Carlo campaign for strong approximations")
@@ -500,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=Fraction, default=None)
     p.add_argument("--n-max", dest="n_max", type=_count, default=None)
     p.add_argument("--samples", type=_count, default=None)
-    p.add_argument("--retries", type=_count, default=8)
+    p.add_argument("--retries", type=_count, default=DEFAULT_PURIFY_RETRIES)
 
     return parser
 

@@ -23,7 +23,7 @@ rational interval.  Two routes:
 Accumulation is exact (Fractions), so results are independent of
 evaluation order.  Results carry a residual probability `eta`, nonzero
 only when an indicator verdict rests on the unrealized tail of a lazily
-sampled point.
+sampled point; how far that point is read is set by `horizon` alone.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ CERTIFIED = "certified"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 DEFAULT_NODE_BUDGET = 200_000
-DEFAULT_ETA_TARGET = Fraction(1, 10**6)
 
 
 @dataclass(frozen=True)
@@ -99,28 +98,25 @@ def _assignment(mu: Measure, i: int):
     return MeasureAssignment(mu.coordinate_measure(i))
 
 
-def _indicator_horizon(f: ProductIndicator, point, explicit: Optional[int],
-                       eta_target: Fraction) -> int:
-    """Realization depth for indicator verdicts on a lazy point."""
+def _indicator_horizon(point, explicit: Optional[int]) -> int:
+    """Realization depth for indicator verdicts on a pinned rest.
+
+    The explicit horizon if one is given; otherwise DEFAULT_HORIZON,
+    raised to cover the head of a lazily sampled root, so a miss among
+    the head coordinates is read rather than charged to eta.  Modified
+    coordinates and the targets' explicit prefix are always read
+    (`ProductIndicator._read_depth`).
+    """
     if explicit is not None:
         return explicit
-    root, depth = _root_of(point)
-    if not isinstance(root, LazyPoint):
-        return DEFAULT_HORIZON
-    measure = root.measure
-    targets = f.targets_stream()
-    try:
-        needed = measure.tail.horizon_for_disagreement(
-            targets, eta_target, measure.head_len)
-    except UnsupportedTailError:
-        needed = None
-    return max(DEFAULT_HORIZON, depth, measure.head_len,
-               targets.start - 1, needed or 0)
+    root = _root_of(point)[0]
+    if isinstance(root, LazyPoint):
+        return max(DEFAULT_HORIZON, root.measure.head_len)
+    return DEFAULT_HORIZON
 
 
 def exact_expectation_product_indicator(
-        f: ProductIndicator, mu: Measure, horizon: Optional[int] = None,
-        eta_target: Rational = DEFAULT_ETA_TARGET) -> ValueBounds:
+        f: ProductIndicator, mu: Measure, horizon: Optional[int] = None) -> ValueBounds:
     """Closed-form E_mu[f] for a product indicator.
 
     Every head coordinate contributes its weight on the target symbol
@@ -131,7 +127,6 @@ def exact_expectation_product_indicator(
     """
     if not isinstance(f, ProductIndicator):
         raise ValidationError("exact indicator oracle needs a ProductIndicator")
-    eta_target = as_fraction(eta_target)
     targets = f.targets_stream()
     switch = _switch_index(mu)
     boundary = (max(mu.head_len, targets.start - 1) if switch is None
@@ -149,7 +144,7 @@ def exact_expectation_product_indicator(
     if switch is None:
         tail = mu.tail.indicator_tail_product(targets, boundary, mu.head_len)
         return ValueBounds(product * tail.lo, product * tail.hi)
-    h = _indicator_horizon(f, mu.tail_point, horizon, eta_target)
+    h = _indicator_horizon(mu.tail_point, horizon)
     return f._tail_match(mu.tail_point, switch, h).scaled(product)
 
 
@@ -247,13 +242,13 @@ def _cylinder_oracle(f: Cylinder, mu: Measure,
     return ValueBounds(lo, hi)
 
 
-def _try_oracle(f: TailFunction, mu: Measure, horizon: Optional[int],
-                eta_target: Fraction) -> Optional[ValueBounds]:
+def _try_oracle(f: TailFunction, mu: Measure,
+                horizon: Optional[int]) -> Optional[ValueBounds]:
     if isinstance(f, Cylinder):
         return _cylinder_oracle(f, mu, horizon)
     try:
         if isinstance(f, ProductIndicator):
-            return exact_expectation_product_indicator(f, mu, horizon, eta_target)
+            return exact_expectation_product_indicator(f, mu, horizon)
         if isinstance(f, DiscountedSum):
             return _discounted_oracle(f, mu, horizon)
     except UnsupportedTailError:
@@ -277,26 +272,28 @@ def _check_settings(tol: Rational, node_budget: int) -> Fraction:
 
 def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
            node_budget: int = DEFAULT_NODE_BUDGET, use_oracle: bool = True,
-           horizon: Optional[int] = None,
-           eta_target: Rational = DEFAULT_ETA_TARGET) -> ExpectationResult:
+           horizon: Optional[int] = None) -> ExpectationResult:
     """Certified enclosure of E_mu[f] of width at most 2*tol.
 
+    `horizon` is the one realization-depth setting: how far a lazily
+    sampled pinned point is read (default DEFAULT_HORIZON; indicators
+    also read the sampled head, see `_indicator_horizon`).  `use_oracle`
+    False forces the generic tree, the reference route of the tests.
     Returns status `budget_exhausted` (with a still-sound interval) when
     the node budget runs out, or when the best achievable enclosure at
     the realization horizon is wider than 2*tol.
     """
     tol = _check_settings(tol, node_budget)
-    eta_target = as_fraction(eta_target)
 
     if use_oracle:
-        vb = _try_oracle(f, mu, horizon, eta_target)
+        vb = _try_oracle(f, mu, horizon)
         if vb is not None:
             return _oracle_result(vb, tol)
 
     switch = _switch_index(mu)
     h = horizon if horizon is not None else DEFAULT_HORIZON
     if isinstance(f, ProductIndicator) and switch is not None:
-        h = _indicator_horizon(f, mu.tail_point, horizon, eta_target)
+        h = _indicator_horizon(mu.tail_point, horizon)
 
     settled_lo = settled_hi = settled_eta = F0
     frontier_lo = frontier_hi = F0

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .engine import (
-    DEFAULT_ETA_TARGET,
     DEFAULT_NODE_BUDGET,
     ExpectationResult,
     expect,
@@ -100,8 +99,7 @@ class BestResponseResult:
 def best_response_value(game: GameSpec, pi: Profile,
                         tol: Rational = Fraction(1, 10**9), *,
                         node_budget: int = DEFAULT_NODE_BUDGET,
-                        horizon: Optional[int] = None,
-                        eta_target: Rational = DEFAULT_ETA_TARGET
+                        horizon: Optional[int] = None
                         ) -> BestResponseResult:
     """max over actions of E[payoff] under pi, as a sound interval.
 
@@ -112,7 +110,7 @@ def best_response_value(game: GameSpec, pi: Profile,
     results = []
     for a in game.actions:
         res = expect(game.payoff(a), mu, tol, node_budget=node_budget,
-                     horizon=horizon, eta_target=eta_target)
+                     horizon=horizon)
         results.append((a, res))
     lo = max(res.interval.lo for _, res in results)
     hi = max(res.interval.hi for _, res in results)
@@ -143,8 +141,7 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
            n_max: int, tol: Rational = Fraction(1, 10**10), seed: int = 0, *,
            retries: int = DEFAULT_PURIFY_RETRIES,
            node_budget: int = DEFAULT_NODE_BUDGET,
-           horizon: Optional[int] = None,
-           eta_target: Rational = DEFAULT_ETA_TARGET) -> PurifyResult:
+           horizon: Optional[int] = None) -> PurifyResult:
     """Finitistic profile certified epsilon-close to sigma for every action.
 
     Samples a point under sigma, finds for each action the smallest
@@ -158,7 +155,7 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
         raise ValidationError("epsilon must be positive")
     references = {
         a: expect(game.payoff(a), sigma, tol, node_budget=node_budget,
-                  horizon=horizon, eta_target=eta_target)
+                  horizon=horizon)
         for a in game.actions
     }
     diagnostics = []
@@ -171,7 +168,7 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
             res = find_strong_approx(
                 game.payoff(a), sigma, x, eps, n_max, tol,
                 node_budget=node_budget, horizon=horizon,
-                eta_target=eta_target, reference=references[a])
+                reference=references[a])
             if not res.is_found:
                 failed = (a, res.outcome)
                 break
@@ -188,8 +185,7 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
             eta = F0
             for a in game.actions:
                 res = g_n(game.payoff(a), sigma, x, n, tol,
-                          node_budget=node_budget, horizon=horizon,
-                          eta_target=eta_target)
+                          node_budget=node_budget, horizon=horizon)
                 eta = max(eta, res.eta, references[a].eta)
                 if compare_to_epsilon(res, references[a], eps) != YES:
                     certs = None

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import (
-    DEFAULT_ETA_TARGET,
     DEFAULT_NODE_BUDGET,
     expect,
 )
@@ -94,7 +93,6 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
                   tol: Rational = Fraction(1, 10**9), seed: int = 0, *,
                   horizon: Optional[int] = None,
                   node_budget: int = DEFAULT_NODE_BUDGET,
-                  eta_target: Rational = DEFAULT_ETA_TARGET,
                   scenario_digest: Optional[str] = None) -> VerificationReport:
     """Fraction of sampled points with a certified strong approximation.
 
@@ -105,15 +103,14 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
     if samples < 1:
         raise ValidationError("sample count must be >= 1")
     eps = as_fraction(epsilon)
-    reference = expect(f, sigma, tol, node_budget=node_budget,
-                       horizon=horizon, eta_target=eta_target)
+    reference = expect(f, sigma, tol, node_budget=node_budget, horizon=horizon)
 
     def worker(j: int) -> SampleRecord:
         sub = derive_seed(seed, "strong-sample", j)
         x = LazyPoint(sub, sigma)
         res = find_strong_approx(
             f, sigma, x, eps, n_max, tol, node_budget=node_budget,
-            horizon=horizon, eta_target=eta_target, reference=reference)
+            horizon=horizon, reference=reference)
         if res.outcome == FOUND:
             return SampleRecord(j, sub, CERTIFIED, res.n, res.eta)
         if res.outcome == NOT_FOUND:

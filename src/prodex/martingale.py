@@ -14,8 +14,10 @@ further index costs O(1) exact operations, so a scan to n_max costs
 O(n_max + horizon) per point.  Cylinders evaluate each g_n on its own
 (`g_n`, which stays the single-index API) as one exact table sum, so a
 cylinder of depth d costs O(|table| * d) per index; user-defined
-functions and runs without the oracles evaluate each g_n on the generic
-tree.  All routes give identical enclosures.
+functions and tails without a closed form evaluate each g_n on the
+generic tree, which `g_n(..., use_oracle=False)` also forces for every
+family.  All routes give identical enclosures.  `horizon` alone sets how
+far a lazily sampled x is read (see `engine._indicator_horizon`).
 
 Comparisons are decided on interval separation only: a verdict is
 issued when the two enclosures admit no other answer, otherwise the
@@ -31,7 +33,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import (
-    DEFAULT_ETA_TARGET,
     DEFAULT_NODE_BUDGET,
     ExpectationResult,
     _check_settings,
@@ -111,14 +112,13 @@ class StrongApproxResult:
 
 def g_n(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n: int,
         tol: Rational = Fraction(1, 10**9), *, node_budget: int = DEFAULT_NODE_BUDGET,
-        use_oracle: bool = True, horizon: Optional[int] = None,
-        eta_target: Rational = DEFAULT_ETA_TARGET) -> ExpectationResult:
+        use_oracle: bool = True, horizon: Optional[int] = None) -> ExpectationResult:
     """Enclosure of g_n(x) = E[f] under sigma_1 x .. x sigma_{n-1} x x_n x ..."""
     if n < 1:
         raise ValidationError("martingale index must be >= 1")
     hybrid = HybridMeasure.measures_then_point(sigma, x, n)
     return expect(f, hybrid, tol, node_budget=node_budget, use_oracle=use_oracle,
-                  horizon=horizon, eta_target=eta_target)
+                  horizon=horizon)
 
 
 def _discounted_steps(f: DiscountedSum, sigma: ProductMeasure, x: PointSpec,
@@ -148,7 +148,7 @@ def _discounted_steps(f: DiscountedSum, sigma: ProductMeasure, x: PointSpec,
 
 
 def _indicator_steps(f: ProductIndicator, sigma: ProductMeasure, x: PointSpec,
-                     horizon: Optional[int], eta_target: Fraction):
+                     horizon: Optional[int]):
     """Oracle enclosures of g_1(x), g_2(x), ... for a product indicator.
 
     g_n = prod_{i<n} sigma_i(target_i) when x hits every target from n
@@ -158,7 +158,7 @@ def _indicator_steps(f: ProductIndicator, sigma: ProductMeasure, x: PointSpec,
     user-defined x leaves it open: [0, prod].  Yields None for an index
     whose residual has no closed form.
     """
-    h = _indicator_horizon(f, x, horizon, eta_target)
+    h = _indicator_horizon(x, horizon)
     depth = f._read_depth(x, h)
     last_miss = next((i for i in range(depth, 0, -1)
                       if x.coordinate(i) != f.target_at(i)), 0)
@@ -183,44 +183,38 @@ def _indicator_steps(f: ProductIndicator, sigma: ProductMeasure, x: PointSpec,
 
 
 def _scan(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
-          tol: Rational, *, node_budget: int, use_oracle: bool,
-          horizon: Optional[int], eta_target: Rational):
+          tol: Rational, *, node_budget: int, horizon: Optional[int]):
     """Enclosures of g_1(x) .. g_{n_max}(x), in order, each equal to `g_n`'s.
 
     The oracle families take one step per index; every other case, and
     any index the step cannot settle, calls `g_n`.
     """
     tol = _check_settings(tol, node_budget)
-    eta_target = as_fraction(eta_target)
     steps = None
-    if use_oracle and isinstance(f, DiscountedSum):
+    if isinstance(f, DiscountedSum):
         steps = _discounted_steps(f, sigma, x, horizon)
-    elif use_oracle and isinstance(f, ProductIndicator):
-        steps = _indicator_steps(f, sigma, x, horizon, eta_target)
+    elif isinstance(f, ProductIndicator):
+        steps = _indicator_steps(f, sigma, x, horizon)
     for n in range(1, n_max + 1):
         vb = None if steps is None else next(steps)
         if vb is None:
             yield g_n(f, sigma, x, n, tol, node_budget=node_budget,
-                      use_oracle=use_oracle, horizon=horizon,
-                      eta_target=eta_target)
+                      horizon=horizon)
         else:
             yield _oracle_result(vb, tol)
 
 
 def trace(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
           tol: Rational = Fraction(1, 10**9), *, node_budget: int = DEFAULT_NODE_BUDGET,
-          use_oracle: bool = True, horizon: Optional[int] = None,
-          eta_target: Rational = DEFAULT_ETA_TARGET) -> MartingaleTrace:
+          horizon: Optional[int] = None) -> MartingaleTrace:
     """Trace of g_n(x) for n = 1..n_max with the reference E[f]."""
     if n_max < 1:
         raise ValidationError("trace length must be >= 1")
     scan = _scan(f, sigma, x, n_max, tol, node_budget=node_budget,
-                 use_oracle=use_oracle, horizon=horizon, eta_target=eta_target)
+                 horizon=horizon)
     entries = [TraceEntry(n, res.interval, res.eta)
                for n, res in enumerate(scan, start=1)]
-    reference = expect(f, sigma, tol, node_budget=node_budget,
-                       use_oracle=use_oracle, horizon=horizon,
-                       eta_target=eta_target)
+    reference = expect(f, sigma, tol, node_budget=node_budget, horizon=horizon)
     return MartingaleTrace(tuple(entries), reference)
 
 
@@ -239,8 +233,7 @@ def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
                        epsilon: Rational, n_max: int,
                        tol: Rational = Fraction(1, 10**9), *,
                        node_budget: int = DEFAULT_NODE_BUDGET,
-                       use_oracle: bool = True, horizon: Optional[int] = None,
-                       eta_target: Rational = DEFAULT_ETA_TARGET,
+                       horizon: Optional[int] = None,
                        reference: Optional[ExpectationResult] = None
                        ) -> StrongApproxResult:
     """Smallest certified n <= n_max with |g_n(x) - E[f]| <= epsilon.
@@ -261,12 +254,11 @@ def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
         raise ValidationError("n_max must be >= 1")
     if reference is None:
         reference = expect(f, sigma, tol_f, node_budget=node_budget,
-                           use_oracle=use_oracle, horizon=horizon,
-                           eta_target=eta_target)
+                           horizon=horizon)
     undecided = []
     eta = reference.eta
     scan = _scan(f, sigma, x, n_max, tol_f, node_budget=node_budget,
-                 use_oracle=use_oracle, horizon=horizon, eta_target=eta_target)
+                 horizon=horizon)
     for n, res in enumerate(scan, start=1):
         eta = max(eta, res.eta)
         verdict = compare_to_epsilon(res, reference, eps)

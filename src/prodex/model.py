@@ -300,11 +300,6 @@ class TailMeasureRule:
         """Upper bound on P(some coordinate > from_index misses its target)."""
         raise UnsupportedTailError(f"{self.kind}: no disagreement bound")
 
-    def horizon_for_disagreement(self, targets: PeriodicStream, eta: Fraction,
-                                 head_len: int) -> Optional[int]:
-        """Smallest horizon H with disagreement_bound(H) <= eta, if any."""
-        raise UnsupportedTailError(f"{self.kind}: no disagreement bound")
-
     def sup_weight_beyond(self, from_index: int, head_len: int) -> Fraction:
         """Supremum over coordinates > from_index of the max symbol weight."""
         raise UnsupportedTailError(f"{self.kind}: no sup-weight closed form")
@@ -356,10 +351,6 @@ class PeriodicMeasuresTail(TailMeasureRule):
     def disagreement_bound(self, targets, from_index, head_len):
         factors = self._period_factors(targets, from_index, head_len)
         return F0 if all(f == 1 for f in factors) else F1
-
-    def horizon_for_disagreement(self, targets, eta, head_len):
-        bound = self.disagreement_bound(targets, 0, head_len)
-        return 0 if bound <= eta else None
 
     def sup_weight_beyond(self, from_index, head_len):
         return max(t.max_weight for t in self.templates)
@@ -432,16 +423,6 @@ class GeometricBernoulliTail(TailMeasureRule):
         if all(t == self.one for t in targets.symbols):
             return Fraction(1, 2**from_index) if from_index >= 1 else F1
         return F1
-
-    def horizon_for_disagreement(self, targets, eta, head_len):
-        if any(t != self.one for t in targets.symbols):
-            return None
-        if eta <= 0:
-            return None
-        h = 1
-        while Fraction(1, 2**h) > eta:
-            h += 1
-        return h
 
     def sup_weight_beyond(self, from_index, head_len):
         return F1  # sup of 1 - 2**-i, approached but not attained

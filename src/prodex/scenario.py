@@ -82,10 +82,9 @@ class Scenario:
                 f"unknown point {name!r}; scenario defines: {known}",
                 self.source) from None
 
-    def threshold(self, command: str, key: str,
-                  fallback: Optional[float] = None):
+    def threshold(self, command: str, key: str):
         section = self.thresholds.get(command, {})
-        value = section.get(key, fallback)
+        value = section.get(key)
         return None if value is None else Fraction(value)
 
 
@@ -403,9 +402,15 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 def load_scenario(path_or_name: str) -> Scenario:
     """Load a scenario from a file path or a built-in name."""
     if path_or_name in BUILTIN_SCENARIOS:
-        ref = resources.files("prodex").joinpath(
-            "scenarios", BUILTIN_SCENARIOS[path_or_name])
-        return parse_scenario(ref.read_text(encoding="utf-8"), path_or_name)
+        filename = BUILTIN_SCENARIOS[path_or_name]
+        try:
+            text = resources.files("prodex").joinpath(
+                "scenarios", filename).read_text(encoding="utf-8")
+        except OSError:
+            raise ScenarioError(
+                f"built-in scenario file {filename!r} is missing from the "
+                f"installed package", path_or_name) from None
+        return parse_scenario(text, path_or_name)
     path = Path(path_or_name)
     if not path.exists():
         known = ", ".join(sorted(BUILTIN_SCENARIOS))

@@ -1,5 +1,7 @@
 """Reverse-martingale sequence and the strong approximation finder."""
 
+import inspect
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -7,9 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodex.engine import DEFAULT_ETA_TARGET, DEFAULT_NODE_BUDGET, expect
+from prodex.engine import (
+    DEFAULT_NODE_BUDGET,
+    exact_expectation_product_indicator,
+    expect,
+)
 from prodex.errors import ToleranceConfigError
-from prodex.functions import Cylinder, eval_function
+from prodex.functions import DEFAULT_HORIZON, Cylinder, eval_function
+from prodex.games import best_response_value, purify
 from prodex.harness import verify_strong
 from prodex.martingale import (
     FOUND,
@@ -24,6 +31,7 @@ from prodex.model import (
     ConstantSymbol,
     CoordinateMeasure,
     DescribedPoint,
+    HybridMeasure,
     LazyPoint,
     PointSpec,
     ProductMeasure,
@@ -200,6 +208,41 @@ class TestLazyPointResiduals:
         assert res.eta == 0
 
 
+class TestRealizationDepth:
+    """`horizon` is the one setting for how far a lazy point is read."""
+
+    def test_default_depth_covers_the_sampled_head(self):
+        # coordinates 1..64 hit surely and 65..70 are fair coins, so the
+        # lazy root's head outruns DEFAULT_HORIZON: a miss there must be
+        # read (hard 0), not left unread and charged to eta
+        sigma = uniform_sigma(head_weights=(1,) * DEFAULT_HORIZON + (F(1, 2),) * 6)
+        f = indicator_all_ones()
+        x = next(x for x in (LazyPoint(s, sigma) for s in itertools.count())
+                 if any(x.coordinate(i) == 0
+                        for i in range(DEFAULT_HORIZON + 1, DEFAULT_HORIZON + 7)))
+        for n in (1, 2, DEFAULT_HORIZON + 1):
+            hybrid = HybridMeasure.measures_then_point(sigma, x, n)
+            for res in (g_n(f, sigma, x, n, TOL),
+                        g_n(f, sigma, x, n, TOL, use_oracle=False),
+                        expect(f, hybrid, TOL)):
+                assert (res.interval.lo, res.interval.hi, res.eta) == (0, 0, 0)
+        for e in trace(f, sigma, x, DEFAULT_HORIZON + 1, TOL).entries:
+            assert (e.interval.lo, e.interval.hi, e.eta) == (0, 0, 0)
+
+    def test_retired_keywords_raise(self):
+        f, sigma, x = indicator_all_ones(), geometric_sigma(), all_ones_point()
+        with pytest.raises(TypeError):
+            expect(f, sigma, TOL, eta_target=F(1, 10**6))
+        with pytest.raises(TypeError):
+            trace(f, sigma, x, 3, TOL, use_oracle=True)
+        with pytest.raises(TypeError):
+            find_strong_approx(f, sigma, x, F(1, 10), 3, TOL, use_oracle=True)
+        for fn in (exact_expectation_product_indicator, g_n, trace,
+                   find_strong_approx, verify_strong, best_response_value,
+                   purify):
+            assert "eta_target" not in inspect.signature(fn).parameters, fn
+
+
 class TestMartingaleIdentities:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_reverse_martingale_step(self, n):
@@ -269,8 +312,7 @@ def _fields(res):
 
 def assert_scan_matches_g_n(f, sigma, x, n_max, horizon):
     scanned = list(_scan(f, sigma, x, n_max, TOL,
-                         node_budget=DEFAULT_NODE_BUDGET, use_oracle=True,
-                         horizon=horizon, eta_target=DEFAULT_ETA_TARGET))
+                         node_budget=DEFAULT_NODE_BUDGET, horizon=horizon))
     assert len(scanned) == n_max
     for n, res in enumerate(scanned, start=1):
         assert _fields(res) == _fields(g_n(f, sigma, x, n, TOL,

@@ -66,6 +66,14 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="built-in"):
             load_scenario("definitely-not-a-scenario")
 
+    def test_builtin_with_missing_file_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setitem(BUILTIN_SCENARIOS, "ghost", "ghost.json")
+        with pytest.raises(ScenarioError, match="ghost: built-in scenario "
+                                                "file 'ghost.json' is missing"):
+            load_scenario("ghost")
+        assert main(["expect", "ghost"]) == 2
+        assert capsys.readouterr().err.startswith("error: ghost: built-in")
+
     def test_invalid_seed_rejected(self):
         bad = MINIMAL.replace(
             '{"kind": "described", "head": [],\n                      '
