@@ -20,10 +20,12 @@ rational interval.  Two routes:
   never branched, so hybrid measures keep the tree narrow past the
   switch index.
 
-Accumulation is exact (Fractions), so results are independent of
-evaluation order.  Results carry a residual probability `eta`, nonzero
-only when an indicator verdict rests on the unrealized tail of a lazily
-sampled point; how far that point is read is set by `horizon` alone.
+Accumulation is exact: integers inside the discounted-sum and
+lazy-draw loops, rationals (Fractions) everywhere else, so results are
+independent of evaluation order.  Results carry a residual probability
+`eta`, nonzero only when an indicator verdict rests on the unrealized
+tail of a lazily sampled point; how far that point is read is set by
+`horizon` alone.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ mismatch verdicts, are hard (eta = 0).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -310,34 +311,41 @@ class GeometricWeights:
 
 @dataclass(frozen=True, eq=False)
 class DiscountedSum(TailFunction):
-    """f(x) = sum_i w_i * score(x_i) with geometric weights."""
+    """f(x) = sum_i w_i * score(x_i) with geometric weights.
+
+    Scores are also kept as integers over one common denominator, so
+    that finite weighted sums run in integer arithmetic.
+    """
 
     weights: GeometricWeights
     scores: Mapping
     range_lo: Fraction = None
     range_hi: Fraction = None
+    score_min: Fraction = field(init=False, repr=False)
+    score_max: Fraction = field(init=False, repr=False)
+    #: common denominator D of the scores, and score * D per symbol
+    _score_den: int = field(init=False, repr=False)
+    _score_nums: dict = field(init=False, repr=False)
 
     family = "discounted_sum"
 
     def __post_init__(self):
         if not self.scores:
             raise ValidationError("discounted sum needs at least one scored symbol")
-        object.__setattr__(
-            self, "scores", {s: as_fraction(v) for s, v in self.scores.items()})
+        scores = {s: as_fraction(v) for s, v in self.scores.items()}
+        den = math.lcm(*(v.denominator for v in scores.values()))
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "score_min", min(scores.values()))
+        object.__setattr__(self, "score_max", max(scores.values()))
+        object.__setattr__(self, "_score_den", den)
+        object.__setattr__(self, "_score_nums", {
+            s: v.numerator * (den // v.denominator) for s, v in scores.items()})
         total = self.weights.tail_sum(0)
         lo, hi = _resolve_range(
             None if self.range_lo is None else (self.range_lo, self.range_hi),
             total * self.score_min, total * self.score_max)
         object.__setattr__(self, "range_lo", lo)
         object.__setattr__(self, "range_hi", hi)
-
-    @property
-    def score_min(self) -> Fraction:
-        return min(self.scores.values())
-
-    @property
-    def score_max(self) -> Fraction:
-        return max(self.scores.values())
 
     def score_of(self, symbol) -> Fraction:
         try:
@@ -349,14 +357,27 @@ class DiscountedSum(TailFunction):
         return mass * self.score_min, mass * self.score_max
 
     def _weighted_scores(self, first: int, symbols) -> Fraction:
-        """sum_t w_{first+t} * score(symbols[t]), each weight one
-        multiplication away from the previous one."""
-        total = F0
-        w = self.weights.weight_at(first)
+        """sum_t w_{first+t} * score(symbols[t]), exact.
+
+        With ratio p/q, scores a_t / D and T symbols, the sum is
+        w_first * (sum_t a_t p**t q**(T-1-t)) / (D q**(T-1)); the
+        numerator is accumulated in integers by Horner's rule.
+        """
+        nums = self._score_nums
+        p, q = self.weights.ratio.as_integer_ratio()
+        num, pt, count = 0, 1, 0
         for s in symbols:
-            total += w * self.score_of(s)
-            w *= self.weights.ratio
-        return total
+            try:
+                a = nums[s]
+            except KeyError:
+                raise ValidationError(f"symbol {s!r} has no score") from None
+            num = num * q + a * pt
+            pt *= p
+            count += 1
+        if not count:
+            return F0
+        return self.weights.weight_at(first) * Fraction(
+            num, self._score_den * q**(count - 1))
 
     def _rest_bounds(self, rest: PointSpec, start: int, horizon: int):
         """Enclosure (lo, hi) of sum_{i >= start} w_i * score(rest_i):

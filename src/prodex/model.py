@@ -5,12 +5,13 @@ spaces.  Infinite objects (measures, points) carry an explicit finite
 head plus a finitely described tail rule, so every coordinate resolves
 in O(1) and closed-form tail computations stay exact.
 
-All types are immutable after construction except three pure memos:
-the realized-prefix cache of lazy points, and the per-index tail spaces
-and tail measures of space families and product measures.  Each memoized
-value is a deterministic function of the object and the index, so
-evaluation order cannot matter, and each tail measure is built and
-validated once per index.
+All types are immutable after construction except four pure memos:
+the realized-prefix cache of lazy points, the per-index tail spaces
+and tail measures of space families and product measures, and the CDF
+thresholds of a coordinate measure.  Each memoized value is a
+deterministic function of the object (and the index), so evaluation
+order cannot matter, and each tail measure is built, validated and
+given its thresholds once per index.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotTailEquivalentError, UnsupportedTailError, ValidationError
 from .numeric import F0, F1, Interval, PROB_SUM_TOL, Rational, as_fraction
-from .seeds import unit_fraction
+from .seeds import unit_bits
 
 Symbol = Union[int, str]
 
@@ -105,6 +107,11 @@ class CoordinateMeasure:
 
     Weights are exact rationals.  Vectors whose sum deviates from 1 by
     more than 1e-12 are rejected outright; nothing is renormalized.
+
+    Draws invert the CDF in integers: a 64-bit draw k picks the first
+    positive-weight symbol j with k < ceil(cum_j * 2**64), where cum_j is
+    the weight of symbols 1..j.  Since k / 2**64 < c exactly when
+    k < ceil(c * 2**64), this is `sample(k / 2**64)`, symbol for symbol.
     """
 
     space_index: int
@@ -164,6 +171,33 @@ class CoordinateMeasure:
 
     def mean_score(self, score_of) -> Fraction:
         return sum((w * score_of(s) for s, w in zip(self.symbols, self.weights)), F0)
+
+    @cached_property
+    def _thresholds(self) -> tuple:
+        """((ceil(cum_j * 2**64), symbol_j), ...) over the positive-weight
+        symbols, built in integers: the running sum is num / den."""
+        num, den = 0, 1
+        thresholds = []
+        for sym, w in zip(self.symbols, self.weights):
+            if w == 0:
+                continue
+            a, b = w.as_integer_ratio()
+            num, den = num * b + a * den, den * b
+            thresholds.append((-(-(num << 64) // den), sym))
+        return tuple(thresholds)
+
+    def sample_bits(self, k: int):
+        """`sample(k / 2**64)` for an integer k in [0, 2**64)."""
+        thresholds = self._thresholds
+        for bound, sym in thresholds:
+            if k < bound:
+                return sym
+        if not thresholds:
+            raise ValidationError(
+                f"coordinate {self.space_index}: no symbol has positive weight"
+            )
+        # positive weights summing to slightly less than 1
+        return thresholds[-1][1]
 
     def sample(self, u: Fraction):
         """Invert the CDF at u in [0, 1); symbol order breaks ties."""
@@ -553,8 +587,10 @@ def constant_point(symbol, head: Sequence = ()) -> DescribedPoint:
 class LazyPoint(PointSpec):
     """Point sampled from a product measure, realized on demand.
 
-    Coordinate i is a pure function of (seed, i): a 64-bit uniform is
-    derived by keyed hashing and inverted through coordinate i's CDF.
+    Coordinate i is a pure function of (seed, i): a 64-bit uniform k is
+    derived by keyed hashing and inverted through coordinate i's CDF by
+    comparing k with the integer thresholds ceil(cum * 2**64) of
+    `CoordinateMeasure.sample_bits`.
     The cache is write-once per index and safe under concurrent readers
     because every writer computes the identical value.
     """
@@ -569,8 +605,8 @@ class LazyPoint(PointSpec):
         hit = self._cache.get(i)
         if hit is not None:
             return hit
-        u = unit_fraction(self.seed, "coord", i)
-        sym = self.measure.coordinate_measure(i).sample(u)
+        sym = self.measure.coordinate_measure(i).sample_bits(
+            unit_bits(self.seed, "coord", i))
         self._cache[i] = sym
         return sym
 

@@ -6,8 +6,10 @@ mutable generator state, so
 
 * realizing coordinate 5 of a lazy point and then coordinate 2 yields
   the same symbols as the opposite order,
-* verification campaigns parallelize without order effects: sample j
-  always uses the substream seed ``derive_seed(master, "sample", j)``.
+* verification campaigns run their samples in order, and sample j
+  draws only from its own substream
+  ``derive_seed(master, "<campaign>-sample", j)``, so no sample's draws
+  depend on another's.
 """
 
 from __future__ import annotations
@@ -29,8 +31,12 @@ def derive_seed(seed: int, *path) -> int:
     return int.from_bytes(_digest(seed, label), "little")
 
 
+def unit_bits(seed: int, *path) -> int:
+    """Uniform 64-bit draw k in [0, 2**64), the numerator of `unit_fraction`."""
+    label = "u/" + "/".join(str(p) for p in path)
+    return int.from_bytes(_digest(seed, label.encode("utf-8")), "little")
+
+
 def unit_fraction(seed: int, *path) -> Fraction:
     """Uniform draw in [0, 1) as an exact dyadic rational k / 2**64."""
-    label = "u/" + "/".join(str(p) for p in path)
-    k = int.from_bytes(_digest(seed, label.encode("utf-8")), "little")
-    return Fraction(k, 1 << 64)
+    return Fraction(unit_bits(seed, *path), 1 << 64)

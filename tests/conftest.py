@@ -35,6 +35,7 @@ from prodex.model import (
     modify_point,
     uniform_measure,
 )
+from prodex.seeds import unit_fraction
 
 F = Fraction
 
@@ -123,6 +124,24 @@ def enumerated_hull(f, x, m, spaces, horizon=DEFAULT_HORIZON):
     return min(values), max(values), eta
 
 
+def reference_weighted_scores(f: DiscountedSum, first: int, symbols) -> Fraction:
+    """Independent oracle: sum_t w_{first+t} * score(symbols[t]) as a
+    running Fraction sum, each weight one multiplication from the last."""
+    total = F(0)
+    w = f.weights.weight_at(first)
+    for s in symbols:
+        total += w * f.score_of(s)
+        w *= f.weights.ratio
+    return total
+
+
+def reference_coordinate(x: LazyPoint, i: int):
+    """Independent oracle: coordinate i of a lazy point, by inverting the
+    Fraction CDF of its measure at the dyadic draw k / 2**64."""
+    u = unit_fraction(x.seed, "coord", i)
+    return x.measure.coordinate_measure(i).sample(u)
+
+
 @pytest.fixture
 def sigma_uniform():
     return uniform_sigma()
@@ -160,6 +179,33 @@ def product_measures(draw):
     else:
         tail = formula_tail("geometric_bernoulli")
     return ProductMeasure(binary_spaces(), head, tail)
+
+
+@st.composite
+def coordinate_measures(draw, symbols=None, index=1):
+    """A measure on 1..5 symbols with random, often non-dyadic weights,
+    some of them zero, whose sum is off from 1 by up to 1e-12."""
+    if symbols is None:
+        symbols = tuple(range(draw(st.integers(1, 5))))
+    counts = draw(st.lists(st.integers(0, 12), min_size=len(symbols),
+                           max_size=len(symbols)).filter(any))
+    weights = [F(c, sum(counts)) for c in counts]
+    last = max(j for j, c in enumerate(counts) if c)
+    weights[last] += F(draw(st.integers(-10, 10)), 10**13)
+    return CoordinateMeasure(index, tuple(symbols), tuple(weights))
+
+
+@st.composite
+def lazy_product_measures(draw):
+    """A product measure over 1..5 symbols: up to three random head
+    measures, then a constant or periodic tail of random measures."""
+    symbols = tuple(range(draw(st.integers(1, 5))))
+    head = tuple(draw(coordinate_measures(symbols, i))
+                 for i in range(1, draw(st.integers(0, 3)) + 1))
+    templates = tuple(draw(st.lists(coordinate_measures(symbols),
+                                    min_size=1, max_size=3)))
+    return ProductMeasure(SpaceFamily.uniform(symbols), head,
+                          PeriodicMeasuresTail(templates))
 
 
 @st.composite

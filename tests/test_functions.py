@@ -11,6 +11,7 @@ from prodex.engine import osc_bound
 from prodex.errors import ValidationError
 from prodex.functions import (
     Cylinder,
+    DiscountedSum,
     GeometricWeights,
     ProductIndicator,
     cylinder_sum,
@@ -31,6 +32,7 @@ from conftest import (
     geometric_sigma,
     indicator_all_ones,
     mix_cylinder,
+    reference_weighted_scores,
     uniform_sigma,
 )
 
@@ -194,3 +196,50 @@ class TestConstruction:
         h = cylinder_sum(f, g)
         assert h.table[(1, 1)] == 2
         assert h.table[(1, 0)] == F(7, 5)
+
+
+MIXED_SCORES = st.sampled_from([F(1, 3), F(2, 7), F(-5, 6), F(0), F(3),
+                                F(-1, 2), F(7, 12)])
+
+
+@st.composite
+def mixed_discounted_sums(draw):
+    """Three scored symbols over mixed denominators; the ratio is drawn as
+    an unreduced p/q and the coefficient from a few denominators."""
+    k = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 11))
+    q = draw(st.integers(p + 1, 12))
+    weights = GeometricWeights.of(draw(st.sampled_from([1, F(1, 2), F(3, 5), 7])),
+                                  F(k * p, k * q))
+    return DiscountedSum(weights, {s: draw(MIXED_SCORES) for s in "abc"})
+
+
+class TestIntegerWeightedScores:
+    """`_weighted_scores` against the running Fraction sum."""
+
+    @given(f=mixed_discounted_sums(), first=st.integers(1, 80),
+           symbols=st.lists(st.sampled_from("abc"), max_size=70))
+    @settings(max_examples=100)
+    def test_matches_fraction_sum(self, f, first, symbols):
+        assert (f._weighted_scores(first, iter(symbols))
+                == reference_weighted_scores(f, first, symbols))
+
+    def test_empty_symbols_and_prefix_give_zero_head(self):
+        f = DiscountedSum(GeometricWeights.of(F(3, 5), F(2, 7)),
+                          {"a": F(1, 3), "b": F(-5, 6)})
+        for first in (1, 2, 80):
+            head = f._weighted_scores(first, ())
+            assert isinstance(head, Fraction) and head == 0
+        mass = f.weights.tail_sum(0)
+        vb = f.bounds_over(())
+        assert (vb.lo, vb.hi) == (mass * F(-5, 6), mass * F(1, 3))
+
+    def test_all_zero_scores(self):
+        f = DiscountedSum(GeometricWeights.of(1, F(1, 2)), {0: F(0), 1: F(0)})
+        assert f._weighted_scores(1, (0, 1, 1, 0)) == 0
+        vb = f.bounds_over((1, 0))
+        assert (vb.lo, vb.hi) == (0, 0)
+
+    def test_unscored_symbol_rejected(self):
+        with pytest.raises(ValidationError, match="has no score"):
+            discounted_unit()._weighted_scores(1, (0, 2))

@@ -1,5 +1,6 @@
 """Core model: spaces, measures, tail rules, points, hybrids."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,11 +32,16 @@ from prodex.model import (
     splice_prefix,
     uniform_measure,
 )
+from prodex.seeds import unit_bits, unit_fraction
 
 from conftest import (
     all_ones_point,
     binary_spaces,
     const_bernoulli_tail,
+    coordinate_measures,
+    lazy_product_measures,
+    product_measures,
+    reference_coordinate,
     uniform_sigma,
     uniform_tail,
 )
@@ -91,6 +97,52 @@ class TestCoordinateMeasure:
     def test_sample_skips_zero_weight(self):
         m = dirac_measure(1, (0, 1), 1)
         assert m.sample(F(0)) == 1
+
+
+TOP = 2**64 - 1
+
+
+def cdf_probes(m: CoordinateMeasure) -> set:
+    """Draws k at both ends of [0, 2**64) and at every CDF threshold
+    ceil(cum * 2**64) and its neighbours, thresholds taken in Fractions."""
+    probes, cum = {0, TOP}, F(0)
+    for w in m.weights:
+        cum += w
+        t = math.ceil(cum * 2**64)
+        probes.update(k for k in (t - 1, t, t + 1) if 0 <= k <= TOP)
+    return probes
+
+
+class TestIntegerDraws:
+    """`sample_bits(k)` against the Fraction CDF inversion `sample`."""
+
+    @given(m=coordinate_measures(),
+           extra=st.lists(st.integers(0, TOP), max_size=4))
+    @settings(max_examples=100)
+    def test_sample_bits_matches_fraction_cdf(self, m, extra):
+        for k in sorted(cdf_probes(m) | set(extra)):
+            assert m.sample_bits(k) == m.sample(F(k, 2**64)), k
+
+    @given(sigma=st.one_of(lazy_product_measures(), product_measures()),
+           seed=st.integers(0, TOP))
+    @settings(max_examples=60)
+    def test_lazy_coordinates_match_fraction_cdf(self, sigma, seed):
+        x = LazyPoint(seed, sigma)
+        for i in range(1, 71):
+            assert x.coordinate(i) == reference_coordinate(x, i), i
+
+    def test_short_sum_top_draw_takes_last_positive_symbol(self):
+        # positive weights sum to 1 - 1e-13; the trailing symbol has none
+        m = CoordinateMeasure(1, ("a", "b", "c", "d"),
+                              (F(1, 2), F(0), F(1, 2) - F(1, 10**13), F(0)))
+        assert m.sample_bits(TOP) == m.sample(F(TOP, 2**64)) == "c"
+        assert m.sample_bits(0) == "a"
+
+    def test_unit_fraction_wraps_unit_bits(self):
+        for path in (("coord", 1), ("coord", 70), ("sample", 3, "x")):
+            k = unit_bits(2024, *path)
+            assert 0 <= k <= TOP
+            assert unit_fraction(2024, *path) == F(k, 2**64)
 
 
 class TestResolveCoordinateMeasure:
