@@ -5,6 +5,9 @@ its stdout, byte for byte, with the report stored under `tests/golden/`.
 The cases cover every subcommand on the built-in scenarios, lazy and
 described points, explicit horizons and small campaigns, so a refactor
 that changes any certified number, record or field shows up here.
+Scenarios that only the tests use live under `tests/scenarios/`; a
+case names one by its `Path`, and its golden by the file's stem, so the
+golden names do not depend on where the checkout lies.
 
 A change that alters reports on purpose regenerates the files with
 `PYTHONPATH=src python tests/test_reports.py` and explains the diff.
@@ -20,6 +23,8 @@ import pytest
 from prodex.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+#: depth 8, binary, with a different head weight at every coordinate
+SKEWED = Path(__file__).parent / "scenarios" / "cylinder-skewed.json"
 
 CASES = [
     ["expect", "example-3-4"],
@@ -66,17 +71,27 @@ CASES = [
     ["game", "purify-demo", "purify", "--seed", "3"],
     ["game", "purify-demo-quad", "purify", "--seed", "1"],
     ["game", "naming-game", "naming-demo", "--samples", "8", "--seed", "5"],
+    ["expect", SKEWED],
+    ["gn-trace", SKEWED, "--seed", "5", "--n-max", "10"],
+    ["gn-trace", SKEWED, "--seed", "5", "--n-max", "10", "--horizon", "4"],
+    ["strong-approx", SKEWED, "--seed", "4", "--epsilon", "0.2",
+     "--n-max", "10"],
+    ["strong-approx", SKEWED, "--seed", "4", "--epsilon", "0.02",
+     "--n-max", "10"],
+    ["weak-approx", SKEWED, "--seed", "3", "--depth", "8"],
+    ["verify-weak", SKEWED, "--samples", "6", "--seed", "2"],
 ]
 
 
 def _name(argv) -> str:
-    return re.sub(r"[^A-Za-z0-9]+", "_", " ".join(argv)).strip("_")
+    words = [a.stem if isinstance(a, Path) else a for a in argv]
+    return re.sub(r"[^A-Za-z0-9]+", "_", " ".join(words)).strip("_")
 
 
 def _machine_report(argv) -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(list(argv) + ["--report", "machine"])
+        main([str(a) for a in argv] + ["--report", "machine"])
     return out.getvalue().encode("utf-8")
 
 
