@@ -10,8 +10,9 @@ rational interval.  Two routes:
   evaluate their tail contributions in closed form (width 0 or below
   1e-12).  A cylinder of depth d is a finite table sum: each row
   consistent with the Dirac coordinates is weighted by the measure of
-  its free prefix, in O(|table| * d) exact operations, so a g_n on a
-  cylinder costs one pass over the table; a partial table raises;
+  its free prefix, in O(|table| * d) integer operations over common
+  denominators, so a g_n on a cylinder costs one pass over the table;
+  a partial table raises;
 * generic best-first refinement of the prefix tree (the paper's general
   case; no built-in scenario reaches it), for user-defined functions
   and tails without closed forms, each node scored by
@@ -20,12 +21,12 @@ rational interval.  Two routes:
   never branched, so hybrid measures keep the tree narrow past the
   switch index.
 
-Accumulation is exact: integers inside the discounted-sum and
-lazy-draw loops, rationals (Fractions) everywhere else, so results are
-independent of evaluation order.  Results carry a residual probability
-`eta`, nonzero only when an indicator verdict rests on the unrealized
-tail of a lazily sampled point; how far that point is read is set by
-`horizon` alone.
+Accumulation is exact: integers inside the discounted-sum, lazy-draw
+and cylinder-table loops, rationals (Fractions) everywhere else, so
+results are independent of evaluation order.  Results carry a residual
+probability `eta`, nonzero only when an indicator verdict rests on the
+unrealized tail of a lazily sampled point; how far that point is read
+is set by `horizon` alone.
 """
 
 from __future__ import annotations
@@ -185,8 +186,13 @@ def _cylinder_oracle(f: Cylinder, mu: Measure,
     them as `Cylinder.pinned_coordinates` reads them.  Rows that disagree
     with a read symbol drop out, the rest are grouped by their first k
     symbols, and each group adds weight(prefix) x [min, max] of its
-    values.  Raises ValidationError naming the shortest prefix of
-    positive mass that no row covers; zero-mass gaps are legal.
+    values.  The walk runs in integers: values over the table's common
+    denominator V (`Cylinder._scaled_table`), the weights of coordinate i
+    over theirs, D_i (`CoordinateMeasure._scaled_weights`), so a prefix
+    weight is a product of numerators over prod D_i and each end of the
+    enclosure becomes one Fraction over V * prod D_i.  Raises
+    ValidationError naming the shortest prefix of positive mass that no
+    row covers; zero-mass gaps are legal.
     """
     switch = _switch_index(mu)
     k = f.depth if switch is None else min(switch - 1, f.depth)
@@ -195,29 +201,37 @@ def _cylinder_oracle(f: Cylinder, mu: Measure,
         pins = f.pinned_coordinates(
             _assignment(mu, k + 1).point, k + 1,
             DEFAULT_HORIZON if horizon is None else horizon)
+    # the pins are the coordinates k+1..top: a row keeps key[k:top] == block
+    block = tuple(pins.values())
+    top = k + len(block)
+    den, rows = f._scaled_table
     groups = {}
-    for key, value in f.table.items():
-        if any(key[i - 1] != sym for i, sym in pins.items()):
+    for key, v in rows.items():
+        if key[k:top] != block:
             continue
         prefix = key[:k]
         seen = groups.get(prefix)
         if seen is None:
-            groups[prefix] = (value, value)
-        elif value < seen[0]:
-            groups[prefix] = (value, seen[1])
-        elif value > seen[1]:
-            groups[prefix] = (seen[0], value)
+            groups[prefix] = (v, v)
+        elif v < seen[0]:
+            groups[prefix] = (v, seen[1])
+        elif v > seen[1]:
+            groups[prefix] = (seen[0], v)
 
-    weights, mass = [], F1
+    # weights[i-1] maps the symbols of coordinate i to integer weights;
+    # full coverage means covered == mass, both over prod D_i
+    weights, mass = [], 1
     for i in range(1, k + 1):
         a = _assignment(mu, i)
         if isinstance(a, DiracAssignment):
-            weights.append({a.point.coordinate(i): F1})
+            weights.append({a.point.coordinate(i): 1})
         else:
-            weights.append(dict(a.measure.items()))
-            mass *= sum(a.measure.weights, F0)
-    memo = {(): F1}  # prefix weights: a shared prefix is multiplied once
-    lo = hi = covered = F0
+            d, nums = a.measure._scaled_weights
+            weights.append(nums)
+            mass *= sum(nums.values())
+            den *= d
+    memo = {(): 1}  # prefix weights: a shared prefix is multiplied once
+    lo = hi = covered = 0
     for prefix, (vlo, vhi) in groups.items():
         known = len(prefix)
         while prefix[:known] not in memo:
@@ -225,7 +239,7 @@ def _cylinder_oracle(f: Cylinder, mu: Measure,
         w = memo[prefix[:known]]
         for j in range(known, len(prefix)):
             if w:
-                w *= weights[j].get(prefix[j], F0)
+                w *= weights[j].get(prefix[j], 0)
             memo[prefix[:j + 1]] = w
         if w:
             covered += w
@@ -241,7 +255,8 @@ def _cylinder_oracle(f: Cylinder, mu: Measure,
         where = f" that agrees with the point at {pins}" if pins else ""
         raise ValidationError(f"cylinder table has no row for prefix "
                               f"{missing!r} of positive mass{where}")
-    return ValueBounds(lo, hi)
+    lo_f = Fraction(lo, den)
+    return ValueBounds(lo_f, lo_f if hi == lo else Fraction(hi, den))
 
 
 def _try_oracle(f: TailFunction, mu: Measure,

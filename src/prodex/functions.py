@@ -20,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -194,9 +195,24 @@ class Cylinder(TailFunction):
         object.__setattr__(self, "range_lo", lo)
         object.__setattr__(self, "range_hi", hi)
 
+    @cached_property
+    def _scaled_table(self) -> tuple:
+        """(V, {key: value * V}): the table as integers over one common
+        denominator V, the lcm of the value denominators.  Built on first
+        use; the table walks compare and sum these integers."""
+        v = math.lcm(*(value.denominator for value in self.table.values()))
+        return v, {key: value.numerator * (v // value.denominator)
+                   for key, value in self.table.items()}
+
     @classmethod
     def from_entries(cls, depth: int, entries, value_range=None) -> "Cylinder":
-        table = {tuple(k): as_fraction(v) for k, v in entries}
+        table = {}
+        for k, v in entries:
+            key = tuple(k)
+            if key in table:
+                raise ValidationError(f"cylinder table lists prefix {key!r} "
+                                      f"twice")
+            table[key] = as_fraction(v)
         lo, hi = (None, None) if value_range is None else value_range
         return cls(depth, table,
                    None if lo is None else as_fraction(lo),
@@ -236,35 +252,37 @@ class Cylinder(TailFunction):
         m = len(prefix)
         if m >= self.depth:
             return ValueBounds.point(self.value_at_prefix(prefix))
-        pinned = {}
+        head, block, start = tuple(prefix), (), m
         if rest is not None:
-            start = m + 1 if rest_from is None else max(rest_from, m + 1)
-            pinned = self.pinned_coordinates(rest, start, horizon)
-            if len(pinned) == self.depth - m:
+            # the pinned block is key[start:top]: it begins right after the
+            # prefix, or later when a free window separates the two
+            start = m if rest_from is None else max(rest_from - 1, m)
+            block = tuple(self.pinned_coordinates(
+                rest, start + 1, horizon).values())
+            if len(block) == self.depth - m:
                 # every coordinate past the prefix is read: one lookup
-                value = self.table.get(tuple(prefix) + tuple(pinned.values()))
+                value = self.table.get(head + block)
                 if value is None:
                     raise ValidationError(
                         f"no cylinder table entry is consistent with "
                         f"prefix {prefix!r}")
                 return ValueBounds(value, value)
-        lo = hi = None
-        head = tuple(prefix)
-        pins = [(i - 1, sym) for i, sym in pinned.items()]
-        for key, value in self.table.items():
-            if key[:m] != head:
+        top = start + len(block)
+        lo = hi = None  # (scaled value, key) of the extreme rows
+        for key, v in self._scaled_table[1].items():
+            if key[:m] != head or key[start:top] != block:
                 continue
-            if any(key[j] != sym for j, sym in pins):
-                continue
-            if lo is None or value < lo:
-                lo = value
-            if hi is None or value > hi:
-                hi = value
+            if lo is None:
+                lo = hi = (v, key)
+            elif v < lo[0]:
+                lo = (v, key)
+            elif v > hi[0]:
+                hi = (v, key)
         if lo is None:
             raise ValidationError(
                 f"no cylinder table entry is consistent with prefix {prefix!r}"
             )
-        return ValueBounds(lo, hi)
+        return ValueBounds(self.table[lo[1]], self.table[hi[1]])
 
 
 def cylinder_sum(f: Cylinder, g: Cylinder) -> Cylinder:

@@ -12,17 +12,19 @@ use that step for the oracle families (discounted sums and product
 indicators): the point is realized once up to its read limit and each
 further index costs O(1) exact operations, so a scan to n_max costs
 O(n_max + horizon) per point.  Cylinders evaluate each g_n on its own
-(`g_n`, which stays the single-index API) as one exact table sum, so a
-cylinder of depth d costs O(|table| * d) per index; user-defined
-functions and tails without a closed form evaluate each g_n on the
-generic tree, which `g_n(..., use_oracle=False)` also forces for every
-family.  All routes give identical enclosures.  `horizon` alone sets how
-far a lazily sampled x is read (see `engine._indicator_horizon`).
+(`g_n`, which stays the single-index API) as one exact table sum in
+integers, so a cylinder of depth d costs O(|table| * d) integer
+operations per index; user-defined functions and tails without a
+closed form evaluate each g_n on the generic tree, which
+`g_n(..., use_oracle=False)` also forces for every family.  All routes
+give identical enclosures.  `horizon` alone sets how far a lazily
+sampled x is read (see `engine._indicator_horizon`).
 
 Comparisons are decided on interval separation only: a verdict is
 issued when the two enclosures admit no other answer, otherwise the
 index is reported undecided.  No membership claim ever rests on
-numerical slack.
+numerical slack.  A scan moves the bounds of E[f] by epsilon once and
+compares every g_n enclosure with those four bounds.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .model import (
     ProductMeasure,
     streams_eventually_equal,
 )
-from .numeric import F0, F1, Interval, Rational, abs_difference, as_fraction
+from .numeric import F0, F1, Interval, Rational, as_fraction
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -218,15 +220,35 @@ def trace(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
     return MartingaleTrace(tuple(entries), reference)
 
 
+def _epsilon_verdicts(reference: Interval, epsilon: Fraction):
+    """Verdict function on |v - reference| <= epsilon for an enclosure of v.
+
+    The rule of `abs_difference`, with the reference's bounds moved by
+    epsilon once: YES when [lo, hi] lies in [ref.hi - eps, ref.lo + eps],
+    NO when it lies wholly above ref.hi + eps or below ref.lo - eps, so a
+    scan compares each g_n enclosure with four fixed bounds and never
+    subtracts.  No distance is below a negative epsilon: always NO.
+    """
+    if epsilon < 0:
+        return lambda value: NO
+    yes_lo, yes_hi = reference.hi - epsilon, reference.lo + epsilon
+    no_above, no_below = reference.hi + epsilon, reference.lo - epsilon
+
+    def verdict(value: Interval) -> str:
+        if value.lo >= yes_lo and value.hi <= yes_hi:
+            return YES
+        if value.lo > no_above or value.hi < no_below:
+            return NO
+        return UNDECIDED
+
+    return verdict
+
+
 def compare_to_epsilon(value: ExpectationResult, reference: ExpectationResult,
                        epsilon: Fraction) -> str:
     """Definite verdict on |value - reference| <= epsilon, if any."""
-    d = abs_difference(value.interval, reference.interval)
-    if d.hi <= epsilon:
-        return YES
-    if d.lo > epsilon:
-        return NO
-    return UNDECIDED
+    return _epsilon_verdicts(reference.interval,
+                             as_fraction(epsilon))(value.interval)
 
 
 def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
@@ -257,11 +279,12 @@ def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
                            horizon=horizon)
     undecided = []
     eta = reference.eta
+    verdict_of = _epsilon_verdicts(reference.interval, eps)
     scan = _scan(f, sigma, x, n_max, tol_f, node_budget=node_budget,
                  horizon=horizon)
     for n, res in enumerate(scan, start=1):
         eta = max(eta, res.eta)
-        verdict = compare_to_epsilon(res, reference, eps)
+        verdict = verdict_of(res.interval)
         if verdict == YES:
             if undecided:
                 return StrongApproxResult(

@@ -186,6 +186,14 @@ class CoordinateMeasure:
             thresholds.append((-(-(num << 64) // den), sym))
         return tuple(thresholds)
 
+    @cached_property
+    def _scaled_weights(self) -> tuple:
+        """(D, {symbol: weight * D}): the weights as integers over one
+        common denominator D, the lcm of their denominators."""
+        d = math.lcm(*(w.denominator for w in self.weights))
+        return d, {sym: w.numerator * (d // w.denominator)
+                   for sym, w in zip(self.symbols, self.weights)}
+
     def sample_bits(self, k: int):
         """`sample(k / 2**64)` for an integer k in [0, 2**64)."""
         thresholds = self._thresholds

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -241,21 +242,41 @@ def _build_function(data, spaces, loc) -> TailFunction:
     value_range = _value_range(data.get("range"), f"{loc}.range")
     if family == "cylinder":
         depth = _integer(_require(data, "depth", loc), f"{loc}.depth", 0)
-        entries = []
-        table = _list(_require(data, "table", loc), f"{loc}.table")
-        for pos, row in enumerate(table):
+        table = {}
+        rows = _list(_require(data, "table", loc), f"{loc}.table")
+        for pos, row in enumerate(rows):
             rloc = f"{loc}.table[{pos}]"
-            entries.append((_symbols(_require(row, "prefix", rloc),
-                                     f"{rloc}.prefix"),
-                            _number(_require(row, "value", rloc),
-                                    f"{rloc}.value")))
-        f = Cylinder.from_entries(depth, entries, value_range)
-        # every prefix over the declared spaces must be covered
+            prefix = _symbols(_require(row, "prefix", rloc), f"{rloc}.prefix")
+            if len(prefix) != depth:
+                raise ScenarioError(f"prefix has {len(prefix)} symbols, "
+                                    f"expected {depth}", f"{rloc}.prefix")
+            if prefix in table:
+                raise ScenarioError(
+                    f"prefix {list(prefix)} is already given at "
+                    f"{loc}.table[{list(table).index(prefix)}]",
+                    f"{rloc}.prefix")
+            table[prefix] = _number(_require(row, "value", rloc),
+                                    f"{rloc}.value")
+        # a row no point can reach would still widen the derived range;
+        # the table keeps the rows' order, so a key's position is its row's
+        for j, column in enumerate(zip(*table)):
+            outside = set(column).difference(spaces.space_at(j + 1).symbols)
+            if outside:
+                pos, sym = next((pos, key[j]) for pos, key in enumerate(table)
+                                if key[j] in outside)
+                raise ScenarioError(
+                    f"symbol {sym!r} is not in the space of coordinate "
+                    f"{j + 1}", f"{loc}.table[{pos}].prefix[{j}]")
+        lo, hi = (None, None) if value_range is None else value_range
+        f = Cylinder(depth, table, lo, hi)
+        # every prefix over the declared spaces must be covered; the rows
+        # are distinct such prefixes, so counting them is enough
         lists = [spaces.space_at(i).symbols for i in range(1, depth + 1)]
-        for combo in itertools.product(*lists):
-            if combo not in f.table:
-                raise ScenarioError(f"table misses prefix {list(combo)}",
-                                    f"{loc}.table")
+        if len(table) != math.prod(map(len, lists)):
+            missing = next(combo for combo in itertools.product(*lists)
+                           if combo not in table)
+            raise ScenarioError(f"table misses prefix {list(missing)}",
+                                f"{loc}.table")
         return f
     if family == "discounted_sum":
         wspec = _require(data, "weights", loc)

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from prodex.engine import _assignment, _switch_index
+from prodex.errors import ValidationError
 from prodex.functions import (
     DEFAULT_HORIZON,
     Cylinder,
@@ -25,12 +27,14 @@ from prodex.model import (
     ConstantSymbol,
     CoordinateMeasure,
     DescribedPoint,
+    DiracAssignment,
     LazyPoint,
     ModifiedPoint,
     PeriodicMeasuresTail,
     PeriodicSymbols,
     ProductMeasure,
     SpaceFamily,
+    dirac_measure,
     formula_tail,
     modify_point,
     uniform_measure,
@@ -133,6 +137,64 @@ def reference_weighted_scores(f: DiscountedSum, first: int, symbols) -> Fraction
         total += w * f.score_of(s)
         w *= f.weights.ratio
     return total
+
+
+def reference_cylinder_sum(f: Cylinder, mu, horizon=None):
+    """Independent oracle: (lo, hi) of E_mu[f] for a cylinder, in Fractions.
+
+    Coordinates 1..k, k = min(switch - 1, depth), are integrated out and
+    the rest are matched on the pinned point, row by row; each group of
+    rows sharing a k-prefix adds the prefix weight, a plain product of
+    Fraction weights, times the group's min and max.  Raises
+    ValidationError when the rows miss mass.
+    """
+    switch = _switch_index(mu)
+    k = f.depth if switch is None else min(switch - 1, f.depth)
+    pins = {}
+    if k < f.depth:
+        pins = f.pinned_coordinates(
+            _assignment(mu, k + 1).point, k + 1,
+            DEFAULT_HORIZON if horizon is None else horizon)
+    groups = {}
+    for key, value in f.table.items():
+        if any(key[i - 1] != sym for i, sym in pins.items()):
+            continue
+        seen = groups.setdefault(key[:k], [value, value])
+        seen[0], seen[1] = min(seen[0], value), max(seen[1], value)
+    weights = []
+    for i in range(1, k + 1):
+        a = _assignment(mu, i)
+        weights.append({a.point.coordinate(i): F(1)}
+                       if isinstance(a, DiracAssignment)
+                       else dict(a.measure.items()))
+    lo = hi = covered = F(0)
+    for prefix, (vlo, vhi) in groups.items():
+        w = prod((weights[j].get(sym, F(0)) for j, sym in enumerate(prefix)),
+                 start=F(1))
+        covered += w
+        lo += w * vlo
+        hi += w * vhi
+    if covered != prod((sum(w.values(), F(0)) for w in weights), start=F(1)):
+        raise ValidationError("cylinder rows miss positive mass")
+    return lo, hi
+
+
+def reference_cylinder_bounds(f: Cylinder, prefix, rest=None, rest_from=None,
+                              horizon=DEFAULT_HORIZON):
+    """Independent oracle: (lo, hi) of a cylinder over the rows that agree
+    with `prefix` and with the coordinates of `rest` the table is matched
+    on, from rest_from (past the prefix) on, by a Fraction row scan."""
+    m = len(prefix)
+    pinned = {}
+    if rest is not None and m < f.depth:
+        start = m + 1 if rest_from is None else max(rest_from, m + 1)
+        pinned = f.pinned_coordinates(rest, start, horizon)
+    values = [value for key, value in f.table.items()
+              if key[:m] == tuple(prefix)[:f.depth]
+              and all(key[i - 1] == sym for i, sym in pinned.items())]
+    if not values:
+        raise ValidationError(f"no row agrees with prefix {prefix!r}")
+    return min(values), max(values)
 
 
 def reference_coordinate(x: LazyPoint, i: int):
@@ -254,3 +316,60 @@ def cylinders(draw):
     depth = draw(st.integers(1, 6))
     rows = itertools.product((0, 1), repeat=depth)
     return Cylinder(depth, {row: F(draw(st.integers(0, 6)), 2) for row in rows})
+
+
+@st.composite
+def table_measures(draw, symbols, index):
+    """A coordinate measure as the integer table walks meet it: random
+    rational weights (some zero, masses up to 1e-12 off 1), weights
+    converted from floats (power-of-two denominators near 2**53), or a
+    Dirac measure."""
+    kind = draw(st.sampled_from(["rational", "float", "dirac"]))
+    if kind == "rational":
+        return draw(coordinate_measures(symbols, index))
+    if kind == "dirac":
+        return dirac_measure(index, symbols, draw(st.sampled_from(symbols)))
+    counts = draw(st.lists(st.integers(0, 12), min_size=len(symbols),
+                           max_size=len(symbols)).filter(any))
+    return CoordinateMeasure(index, tuple(symbols),
+                             tuple(F(c / sum(counts)) for c in counts))
+
+
+#: table values over unlike denominators, so their lcm is a real product
+TABLE_VALUES = (st.builds(F, st.integers(-60, 60),
+                          st.sampled_from([1, 2, 3, 7, 10, 100, 2**53]))
+                | st.floats(-4, 4).map(F))
+
+
+@st.composite
+def table_walk_setups(draw):
+    """(sigma, f): a product measure of `table_measures` over symbols
+    0..arity-1 and a full cylinder table of `TABLE_VALUES` over them.
+    Binary cylinders stop at depth 6 and ternary ones at depth 4."""
+    arity = draw(st.sampled_from([2, 3]))
+    symbols = tuple(range(arity))
+    depth = draw(st.integers(1, 6 if arity == 2 else 4))
+    head = tuple(draw(table_measures(symbols, i))
+                 for i in range(1, draw(st.integers(0, depth + 1)) + 1))
+    tail = ConstantMeasureTail(draw(table_measures(symbols, len(head) + 1)))
+    sigma = ProductMeasure(SpaceFamily.uniform(symbols), head, tail)
+    f = Cylinder(depth, {row: draw(TABLE_VALUES)
+                         for row in itertools.product(symbols, repeat=depth)})
+    return sigma, f
+
+
+@st.composite
+def tail_points(draw, sigma, arity):
+    """A lazy, a described and a modified point over symbols 0..arity-1."""
+    symbols = st.integers(0, arity - 1)
+    lazy = LazyPoint(draw(st.integers(0, 2**32)), sigma)
+    tail = draw(st.lists(symbols, min_size=1, max_size=2))
+    rule = (ConstantSymbol(tail[0]) if len(tail) == 1
+            else PeriodicSymbols(tuple(tail)))
+    described = DescribedPoint(tuple(draw(st.lists(symbols, max_size=4))),
+                               rule)
+    base = lazy if draw(st.booleans()) else described
+    overrides = draw(st.dictionaries(st.integers(1, 7), symbols,
+                                     min_size=1, max_size=3))
+    return [lazy, described,
+            ModifiedPoint(base, tuple(sorted(overrides.items())))]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodex.engine import (
+    _cylinder_oracle,
     exact_expectation_product_indicator,
     expect,
 )
@@ -25,9 +26,7 @@ from prodex.model import (
     HybridMeasure,
     LazyPoint,
     MeasureAssignment,
-    ModifiedPoint,
     PeriodicMeasuresTail,
-    PeriodicSymbols,
     ProductMeasure,
     SpaceFamily,
     bernoulli_measure,
@@ -49,6 +48,9 @@ from conftest import (
     points,
     product_indicators,
     product_measures,
+    reference_cylinder_sum,
+    table_walk_setups,
+    tail_points,
     uniform_sigma,
 )
 
@@ -368,23 +370,6 @@ def cylinder_setups(draw):
     return arity, sigma, f
 
 
-@st.composite
-def tail_points(draw, sigma, arity):
-    """A lazy, a described and a modified point over symbols 0..arity-1."""
-    symbols = st.integers(0, arity - 1)
-    lazy = LazyPoint(draw(st.integers(0, 2**32)), sigma)
-    tail = draw(st.lists(symbols, min_size=1, max_size=2))
-    rule = (ConstantSymbol(tail[0]) if len(tail) == 1
-            else PeriodicSymbols(tuple(tail)))
-    described = DescribedPoint(tuple(draw(st.lists(symbols, max_size=4))),
-                               rule)
-    base = lazy if draw(st.booleans()) else described
-    overrides = draw(st.dictionaries(st.integers(1, 7), symbols,
-                                     min_size=1, max_size=3))
-    return [lazy, described,
-            ModifiedPoint(base, tuple(sorted(overrides.items())))]
-
-
 def assert_oracle_matches_tree(f, mu, horizon=None):
     oracle = expect(f, mu, TOL, horizon=horizon)
     # tol far below every leaf's mass x width: the tree expands fully
@@ -488,6 +473,84 @@ class TestCylinderOracle:
         res = expect(f, sigma, TOL)
         assert res.oracle_used and res.interval.is_point
         assert res.interval.lo == F(1, 2) * 1 + F(1, 2) * 3
+
+
+# ---------------------------------------------------------------------------
+# The integer table sum against the Fraction table sum
+# ---------------------------------------------------------------------------
+
+def assert_sum_matches_reference(f, mu, horizon=None):
+    try:
+        expected = reference_cylinder_sum(f, mu, horizon)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="of positive mass"):
+            _cylinder_oracle(f, mu, horizon)
+        return
+    vb = _cylinder_oracle(f, mu, horizon)
+    assert (vb.lo, vb.hi, vb.eta) == (*expected, 0)
+
+
+class TestIntegerTableSum:
+    @given(setup=table_walk_setups())
+    @settings(max_examples=40)
+    def test_product_measure(self, setup):
+        sigma, f = setup
+        assert_sum_matches_reference(f, sigma)
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_every_switch_index(self, data):
+        sigma, f = data.draw(table_walk_setups())
+        arity = len(sigma.spaces.space_at(1).symbols)
+        lazy, described, modified = data.draw(tail_points(sigma, arity))
+        below = data.draw(st.integers(0, f.depth - 1))  # horizon < depth
+        for n in range(1, f.depth + 3):
+            for x, horizon in ((lazy, None), (lazy, below),
+                               (described, None), (modified, below)):
+                assert_sum_matches_reference(
+                    f, HybridMeasure.measures_then_point(sigma, x, n),
+                    horizon)
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_dirac_head_assignments(self, data):
+        sigma, f = data.draw(table_walk_setups())
+        arity = len(sigma.spaces.space_at(1).symbols)
+        x, y, z = data.draw(tail_points(sigma, arity))
+        switch = data.draw(st.integers(1, f.depth + 1))
+        dirac = data.draw(st.lists(st.booleans(), min_size=switch - 1,
+                                   max_size=switch - 1))
+        head = tuple(
+            DiracAssignment(y if i % 2 else z) if dirac[i - 1]
+            else MeasureAssignment(sigma.coordinate_measure(i))
+            for i in range(1, switch))
+        for horizon in (None, data.draw(st.integers(0, f.depth))):
+            assert_sum_matches_reference(f, HybridMeasure(head, switch, x),
+                                         horizon)
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_partial_tables(self, data):
+        sigma, f = data.draw(table_walk_setups())
+        keep = data.draw(st.lists(st.booleans(), min_size=len(f.table),
+                                  max_size=len(f.table)).filter(any))
+        partial = Cylinder(f.depth, {k: v for (k, v), kept
+                                     in zip(f.table.items(), keep) if kept})
+        assert_sum_matches_reference(partial, sigma)
+        x = LazyPoint(data.draw(st.integers(0, 2**32)), sigma)
+        n = data.draw(st.integers(1, f.depth + 1))
+        assert_sum_matches_reference(
+            partial, HybridMeasure.measures_then_point(sigma, x, n))
+
+    def test_scaled_views_are_exact(self):
+        # V is the lcm of the value denominators, D the lcm of the weights'
+        f = Cylinder(2, {(0, 0): F(1, 6), (0, 1): F(3, 4), (1, 0): F(2),
+                         (1, 1): F(-5, 9)})
+        assert f._scaled_table == (36, {(0, 0): 6, (0, 1): 27, (1, 0): 72,
+                                        (1, 1): -20})
+        mu = CoordinateMeasure.from_weights(1, (0, 1, 2),
+                                            (F(1, 6), F(1, 4), F(7, 12)))
+        assert mu._scaled_weights == (12, {0: 2, 1: 3, 2: 7})
 
 
 def scanned_bounds(f, prefix, pinned):

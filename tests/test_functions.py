@@ -32,7 +32,10 @@ from conftest import (
     geometric_sigma,
     indicator_all_ones,
     mix_cylinder,
+    reference_cylinder_bounds,
     reference_weighted_scores,
+    table_walk_setups,
+    tail_points,
     uniform_sigma,
 )
 
@@ -190,6 +193,10 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             ProductIndicator(binary_spaces(), (2,), ConstantSymbol(1))
 
+    def test_cylinder_rejects_a_repeated_prefix(self):
+        with pytest.raises(ValidationError, match="prefix \\(0, 0\\) twice"):
+            Cylinder.from_entries(2, [((0, 0), 1), ((0, 1), 2), ((0, 0), 3)])
+
     def test_cylinder_sum_adds_tables(self):
         f = mix_cylinder()
         g = mix_cylinder()
@@ -243,3 +250,50 @@ class TestIntegerWeightedScores:
     def test_unscored_symbol_rejected(self):
         with pytest.raises(ValidationError, match="has no score"):
             discounted_unit()._weighted_scores(1, (0, 2))
+
+
+def assert_bounds_match_row_scan(f, prefix, rest=None, rest_from=None,
+                                 horizon=64):
+    try:
+        expected = reference_cylinder_bounds(f, prefix, rest, rest_from,
+                                             horizon)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            f.bounds_over(prefix, rest, rest_from, horizon)
+        return
+    vb = f.bounds_over(prefix, rest, rest_from, horizon)
+    assert (vb.lo, vb.hi, vb.eta) == (*expected, 0)
+
+
+class TestIntegerBoundsOver:
+    """`Cylinder.bounds_over` compares scaled integers; the Fraction row
+    scan of the original table is the oracle."""
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_matches_the_fraction_row_scan(self, data):
+        sigma, f = data.draw(table_walk_setups())
+        arity = len(sigma.spaces.space_at(1).symbols)
+        if data.draw(st.booleans()):  # a partial table: some scans find no row
+            keep = data.draw(st.lists(st.booleans(), min_size=len(f.table),
+                                      max_size=len(f.table)).filter(any))
+            f = Cylinder(f.depth, {k: v for (k, v), kept
+                                   in zip(f.table.items(), keep) if kept})
+        m = data.draw(st.integers(0, f.depth))
+        prefix = tuple(data.draw(st.lists(st.integers(0, arity - 1),
+                                          min_size=m, max_size=m)))
+        assert_bounds_match_row_scan(f, prefix)
+        horizon = data.draw(st.integers(0, f.depth + 1))
+        # rest_from past m + 1 leaves a free window before the pinned block
+        for x in data.draw(tail_points(sigma, arity)):
+            for rest_from in (None, *range(1, f.depth + 2)):
+                assert_bounds_match_row_scan(f, prefix, x, rest_from, horizon)
+
+    def test_free_window_between_prefix_and_pins(self):
+        # coordinate 2 is free: the rows (0, *, 1) give the bounds
+        f = Cylinder.from_callable([(0, 1)] * 3,
+                                   lambda a, b, c: F(a + 10 * b + 100 * c, 3))
+        ones = DescribedPoint((), ConstantSymbol(1))
+        vb = f.bounds_over((0,), rest=ones, rest_from=3)
+        assert (vb.lo, vb.hi) == (F(100, 3), F(110, 3))
+        assert vb.lo is f.table[(0, 0, 1)] and vb.hi is f.table[(0, 1, 1)]

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodex.engine import (
+    CERTIFIED,
     DEFAULT_NODE_BUDGET,
+    ExpectationResult,
     exact_expectation_product_indicator,
     expect,
 )
@@ -21,8 +23,13 @@ from prodex.harness import verify_strong
 from prodex.martingale import (
     FOUND,
     INCONCLUSIVE,
+    NO,
     NOT_FOUND,
+    UNDECIDED,
+    YES,
+    _epsilon_verdicts,
     _scan,
+    compare_to_epsilon,
     find_strong_approx,
     g_n,
     trace,
@@ -38,6 +45,7 @@ from prodex.model import (
     formula_tail,
     modify_point,
 )
+from prodex.numeric import Interval, abs_difference
 
 from conftest import (
     all_ones_point,
@@ -413,6 +421,58 @@ class TestUserDefinedPoint:
         found = find_strong_approx(f, sigma, OnesPoint(), F(1, 100), 10)
         assert found.outcome == INCONCLUSIVE
         assert found.undecided == tuple(range(1, 11))
+
+
+def abs_difference_verdict(value: Interval, reference: Interval, epsilon):
+    """Independent oracle: the verdict from the enclosure of |v - ref|."""
+    d = abs_difference(value, reference)
+    if d.hi <= epsilon:
+        return YES
+    if d.lo > epsilon:
+        return NO
+    return UNDECIDED
+
+
+#: small endpoints on a grid of 1/4, so that ends often meet ref +- eps
+GRID = st.integers(-8, 8).map(lambda k: F(k, 4))
+
+
+@st.composite
+def intervals(draw):
+    lo, hi = sorted((draw(GRID), draw(GRID)))
+    return Interval(lo, hi)
+
+
+class TestEpsilonVerdicts:
+    @given(value=intervals(), reference=intervals(),
+           epsilon=st.integers(-2, 8).map(lambda k: F(k, 4)))
+    @settings(max_examples=100)
+    def test_matches_abs_difference(self, value, reference, epsilon):
+        expected = abs_difference_verdict(value, reference, epsilon)
+        assert _epsilon_verdicts(reference, epsilon)(value) == expected
+        results = [ExpectationResult(i, 0, CERTIFIED)
+                   for i in (value, reference)]
+        assert compare_to_epsilon(*results, epsilon) == expected
+
+    @pytest.mark.parametrize("value, verdict", [
+        ((F(1, 2), F(3, 2)), YES),        # both ends on ref -+ eps
+        ((F(1, 2), F(7, 4)), UNDECIDED),  # hi past ref.lo + eps
+        ((F(1, 4), F(3, 2)), UNDECIDED),  # lo below ref.hi - eps
+        ((F(5, 2), F(3)), UNDECIDED),     # lo on ref.hi + eps: not apart
+        ((F(-1), F(-1, 2)), UNDECIDED),   # hi on ref.lo - eps: not apart
+        ((F(11, 4), F(3)), NO),
+        ((F(-1), F(-3, 4)), NO),
+    ])
+    def test_equality_at_epsilon(self, value, verdict):
+        reference, epsilon = Interval(F(1, 2), F(3, 2)), F(1)
+        value = Interval(*value)
+        assert abs_difference_verdict(value, reference, epsilon) == verdict
+        assert _epsilon_verdicts(reference, epsilon)(value) == verdict
+
+    def test_zero_and_negative_epsilon(self):
+        point = Interval(F(1, 3), F(1, 3))
+        assert _epsilon_verdicts(point, F(0))(point) == YES
+        assert _epsilon_verdicts(point, F(-1, 10**9))(point) == NO
 
 
 class TestMeasureMemo:

@@ -366,6 +366,49 @@ class TestMalformedSettingsAndSymbols:
         assert sc.threshold("verify-strong", "min_certified_fraction") == 1
 
 
+def _mix_with_rows(replace=None, extra=()):
+    """cylinder-mix with row 0 replaced and rows appended."""
+    doc = json.loads(BUILTIN_TEXTS["cylinder-mix"])
+    rows = doc["function"]["table"]
+    if replace is not None:
+        rows[0] = replace
+    rows.extend(extra)
+    return json.dumps(doc)
+
+
+# (row 0 replacement, appended rows, JSON path named)
+BAD_ROWS = [
+    (None, [{"prefix": [0, 0], "value": 1}], "function.table[4].prefix"),
+    ({"prefix": [0, 5], "value": 0}, [], "function.table[0].prefix[1]"),
+    (None, [{"prefix": [0, 5], "value": 0.5}], "function.table[4].prefix[1]"),
+    (None, [{"prefix": [0, 5], "value": 7}], "function.table[4].prefix[1]"),
+    (None, [{"prefix": [1], "value": 0}], "function.table[4].prefix"),
+]
+
+
+class TestMalformedCylinderRows:
+    @pytest.mark.parametrize("replace, extra, location", BAD_ROWS,
+                             ids=[c[2] + "=" + json.dumps(c[0] or c[1])
+                                  for c in BAD_ROWS])
+    def test_exits_two_naming_the_row(self, replace, extra, location,
+                                      tmp_path, capsys):
+        text = _mix_with_rows(replace, extra)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert exc.value.location == location
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["expect", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert location in err and "Traceback" not in err
+
+    def test_duplicate_names_the_first_row(self):
+        with pytest.raises(ScenarioError, match=re.escape(
+                "prefix [0, 0] is already given at function.table[0]")):
+            parse_scenario(_mix_with_rows(
+                extra=[{"prefix": [0, 0], "value": 1}]))
+
+
 class TestCylinderExpectRoute:
     def test_expect_reports_the_table_sum_oracle(self, capsys):
         assert main(["expect", "cylinder-threshold", "--report",
