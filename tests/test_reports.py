@@ -7,7 +7,9 @@ described points, explicit horizons and small campaigns, so a refactor
 that changes any certified number, record or field shows up here.
 Scenarios that only the tests use live under `tests/scenarios/`; a
 case names one by its `Path`, and its golden by the file's stem, so the
-golden names do not depend on where the checkout lies.
+golden names do not depend on where the checkout lies.  A case that
+prints no report stores its exit status and its error line instead, so
+an error is pinned as exactly as a result.
 
 A change that alters reports on purpose regenerates the files with
 `PYTHONPATH=src python tests/test_reports.py` and explains the diff.
@@ -80,6 +82,15 @@ CASES = [
      "--n-max", "10"],
     ["weak-approx", SKEWED, "--seed", "3", "--depth", "8"],
     ["verify-weak", SKEWED, "--samples", "6", "--seed", "2"],
+    # horizons below the hull depth, where the read limits of lazy points
+    # decide what the hull search may read
+    ["verify-weak", "example-3-4", "--samples", "6", "--seed", "9",
+     "--horizon", "4"],
+    ["verify-weak", "discounted-uniform", "--depth", "8", "--samples", "4",
+     "--seed", "3", "--horizon", "2"],
+    ["verify-weak", "discounted-uniform", "--depth", "50", "--samples", "2",
+     "--seed", "3", "--horizon", "45"],
+    ["weak-approx", SKEWED, "--seed", "3", "--depth", "8", "--horizon", "2"],
 ]
 
 
@@ -89,9 +100,11 @@ def _name(argv) -> str:
 
 
 def _machine_report(argv) -> bytes:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main([str(a) for a in argv] + ["--report", "machine"])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv] + ["--report", "machine"])
+    if not out.getvalue():  # no report: keep the exit status and error
+        out.write(f"exit {code}\n{err.getvalue()}")
     return out.getvalue().encode("utf-8")
 
 
