@@ -135,13 +135,14 @@ def exact_expectation_product_indicator(
     boundary = (max(mu.head_len, targets.start - 1) if switch is None
                 else switch - 1)
     product = F1
+    target = f._targets_through(boundary)
     for i in range(1, boundary + 1):
         a = _assignment(mu, i)
         if isinstance(a, DiracAssignment):
-            if a.point.coordinate(i) != f.target_at(i):
+            if a.point.coordinate(i) != target[i - 1]:
                 return ValueBounds.point(0)
         else:
-            product *= a.measure.weight_of(f.target_at(i))
+            product *= a.measure.weight_of(target[i - 1])
             if product == 0:
                 return ValueBounds.point(0)
     if switch is None:

@@ -4,7 +4,10 @@ Three families are provided, each exposing `bounds_over`: a certified
 enclosure of the function over a constrained set of points.  The same
 method serves point evaluation (everything pinned), cylinder oscillation
 (prefix pinned, rest free) and mixed queries used by the hull search
-(prefix pinned, a window free, a base point beyond).
+(prefix pinned, a window free, a base point beyond).  Each family
+implements it through `window_bounds(rest, rest_from, horizon)`, which
+reads the rest once and then encloses f for any prefix shorter than
+rest_from; the hull search asks one window for all of its prefixes.
 
 Enclosures are exact rationals.  The only soft verdicts come from the
 all-or-nothing indicator family on lazily sampled points: agreement of
@@ -85,7 +88,14 @@ class ValueBounds:
 
     @property
     def midpoint(self) -> Fraction:
+        # a point enclosure is its own midpoint: no sum over long rationals
+        if self.lo == self.hi:
+            return self.lo
         return (self.lo + self.hi) / 2
+
+
+#: the hard point 0, shared by every mismatch verdict
+_ZERO = ValueBounds(F0, F0)
 
 
 def _read_limit(rest: PointSpec, horizon: int) -> Optional[int]:
@@ -113,7 +123,11 @@ def _explicit_limit(rest: PointSpec, horizon: int) -> int:
 
 
 class TailFunction:
-    """A bounded function with certified cylinder enclosures."""
+    """A bounded function with certified cylinder enclosures.
+
+    A subclass implements `bounds_over` or `window_bounds`; each one's
+    default is built from the other.
+    """
 
     family = "abstract"
 
@@ -125,8 +139,29 @@ class TailFunction:
                     horizon: int = DEFAULT_HORIZON) -> ValueBounds:
         """Enclosure of f over points with coordinates 1..len(prefix)
         equal to prefix, coordinates >= rest_from equal to rest, and the
-        window in between (all of the tail, when rest is None) free."""
-        raise NotImplementedError
+        window in between (all of the tail, when rest is None) free.
+
+        A rest_from inside the prefix starts the rest right after it.
+        """
+        m = len(prefix)
+        start = m + 1 if rest_from is None else max(rest_from, m + 1)
+        return self.window_bounds(rest, start, horizon)(prefix)
+
+    def window_bounds(self, rest: Optional[PointSpec], rest_from: int,
+                      horizon: int = DEFAULT_HORIZON):
+        """The callable prefix -> bounds_over(prefix, rest, rest_from,
+        horizon), valid for len(prefix) < rest_from.
+
+        The built-in families read `rest` once, when the window is made,
+        so many prefixes over one rest cost one read of it.  This default
+        calls `bounds_over` for each prefix.
+        """
+        if type(self).bounds_over is TailFunction.bounds_over:
+            raise NotImplementedError(
+                f"{type(self).__name__} implements neither bounds_over nor "
+                f"window_bounds")
+        return lambda prefix: self.bounds_over(prefix, rest, rest_from,
+                                               horizon)
 
     def eval_soft(self, x: PointSpec, horizon: int = DEFAULT_HORIZON) -> ValueBounds:
         """Value of f at x, soft verdicts allowed (see module docstring)."""
@@ -247,19 +282,22 @@ class Cylinder(TailFunction):
         top = self.depth if limit is None else min(self.depth, limit)
         return {i: rest.coordinate(i) for i in range(start, top + 1)}
 
-    def bounds_over(self, prefix, rest=None, rest_from=None,
-                    horizon=DEFAULT_HORIZON) -> ValueBounds:
-        m = len(prefix)
-        if m >= self.depth:
-            return ValueBounds.point(self.value_at_prefix(prefix))
-        head, block, start = tuple(prefix), (), m
-        if rest is not None:
-            # the pinned block is key[start:top]: it begins right after the
-            # prefix, or later when a free window separates the two
-            start = m if rest_from is None else max(rest_from - 1, m)
-            block = tuple(self.pinned_coordinates(
-                rest, start + 1, horizon).values())
-            if len(block) == self.depth - m:
+    def window_bounds(self, rest, rest_from, horizon=DEFAULT_HORIZON):
+        # the pinned block is key[start:top], read from rest once; rows are
+        # matched on it once, on the first prefix that needs a scan
+        start = rest_from - 1
+        block = () if rest is None else tuple(self.pinned_coordinates(
+            rest, rest_from, horizon).values())
+        top = start + len(block)
+        rows = None
+
+        def bounds(prefix) -> ValueBounds:
+            nonlocal rows
+            m = len(prefix)
+            if m >= self.depth:
+                return ValueBounds.point(self.value_at_prefix(prefix))
+            head = tuple(prefix)
+            if m == start and top == self.depth:
                 # every coordinate past the prefix is read: one lookup
                 value = self.table.get(head + block)
                 if value is None:
@@ -267,22 +305,25 @@ class Cylinder(TailFunction):
                         f"no cylinder table entry is consistent with "
                         f"prefix {prefix!r}")
                 return ValueBounds(value, value)
-        top = start + len(block)
-        lo = hi = None  # (scaled value, key) of the extreme rows
-        for key, v in self._scaled_table[1].items():
-            if key[:m] != head or key[start:top] != block:
-                continue
+            if rows is None:
+                rows = [(key, v) for key, v in self._scaled_table[1].items()
+                        if key[start:top] == block]
+            lo = hi = None  # (scaled value, key) of the extreme rows
+            for key, v in rows:
+                if key[:m] != head:
+                    continue
+                if lo is None:
+                    lo = hi = (v, key)
+                elif v < lo[0]:
+                    lo = (v, key)
+                elif v > hi[0]:
+                    hi = (v, key)
             if lo is None:
-                lo = hi = (v, key)
-            elif v < lo[0]:
-                lo = (v, key)
-            elif v > hi[0]:
-                hi = (v, key)
-        if lo is None:
-            raise ValidationError(
-                f"no cylinder table entry is consistent with prefix {prefix!r}"
-            )
-        return ValueBounds(self.table[lo[1]], self.table[hi[1]])
+                raise ValidationError(
+                    f"no cylinder table entry is consistent with prefix "
+                    f"{prefix!r}")
+            return ValueBounds(self.table[lo[1]], self.table[hi[1]])
+        return bounds
 
 
 def cylinder_sum(f: Cylinder, g: Cylinder) -> Cylinder:
@@ -417,19 +458,20 @@ class DiscountedSum(TailFunction):
                       * self.weights.periodic_tail_sum(first, period))
         return exact, exact
 
-    def bounds_over(self, prefix, rest=None, rest_from=None,
-                    horizon=DEFAULT_HORIZON) -> ValueBounds:
-        lo = hi = self._weighted_scores(1, prefix)
-        m = len(prefix)
+    def window_bounds(self, rest, rest_from, horizon=DEFAULT_HORIZON):
         if rest is None:
-            dlo, dhi = self._spread(self.weights.tail_sum(m))
-            return ValueBounds(lo + dlo, hi + dhi)
-        start = m + 1 if rest_from is None else max(rest_from, m + 1)
-        # free window between the prefix and the pinned rest
-        window_mass = self.weights.tail_sum(m) - self.weights.tail_sum(start - 1)
-        wlo, whi = self._spread(window_mass)
-        rlo, rhi = self._rest_bounds(rest, start, horizon)
-        return ValueBounds(lo + wlo + rlo, hi + whi + rhi)
+            rlo = rhi = rest_mass = F0
+        else:
+            rlo, rhi = self._rest_bounds(rest, rest_from, horizon)
+            rest_mass = self.weights.tail_sum(rest_from - 1)
+
+        def bounds(prefix) -> ValueBounds:
+            head = self._weighted_scores(1, prefix)
+            # the free window between the prefix and the pinned rest
+            wlo, whi = self._spread(
+                self.weights.tail_sum(len(prefix)) - rest_mass)
+            return ValueBounds(head + wlo + rlo, head + whi + rhi)
+        return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +485,8 @@ class ProductIndicator(TailFunction):
     spaces: SpaceFamily
     targets_head: tuple
     targets_tail: SymbolRule
+    #: targets of coordinates 1..len, grown on demand by `_targets_through`
+    _targets: tuple = field(init=False, repr=False, default=())
 
     family = "product_indicator"
     range_lo = F0
@@ -470,6 +514,18 @@ class ProductIndicator(TailFunction):
     def targets_stream(self) -> PeriodicStream:
         return self.targets_tail.stream(len(self.targets_head))
 
+    def _targets_through(self, n: int) -> tuple:
+        """The targets of coordinates 1..n (or more) as one tuple: prefix
+        checks become tuple comparisons and target reads index lookups."""
+        targets = self._targets
+        if len(targets) < n:
+            # grown geometrically, so a scan that asks for one more index
+            # per step rebuilds the tuple only logarithmically often
+            targets += tuple(self.target_at(i) for i in range(
+                len(targets) + 1, max(n, 2 * len(targets)) + 1))
+            object.__setattr__(self, "_targets", targets)
+        return targets
+
     def _tail_match(self, rest: PointSpec, start: int,
                     horizon: int) -> ValueBounds:
         """Enclosure of [every coordinate >= start of rest hits its target].
@@ -479,9 +535,10 @@ class ProductIndicator(TailFunction):
         `_unread_match`.
         """
         k = max(start - 1, self._read_depth(rest, horizon))
+        targets = self._targets_through(k)
         for i in range(start, k + 1):
-            if rest.coordinate(i) != self.target_at(i):
-                return ValueBounds.point(0)
+            if rest.coordinate(i) != targets[i - 1]:
+                return _ZERO
         stream = rest.eventual_stream()
         if stream is not None:
             hit = streams_eventually_equal(stream, self.targets_stream())
@@ -508,27 +565,31 @@ class ProductIndicator(TailFunction):
         measure = root.measure
         eta = F0
         boundary = max(k, measure.head_len)
+        targets = self._targets_through(boundary)
         for i in range(k + 1, boundary + 1):
-            eta += 1 - measure.coordinate_measure(i).weight_of(self.target_at(i))
+            eta += 1 - measure.coordinate_measure(i).weight_of(targets[i - 1])
         eta += measure.tail.disagreement_bound(
             self.targets_stream(), boundary, measure.head_len)
         return ValueBounds(F1, F1, min(eta, F1))
 
-    def bounds_over(self, prefix, rest=None, rest_from=None,
-                    horizon=DEFAULT_HORIZON) -> ValueBounds:
-        m = len(prefix)
-        for i, sym in enumerate(prefix, start=1):
-            if sym != self.target_at(i):
-                return ValueBounds.point(0)
-        if rest is None:
-            deviation = self.spaces.any_alternatives_beyond(m)
-            return ValueBounds(F0 if deviation else F1, F1)
-        start = m + 1 if rest_from is None else max(rest_from, m + 1)
-        free_deviation = any(
-            self.spaces.space_at(i).size >= 2 for i in range(m + 1, start))
-        match = self._tail_match(rest, start, horizon)
-        if match.hi == 0:
-            return match
-        if free_deviation:
+    def window_bounds(self, rest, rest_from, horizon=DEFAULT_HORIZON):
+        targets = self._targets_through(rest_from - 1)
+        # the last coordinate before the rest with a symbol off its target
+        last_free = next((i for i in range(rest_from - 1, 0, -1)
+                          if self.spaces.space_at(i).size >= 2), 0)
+        match = None  # the rest is read once, for the first matching prefix
+
+        def bounds(prefix) -> ValueBounds:
+            nonlocal match
+            m = len(prefix)
+            if tuple(prefix) != targets[:m]:
+                return _ZERO
+            if rest is None:
+                deviation = self.spaces.any_alternatives_beyond(m)
+                return ValueBounds(F0 if deviation else F1, F1)
+            if match is None:
+                match = self._tail_match(rest, rest_from, horizon)
+            if match.hi == 0 or last_free <= m:
+                return match
             return ValueBounds(F0, F1)
-        return match
+        return bounds

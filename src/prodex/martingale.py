@@ -162,8 +162,9 @@ def _indicator_steps(f: ProductIndicator, sigma: ProductMeasure, x: PointSpec,
     """
     h = _indicator_horizon(x, horizon)
     depth = f._read_depth(x, h)
+    target = f._targets_through(depth)
     last_miss = next((i for i in range(depth, 0, -1)
-                      if x.coordinate(i) != f.target_at(i)), 0)
+                      if x.coordinate(i) != target[i - 1]), 0)
     stream = x.eventual_stream()
     hits_eventually = (stream is None
                        or streams_eventually_equal(stream, f.targets_stream()))
@@ -181,7 +182,8 @@ def _indicator_steps(f: ProductIndicator, sigma: ProductMeasure, x: PointSpec,
             else:
                 yield tail.scaled(product)
         if product != 0:
-            product *= sigma.coordinate_measure(n).weight_of(f.target_at(n))
+            product *= sigma.coordinate_measure(n).weight_of(
+                f._targets_through(n)[n - 1])
 
 
 def _scan(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,

@@ -619,12 +619,17 @@ class LazyPoint(PointSpec):
         return sym
 
 
+_UNSET = object()
+
+
 @dataclass(frozen=True, eq=False)
 class ModifiedPoint(PointSpec):
     """A base point with finitely many coordinates overridden."""
 
     base: PointSpec
     overrides: tuple  # sorted ((index, symbol), ...)
+    #: the overrides as {index: symbol}, for one lookup per coordinate
+    _by_index: dict = field(init=False, repr=False)
 
     kind = "modified"
 
@@ -632,12 +637,11 @@ class ModifiedPoint(PointSpec):
         idxs = [i for i, _ in self.overrides]
         if idxs != sorted(set(idxs)):
             raise ValidationError("overrides must be sorted and unique by index")
+        object.__setattr__(self, "_by_index", dict(self.overrides))
 
     def coordinate(self, i: int):
-        for idx, sym in self.overrides:
-            if idx == i:
-                return sym
-        return self.base.coordinate(i)
+        sym = self._by_index.get(i, _UNSET)
+        return self.base.coordinate(i) if sym is _UNSET else sym
 
     def eventual_stream(self) -> Optional[PeriodicStream]:
         inner = self.base.eventual_stream()

@@ -70,6 +70,9 @@ class Interval:
 
     @property
     def midpoint(self) -> Fraction:
+        # a point enclosure is its own midpoint: no sum over long rationals
+        if self.lo == self.hi:
+            return self.lo
         return (self.lo + self.hi) / 2
 
     @property

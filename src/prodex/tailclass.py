@@ -5,7 +5,10 @@ class, so the span of f over depth-m modifications is an inner estimate
 of the class hull.  `hull_estimate` spans them by one route, a
 bound-guided search that builds a concrete witness for each endpoint;
 for the built-in families, whose window bounds are attained, it returns
-the exact span over all modifications.  When that span straddles a target value r, walking
+the exact span over all modifications.  A witness costs m * |space|
+queries of one window over the base point, which reads the point past
+m once, plus one evaluation of the witness: O(m * |space| + horizon)
+coordinate reads.  When that span straddles a target value r, walking
 from the low witness to the high witness one coordinate at a time must
 cross r between two adjacent points that differ in a single coordinate;
 mixing those two symbols with the right weight hits r exactly.  This is
@@ -134,7 +137,9 @@ def hull_estimate(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
 
     One bound-guided witness per endpoint (`_guided_witness`), at a cost
     of |space| window bounds per coordinate instead of a product over all
-    |space|**m modifications.  Each endpoint is the value of its witness,
+    |space|**m modifications; the bounds of one witness share one window
+    over x, so x is read past m once per witness, not once per
+    candidate.  Each endpoint is the value of its witness,
     so the span is inner; for the built-in families it is the exact span,
     because their window bounds are attained and the search never leaves
     an optimal completion.
@@ -155,20 +160,22 @@ def _guided_witness(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
 
     At coordinate i the symbol optimizing the enclosure of f over
     (chosen prefix, free window to m, base point beyond) is kept; ties
-    prefer the base point's own symbol, then space order.
+    prefer the base point's own symbol, then space order.  Every
+    enclosure comes from one window over x from m + 1 on, so the search
+    reads x past m once, not once per candidate.
     """
-    prefix = []
+    window = f.window_bounds(x, m + 1, horizon)
+    prefix = ()
     for i in range(1, m + 1):
         own = x.coordinate(i)
         symbols = [own] + [s for s in spaces.space_at(i).symbols if s != own]
         best_sym, best_score = None, None
         for s in symbols:
-            vb = f.bounds_over(tuple(prefix) + (s,), rest=x, rest_from=m + 1,
-                               horizon=horizon)
+            vb = window(prefix + (s,))
             score = vb.hi if maximize else -vb.lo
             if best_score is None or score > best_score:
                 best_sym, best_score = s, score
-        prefix.append(best_sym)
+        prefix += (best_sym,)
     witness = modify_point(x, dict(enumerate(prefix, start=1)))
     vb = _determined_value(f, witness, horizon)
     return witness, vb.midpoint, vb.eta
@@ -206,6 +213,8 @@ def construct_weak_zero(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
     eta = F0
     for k in range(1, n + 2):
         zk = splice_prefix(x, y, k)
+        # each z_k is evaluated on its own: its read limit covers its own
+        # modifications, which a window over x would not
         vb = _determined_value(f, zk, horizon)
         points.append(zk)
         values.append(vb.midpoint)

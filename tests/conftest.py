@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from prodex.engine import _assignment, _switch_index
@@ -21,6 +21,7 @@ from prodex.functions import (
     DiscountedSum,
     GeometricWeights,
     ProductIndicator,
+    ValueBounds,
 )
 from prodex.model import (
     ConstantMeasureTail,
@@ -34,9 +35,11 @@ from prodex.model import (
     PeriodicSymbols,
     ProductMeasure,
     SpaceFamily,
+    _root_of,
     dirac_measure,
     formula_tail,
     modify_point,
+    streams_eventually_equal,
     uniform_measure,
 )
 from prodex.seeds import unit_fraction
@@ -197,6 +200,66 @@ def reference_cylinder_bounds(f: Cylinder, prefix, rest=None, rest_from=None,
     return min(values), max(values)
 
 
+def reference_bounds_over(f, prefix, rest=None, rest_from=None,
+                          horizon=DEFAULT_HORIZON) -> ValueBounds:
+    """Independent oracle: `bounds_over` of a built-in family, computed
+    from scratch for this one prefix: the prefix checked one target at a
+    time, the rest read anew, the head summed as a running Fraction and
+    a cylinder by `reference_cylinder_bounds`."""
+    m = len(prefix)
+    start = m + 1 if rest_from is None else max(rest_from, m + 1)
+    if isinstance(f, Cylinder):
+        return ValueBounds(*reference_cylinder_bounds(f, prefix, rest,
+                                                      rest_from, horizon))
+    if isinstance(f, DiscountedSum):
+        lo = hi = reference_weighted_scores(f, 1, prefix)
+        if rest is None:
+            dlo, dhi = f._spread(f.weights.tail_sum(m))
+            return ValueBounds(lo + dlo, hi + dhi)
+        window_mass = f.weights.tail_sum(m) - f.weights.tail_sum(start - 1)
+        wlo, whi = f._spread(window_mass)
+        rlo, rhi = f._rest_bounds(rest, start, horizon)
+        return ValueBounds(lo + wlo + rlo, hi + whi + rhi)
+    assert isinstance(f, ProductIndicator)
+    for i, sym in enumerate(prefix, start=1):
+        if sym != f.target_at(i):
+            return ValueBounds.point(0)
+    if rest is None:
+        deviation = f.spaces.any_alternatives_beyond(m)
+        return ValueBounds(F(0) if deviation else F(1), F(1))
+    free_deviation = any(
+        f.spaces.space_at(i).size >= 2 for i in range(m + 1, start))
+    match = _reference_tail_match(f, rest, start, horizon)
+    if match.hi == 0:
+        return match
+    if free_deviation:
+        return ValueBounds(F(0), F(1))
+    return match
+
+
+def _reference_tail_match(f: ProductIndicator, rest, start, horizon):
+    """[every coordinate >= start of rest hits its target], reading each
+    coordinate and each target one by one up to the read depth."""
+    k = max(start - 1, f._read_depth(rest, horizon))
+    for i in range(start, k + 1):
+        if rest.coordinate(i) != f.target_at(i):
+            return ValueBounds.point(0)
+    stream = rest.eventual_stream()
+    if stream is not None:
+        hit = streams_eventually_equal(stream, f.targets_stream())
+        return ValueBounds.point(1 if hit else 0)
+    root = _root_of(rest)[0]
+    if not isinstance(root, LazyPoint):
+        return ValueBounds(F(0), F(1))
+    measure, eta = root.measure, F(0)
+    boundary = max(k, measure.head_len)
+    for i in range(k + 1, boundary + 1):
+        eta += 1 - measure.coordinate_measure(i).weight_of(f.target_at(i))
+    eta += measure.tail.disagreement_bound(
+        f.targets_stream(), boundary, measure.head_len)
+    return ValueBounds(F(1), F(1), min(eta, F(1)))
+
+
 def reference_coordinate(x: LazyPoint, i: int):
     """Independent oracle: coordinate i of a lazy point, by inverting the
     Fraction CDF of its measure at the dyadic draw k / 2**64."""
@@ -339,6 +402,12 @@ def table_measures(draw, symbols, index):
 TABLE_VALUES = (st.builds(F, st.integers(-60, 60),
                           st.sampled_from([1, 2, 3, 7, 10, 100, 2**53]))
                 | st.floats(-4, 4).map(F))
+
+
+#: phases of the properties over `table_walk_setups`: shrinking their
+#: tables of long rationals can take minutes, so a failure is reported
+#: as first found
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 @st.composite

@@ -36,6 +36,7 @@ from prodex.model import (
 from prodex.seeds import unit_fraction
 
 from conftest import (
+    NO_SHRINK,
     all_ones_point,
     binary_spaces,
     discounted_sums,
@@ -492,13 +493,13 @@ def assert_sum_matches_reference(f, mu, horizon=None):
 
 class TestIntegerTableSum:
     @given(setup=table_walk_setups())
-    @settings(max_examples=40)
+    @settings(max_examples=40, phases=NO_SHRINK)
     def test_product_measure(self, setup):
         sigma, f = setup
         assert_sum_matches_reference(f, sigma)
 
     @given(data=st.data())
-    @settings(max_examples=40)
+    @settings(max_examples=40, phases=NO_SHRINK)
     def test_every_switch_index(self, data):
         sigma, f = data.draw(table_walk_setups())
         arity = len(sigma.spaces.space_at(1).symbols)
@@ -512,7 +513,7 @@ class TestIntegerTableSum:
                     horizon)
 
     @given(data=st.data())
-    @settings(max_examples=40)
+    @settings(max_examples=40, phases=NO_SHRINK)
     def test_dirac_head_assignments(self, data):
         sigma, f = data.draw(table_walk_setups())
         arity = len(sigma.spaces.space_at(1).symbols)
@@ -529,7 +530,7 @@ class TestIntegerTableSum:
                                          horizon)
 
     @given(data=st.data())
-    @settings(max_examples=40)
+    @settings(max_examples=40, phases=NO_SHRINK)
     def test_partial_tables(self, data):
         sigma, f = data.draw(table_walk_setups())
         keep = data.draw(st.lists(st.booleans(), min_size=len(f.table),

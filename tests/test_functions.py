@@ -14,6 +14,8 @@ from prodex.functions import (
     DiscountedSum,
     GeometricWeights,
     ProductIndicator,
+    TailFunction,
+    ValueBounds,
     cylinder_sum,
     eval_function,
 )
@@ -25,13 +27,19 @@ from prodex.model import (
 )
 
 from conftest import (
+    NO_SHRINK,
     all_ones_point,
     all_zeros_point,
     binary_spaces,
+    cylinders,
+    discounted_sums,
     discounted_unit,
     geometric_sigma,
     indicator_all_ones,
     mix_cylinder,
+    product_indicators,
+    product_measures,
+    reference_bounds_over,
     reference_cylinder_bounds,
     reference_weighted_scores,
     table_walk_setups,
@@ -270,7 +278,7 @@ class TestIntegerBoundsOver:
     scan of the original table is the oracle."""
 
     @given(data=st.data())
-    @settings(max_examples=40)
+    @settings(max_examples=40, phases=NO_SHRINK)
     def test_matches_the_fraction_row_scan(self, data):
         sigma, f = data.draw(table_walk_setups())
         arity = len(sigma.spaces.space_at(1).symbols)
@@ -297,3 +305,85 @@ class TestIntegerBoundsOver:
         vb = f.bounds_over((0,), rest=ones, rest_from=3)
         assert (vb.lo, vb.hi) == (F(100, 3), F(110, 3))
         assert vb.lo is f.table[(0, 0, 1)] and vb.hi is f.table[(0, 1, 1)]
+
+
+def assert_window_matches_reference(f, rest, rest_from, horizon, prefixes):
+    window = f.window_bounds(rest, rest_from, horizon)
+    for prefix in prefixes:
+        try:
+            expected = reference_bounds_over(f, prefix, rest, rest_from,
+                                             horizon)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                window(prefix)
+            continue
+        vb = window(prefix)
+        assert (vb.lo, vb.hi, vb.eta) == (expected.lo, expected.hi,
+                                          expected.eta)
+
+
+def check_windows(data, f, sigma, depth, word):
+    """Every rest (none, lazy, described, modified) and every rest_from
+    1..depth+2 at one horizon in 0..depth+2: one window serves every cut
+    of `word` shorter than rest_from, longest first, so what a window
+    keeps from one prefix is checked on the others."""
+    horizon = data.draw(st.integers(0, depth + 2), label="horizon")
+    for rest in [None, *data.draw(tail_points(sigma, 2))]:
+        for rest_from in range(1, depth + 3):
+            assert_window_matches_reference(
+                f, rest, rest_from, horizon,
+                [word[:m] for m in reversed(range(rest_from))])
+
+
+def binary_word(data, length):
+    return tuple(data.draw(st.lists(st.integers(0, 1), min_size=length,
+                                    max_size=length), label="word"))
+
+
+class TestWindowBounds:
+    """`window_bounds` against `reference_bounds_over`, the per-prefix
+    computation it replaces."""
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_cylinder_windows(self, data):
+        f = data.draw(cylinders())
+        if data.draw(st.booleans()):  # a partial table: some prefixes miss
+            keep = data.draw(st.lists(st.booleans(), min_size=len(f.table),
+                                      max_size=len(f.table)).filter(any))
+            f = Cylinder(f.depth, {k: v for (k, v), kept
+                                   in zip(f.table.items(), keep) if kept})
+        check_windows(data, f, data.draw(product_measures()), f.depth,
+                      binary_word(data, f.depth + 2))
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_discounted_windows(self, data):
+        check_windows(data, data.draw(discounted_sums()),
+                      data.draw(product_measures()), 6, binary_word(data, 8))
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_indicator_windows(self, data):
+        f = data.draw(product_indicators())
+        # the targets with a few symbols flipped, so that prefixes match
+        flips = data.draw(st.sets(st.integers(1, 8), max_size=2))
+        word = tuple(1 - f.target_at(i) if i in flips else f.target_at(i)
+                     for i in range(1, 9))
+        check_windows(data, f, data.draw(product_measures()), 6, word)
+
+    def test_default_window_calls_bounds_over(self):
+        class Halved(TailFunction):
+            range_lo, range_hi = F(0), F(1, 2)
+
+            def bounds_over(self, prefix, rest=None, rest_from=None,
+                            horizon=64):
+                return ValueBounds.point(F(len(prefix), 2 * rest_from))
+
+        window = Halved().window_bounds(all_ones_point(), 5, horizon=3)
+        assert [window((1,) * m).lo for m in range(5)] == \
+            [F(m, 10) for m in range(5)]
+
+    def test_a_function_needs_bounds_over_or_window_bounds(self):
+        with pytest.raises(NotImplementedError):
+            TailFunction().bounds_over((), all_ones_point(), 1)

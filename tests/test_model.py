@@ -18,6 +18,7 @@ from prodex.model import (
     HybridMeasure,
     LazyPoint,
     MeasureAssignment,
+    ModifiedPoint,
     PeriodicMeasuresTail,
     PeriodicSymbols,
     ProductMeasure,
@@ -257,6 +258,29 @@ class TestPoints:
         assert point_coordinate(y, 3) != point_coordinate(x, 3)
         for i in (1, 2, 4, 5, 20):
             assert point_coordinate(y, i) == point_coordinate(x, i)
+
+    @given(seed=st.integers(0, 2**32),
+           layers=st.lists(st.dictionaries(st.integers(1, 30),
+                                           st.sampled_from([0, 1, "a"]),
+                                           min_size=1, max_size=8),
+                           min_size=1, max_size=3))
+    @settings(max_examples=40)
+    def test_modified_coordinate_matches_override_scan(self, seed, layers):
+        # oracle: the first override naming i in each layer's sorted
+        # tuple, else the layer below
+        def scanned(p, i):
+            while isinstance(p, ModifiedPoint):
+                hit = [sym for idx, sym in p.overrides if idx == i]
+                if hit:
+                    return hit[0]
+                p = p.base
+            return p.coordinate(i)
+
+        x = LazyPoint(seed, uniform_sigma())
+        for overrides in layers:
+            x = ModifiedPoint(x, tuple(sorted(overrides.items())))
+        for i in range(1, 33):
+            assert x.coordinate(i) == scanned(x, i)
 
     def test_splice_prefix(self):
         x = all_ones_point()

@@ -1,5 +1,7 @@
 """Hull estimation, class certification, weak-zero certificates."""
 
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from prodex.model import (
     modify_point,
     point_coordinate,
 )
+from prodex import tailclass
 from prodex.tailclass import (
     UNDETERMINED,
     Z0_CERTIFIED,
@@ -47,6 +50,17 @@ from conftest import (
 
 F = Fraction
 TOL = F(1, 10**9)
+
+
+@dataclass(frozen=True, eq=False)
+class CountingPoint(LazyPoint):
+    """A lazily sampled point that counts the reads of each coordinate."""
+
+    reads: Counter = field(default_factory=Counter, repr=False)
+
+    def coordinate(self, i):
+        self.reads[i] += 1
+        return super().coordinate(i)
 
 
 class TestHullEstimate:
@@ -128,6 +142,31 @@ class TestHullEstimate:
             assert f.eval_soft(witness, horizon=horizon).midpoint == value
             for i in range(m + 1, m + 16):
                 assert point_coordinate(witness, i) == point_coordinate(x, i)
+
+    @pytest.mark.parametrize("f", [indicator_all_ones(), discounted_unit(),
+                                   mix_cylinder()],
+                             ids=["indicator", "discounted", "cylinder"])
+    @pytest.mark.parametrize("m", [1, 5, 12])
+    def test_one_witness_reads_the_base_past_m_once(self, f, m, monkeypatch):
+        # the search reads each coordinate of x past m at most once, however
+        # many candidates it bounds; the witness's own value reads it again
+        x = CountingPoint(7, geometric_sigma())
+        searched = {}
+
+        def snapshot(f, witness, horizon):
+            searched.update(x.reads)
+            return determined(f, witness, horizon)
+
+        determined = tailclass._determined_value
+        monkeypatch.setattr(tailclass, "_determined_value", snapshot)
+        for maximize in (False, True):
+            x.reads.clear()
+            searched.clear()
+            tailclass._guided_witness(f, x, m, binary_spaces(), 64, maximize)
+            past_m = [i for i in x.reads if i > m]
+            assert all(searched.get(i, 0) <= 1 for i in past_m)
+            assert all(x.reads[i] <= 2 for i in past_m)
+            assert all(searched[i] == 1 for i in range(1, m + 1))
 
     def test_horizon_is_keyword_only(self):
         # a stale call passing an enumeration budget positionally must
