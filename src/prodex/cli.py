@@ -424,28 +424,40 @@ def run_scenario(path: str, command: str, args) -> int:
     return code
 
 
-def _count(text: str) -> int:
-    """argparse type for sample, index, depth and retry counts."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _ranged(convert, noun: str, admits, bound: str):
+    """argparse type: `convert` the text and keep the values `admits`
+    accepts, so an out-of-range flag exits 2 at parse time."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"invalid {noun} {text!r}") from None
+        if not admits(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    return parse
+
+
+#: sample, index, depth and retry counts; then the ranges that scenario
+#: `defaults` and seeds are held to
+_count = _ranged(int, "count", lambda v: v >= 1, ">= 1")
+_horizon = _ranged(int, "horizon", lambda v: v >= 0, ">= 0")
+_seed = _ranged(int, "seed", lambda v: 0 <= v < 2**64, "in [0, 2**64)")
+_tol = _ranged(Fraction, "tolerance", lambda v: v > 0, "> 0")
+_epsilon = _ranged(Fraction, "epsilon", lambda v: v >= 0, ">= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_seed, default=0,
                         help="64-bit master seed (default 0)")
-    common.add_argument("--tol", type=Fraction, default=Fraction(1, 10**9),
+    common.add_argument("--tol", type=_tol, default=Fraction(1, 10**9),
                         help="certification tolerance (default 1e-9)")
     common.add_argument("--report-dir", default=None,
                         help="write text + machine reports into this directory")
     common.add_argument("--report", choices=("text", "machine"), default="text",
                         help="stdout format (default text)")
-    common.add_argument("--horizon", type=int, default=None,
+    common.add_argument("--horizon", type=_horizon, default=None,
                         help="realization horizon for lazy points")
 
     parser = argparse.ArgumentParser(
@@ -470,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="smallest certified strong-approximation index")
     p.add_argument("scenario")
     p.add_argument("--point", default="lazy")
-    p.add_argument("--epsilon", type=Fraction, default=None)
+    p.add_argument("--epsilon", type=_epsilon, default=None)
     p.add_argument("--n-max", dest="n_max", type=_count, default=None)
 
     p = sub.add_parser("weak-approx", parents=[common],
@@ -484,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-strong", parents=[common],
                        help="Monte Carlo campaign for strong approximations")
     p.add_argument("scenario")
-    p.add_argument("--epsilon", type=Fraction, default=None)
+    p.add_argument("--epsilon", type=_epsilon, default=None)
     p.add_argument("--n-max", dest="n_max", type=_count, default=None)
     p.add_argument("--samples", type=_count, default=None)
 
@@ -498,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="minmax evaluation, purification, naming demo")
     p.add_argument("scenario")
     p.add_argument("verb", choices=("value", "purify", "naming-demo"))
-    p.add_argument("--epsilon", type=Fraction, default=None)
+    p.add_argument("--epsilon", type=_epsilon, default=None)
     p.add_argument("--n-max", dest="n_max", type=_count, default=None)
     p.add_argument("--samples", type=_count, default=None)
     p.add_argument("--retries", type=_count, default=DEFAULT_PURIFY_RETRIES)

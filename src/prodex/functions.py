@@ -24,13 +24,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import ValidationError
+from .errors import UnsupportedTailError, ValidationError
 from .model import (
+    DiracAssignment,
+    HybridMeasure,
     LazyPoint,
     PeriodicStream,
     PointSpec,
+    ProductMeasure,
     SpaceFamily,
     SymbolRule,
     _root_of,
@@ -40,6 +43,8 @@ from .numeric import F0, F1, Interval, Rational, as_fraction
 
 #: default bound on how deep a lazily sampled point may be realized
 DEFAULT_HORIZON = 64
+
+Measure = Union[ProductMeasure, HybridMeasure]
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,12 @@ class TailFunction:
     """A bounded function with certified cylinder enclosures.
 
     A subclass implements `bounds_over` or `window_bounds`; each one's
-    default is built from the other.
+    default is built from the other, and with them alone E[f] and every
+    g_n are enclosed on the generic prefix tree.  A family opts into
+    faster routes through three hooks, each with a default: its exact
+    oracle (`expectation`), its g_n steps (`martingale_steps`) and how
+    far it reads a pinned point (`read_horizon`).  An oracle or a step
+    must enclose what the tree would.
     """
 
     family = "abstract"
@@ -166,6 +176,25 @@ class TailFunction:
     def eval_soft(self, x: PointSpec, horizon: int = DEFAULT_HORIZON) -> ValueBounds:
         """Value of f at x, soft verdicts allowed (see module docstring)."""
         return self.bounds_over((), rest=x, rest_from=1, horizon=horizon)
+
+    def expectation(self, mu: Measure,
+                    horizon: Optional[int]) -> Optional[ValueBounds]:
+        """Exact enclosure of E_mu[f] on a product or hybrid measure (read
+        through `mu.switch_index` and `mu.assignment_at(i)`), or None for
+        the prefix tree; UnsupportedTailError also sends it to the tree."""
+        return None
+
+    def martingale_steps(self, sigma: ProductMeasure, x: PointSpec,
+                         horizon: Optional[int]) -> Optional[Iterator[ValueBounds]]:
+        """Enclosures of g_1(x), g_2(x), ..., each equal to `g_n`'s, or None
+        to evaluate each g_n on its own.  An index the steps cannot
+        settle raises what `g_n` would raise, at that index."""
+        return None
+
+    def read_horizon(self, point: PointSpec, horizon: Optional[int]) -> int:
+        """How far a lazily sampled pinned `point` is read: the explicit
+        horizon, else DEFAULT_HORIZON."""
+        return DEFAULT_HORIZON if horizon is None else horizon
 
 
 def eval_function(f: TailFunction, x: PointSpec,
@@ -325,6 +354,88 @@ class Cylinder(TailFunction):
             return ValueBounds(self.table[lo[1]], self.table[hi[1]])
         return bounds
 
+    def expectation(self, mu, horizon):
+        """E_mu[f] as an exact sum over the rows of the table.
+
+        The first k = min(switch - 1, depth) coordinates are integrated
+        out; the coordinates after them are the pinned point's, and the
+        table is matched on them as `pinned_coordinates` reads them.  Rows
+        that disagree with a read symbol drop out, the rest are grouped by
+        their first k symbols, and each group adds weight(prefix) x
+        [min, max] of its values.  The walk runs in integers: values over
+        the table's common denominator V (`_scaled_table`), the weights of
+        coordinate i over theirs, D_i (`CoordinateMeasure._scaled_weights`),
+        so a prefix weight is a product of numerators over prod D_i and
+        each end of the enclosure becomes one Fraction over V * prod D_i,
+        in O(|table| * depth) integer operations.  Raises ValidationError
+        naming the shortest prefix of positive mass that no row covers;
+        zero-mass gaps are legal.
+        """
+        switch = mu.switch_index
+        k = self.depth if switch is None else min(switch - 1, self.depth)
+        pins = {}
+        if k < self.depth:
+            # k + 1 is the switch index: the pinned point starts there
+            rest = mu.tail_point
+            pins = self.pinned_coordinates(rest, k + 1,
+                                           self.read_horizon(rest, horizon))
+        # the pins are the coordinates k+1..top: a row keeps key[k:top] == block
+        block = tuple(pins.values())
+        top = k + len(block)
+        den, rows = self._scaled_table
+        groups = {}
+        for key, v in rows.items():
+            if key[k:top] != block:
+                continue
+            prefix = key[:k]
+            seen = groups.get(prefix)
+            if seen is None:
+                groups[prefix] = (v, v)
+            elif v < seen[0]:
+                groups[prefix] = (v, seen[1])
+            elif v > seen[1]:
+                groups[prefix] = (seen[0], v)
+
+        # weights[i-1] maps the symbols of coordinate i to integer weights;
+        # full coverage means covered == mass, both over prod D_i
+        weights, mass = [], 1
+        for i in range(1, k + 1):
+            a = mu.assignment_at(i)
+            if isinstance(a, DiracAssignment):
+                weights.append({a.point.coordinate(i): 1})
+            else:
+                d, nums = a.measure._scaled_weights
+                weights.append(nums)
+                mass *= sum(nums.values())
+                den *= d
+        memo = {(): 1}  # prefix weights: a shared prefix is multiplied once
+        lo = hi = covered = 0
+        for prefix, (vlo, vhi) in groups.items():
+            known = len(prefix)
+            while prefix[:known] not in memo:
+                known -= 1
+            w = memo[prefix[:known]]
+            for j in range(known, len(prefix)):
+                if w:
+                    w *= weights[j].get(prefix[j], 0)
+                memo[prefix[:j + 1]] = w
+            if w:
+                covered += w
+                lo += w * vlo
+                hi += w * vhi
+        if covered != mass:
+            # memo keys are the groups' prefixes: find the shortest gap
+            reached, level = (memo if groups else {}), [()]
+            while all(p in reached for p in level):
+                level = [p + (sym,) for p in level
+                         for sym, w in weights[len(p)].items() if w]
+            missing = next(p for p in level if p not in reached)
+            where = f" that agrees with the point at {pins}" if pins else ""
+            raise ValidationError(f"cylinder table has no row for prefix "
+                                  f"{missing!r} of positive mass{where}")
+        lo_f = Fraction(lo, den)
+        return ValueBounds(lo_f, lo_f if hi == lo else Fraction(hi, den))
+
 
 def cylinder_sum(f: Cylinder, g: Cylinder) -> Cylinder:
     """Pointwise sum of two cylinder functions of equal depth."""
@@ -473,6 +584,56 @@ class DiscountedSum(TailFunction):
             return ValueBounds(head + wlo + rlo, head + whi + rhi)
         return bounds
 
+    def expectation(self, mu, horizon):
+        """E_mu[f] = sum_i w_i E_i[score], coordinate by coordinate; the
+        tail is the tail rule's closed form, or a hybrid's pinned point
+        summed as a pinned rest (`_rest_bounds`).  Raises
+        UnsupportedTailError when the tail rule has no closed form."""
+        switch = mu.switch_index
+        boundary = mu.head_len if switch is None else switch - 1
+        head = F0
+        for i in range(1, boundary + 1):
+            a = mu.assignment_at(i)
+            w = self.weights.weight_at(i)
+            if isinstance(a, DiracAssignment):
+                head += w * self.score_of(a.point.coordinate(i))
+            else:
+                head += w * a.measure.mean_score(self.score_of)
+        if switch is None:
+            tail = mu.tail.mean_tail_sum(
+                self.weights.coef, self.weights.ratio, self.score_of, boundary,
+                mu.head_len, mu.spaces.space_at(boundary + 1))
+            lo, hi = tail.lo, tail.hi
+        else:
+            rest = mu.tail_point
+            lo, hi = self._rest_bounds(rest, switch,
+                                       self.read_horizon(rest, horizon))
+        return ValueBounds(head + lo, head + hi)
+
+    def martingale_steps(self, sigma, x, horizon):
+        """Oracle enclosures of g_1(x), g_2(x), ...
+
+        g_1 is f at x.  Each step integrates coordinate n out:
+        g_{n+1} = g_n + w_n * (E_{sigma_n}[score] - v_n), where v_n is
+        score(x_n) while x_n is read, and the score bounds once n is past
+        the read limit of a lazily sampled point (its spread then shrinks
+        by w_n).  A scan to n_max costs O(n_max + horizon) exact operations.
+        """
+        h = self.read_horizon(x, horizon)
+        read = None if x.eventual_stream() is not None else _explicit_limit(x, h)
+        lo, hi = self._rest_bounds(x, 1, h)
+        w, ratio = self.weights.weight_at(1), self.weights.ratio
+        for n in itertools.count(1):
+            yield ValueBounds(lo, hi)
+            mean = sigma.coordinate_measure(n).mean_score(self.score_of)
+            if read is None or n <= read:
+                step = w * (mean - self.score_of(x.coordinate(n)))
+                lo, hi = lo + step, hi + step
+            else:
+                lo += w * (mean - self.score_min)
+                hi += w * (mean - self.score_max)
+            w *= ratio
+
 
 # ---------------------------------------------------------------------------
 # Product indicators
@@ -557,7 +718,8 @@ class ProductIndicator(TailFunction):
         """Enclosure of [every coordinate > k of rest hits its target].
 
         A lazily sampled rest gives 1 with eta bounding P(an unread
-        coordinate misses); a user-defined rest, the hard interval [0, 1].
+        coordinate misses); a user-defined rest, or a lazy one whose
+        sampling tail has no disagreement bound, the hard interval [0, 1].
         """
         root = _root_of(rest)[0]
         if not isinstance(root, LazyPoint):
@@ -568,9 +730,85 @@ class ProductIndicator(TailFunction):
         targets = self._targets_through(boundary)
         for i in range(k + 1, boundary + 1):
             eta += 1 - measure.coordinate_measure(i).weight_of(targets[i - 1])
-        eta += measure.tail.disagreement_bound(
-            self.targets_stream(), boundary, measure.head_len)
+        try:
+            eta += measure.tail.disagreement_bound(
+                self.targets_stream(), boundary, measure.head_len)
+        except UnsupportedTailError:
+            return ValueBounds(F0, F1)
         return ValueBounds(F1, F1, min(eta, F1))
+
+    def read_horizon(self, point, horizon):
+        """The default horizon is raised to cover the head of a lazily
+        sampled root, so a miss among the head coordinates is read rather
+        than charged to eta.  Modified coordinates and the targets'
+        explicit prefix are always read (`_read_depth`)."""
+        root = _root_of(point)[0]
+        if horizon is None and isinstance(root, LazyPoint):
+            return max(DEFAULT_HORIZON, root.measure.head_len)
+        return super().read_horizon(point, horizon)
+
+    def expectation(self, mu, horizon):
+        """Closed-form E_mu[f].
+
+        Every head coordinate contributes its weight on the target symbol
+        (Dirac coordinates contribute exactly 0 or 1); the infinite tail
+        product is evaluated in closed form or enclosed to width below
+        1e-12, or is a hybrid's pinned point matched against the targets
+        (`_tail_match`).  Raises UnsupportedTailError when the measure
+        tail rule has no closed form.
+        """
+        targets = self.targets_stream()
+        switch = mu.switch_index
+        boundary = (max(mu.head_len, targets.start - 1) if switch is None
+                    else switch - 1)
+        product = F1
+        target = self._targets_through(boundary)
+        for i in range(1, boundary + 1):
+            a = mu.assignment_at(i)
+            if isinstance(a, DiracAssignment):
+                if a.point.coordinate(i) != target[i - 1]:
+                    return _ZERO
+            else:
+                product *= a.measure.weight_of(target[i - 1])
+                if product == 0:
+                    return _ZERO
+        if switch is None:
+            tail = mu.tail.indicator_tail_product(targets, boundary,
+                                                  mu.head_len)
+            return ValueBounds(product * tail.lo, product * tail.hi)
+        rest = mu.tail_point
+        return self._tail_match(rest, switch, self.read_horizon(
+            rest, horizon)).scaled(product)
+
+    def martingale_steps(self, sigma, x, horizon):
+        """Oracle enclosures of g_1(x), g_2(x), ...
+
+        g_n = prod_{i<n} sigma_i(target_i) when x hits every target from n
+        on, else 0.  Up to the read depth K that holds exactly when the
+        last mismatch in [1, K] lies below n; beyond K it rests on the
+        periodic stream of a described x or on `_unread_match`: the
+        residual eta of a lazy x, or [0, prod] when x is user-defined or
+        its sampling tail has no disagreement bound.  A scan to n_max
+        costs O(n_max + horizon) exact operations.
+        """
+        depth = self._read_depth(x, self.read_horizon(x, horizon))
+        target = self._targets_through(depth)
+        last_miss = next((i for i in range(depth, 0, -1)
+                          if x.coordinate(i) != target[i - 1]), 0)
+        stream = x.eventual_stream()
+        hits_eventually = (stream is None or streams_eventually_equal(
+            stream, self.targets_stream()))
+        product = F1
+        for n in itertools.count(1):
+            if product == 0 or last_miss >= n or not hits_eventually:
+                yield _ZERO
+            elif stream is not None:
+                yield ValueBounds(product, product)
+            else:
+                yield self._unread_match(x, max(n - 1, depth)).scaled(product)
+            if product != 0:
+                product *= sigma.coordinate_measure(n).weight_of(
+                    self._targets_through(n)[n - 1])
 
     def window_bounds(self, rest, rest_from, horizon=DEFAULT_HORIZON):
         targets = self._targets_through(rest_from - 1)

@@ -8,17 +8,18 @@ searches for the first n where |g_n(x) - E[f]| <= epsilon is certified.
 
 g_{n+1}(x) differs from g_n(x) only at coordinate n, which is
 integrated out instead of pinned.  `trace` and `find_strong_approx`
-use that step for the oracle families (discounted sums and product
-indicators): the point is realized once up to its read limit and each
-further index costs O(1) exact operations, so a scan to n_max costs
-O(n_max + horizon) per point.  Cylinders evaluate each g_n on its own
-(`g_n`, which stays the single-index API) as one exact table sum in
-integers, so a cylinder of depth d costs O(|table| * d) integer
-operations per index; user-defined functions and tails without a
-closed form evaluate each g_n on the generic tree, which
+scan the indices through the function's own steps,
+`f.martingale_steps(sigma, x, horizon)` (see `TailFunction`):
+discounted sums and product indicators realize the point once up to
+its read limit and take O(1) exact operations per further index, so a
+scan to n_max costs O(n_max + horizon) per point.  A function without
+steps (the hook returns None) evaluates each index with `g_n`, which
+stays the single-index API: a cylinder as one exact table sum in
+integers, O(|table| * d) per index, through its oracle; user-defined
+functions and tails without a closed form on the generic tree, which
 `g_n(..., use_oracle=False)` also forces for every family.  All routes
 give identical enclosures.  `horizon` alone sets how far a lazily
-sampled x is read (see `engine._indicator_horizon`).
+sampled x is read (`f.read_horizon`).
 
 Comparisons are decided on interval separation only: a verdict is
 issued when the two enclosures admit no other answer, otherwise the
@@ -38,26 +39,13 @@ from .engine import (
     DEFAULT_NODE_BUDGET,
     ExpectationResult,
     _check_settings,
-    _indicator_horizon,
     _oracle_result,
     expect,
 )
-from .errors import ToleranceConfigError, UnsupportedTailError, ValidationError
-from .functions import (
-    DEFAULT_HORIZON,
-    DiscountedSum,
-    ProductIndicator,
-    TailFunction,
-    ValueBounds,
-    _explicit_limit,
-)
-from .model import (
-    HybridMeasure,
-    PointSpec,
-    ProductMeasure,
-    streams_eventually_equal,
-)
-from .numeric import F0, F1, Interval, Rational, as_fraction
+from .errors import ToleranceConfigError, ValidationError
+from .functions import TailFunction
+from .model import HybridMeasure, PointSpec, ProductMeasure
+from .numeric import F0, Interval, Rational, as_fraction
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -123,88 +111,19 @@ def g_n(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n: int,
                   horizon=horizon)
 
 
-def _discounted_steps(f: DiscountedSum, sigma: ProductMeasure, x: PointSpec,
-                      horizon: Optional[int]):
-    """Oracle enclosures of g_1(x), g_2(x), ... for a discounted sum.
-
-    g_1 is f at x.  Each step integrates coordinate n out:
-    g_{n+1} = g_n + w_n * (E_{sigma_n}[score] - v_n), where v_n is
-    score(x_n) while x_n is read, and the score bounds once n is past the
-    read limit of a lazily sampled point (its spread then shrinks by w_n).
-    """
-    h = DEFAULT_HORIZON if horizon is None else horizon
-    read = None if x.eventual_stream() is not None else _explicit_limit(x, h)
-    vb = f.bounds_over((), rest=x, rest_from=1, horizon=h)
-    lo, hi = vb.lo, vb.hi
-    w, ratio = f.weights.weight_at(1), f.weights.ratio
-    for n in itertools.count(1):
-        yield ValueBounds(lo, hi)
-        mean = sigma.coordinate_measure(n).mean_score(f.score_of)
-        if read is None or n <= read:
-            step = w * (mean - f.score_of(x.coordinate(n)))
-            lo, hi = lo + step, hi + step
-        else:
-            lo += w * (mean - f.score_min)
-            hi += w * (mean - f.score_max)
-        w *= ratio
-
-
-def _indicator_steps(f: ProductIndicator, sigma: ProductMeasure, x: PointSpec,
-                     horizon: Optional[int]):
-    """Oracle enclosures of g_1(x), g_2(x), ... for a product indicator.
-
-    g_n = prod_{i<n} sigma_i(target_i) when x hits every target from n
-    on, else 0.  Up to the read depth K that holds exactly when the last
-    mismatch in [1, K] lies below n; beyond K it rests on the periodic
-    stream of a described x or on the residual eta of a lazy one, and a
-    user-defined x leaves it open: [0, prod].  Yields None for an index
-    whose residual has no closed form.
-    """
-    h = _indicator_horizon(x, horizon)
-    depth = f._read_depth(x, h)
-    target = f._targets_through(depth)
-    last_miss = next((i for i in range(depth, 0, -1)
-                      if x.coordinate(i) != target[i - 1]), 0)
-    stream = x.eventual_stream()
-    hits_eventually = (stream is None
-                       or streams_eventually_equal(stream, f.targets_stream()))
-    product = F1
-    for n in itertools.count(1):
-        if product == 0 or last_miss >= n or not hits_eventually:
-            yield ValueBounds.point(0)
-        elif stream is not None:
-            yield ValueBounds(product, product)
-        else:
-            try:
-                tail = f._unread_match(x, max(n - 1, depth))
-            except UnsupportedTailError:
-                yield None
-            else:
-                yield tail.scaled(product)
-        if product != 0:
-            product *= sigma.coordinate_measure(n).weight_of(
-                f._targets_through(n)[n - 1])
-
-
 def _scan(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
           tol: Rational, *, node_budget: int, horizon: Optional[int]):
-    """Enclosures of g_1(x) .. g_{n_max}(x), in order, each equal to `g_n`'s.
-
-    The oracle families take one step per index; every other case, and
-    any index the step cannot settle, calls `g_n`.
-    """
+    """Enclosures of g_1(x) .. g_{n_max}(x), in order, each equal to `g_n`'s:
+    the function's own steps (`f.martingale_steps`) when it has them,
+    else one `g_n` per index."""
     tol = _check_settings(tol, node_budget)
-    steps = None
-    if isinstance(f, DiscountedSum):
-        steps = _discounted_steps(f, sigma, x, horizon)
-    elif isinstance(f, ProductIndicator):
-        steps = _indicator_steps(f, sigma, x, horizon)
-    for n in range(1, n_max + 1):
-        vb = None if steps is None else next(steps)
-        if vb is None:
+    steps = f.martingale_steps(sigma, x, horizon)
+    if steps is None:
+        for n in range(1, n_max + 1):
             yield g_n(f, sigma, x, n, tol, node_budget=node_budget,
                       horizon=horizon)
-        else:
+    else:
+        for vb in itertools.islice(steps, n_max):
             yield _oracle_result(vb, tol)
 
 

@@ -505,6 +505,9 @@ class ProductMeasure:
     tail: TailMeasureRule
     _tail_measures: dict = field(default_factory=dict, repr=False, compare=False)
 
+    #: no coordinate is pinned, as in a `HybridMeasure` that never switches
+    switch_index = None
+
     def __post_init__(self):
         for pos, m in enumerate(self.head, start=1):
             if m.space_index != pos:
@@ -531,6 +534,10 @@ class ProductMeasure:
             m = self._tail_measures[i] = self.tail.measure_at(
                 i, len(self.head), self.spaces.space_at(i))
         return m
+
+    def assignment_at(self, i: int) -> "Assignment":
+        """Coordinate i's measure, as `HybridMeasure.assignment_at` gives it."""
+        return MeasureAssignment(self.coordinate_measure(i))
 
 
 def resolve_coordinate_measure(sigma: ProductMeasure, i: int) -> CoordinateMeasure:

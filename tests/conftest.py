@@ -13,8 +13,7 @@ import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from prodex.engine import _assignment, _switch_index
-from prodex.errors import ValidationError
+from prodex.errors import UnsupportedTailError, ValidationError
 from prodex.functions import (
     DEFAULT_HORIZON,
     Cylinder,
@@ -151,12 +150,12 @@ def reference_cylinder_sum(f: Cylinder, mu, horizon=None):
     Fraction weights, times the group's min and max.  Raises
     ValidationError when the rows miss mass.
     """
-    switch = _switch_index(mu)
+    switch = mu.switch_index
     k = f.depth if switch is None else min(switch - 1, f.depth)
     pins = {}
     if k < f.depth:
         pins = f.pinned_coordinates(
-            _assignment(mu, k + 1).point, k + 1,
+            mu.assignment_at(k + 1).point, k + 1,
             DEFAULT_HORIZON if horizon is None else horizon)
     groups = {}
     for key, value in f.table.items():
@@ -166,7 +165,7 @@ def reference_cylinder_sum(f: Cylinder, mu, horizon=None):
         seen[0], seen[1] = min(seen[0], value), max(seen[1], value)
     weights = []
     for i in range(1, k + 1):
-        a = _assignment(mu, i)
+        a = mu.assignment_at(i)
         weights.append({a.point.coordinate(i): F(1)}
                        if isinstance(a, DiracAssignment)
                        else dict(a.measure.items()))
@@ -255,8 +254,11 @@ def _reference_tail_match(f: ProductIndicator, rest, start, horizon):
     boundary = max(k, measure.head_len)
     for i in range(k + 1, boundary + 1):
         eta += 1 - measure.coordinate_measure(i).weight_of(f.target_at(i))
-    eta += measure.tail.disagreement_bound(
-        f.targets_stream(), boundary, measure.head_len)
+    try:
+        eta += measure.tail.disagreement_bound(
+            f.targets_stream(), boundary, measure.head_len)
+    except UnsupportedTailError:
+        return ValueBounds(F(0), F(1))
     return ValueBounds(F(1), F(1), min(eta, F(1)))
 
 

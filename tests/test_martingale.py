@@ -16,8 +16,13 @@ from prodex.engine import (
     exact_expectation_product_indicator,
     expect,
 )
-from prodex.errors import ToleranceConfigError
-from prodex.functions import DEFAULT_HORIZON, Cylinder, eval_function
+from prodex.errors import ToleranceConfigError, UnsupportedTailError
+from prodex.functions import (
+    DEFAULT_HORIZON,
+    Cylinder,
+    TailFunction,
+    eval_function,
+)
 from prodex.games import best_response_value, purify
 from prodex.harness import verify_strong
 from prodex.martingale import (
@@ -35,6 +40,7 @@ from prodex.martingale import (
     trace,
 )
 from prodex.model import (
+    ConstantMeasureTail,
     ConstantSymbol,
     CoordinateMeasure,
     DescribedPoint,
@@ -42,6 +48,7 @@ from prodex.model import (
     LazyPoint,
     PointSpec,
     ProductMeasure,
+    TailMeasureRule,
     formula_tail,
     modify_point,
 )
@@ -61,6 +68,7 @@ from conftest import (
     points,
     product_indicators,
     product_measures,
+    reference_bounds_over,
     uniform_sigma,
 )
 
@@ -421,6 +429,111 @@ class TestUserDefinedPoint:
         found = find_strong_approx(f, sigma, OnesPoint(), F(1, 100), 10)
         assert found.outcome == INCONCLUSIVE
         assert found.undecided == tuple(range(1, 11))
+
+
+class NoDisagreementBound(TailMeasureRule):
+    """A user tail rule with the closed forms of E[f] but no bound on
+    P(a tail coordinate misses a target): `disagreement_bound` raises."""
+
+    kind = "no-disagreement-bound"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def measure_at(self, i, head_len, space):
+        return self.inner.measure_at(i, head_len, space)
+
+    def indicator_tail_product(self, targets, from_index, head_len):
+        return self.inner.indicator_tail_product(targets, from_index, head_len)
+
+
+def no_disagreement_sigma() -> ProductMeasure:
+    """Every coordinate puts 63/64 on symbol 1; the tail rule is opaque."""
+    head = tuple(bernoulli(i, F(63, 64)) for i in (1, 2))
+    tail = NoDisagreementBound(ConstantMeasureTail(bernoulli(1, F(63, 64))))
+    return ProductMeasure(binary_spaces(), head, tail)
+
+
+class TestSamplingTailWithoutDisagreementBound:
+    """A lazy point whose sampling tail has no disagreement bound leaves the
+    unread rest of an indicator open, [0, 1] with eta 0, as a user-defined
+    point does, on every route: the steps, g_n, the hybrid oracle and the
+    tree."""
+
+    @pytest.mark.parametrize("horizon", [None, 0, 4, 8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_route_encloses_g_n(self, seed, horizon):
+        f, sigma = indicator_all_ones(), no_disagreement_sigma()
+        x = LazyPoint(seed, sigma)
+        assert_scan_matches_g_n(f, sigma, x, 12, horizon)
+        for n in range(1, 13):
+            res = g_n(f, sigma, x, n, TOL, horizon=horizon)
+            hybrid = HybridMeasure.measures_then_point(sigma, x, n)
+            assert _fields(expect(f, hybrid, TOL, horizon=horizon)) == \
+                _fields(res)
+            tree = g_n(f, sigma, x, n, TOL, use_oracle=False, horizon=horizon)
+            assert tree.interval.lo <= res.interval.lo
+            assert res.interval.hi <= tree.interval.hi
+            assert res.eta == 0
+        entries = trace(f, sigma, x, 12, TOL, horizon=horizon).entries
+        assert [e.n for e in entries] == list(range(1, 13))
+        h = f.read_horizon(x, horizon)
+        for start in (1, 3, 9):
+            assert f.bounds_over((), x, start, h) == reference_bounds_over(
+                f, (), x, start, h)
+
+    def test_nothing_read_leaves_the_head_product_open(self):
+        # at horizon 0 no coordinate of x is read: g_n = [0, (63/64)**(n-1)]
+        f, sigma = indicator_all_ones(), no_disagreement_sigma()
+        with pytest.raises(UnsupportedTailError):
+            sigma.tail.disagreement_bound(f.targets_stream(), 2, 2)
+        for seed in range(3):
+            x = LazyPoint(seed, sigma)
+            for n in (1, 2, 3, 7):
+                res = g_n(f, sigma, x, n, TOL, horizon=0)
+                assert (res.interval.lo, res.interval.hi, res.eta) == (
+                    0, F(63, 64)**(n - 1), 0)
+
+
+class UserMix(TailFunction):
+    """A user function: `mix_cylinder` behind `bounds_over` alone."""
+
+    range_lo, range_hi = F(0), F(1)
+
+    def __init__(self):
+        self.inner = mix_cylinder()
+
+    def bounds_over(self, prefix, rest=None, rest_from=None,
+                    horizon=DEFAULT_HORIZON):
+        return self.inner.bounds_over(prefix, rest, rest_from, horizon)
+
+
+class UserMixWithHooks(UserMix):
+    """The same function, opting into an oracle and g_n steps."""
+
+    def expectation(self, mu, horizon):
+        return self.inner.expectation(mu, horizon)
+
+    def martingale_steps(self, sigma, x, horizon):
+        return (self.expectation(HybridMeasure.measures_then_point(
+            sigma, x, n), horizon) for n in itertools.count(1))
+
+
+class TestUserHooks:
+    def test_hooks_replace_the_tree_with_equal_enclosures(self):
+        sigma = uniform_sigma(head_weights=(F(1, 4), F(3, 5)))
+        x = LazyPoint(7, sigma)
+        plain, hooked = UserMix(), UserMixWithHooks()
+        tree, oracle = expect(plain, sigma, TOL), expect(hooked, sigma, TOL)
+        assert (tree.oracle_used, oracle.oracle_used) == (False, True)
+        assert tree.interval == oracle.interval
+        for horizon in (None, 1):
+            assert trace(plain, sigma, x, 4, TOL, horizon=horizon).entries == \
+                trace(hooked, sigma, x, 4, TOL, horizon=horizon).entries
+            for n in (1, 2, 3):
+                assert g_n(hooked, sigma, x, n, TOL, horizon=horizon).oracle_used
+        assert plain.read_horizon(x, None) == DEFAULT_HORIZON
+        assert plain.read_horizon(x, 3) == 3
 
 
 def abs_difference_verdict(value: Interval, reference: Interval, epsilon):

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodex.cli
+from prodex import errors
 from prodex.cli import main
 from prodex.engine import expect
 from prodex.errors import ScenarioError
@@ -518,6 +520,78 @@ class TestCountFlags:
             main(["verify-strong", "discounted-uniform", "--samples", "many"])
         assert exc.value.code == 2
         assert "invalid count 'many'" in capsys.readouterr().err
+
+
+class TestRangedFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["gn-trace", "example-3-4", "--horizon", "-3"], "must be >= 0"),
+        (["verify-strong", "discounted-uniform", "--horizon", "-1"],
+         "must be >= 0"),
+        (["expect", "example-3-4", "--seed", "-1"], "must be in [0, 2**64)"),
+        (["expect", "example-3-4", "--seed", str(2**64 + 1)],
+         "must be in [0, 2**64)"),
+        (["expect", "example-3-4", "--tol", "0"], "must be > 0"),
+        (["gn-trace", "example-3-4", "--tol=-1/10"], "must be > 0"),
+        (["strong-approx", "example-3-4", "--epsilon", "-1"], "must be >= 0"),
+        (["verify-strong", "example-3-4", "--epsilon", "-0.5"],
+         "must be >= 0"),
+        (["game", "purify-demo", "purify", "--epsilon=-1/4"],
+         "must be >= 0"),
+        (["expect", "example-3-4", "--tol", "1/0"], "invalid tolerance"),
+        (["expect", "example-3-4", "--seed", "one"], "invalid seed"),
+    ])
+    def test_out_of_range_exits_two_at_parse_time(self, argv, message,
+                                                  capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_range_ends_are_admitted(self, capsys):
+        assert main(["expect", "discounted-uniform", "--seed", str(2**64 - 1),
+                     "--horizon", "0"]) == 0
+        assert main(["strong-approx", "example-3-4", "--point", "all-ones",
+                     "--epsilon", "0", "--n-max", "2"]) in (0, 1)
+
+
+#: the exit code of each error `run_scenario` may raise: a malformed
+#: scenario is a usage error, anything raised while computing is a failure
+EXIT_CODES = {
+    errors.ScenarioError: 2,
+    errors.ValidationError: 1,
+    errors.UnsupportedTailError: 1,
+    errors.NotTailEquivalentError: 1,
+    errors.NotStraddlingError: 1,
+    errors.StraddleNotFoundError: 1,
+    errors.NotFinitisticError: 1,
+    errors.PurificationFailedError: 1,
+    errors.ToleranceConfigError: 1,
+}
+
+
+def test_exit_codes_cover_every_error():
+    subclasses, todo = set(), [errors.ProdexError]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            subclasses.add(cls)
+            todo.append(cls)
+    assert subclasses == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda c: c.__name__)
+def test_error_from_run_scenario_maps_to_its_exit_code(error, monkeypatch,
+                                                        capsys):
+    if error is errors.StraddleNotFoundError:
+        exc = error(3, 5)
+    else:
+        exc = error("raised while running")
+
+    def run_scenario(path, command, args):
+        raise exc
+
+    monkeypatch.setattr(prodex.cli, "run_scenario", run_scenario)
+    assert main(["expect", "example-3-4"]) == EXIT_CODES[error]
+    assert str(exc) in capsys.readouterr().err
 
 
 def _json_paths(node, prefix=()):
