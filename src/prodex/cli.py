@@ -7,8 +7,9 @@ command prints a text report (or the machine-readable JSON with
 side.  Reports contain no timestamps: identical inputs produce byte-
 identical machine reports.
 
-Exit codes: 0 success / declared threshold met, 1 certification or
-threshold failure, 2 usage and validation errors.
+Exit codes: 0 success / declared threshold met; 1 certification or
+threshold failure, or any error raised while computing; 2 a malformed
+flag or scenario.
 """
 
 from __future__ import annotations
@@ -178,12 +179,11 @@ def _cmd_strong_approx(args, scenario: Scenario):
 def _cmd_weak_approx(args, scenario: Scenario):
     f = _need_function(scenario)
     depth = _default(args, scenario, "depth", 2)
-    reference = None if args.r is None else Fraction(args.r)
     cert = weak_zero_from_sample(
         f, scenario.measure, args.tol, depth, args.seed,
         retries=args.retries,
         horizon=_default(args, scenario, "horizon", DEFAULT_HORIZON),
-        reference=reference)
+        reference=args.r)
     lines = [
         f"weak 0-approximation certificate ({scenario.name}, depth {depth})",
         f"  coordinate   {cert.coordinate}",
@@ -206,7 +206,7 @@ def _cmd_weak_approx(args, scenario: Scenario):
         "eta": float(cert.eta),
     }
     params = {"depth": depth, "seed": args.seed, "retries": args.retries,
-              "r": None if args.r is None else float(Fraction(args.r))}
+              "r": None if args.r is None else float(args.r)}
     return 0, lines, _payload("weak-approx", scenario, params, result)
 
 
@@ -254,7 +254,7 @@ def _cmd_verify_strong(args, scenario: Scenario):
     horizon = _default(args, scenario, "horizon", None)
     report = verify_strong(
         f, scenario.measure, epsilon, samples, n_max, args.tol, args.seed,
-        horizon=horizon, scenario_digest=scenario.digest)
+        horizon=horizon)
     params = {"epsilon": float(Fraction(epsilon)), "n_max": n_max,
               "samples": samples, "seed": args.seed,
               "tol": float(Fraction(args.tol)), "horizon": horizon}
@@ -271,7 +271,7 @@ def _cmd_verify_weak(args, scenario: Scenario):
     horizon = _default(args, scenario, "horizon", DEFAULT_HORIZON)
     report = verify_weak(
         f, scenario.measure, depth, samples, args.tol, args.seed,
-        horizon=horizon, scenario_digest=scenario.digest)
+        horizon=horizon)
     params = {"depth": depth, "samples": samples, "seed": args.seed,
               "tol": float(Fraction(args.tol)), "horizon": horizon}
     return _campaign(
@@ -439,12 +439,13 @@ def _ranged(convert, noun: str, admits, bound: str):
 
 
 #: sample, index, depth and retry counts; then the ranges that scenario
-#: `defaults` and seeds are held to
+#: `defaults` and seeds are held to; a target may be any rational
 _count = _ranged(int, "count", lambda v: v >= 1, ">= 1")
 _horizon = _ranged(int, "horizon", lambda v: v >= 0, ">= 0")
 _seed = _ranged(int, "seed", lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 _tol = _ranged(Fraction, "tolerance", lambda v: v > 0, "> 0")
 _epsilon = _ranged(Fraction, "epsilon", lambda v: v >= 0, ">= 0")
+_target = _ranged(Fraction, "target", lambda v: True, "rational")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weak-approx", parents=[common],
                        help="single-coordinate mixing certificate for E[f]")
     p.add_argument("scenario")
-    p.add_argument("--r", type=Fraction, default=None,
+    p.add_argument("--r", type=_target, default=None,
                    help="override the target value (default: midpoint of E[f])")
     p.add_argument("--depth", type=_count, default=None)
     p.add_argument("--retries", type=_count, default=DEFAULT_RETRIES)

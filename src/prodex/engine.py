@@ -17,7 +17,9 @@ code path.  Two routes:
   without closed forms, each node scored by (cylinder measure x
   oscillation bound) and leaves pruned as soon as their enclosure width
   hits zero.  Dirac coordinates are substituted, never branched, so
-  hybrid measures keep the tree narrow past the switch index.
+  hybrid measures keep the tree narrow past the switch index.  Its
+  expansion limit, `node_budget`, is a keyword of `expect` alone; every
+  other entry point runs the tree with `DEFAULT_NODE_BUDGET`.
 
 Accumulation is exact: integers inside the discounted-sum, lazy-draw
 and cylinder-table loops, rationals (Fractions) everywhere else, so
@@ -88,12 +90,10 @@ def _oracle_result(vb: ValueBounds, tol: Fraction) -> ExpectationResult:
     return ExpectationResult(vb.interval, 0, status, vb.eta, True)
 
 
-def _check_settings(tol: Rational, node_budget: int) -> Fraction:
+def _check_tol(tol: Rational) -> Fraction:
     tol = as_fraction(tol)
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    if node_budget < 1:
-        raise ValidationError("node budget must be positive")
     return tol
 
 
@@ -110,7 +110,9 @@ def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
     the node budget runs out, or when the best achievable enclosure at
     the realization horizon is wider than 2*tol.
     """
-    tol = _check_settings(tol, node_budget)
+    tol = _check_tol(tol)
+    if node_budget < 1:
+        raise ValidationError("node budget must be positive")
 
     if use_oracle:
         try:

@@ -9,6 +9,10 @@ class ValidationError(ProdexError):
     """A domain object was constructed with invalid data."""
 
 
+class UndeterminedValueError(ValidationError):
+    """A point's function value is not determined at the given horizon."""
+
+
 class UnsupportedTailError(ProdexError):
     """No closed form or bound is registered for the requested tail rule."""
 

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .engine import (
-    DEFAULT_NODE_BUDGET,
-    ExpectationResult,
-    expect,
-)
+from .engine import ExpectationResult, expect
 from .errors import (
     NotFinitisticError,
     PurificationFailedError,
@@ -98,7 +94,6 @@ class BestResponseResult:
 
 def best_response_value(game: GameSpec, pi: Profile,
                         tol: Rational = Fraction(1, 10**9), *,
-                        node_budget: int = DEFAULT_NODE_BUDGET,
                         horizon: Optional[int] = None
                         ) -> BestResponseResult:
     """max over actions of E[payoff] under pi, as a sound interval.
@@ -109,8 +104,7 @@ def best_response_value(game: GameSpec, pi: Profile,
     mu = _as_measure(pi)
     results = []
     for a in game.actions:
-        res = expect(game.payoff(a), mu, tol, node_budget=node_budget,
-                     horizon=horizon)
+        res = expect(game.payoff(a), mu, tol, horizon=horizon)
         results.append((a, res))
     lo = max(res.interval.lo for _, res in results)
     hi = max(res.interval.hi for _, res in results)
@@ -140,7 +134,6 @@ class PurifyResult:
 def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
            n_max: int, tol: Rational = Fraction(1, 10**10), seed: int = 0, *,
            retries: int = DEFAULT_PURIFY_RETRIES,
-           node_budget: int = DEFAULT_NODE_BUDGET,
            horizon: Optional[int] = None) -> PurifyResult:
     """Finitistic profile certified epsilon-close to sigma for every action.
 
@@ -154,8 +147,7 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
     if eps <= 0:
         raise ValidationError("epsilon must be positive")
     references = {
-        a: expect(game.payoff(a), sigma, tol, node_budget=node_budget,
-                  horizon=horizon)
+        a: expect(game.payoff(a), sigma, tol, horizon=horizon)
         for a in game.actions
     }
     diagnostics = []
@@ -166,8 +158,7 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
         failed = None
         for a in game.actions:
             res = find_strong_approx(
-                game.payoff(a), sigma, x, eps, n_max, tol,
-                node_budget=node_budget, horizon=horizon,
+                game.payoff(a), sigma, x, eps, n_max, tol, horizon=horizon,
                 reference=references[a])
             if not res.is_found:
                 failed = (a, res.outcome)
@@ -184,8 +175,7 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
             certs = []
             eta = F0
             for a in game.actions:
-                res = g_n(game.payoff(a), sigma, x, n, tol,
-                          node_budget=node_budget, horizon=horizon)
+                res = g_n(game.payoff(a), sigma, x, n, tol, horizon=horizon)
                 eta = max(eta, res.eta, references[a].eta)
                 if compare_to_epsilon(res, references[a], eps) != YES:
                     certs = None

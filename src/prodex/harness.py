@@ -7,7 +7,8 @@ constructor on each, and report the certified fraction.  Sample j
 always uses the substream seed ``derive_seed(master, "<campaign>-sample",
 j)``, so campaigns are deterministic given (scenario, master seed,
 sample count); samples run one after another and records come out in
-sample order.
+sample order.  A report names no scenario: the CLI's machine report
+carries the scenario's digest beside it.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .engine import (
-    DEFAULT_NODE_BUDGET,
-    expect,
-)
-from .errors import ProdexError, ValidationError
+from .engine import expect
+from .errors import ProdexError, UndeterminedValueError, ValidationError
 from .functions import DEFAULT_HORIZON, TailFunction
 from .martingale import FOUND, NOT_FOUND, find_strong_approx
 from .model import LazyPoint, ProductMeasure
@@ -56,7 +54,6 @@ class VerificationReport:
     failed: int
     records: tuple
     master_seed: int
-    scenario_digest: Optional[str] = None
 
     def __post_init__(self):
         if self.certified + self.inconclusive + self.failed != self.samples:
@@ -79,21 +76,19 @@ class VerificationReport:
         return max((r.eta for r in self.records), default=F0)
 
 
-def _report(theorem, records, samples, seed, digest) -> VerificationReport:
+def _report(theorem, records, samples, seed) -> VerificationReport:
     counts = {CERTIFIED: 0, INCONCLUSIVE: 0, FAILED: 0}
     for r in records:
         counts[r.outcome] += 1
     return VerificationReport(
         theorem, samples, counts[CERTIFIED], counts[INCONCLUSIVE],
-        counts[FAILED], tuple(records), seed, digest)
+        counts[FAILED], tuple(records), seed)
 
 
 def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
                   samples: int, n_max: int,
                   tol: Rational = Fraction(1, 10**9), seed: int = 0, *,
-                  horizon: Optional[int] = None,
-                  node_budget: int = DEFAULT_NODE_BUDGET,
-                  scenario_digest: Optional[str] = None) -> VerificationReport:
+                  horizon: Optional[int] = None) -> VerificationReport:
     """Fraction of sampled points with a certified strong approximation.
 
     A sample is certified when the finder returns a definite smallest
@@ -103,14 +98,14 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
     if samples < 1:
         raise ValidationError("sample count must be >= 1")
     eps = as_fraction(epsilon)
-    reference = expect(f, sigma, tol, node_budget=node_budget, horizon=horizon)
+    reference = expect(f, sigma, tol, horizon=horizon)
 
     def worker(j: int) -> SampleRecord:
         sub = derive_seed(seed, "strong-sample", j)
         x = LazyPoint(sub, sigma)
         res = find_strong_approx(
-            f, sigma, x, eps, n_max, tol, node_budget=node_budget,
-            horizon=horizon, reference=reference)
+            f, sigma, x, eps, n_max, tol, horizon=horizon,
+            reference=reference)
         if res.outcome == FOUND:
             return SampleRecord(j, sub, CERTIFIED, res.n, res.eta)
         if res.outcome == NOT_FOUND:
@@ -118,32 +113,34 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
         return SampleRecord(j, sub, INCONCLUSIVE, None, res.eta)
 
     records = [worker(j) for j in range(samples)]
-    return _report(STRONG, records, samples, seed, scenario_digest)
+    return _report(STRONG, records, samples, seed)
 
 
 def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
                 tol: Rational = Fraction(1, 10**9), seed: int = 0, *,
-                horizon: int = DEFAULT_HORIZON,
-                node_budget: int = DEFAULT_NODE_BUDGET,
-                scenario_digest: Optional[str] = None) -> VerificationReport:
+                horizon: int = DEFAULT_HORIZON) -> VerificationReport:
     """Fraction of sampled points whose depth-m hull certifies E[f].
 
     A sample is certified only when classification succeeds and the
     constructed single-coordinate certificate reproduces the target
     exactly; hulls that miss the target are inconclusive (membership at
-    larger depth remains possible).
+    larger depth remains possible), and so are samples whose value the
+    horizon does not determine (`UndeterminedValueError`).
     """
     if samples < 1:
         raise ValidationError("sample count must be >= 1")
     if m < 1:
         raise ValidationError("hull depth must be >= 1")
-    result = expect(f, sigma, tol, node_budget=node_budget, horizon=horizon)
+    result = expect(f, sigma, tol, horizon=horizon)
     r = result.midpoint
 
     def worker(j: int) -> SampleRecord:
         sub = derive_seed(seed, "weak-sample", j)
         x = LazyPoint(sub, sigma)
-        verdict = classify(f, sigma, x, r, m, horizon=horizon)
+        try:
+            verdict = classify(f, sigma, x, r, m, horizon=horizon)
+        except UndeterminedValueError:
+            return SampleRecord(j, sub, INCONCLUSIVE, m)
         if not verdict.certified:
             return SampleRecord(j, sub, INCONCLUSIVE, m, verdict.hull.eta)
         try:
@@ -157,4 +154,4 @@ def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
         return SampleRecord(j, sub, outcome, cert.coordinate, cert.eta)
 
     records = [worker(j) for j in range(samples)]
-    return _report(WEAK, records, samples, seed, scenario_digest)
+    return _report(WEAK, records, samples, seed)

@@ -35,13 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .engine import (
-    DEFAULT_NODE_BUDGET,
-    ExpectationResult,
-    _check_settings,
-    _oracle_result,
-    expect,
-)
+from .engine import ExpectationResult, _check_tol, _oracle_result, expect
 from .errors import ToleranceConfigError, ValidationError
 from .functions import TailFunction
 from .model import HybridMeasure, PointSpec, ProductMeasure
@@ -101,43 +95,40 @@ class StrongApproxResult:
 
 
 def g_n(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n: int,
-        tol: Rational = Fraction(1, 10**9), *, node_budget: int = DEFAULT_NODE_BUDGET,
-        use_oracle: bool = True, horizon: Optional[int] = None) -> ExpectationResult:
+        tol: Rational = Fraction(1, 10**9), *, use_oracle: bool = True,
+        horizon: Optional[int] = None) -> ExpectationResult:
     """Enclosure of g_n(x) = E[f] under sigma_1 x .. x sigma_{n-1} x x_n x ..."""
     if n < 1:
         raise ValidationError("martingale index must be >= 1")
     hybrid = HybridMeasure.measures_then_point(sigma, x, n)
-    return expect(f, hybrid, tol, node_budget=node_budget, use_oracle=use_oracle,
-                  horizon=horizon)
+    return expect(f, hybrid, tol, use_oracle=use_oracle, horizon=horizon)
 
 
 def _scan(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
-          tol: Rational, *, node_budget: int, horizon: Optional[int]):
+          tol: Rational, *, horizon: Optional[int]):
     """Enclosures of g_1(x) .. g_{n_max}(x), in order, each equal to `g_n`'s:
     the function's own steps (`f.martingale_steps`) when it has them,
     else one `g_n` per index."""
-    tol = _check_settings(tol, node_budget)
+    tol = _check_tol(tol)
     steps = f.martingale_steps(sigma, x, horizon)
     if steps is None:
         for n in range(1, n_max + 1):
-            yield g_n(f, sigma, x, n, tol, node_budget=node_budget,
-                      horizon=horizon)
+            yield g_n(f, sigma, x, n, tol, horizon=horizon)
     else:
         for vb in itertools.islice(steps, n_max):
             yield _oracle_result(vb, tol)
 
 
 def trace(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
-          tol: Rational = Fraction(1, 10**9), *, node_budget: int = DEFAULT_NODE_BUDGET,
+          tol: Rational = Fraction(1, 10**9), *,
           horizon: Optional[int] = None) -> MartingaleTrace:
     """Trace of g_n(x) for n = 1..n_max with the reference E[f]."""
     if n_max < 1:
         raise ValidationError("trace length must be >= 1")
-    scan = _scan(f, sigma, x, n_max, tol, node_budget=node_budget,
-                 horizon=horizon)
+    scan = _scan(f, sigma, x, n_max, tol, horizon=horizon)
     entries = [TraceEntry(n, res.interval, res.eta)
                for n, res in enumerate(scan, start=1)]
-    reference = expect(f, sigma, tol, node_budget=node_budget, horizon=horizon)
+    reference = expect(f, sigma, tol, horizon=horizon)
     return MartingaleTrace(tuple(entries), reference)
 
 
@@ -175,7 +166,6 @@ def compare_to_epsilon(value: ExpectationResult, reference: ExpectationResult,
 def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
                        epsilon: Rational, n_max: int,
                        tol: Rational = Fraction(1, 10**9), *,
-                       node_budget: int = DEFAULT_NODE_BUDGET,
                        horizon: Optional[int] = None,
                        reference: Optional[ExpectationResult] = None
                        ) -> StrongApproxResult:
@@ -196,13 +186,11 @@ def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     if reference is None:
-        reference = expect(f, sigma, tol_f, node_budget=node_budget,
-                           horizon=horizon)
+        reference = expect(f, sigma, tol_f, horizon=horizon)
     undecided = []
     eta = reference.eta
     verdict_of = _epsilon_verdicts(reference.interval, eps)
-    scan = _scan(f, sigma, x, n_max, tol_f, node_budget=node_budget,
-                 horizon=horizon)
+    scan = _scan(f, sigma, x, n_max, tol_f, horizon=horizon)
     for n, res in enumerate(scan, start=1):
         eta = max(eta, res.eta)
         verdict = verdict_of(res.interval)

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotTailEquivalentError, UnsupportedTailError, ValidationError
 from .numeric import F0, F1, Interval, PROB_SUM_TOL, Rational, as_fraction
-from .seeds import unit_bits
+from .seeds import check_seed, unit_bits
 
 Symbol = Union[int, str]
 
@@ -607,7 +607,8 @@ class LazyPoint(PointSpec):
     comparing k with the integer thresholds ceil(cum * 2**64) of
     `CoordinateMeasure.sample_bits`.
     The cache is write-once per index and safe under concurrent readers
-    because every writer computes the identical value.
+    because every writer computes the identical value.  The seed must lie
+    in [0, 2**64), checked once here rather than on every draw.
     """
 
     seed: int
@@ -615,6 +616,9 @@ class LazyPoint(PointSpec):
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     kind = "lazy"
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
     def coordinate(self, i: int):
         hit = self._cache.get(i)

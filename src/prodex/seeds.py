@@ -17,16 +17,23 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
-MASK64 = (1 << 64) - 1
+from .errors import ValidationError
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**64) instead of aliasing it to another."""
+    if not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+        raise ValidationError(f"seed must be an int in [0, 2**64), got {seed!r}")
 
 
 def _digest(seed: int, path: bytes) -> bytes:
-    key = (seed & MASK64).to_bytes(8, "little")
+    key = seed.to_bytes(8, "little")
     return hashlib.blake2b(path, digest_size=8, key=key).digest()
 
 
 def derive_seed(seed: int, *path) -> int:
     """Derive a 64-bit substream seed from a seed and a label path."""
+    check_seed(seed)
     label = "/".join(str(p) for p in path).encode("utf-8")
     return int.from_bytes(_digest(seed, label), "little")
 

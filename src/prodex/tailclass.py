@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .engine import DEFAULT_NODE_BUDGET, expect
+from .engine import expect
 from .errors import (
     NotStraddlingError,
     StraddleNotFoundError,
+    UndeterminedValueError,
     ValidationError,
 )
 from .functions import DEFAULT_HORIZON, TailFunction, ValueBounds
@@ -124,7 +125,7 @@ def _determined_value(f: TailFunction, x: PointSpec,
                       horizon: int) -> ValueBounds:
     vb = f.eval_soft(x, horizon=horizon)
     if vb.width > DETERMINED_WIDTH:
-        raise ValidationError(
+        raise UndeterminedValueError(
             f"function value not determinable at horizon {horizon} "
             f"(enclosure width {float(vb.width)})"
         )
@@ -274,7 +275,6 @@ def weak_zero_from_sample(f: TailFunction, sigma: ProductMeasure,
                           m: int = 1, seed: int = 0, *,
                           retries: int = DEFAULT_RETRIES,
                           horizon: int = DEFAULT_HORIZON,
-                          node_budget: int = DEFAULT_NODE_BUDGET,
                           reference: Optional[Fraction] = None
                           ) -> WeakApproxCertificate:
     """Sample points under sigma until a depth-m hull straddles E[f].
@@ -286,7 +286,7 @@ def weak_zero_from_sample(f: TailFunction, sigma: ProductMeasure,
     if m < 1:
         raise ValidationError("hull depth must be >= 1")
     if reference is None:
-        result = expect(f, sigma, tol, node_budget=node_budget, horizon=horizon)
+        result = expect(f, sigma, tol, horizon=horizon)
         r = result.midpoint
     else:
         r = as_fraction(reference)

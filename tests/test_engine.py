@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from prodex.engine import exact_expectation_product_indicator, expect
 from prodex.errors import UnsupportedTailError, ValidationError
 from prodex.functions import Cylinder, ProductIndicator, cylinder_sum
-from prodex.martingale import g_n
+from prodex.games import GameSpec, best_response_value, purify
+from prodex.harness import verify_strong, verify_weak
+from prodex.martingale import find_strong_approx, g_n, trace
 from prodex.model import (
     ConstantMeasureTail,
     ConstantSymbol,
@@ -30,6 +32,7 @@ from prodex.model import (
     modify_point,
 )
 from prodex.seeds import unit_fraction
+from prodex.tailclass import weak_zero_from_sample
 
 from conftest import (
     NO_SHRINK,
@@ -327,6 +330,40 @@ class TestEngineContracts:
         res = expect(indicator_all_ones(), sigma, F(1, 4))
         assert not res.oracle_used
         assert res.certified
+
+
+def _entry_point_calls():
+    """Each public entry point that once took `node_budget` or
+    `scenario_digest`, called on small valid arguments plus `**kw`."""
+    f, sigma, x = discounted_unit(), uniform_sigma(), all_ones_point()
+    game = GameSpec(("a",), binary_spaces(), {"a": f}, F(0), F(1))
+    return {
+        "g_n": lambda kw: g_n(f, sigma, x, 2, TOL, **kw),
+        "trace": lambda kw: trace(f, sigma, x, 2, TOL, **kw),
+        "find_strong_approx": lambda kw: find_strong_approx(
+            f, sigma, x, F(1, 2), 4, TOL, **kw),
+        "verify_strong": lambda kw: verify_strong(
+            f, sigma, F(1, 2), 1, 4, TOL, **kw),
+        "verify_weak": lambda kw: verify_weak(f, sigma, 1, 1, TOL, **kw),
+        "weak_zero_from_sample": lambda kw: weak_zero_from_sample(
+            f, sigma, TOL, 2, **kw),
+        "best_response_value": lambda kw: best_response_value(
+            game, sigma, TOL, **kw),
+        "purify": lambda kw: purify(game, sigma, F(1, 2), 4, TOL, **kw),
+    }
+
+
+STALE_VALUES = {"node_budget": 10, "scenario_digest": "0" * 64}
+
+
+@pytest.mark.parametrize("name, keyword", (
+    [(name, "node_budget") for name in _entry_point_calls()]
+    + [("verify_strong", "scenario_digest"), ("verify_weak", "scenario_digest")]))
+def test_removed_keyword_is_rejected(name, keyword):
+    # the tree's node budget is a setting of `expect` alone, and campaigns
+    # store no scenario digest: a stale keyword must fail loudly
+    with pytest.raises(TypeError, match=keyword):
+        _entry_point_calls()[name]({keyword: STALE_VALUES[keyword]})
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,14 @@ class TestVerifyWeak:
         ]
         assert all(a <= b for a, b in zip(fractions, fractions[1:]))
 
+    def test_undetermined_samples_are_inconclusive(self):
+        # a discounted sum read to coordinate 2 keeps width 1/4 > 0, so no
+        # sampled value is determined; each sample, not the campaign, fails
+        rep = verify_weak(discounted_unit(), uniform_sigma(), 8, 4, TOL,
+                          seed=3, horizon=2)
+        assert (rep.inconclusive, rep.certified, rep.failed) == (4, 0, 0)
+        assert all((r.detail, r.eta) == (8, 0) for r in rep.records)
+
     def test_deterministic_given_seed(self):
         a = verify_weak(mix_cylinder(), uniform_sigma(), 2, 60, TOL, seed=12)
         b = verify_weak(mix_cylinder(), uniform_sigma(), 2, 60, TOL, seed=12)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from prodex.engine import (
     CERTIFIED,
-    DEFAULT_NODE_BUDGET,
     ExpectationResult,
     exact_expectation_product_indicator,
     expect,
@@ -327,8 +326,7 @@ def _fields(res):
 
 
 def assert_scan_matches_g_n(f, sigma, x, n_max, horizon):
-    scanned = list(_scan(f, sigma, x, n_max, TOL,
-                         node_budget=DEFAULT_NODE_BUDGET, horizon=horizon))
+    scanned = list(_scan(f, sigma, x, n_max, TOL, horizon=horizon))
     assert len(scanned) == n_max
     for n, res in enumerate(scanned, start=1):
         assert _fields(res) == _fields(g_n(f, sigma, x, n, TOL,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodex.errors import NotTailEquivalentError, ValidationError
+from prodex.harness import verify_strong
 from prodex.model import (
     ConstantMeasureTail,
     ConstantSymbol,
@@ -33,13 +34,14 @@ from prodex.model import (
     splice_prefix,
     uniform_measure,
 )
-from prodex.seeds import unit_bits, unit_fraction
+from prodex.seeds import derive_seed, unit_bits, unit_fraction
 
 from conftest import (
     all_ones_point,
     binary_spaces,
     const_bernoulli_tail,
     coordinate_measures,
+    discounted_unit,
     lazy_product_measures,
     product_measures,
     reference_coordinate,
@@ -144,6 +146,21 @@ class TestIntegerDraws:
             k = unit_bits(2024, *path)
             assert 0 <= k <= TOP
             assert unit_fraction(2024, *path) == F(k, 2**64)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seeds_outside_64_bits_are_rejected_not_aliased(self, seed):
+        sigma = uniform_sigma()
+        with pytest.raises(ValidationError):
+            LazyPoint(seed, sigma)
+        with pytest.raises(ValidationError):
+            derive_seed(seed, "sample", 0)
+        with pytest.raises(ValidationError):
+            verify_strong(discounted_unit(), sigma, F(1, 10), 1, 4, seed=seed)
+
+    def test_seed_range_ends_are_admitted(self):
+        for seed in (0, TOP):
+            LazyPoint(seed, uniform_sigma()).coordinate(1)
+            assert 0 <= derive_seed(seed, "sample", 0) <= TOP
 
 
 class TestResolveCoordinateMeasure:

@@ -539,6 +539,7 @@ class TestRangedFlags:
          "must be >= 0"),
         (["expect", "example-3-4", "--tol", "1/0"], "invalid tolerance"),
         (["expect", "example-3-4", "--seed", "one"], "invalid seed"),
+        (["weak-approx", "cylinder-mix", "--r", "1/0"], "invalid target"),
     ])
     def test_out_of_range_exits_two_at_parse_time(self, argv, message,
                                                   capsys):
@@ -559,6 +560,7 @@ class TestRangedFlags:
 EXIT_CODES = {
     errors.ScenarioError: 2,
     errors.ValidationError: 1,
+    errors.UndeterminedValueError: 1,
     errors.UnsupportedTailError: 1,
     errors.NotTailEquivalentError: 1,
     errors.NotStraddlingError: 1,
