@@ -10,6 +10,8 @@ identical machine reports.
 Exit codes: 0 success / declared threshold met; 1 certification or
 threshold failure, or any error raised while computing; 2 a malformed
 flag or scenario.
+
+Each setting is resolved once, in `run_scenario` (see `COMMANDS`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 
 from .engine import expect
 from .errors import ProdexError, ScenarioError
-from .functions import DEFAULT_HORIZON, Cylinder
+from .functions import Cylinder
 from .games import (
     DEFAULT_PURIFY_RETRIES,
     FinitisticProfile,
@@ -64,13 +66,17 @@ def _payload(command: str, scenario: Scenario, params: dict, result: dict) -> di
     }
 
 
-def _default(args, scenario: Scenario, key: str, fallback):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    value = scenario.defaults.get(key.replace("_", "-"),
-                                  scenario.defaults.get(key))
-    return fallback if value is None else value
+def _resolve_settings(args, scenario: Scenario, fallbacks: dict):
+    """A copy of args with the horizon and each setting in `fallbacks`
+    resolved: its flag, else the scenario's default, else the fallback."""
+    resolved = argparse.Namespace(**vars(args))
+    for key, fallback in {"horizon": None, **fallbacks}.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = scenario.defaults.get(key.replace("_", "-"),
+                                          scenario.defaults.get(key))
+        setattr(resolved, key, fallback if value is None else value)
+    return resolved
 
 
 def _resolve_point(args, scenario: Scenario):
@@ -80,10 +86,12 @@ def _resolve_point(args, scenario: Scenario):
     return scenario.point(name), name
 
 
-def _need_function(scenario: Scenario):
-    if scenario.function is None:
-        raise ScenarioError("scenario declares no function", scenario.source)
-    return scenario.function
+def _need(scenario: Scenario, part: str):
+    """The scenario's `function` or `game`, which the command needs."""
+    value = getattr(scenario, part)
+    if value is None:
+        raise ScenarioError(f"scenario declares no {part}", scenario.source)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +99,8 @@ def _need_function(scenario: Scenario):
 # ---------------------------------------------------------------------------
 
 def _cmd_expect(args, scenario: Scenario):
-    f = _need_function(scenario)
-    res = expect(f, scenario.measure, args.tol,
-                 horizon=_default(args, scenario, "horizon", None))
+    f = _need(scenario, "function")
+    res = expect(f, scenario.measure, args.tol, horizon=args.horizon)
     lines = [
         f"expectation of {f.family} under {scenario.name}",
         f"  interval  [{float(res.interval.lo)!r}, {float(res.interval.hi)!r}]",
@@ -113,17 +120,16 @@ def _cmd_expect(args, scenario: Scenario):
         "eta": float(res.eta),
         "oracle_used": res.oracle_used,
     }
-    params = {"tol": float(Fraction(args.tol))}
+    params = {"tol": float(args.tol)}
     return (0 if res.certified else 1), lines, _payload(
         "expect", scenario, params, result)
 
 
 def _cmd_gn_trace(args, scenario: Scenario):
-    f = _need_function(scenario)
+    f = _need(scenario, "function")
     point, point_name = _resolve_point(args, scenario)
-    n_max = _default(args, scenario, "n_max", 8)
-    tr = trace(f, scenario.measure, point, n_max, args.tol,
-               horizon=_default(args, scenario, "horizon", None))
+    tr = trace(f, scenario.measure, point, args.n_max, args.tol,
+               horizon=args.horizon)
     lines = [f"g_n trace at point {point_name} ({scenario.name})",
              "# n  g_n"]
     entries = []
@@ -139,20 +145,19 @@ def _cmd_gn_trace(args, scenario: Scenario):
     lines.append(f"# reference E[f] = {float(ref.midpoint)!r} "
                  f"(width {float(ref.width)!r})")
     result = {"entries": entries, "reference": _interval_payload(ref)}
-    params = {"point": point_name, "n_max": n_max, "tol": float(Fraction(args.tol))}
+    params = {"point": point_name, "n_max": args.n_max,
+              "tol": float(args.tol)}
     return 0, lines, _payload("gn-trace", scenario, params, result)
 
 
 def _cmd_strong_approx(args, scenario: Scenario):
-    f = _need_function(scenario)
+    f = _need(scenario, "function")
     point, point_name = _resolve_point(args, scenario)
-    epsilon = _default(args, scenario, "epsilon", 0.01)
-    n_max = _default(args, scenario, "n_max", 32)
+    epsilon, n_max = args.epsilon, args.n_max
     res = find_strong_approx(f, scenario.measure, point, epsilon, n_max,
-                             args.tol,
-                             horizon=_default(args, scenario, "horizon", None))
+                             args.tol, horizon=args.horizon)
     lines = [f"strong approximation search at point {point_name} "
-             f"(epsilon={float(Fraction(epsilon))}, n_max={n_max})"]
+             f"(epsilon={float(epsilon)}, n_max={n_max})"]
     if res.is_found:
         lines.append(f"  Found({res.n})")
         lines.append(f"  g_n in [{float(res.found_value.lo)!r}, "
@@ -170,20 +175,18 @@ def _cmd_strong_approx(args, scenario: Scenario):
         "first_certified": res.first_certified,
         "eta": float(res.eta),
     }
-    params = {"point": point_name, "epsilon": float(Fraction(epsilon)),
-              "n_max": n_max, "tol": float(Fraction(args.tol))}
+    params = {"point": point_name, "epsilon": float(epsilon),
+              "n_max": n_max, "tol": float(args.tol)}
     return (0 if res.is_found else 1), lines, _payload(
         "strong-approx", scenario, params, result)
 
 
 def _cmd_weak_approx(args, scenario: Scenario):
-    f = _need_function(scenario)
-    depth = _default(args, scenario, "depth", 2)
+    f = _need(scenario, "function")
+    depth = args.depth
     cert = weak_zero_from_sample(
         f, scenario.measure, args.tol, depth, args.seed,
-        retries=args.retries,
-        horizon=_default(args, scenario, "horizon", DEFAULT_HORIZON),
-        reference=args.r)
+        retries=args.retries, horizon=args.horizon, reference=args.r)
     lines = [
         f"weak 0-approximation certificate ({scenario.name}, depth {depth})",
         f"  coordinate   {cert.coordinate}",
@@ -247,36 +250,30 @@ def _campaign(command: str, title: str, scenario: Scenario, report,
 
 
 def _cmd_verify_strong(args, scenario: Scenario):
-    f = _need_function(scenario)
-    epsilon = _default(args, scenario, "epsilon", 0.01)
-    n_max = _default(args, scenario, "n_max", 32)
-    samples = _default(args, scenario, "samples", 200)
-    horizon = _default(args, scenario, "horizon", None)
+    f = _need(scenario, "function")
+    epsilon, n_max = float(args.epsilon), args.n_max
     report = verify_strong(
-        f, scenario.measure, epsilon, samples, n_max, args.tol, args.seed,
-        horizon=horizon)
-    params = {"epsilon": float(Fraction(epsilon)), "n_max": n_max,
-              "samples": samples, "seed": args.seed,
-              "tol": float(Fraction(args.tol)), "horizon": horizon}
+        f, scenario.measure, args.epsilon, args.samples, n_max, args.tol,
+        args.seed, horizon=args.horizon)
+    params = {"epsilon": epsilon, "n_max": n_max, "samples": args.samples,
+              "seed": args.seed, "tol": float(args.tol),
+              "horizon": args.horizon}
     return _campaign(
         "verify-strong", f"strong-approximation campaign ({scenario.name}, "
-        f"epsilon={float(Fraction(epsilon))}, n_max={n_max})",
+        f"epsilon={epsilon}, n_max={n_max})",
         scenario, report, params)
 
 
 def _cmd_verify_weak(args, scenario: Scenario):
-    f = _need_function(scenario)
-    depth = _default(args, scenario, "depth", 2)
-    samples = _default(args, scenario, "samples", 200)
-    horizon = _default(args, scenario, "horizon", DEFAULT_HORIZON)
+    f = _need(scenario, "function")
     report = verify_weak(
-        f, scenario.measure, depth, samples, args.tol, args.seed,
-        horizon=horizon)
-    params = {"depth": depth, "samples": samples, "seed": args.seed,
-              "tol": float(Fraction(args.tol)), "horizon": horizon}
+        f, scenario.measure, args.depth, args.samples, args.tol, args.seed,
+        horizon=args.horizon)
+    params = {"depth": args.depth, "samples": args.samples, "seed": args.seed,
+              "tol": float(args.tol), "horizon": args.horizon}
     return _campaign(
         "verify-weak",
-        f"weak-approximation campaign ({scenario.name}, depth={depth})",
+        f"weak-approximation campaign ({scenario.name}, depth={args.depth})",
         scenario, report, params)
 
 
@@ -294,121 +291,125 @@ def _profile_payload(profile: FinitisticProfile) -> dict:
     return {"switch_index": mu.switch_index, "head": head}
 
 
-def _cmd_game(args, scenario: Scenario):
-    verb = args.verb
-    if verb != "naming-demo" and scenario.game is None:
-        raise ScenarioError("scenario declares no game", scenario.source)
-    if verb == "value":
-        res = best_response_value(
-            scenario.game, scenario.measure, args.tol,
-            horizon=_default(args, scenario, "horizon", None))
-        lines = [f"best response against the scenario profile ({scenario.name})",
-                 f"  value in [{float(res.interval.lo)!r}, "
-                 f"{float(res.interval.hi)!r}]",
-                 f"  argmax action {res.action!r}"]
-        per_action = [
-            {"action": a, **_interval_payload(r.interval)}
-            for a, r in res.per_action
-        ]
-        result = {"value": _interval_payload(res.interval),
-                  "action": res.action, "per_action": per_action}
-        return 0, lines, _payload("game-value", scenario,
-                                  {"tol": float(Fraction(args.tol))}, result)
-
-    if verb == "purify":
-        epsilon = _default(args, scenario, "epsilon", 0.1)
-        n_max = _default(args, scenario, "n_max", 16)
-        res = purify(scenario.game, scenario.measure, epsilon, n_max,
-                     args.tol, args.seed, retries=args.retries,
-                     horizon=_default(args, scenario, "horizon", None))
-        lines = [
-            f"purified profile ({scenario.name}, epsilon="
-            f"{float(Fraction(epsilon))})",
-            f"  switch index n = {res.n} (Dirac from coordinate {res.n} on)",
-            f"  sample attempt {res.attempt}",
-        ]
-        for c in res.per_action:
-            lines.append(
-                f"  action {c.action!r}: E_sigma in "
-                f"[{float(c.sigma_value.lo)!r}, {float(c.sigma_value.hi)!r}], "
-                f"E_profile in [{float(c.profile_value.lo)!r}, "
-                f"{float(c.profile_value.hi)!r}]"
-            )
-        result = {
-            "n": res.n,
-            "attempt": res.attempt,
-            "sample_seed": res.sample_seed,
-            "profile": _profile_payload(res.profile),
-            "per_action": [
-                {"action": c.action,
-                 "sigma_value": _interval_payload(c.sigma_value),
-                 "profile_value": _interval_payload(c.profile_value)}
-                for c in res.per_action
-            ],
-            "eta": float(res.eta),
-        }
-        params = {"epsilon": float(Fraction(epsilon)), "n_max": n_max,
-                  "seed": args.seed, "tol": float(Fraction(args.tol))}
-        return 0, lines, _payload("game-purify", scenario, params, result)
-
-    if verb == "naming-demo":
-        value = naming_game_value(scenario.measure)
-        samples = _default(args, scenario, "samples", 100)
-        exploits = []
-        all_pay_one = True
-        for j in range(samples):
-            sub = derive_seed(args.seed, "naming-profile", j)
-            switch = 1 + (derive_seed(sub, "switch") % 6)
-            head = tuple(
-                MeasureAssignment(scenario.measure.coordinate_measure(i))
-                for i in range(1, switch))
-            tail = LazyPoint(derive_seed(sub, "tail"), scenario.measure)
-            profile = FinitisticProfile(HybridMeasure(head, switch, tail))
-            n, sym = naming_game_exploit(profile)
-            # engine-verified: naming (n, sym) pays exactly 1 against tau
-            payoff = Cylinder(n, {
-                key: F1 if key[n - 1] == sym else F0
-                for key in itertools.product(
-                    *(scenario.spaces.space_at(i).symbols
-                      for i in range(1, n + 1)))
-            })
-            res = expect(payoff, profile.measure, args.tol)
-            ok = res.interval.is_point and res.interval.lo == 1
-            all_pay_one = all_pay_one and ok
-            exploits.append({"profile": j, "coordinate": n, "symbol": sym})
-        lines = [
-            f"naming game ({scenario.name})",
-            f"  mixing value  {float(value)!r}  "
-            f"({_frac_str(value)}; no action does better)",
-            f"  exploited {samples} finitistic profiles, payoff 1 each: "
-            f"{all_pay_one}",
-        ]
-        result = {"value": float(value), "value_rational": _frac_str(value),
-                  "profiles_exploited": samples,
-                  "all_payoff_one": all_pay_one,
-                  "exploits": exploits}
-        params = {"samples": samples, "seed": args.seed}
-        return (0 if all_pay_one else 1), lines, _payload(
-            "game-naming-demo", scenario, params, result)
-
-    raise ScenarioError(f"unknown game verb {verb!r}")
+def _cmd_game_value(args, scenario: Scenario):
+    res = best_response_value(_need(scenario, "game"), scenario.measure,
+                              args.tol, horizon=args.horizon)
+    lines = [f"best response against the scenario profile ({scenario.name})",
+             f"  value in [{float(res.interval.lo)!r}, "
+             f"{float(res.interval.hi)!r}]",
+             f"  argmax action {res.action!r}"]
+    per_action = [
+        {"action": a, **_interval_payload(r.interval)}
+        for a, r in res.per_action
+    ]
+    result = {"value": _interval_payload(res.interval),
+              "action": res.action, "per_action": per_action}
+    return 0, lines, _payload("game-value", scenario,
+                              {"tol": float(args.tol)}, result)
 
 
-HANDLERS = {
-    "expect": _cmd_expect,
-    "gn-trace": _cmd_gn_trace,
-    "strong-approx": _cmd_strong_approx,
-    "weak-approx": _cmd_weak_approx,
-    "verify-strong": _cmd_verify_strong,
-    "verify-weak": _cmd_verify_weak,
-    "game": _cmd_game,
+def _cmd_game_purify(args, scenario: Scenario):
+    epsilon = float(args.epsilon)
+    res = purify(_need(scenario, "game"), scenario.measure, args.epsilon,
+                 args.n_max, args.tol, args.seed, retries=args.retries,
+                 horizon=args.horizon)
+    lines = [
+        f"purified profile ({scenario.name}, epsilon={epsilon})",
+        f"  switch index n = {res.n} (Dirac from coordinate {res.n} on)",
+        f"  sample attempt {res.attempt}",
+    ]
+    for c in res.per_action:
+        lines.append(
+            f"  action {c.action!r}: E_sigma in "
+            f"[{float(c.sigma_value.lo)!r}, {float(c.sigma_value.hi)!r}], "
+            f"E_profile in [{float(c.profile_value.lo)!r}, "
+            f"{float(c.profile_value.hi)!r}]"
+        )
+    result = {
+        "n": res.n,
+        "attempt": res.attempt,
+        "sample_seed": res.sample_seed,
+        "profile": _profile_payload(res.profile),
+        "per_action": [
+            {"action": c.action,
+             "sigma_value": _interval_payload(c.sigma_value),
+             "profile_value": _interval_payload(c.profile_value)}
+            for c in res.per_action
+        ],
+        "eta": float(res.eta),
+    }
+    params = {"epsilon": epsilon, "n_max": args.n_max,
+              "seed": args.seed, "tol": float(args.tol)}
+    return 0, lines, _payload("game-purify", scenario, params, result)
+
+
+def _cmd_game_naming_demo(args, scenario: Scenario):
+    value = naming_game_value(scenario.measure)
+    exploits = []
+    all_pay_one = True
+    for j in range(args.samples):
+        sub = derive_seed(args.seed, "naming-profile", j)
+        switch = 1 + (derive_seed(sub, "switch") % 6)
+        head = tuple(
+            MeasureAssignment(scenario.measure.coordinate_measure(i))
+            for i in range(1, switch))
+        tail = LazyPoint(derive_seed(sub, "tail"), scenario.measure)
+        profile = FinitisticProfile(HybridMeasure(head, switch, tail))
+        n, sym = naming_game_exploit(profile)
+        # engine-verified: naming (n, sym) pays exactly 1 against tau
+        payoff = Cylinder(n, {
+            key: F1 if key[n - 1] == sym else F0
+            for key in itertools.product(
+                *(scenario.spaces.space_at(i).symbols
+                  for i in range(1, n + 1)))
+        })
+        res = expect(payoff, profile.measure, args.tol)
+        ok = res.interval.is_point and res.interval.lo == 1
+        all_pay_one = all_pay_one and ok
+        exploits.append({"profile": j, "coordinate": n, "symbol": sym})
+    lines = [
+        f"naming game ({scenario.name})",
+        f"  mixing value  {float(value)!r}  "
+        f"({_frac_str(value)}; no action does better)",
+        f"  exploited {args.samples} finitistic profiles, payoff 1 each: "
+        f"{all_pay_one}",
+    ]
+    result = {"value": float(value), "value_rational": _frac_str(value),
+              "profiles_exploited": args.samples,
+              "all_payoff_one": all_pay_one,
+              "exploits": exploits}
+    params = {"samples": args.samples, "seed": args.seed}
+    return (0 if all_pay_one else 1), lines, _payload(
+        "game-naming-demo", scenario, params, result)
+
+
+#: per command (a game by its verb): its handler, and the settings it
+#: reads besides the horizon, each with the value it takes when neither
+#: its flag nor the scenario's `defaults` set it.  The horizon falls back
+#: to None, which `TailFunction.read_horizon` resolves in the library.
+COMMANDS = {
+    "expect": (_cmd_expect, {}),
+    "gn-trace": (_cmd_gn_trace, {"n_max": 8}),
+    "strong-approx": (_cmd_strong_approx,
+                      {"epsilon": Fraction(1, 100), "n_max": 32}),
+    "weak-approx": (_cmd_weak_approx, {"depth": 2}),
+    "verify-strong": (_cmd_verify_strong, {"epsilon": Fraction(1, 100),
+                                           "n_max": 32, "samples": 200}),
+    "verify-weak": (_cmd_verify_weak, {"depth": 2, "samples": 200}),
+    "game-value": (_cmd_game_value, {}),
+    "game-purify": (_cmd_game_purify, {"epsilon": Fraction(1, 10),
+                                       "n_max": 16}),
+    "game-naming-demo": (_cmd_game_naming_demo, {"samples": 100}),
 }
 
 
 def run_scenario(path: str, command: str, args) -> int:
     """Load a scenario, dispatch a command, emit reports, return exit code."""
     scenario = load_scenario(path)
-    code, lines, payload = HANDLERS[command](args, scenario)
+    handler, fallbacks = COMMANDS[
+        f"game-{args.verb}" if command == "game" else command]
+    code, lines, payload = handler(
+        _resolve_settings(args, scenario, fallbacks), scenario)
     text = "\n".join(lines) + "\n"
     machine = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.report == "machine":
@@ -446,6 +447,9 @@ _seed = _ranged(int, "seed", lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 _tol = _ranged(Fraction, "tolerance", lambda v: v > 0, "> 0")
 _epsilon = _ranged(Fraction, "epsilon", lambda v: v >= 0, ">= 0")
 _target = _ranged(Fraction, "target", lambda v: True, "rational")
+#: the flag type of each setting a `COMMANDS` entry reads
+_SETTING_TYPES = {"epsilon": _epsilon, "n_max": _count, "samples": _count,
+                  "depth": _count}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,52 +472,33 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="built-in scenarios: " + ", ".join(sorted(BUILTIN_SCENARIOS)))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expect", parents=[common],
-                       help="certified enclosure of E[f]")
-    p.add_argument("scenario")
+    def command(name: str, summary: str, *entries: str):
+        """Subparser `name`: a scenario, then one flag per setting that
+        its `COMMANDS` entries (`entries`, else `name` alone) read."""
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("scenario")
+        for key in dict.fromkeys(key for entry in entries or (name,)
+                                 for key in COMMANDS[entry][1]):
+            p.add_argument("--" + key.replace("_", "-"),
+                           type=_SETTING_TYPES[key])
+        return p
 
-    p = sub.add_parser("gn-trace", parents=[common],
-                       help="reverse-martingale trace g_1..g_N at a point")
-    p.add_argument("scenario")
+    command("expect", "certified enclosure of E[f]")
+    p = command("gn-trace", "reverse-martingale trace g_1..g_N at a point")
     p.add_argument("--point", default="lazy",
                    help="named scenario point, or 'lazy' to sample one")
-    p.add_argument("--n-max", dest="n_max", type=_count, default=None)
-
-    p = sub.add_parser("strong-approx", parents=[common],
-                       help="smallest certified strong-approximation index")
-    p.add_argument("scenario")
+    p = command("strong-approx",
+                "smallest certified strong-approximation index")
     p.add_argument("--point", default="lazy")
-    p.add_argument("--epsilon", type=_epsilon, default=None)
-    p.add_argument("--n-max", dest="n_max", type=_count, default=None)
-
-    p = sub.add_parser("weak-approx", parents=[common],
-                       help="single-coordinate mixing certificate for E[f]")
-    p.add_argument("scenario")
+    p = command("weak-approx", "single-coordinate mixing certificate for E[f]")
     p.add_argument("--r", type=_target, default=None,
                    help="override the target value (default: midpoint of E[f])")
-    p.add_argument("--depth", type=_count, default=None)
     p.add_argument("--retries", type=_count, default=DEFAULT_RETRIES)
-
-    p = sub.add_parser("verify-strong", parents=[common],
-                       help="Monte Carlo campaign for strong approximations")
-    p.add_argument("scenario")
-    p.add_argument("--epsilon", type=_epsilon, default=None)
-    p.add_argument("--n-max", dest="n_max", type=_count, default=None)
-    p.add_argument("--samples", type=_count, default=None)
-
-    p = sub.add_parser("verify-weak", parents=[common],
-                       help="Monte Carlo campaign for weak 0-approximations")
-    p.add_argument("scenario")
-    p.add_argument("--depth", type=_count, default=None)
-    p.add_argument("--samples", type=_count, default=None)
-
-    p = sub.add_parser("game", parents=[common],
-                       help="minmax evaluation, purification, naming demo")
-    p.add_argument("scenario")
+    command("verify-strong", "Monte Carlo campaign for strong approximations")
+    command("verify-weak", "Monte Carlo campaign for weak 0-approximations")
+    p = command("game", "minmax evaluation, purification, naming demo",
+                "game-value", "game-purify", "game-naming-demo")
     p.add_argument("verb", choices=("value", "purify", "naming-demo"))
-    p.add_argument("--epsilon", type=_epsilon, default=None)
-    p.add_argument("--n-max", dest="n_max", type=_count, default=None)
-    p.add_argument("--samples", type=_count, default=None)
     p.add_argument("--retries", type=_count, default=DEFAULT_PURIFY_RETRIES)
 
     return parser

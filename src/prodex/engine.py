@@ -103,8 +103,8 @@ def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
     """Certified enclosure of E_mu[f] of width at most 2*tol.
 
     `horizon` is the one realization-depth setting: how far a lazily
-    sampled pinned point is read (`f.read_horizon`: DEFAULT_HORIZON when
-    None; indicators also read the sampled head).  `use_oracle` False
+    sampled pinned point is read (`f.read_horizon`: the default depth
+    when None; indicators also read the sampled head).  `use_oracle` False
     forces the generic tree, the reference route of the tests.
     Returns status `budget_exhausted` (with a still-sound interval) when
     the node budget runs out, or when the best achievable enclosure at

@@ -103,20 +103,6 @@ class ValueBounds:
 _ZERO = ValueBounds(F0, F0)
 
 
-def _read_limit(rest: PointSpec, horizon: int) -> Optional[int]:
-    """Largest index that may be read from `rest`; None means unlimited.
-
-    Reading a described or finitely modified point is a rule lookup and
-    costs nothing; realizing a lazily sampled point is capped by the
-    horizon (modified coordinates above it are already known, so the cap
-    is raised to cover them).
-    """
-    root, depth = _root_of(rest)
-    if isinstance(root, LazyPoint):
-        return max(horizon, depth)
-    return None
-
-
 def _explicit_limit(rest: PointSpec, horizon: int) -> int:
     """Last coordinate read one by one from a rest with no periodic stream.
 
@@ -146,22 +132,26 @@ class TailFunction:
 
     def bounds_over(self, prefix: tuple, rest: Optional[PointSpec] = None,
                     rest_from: Optional[int] = None,
-                    horizon: int = DEFAULT_HORIZON) -> ValueBounds:
+                    horizon: Optional[int] = None) -> ValueBounds:
         """Enclosure of f over points with coordinates 1..len(prefix)
         equal to prefix, coordinates >= rest_from equal to rest, and the
         window in between (all of the tail, when rest is None) free.
 
         A rest_from inside the prefix starts the rest right after it.
+        The rest is read as far as `read_horizon(rest, horizon)`.
         """
         m = len(prefix)
         start = m + 1 if rest_from is None else max(rest_from, m + 1)
+        if rest is not None:
+            horizon = self.read_horizon(rest, horizon)
         return self.window_bounds(rest, start, horizon)(prefix)
 
     def window_bounds(self, rest: Optional[PointSpec], rest_from: int,
-                      horizon: int = DEFAULT_HORIZON):
+                      horizon: int):
         """The callable prefix -> bounds_over(prefix, rest, rest_from,
         horizon), valid for len(prefix) < rest_from.
 
+        `horizon` is a depth the caller resolved with `read_horizon`.
         The built-in families read `rest` once, when the window is made,
         so many prefixes over one rest cost one read of it.  This default
         calls `bounds_over` for each prefix.
@@ -173,8 +163,10 @@ class TailFunction:
         return lambda prefix: self.bounds_over(prefix, rest, rest_from,
                                                horizon)
 
-    def eval_soft(self, x: PointSpec, horizon: int = DEFAULT_HORIZON) -> ValueBounds:
-        """Value of f at x, soft verdicts allowed (see module docstring)."""
+    def eval_soft(self, x: PointSpec,
+                  horizon: Optional[int] = None) -> ValueBounds:
+        """Value of f at x, soft verdicts allowed (see module docstring),
+        read as far as `read_horizon(x, horizon)`."""
         return self.bounds_over((), rest=x, rest_from=1, horizon=horizon)
 
     def expectation(self, mu: Measure,
@@ -193,13 +185,15 @@ class TailFunction:
 
     def read_horizon(self, point: PointSpec, horizon: Optional[int]) -> int:
         """How far a lazily sampled pinned `point` is read: the explicit
-        horizon, else DEFAULT_HORIZON."""
+        horizon, else DEFAULT_HORIZON.  The one place where a horizon of
+        None becomes a depth; resolving a depth again keeps it."""
         return DEFAULT_HORIZON if horizon is None else horizon
 
 
 def eval_function(f: TailFunction, x: PointSpec,
-                  horizon: int = DEFAULT_HORIZON) -> ValueBounds:
-    """Value of f at x from its first `horizon` coordinates, hard bounds.
+                  horizon: Optional[int] = None) -> ValueBounds:
+    """Value of f at x from its first `f.read_horizon(x, horizon)`
+    coordinates, hard bounds.
 
     Returns a width-0 enclosure when the inspected prefix (plus any
     finite tail description) determines the value; otherwise the
@@ -304,14 +298,15 @@ class Cylinder(TailFunction):
         """Coordinates start..depth of `rest` that the table is matched on.
 
         Each is read unless `rest` is lazily sampled and the index lies
-        past its read limit (see `_read_limit`); unread coordinates stay
-        free.  Maps index -> symbol, in increasing index order.
+        past `_explicit_limit` of the resolved depth `horizon`; unread
+        coordinates stay free.  Maps index -> symbol, in index order.
         """
-        limit = _read_limit(rest, horizon)
-        top = self.depth if limit is None else min(self.depth, limit)
+        top = self.depth
+        if isinstance(_root_of(rest)[0], LazyPoint):
+            top = min(top, _explicit_limit(rest, horizon))
         return {i: rest.coordinate(i) for i in range(start, top + 1)}
 
-    def window_bounds(self, rest, rest_from, horizon=DEFAULT_HORIZON):
+    def window_bounds(self, rest, rest_from, horizon):
         # the pinned block is key[start:top], read from rest once; rows are
         # matched on it once, on the first prefix that needs a scan
         start = rest_from - 1
@@ -569,7 +564,7 @@ class DiscountedSum(TailFunction):
                       * self.weights.periodic_tail_sum(first, period))
         return exact, exact
 
-    def window_bounds(self, rest, rest_from, horizon=DEFAULT_HORIZON):
+    def window_bounds(self, rest, rest_from, horizon):
         if rest is None:
             rlo = rhi = rest_mass = F0
         else:
@@ -810,7 +805,7 @@ class ProductIndicator(TailFunction):
                 product *= sigma.coordinate_measure(n).weight_of(
                     self._targets_through(n)[n - 1])
 
-    def window_bounds(self, rest, rest_from, horizon=DEFAULT_HORIZON):
+    def window_bounds(self, rest, rest_from, horizon):
         targets = self._targets_through(rest_from - 1)
         # the last coordinate before the rest with a symbol off its target
         last_free = next((i for i in range(rest_from - 1, 0, -1)

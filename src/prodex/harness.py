@@ -8,7 +8,9 @@ always uses the substream seed ``derive_seed(master, "<campaign>-sample",
 j)``, so campaigns are deterministic given (scenario, master seed,
 sample count); samples run one after another and records come out in
 sample order.  A report names no scenario: the CLI's machine report
-carries the scenario's digest beside it.
+carries the scenario's digest beside it.  A campaign passes `horizon`
+on as given; None is the function's default depth, which the library
+resolves through `f.read_horizon` wherever a point is read.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 from .engine import expect
 from .errors import ProdexError, UndeterminedValueError, ValidationError
-from .functions import DEFAULT_HORIZON, TailFunction
+from .functions import TailFunction
 from .martingale import FOUND, NOT_FOUND, find_strong_approx
 from .model import LazyPoint, ProductMeasure
 from .numeric import F0, Rational, as_fraction
@@ -118,7 +120,7 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
 
 def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
                 tol: Rational = Fraction(1, 10**9), seed: int = 0, *,
-                horizon: int = DEFAULT_HORIZON) -> VerificationReport:
+                horizon: Optional[int] = None) -> VerificationReport:
     """Fraction of sampled points whose depth-m hull certifies E[f].
 
     A sample is certified only when classification succeeds and the

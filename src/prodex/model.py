@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotTailEquivalentError, UnsupportedTailError, ValidationError
 from .numeric import F0, F1, Interval, PROB_SUM_TOL, Rational, as_fraction
-from .seeds import check_seed, unit_bits
+from .seeds import _unit_bits, check_seed
 
 Symbol = Union[int, str]
 
@@ -625,7 +625,7 @@ class LazyPoint(PointSpec):
         if hit is not None:
             return hit
         sym = self.measure.coordinate_measure(i).sample_bits(
-            unit_bits(self.seed, "coord", i))
+            _unit_bits(self.seed, ("coord", i)))
         self._cache[i] = sym
         return sym
 

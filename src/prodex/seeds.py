@@ -38,10 +38,16 @@ def derive_seed(seed: int, *path) -> int:
     return int.from_bytes(_digest(seed, label), "little")
 
 
-def unit_bits(seed: int, *path) -> int:
-    """Uniform 64-bit draw k in [0, 2**64), the numerator of `unit_fraction`."""
+def _unit_bits(seed: int, path: tuple) -> int:
+    """`unit_bits` for a seed its caller has checked once already."""
     label = "u/" + "/".join(str(p) for p in path)
     return int.from_bytes(_digest(seed, label.encode("utf-8")), "little")
+
+
+def unit_bits(seed: int, *path) -> int:
+    """Uniform 64-bit draw k in [0, 2**64), the numerator of `unit_fraction`."""
+    check_seed(seed)
+    return _unit_bits(seed, path)
 
 
 def unit_fraction(seed: int, *path) -> Fraction:

@@ -20,6 +20,9 @@ Certification is one-sided by design: a hull that straddles r certifies
 membership, but no finite search can rule r out of the full hull over
 unbounded-depth modifications, so the negative direction is reported as
 undetermined rather than certified.
+
+A `horizon` of None is resolved by `f.read_horizon`, once for the
+window over the base point and once for each point evaluated.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     UndeterminedValueError,
     ValidationError,
 )
-from .functions import DEFAULT_HORIZON, TailFunction, ValueBounds
+from .functions import TailFunction, ValueBounds
 from .model import (
     CoordinateMeasure,
     LazyPoint,
@@ -113,7 +116,7 @@ class WeakApproxCertificate:
             raise ValidationError(f"mixing weight {self.alpha} outside [0, 1]")
 
     def mixed_value(self, f: TailFunction,
-                    horizon: int = DEFAULT_HORIZON) -> Fraction:
+                    horizon: Optional[int] = None) -> Fraction:
         """Re-evaluate alpha*f(z_low) + (1-alpha)*f(z_high) directly."""
         low = _determined_value(f, self.point, horizon)
         high_point = modify_point(self.point, {self.coordinate: self.symbol_high})
@@ -122,18 +125,19 @@ class WeakApproxCertificate:
 
 
 def _determined_value(f: TailFunction, x: PointSpec,
-                      horizon: int) -> ValueBounds:
-    vb = f.eval_soft(x, horizon=horizon)
+                      horizon: Optional[int]) -> ValueBounds:
+    vb = f.eval_soft(x, horizon)
     if vb.width > DETERMINED_WIDTH:
         raise UndeterminedValueError(
-            f"function value not determinable at horizon {horizon} "
+            "function value not determinable at horizon "
+            f"{f.read_horizon(x, horizon)} "
             f"(enclosure width {float(vb.width)})"
         )
     return vb
 
 
 def hull_estimate(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
-                  *, horizon: int = DEFAULT_HORIZON) -> HullEstimate:
+                  *, horizon: Optional[int] = None) -> HullEstimate:
     """Span of f over modifications of coordinates 1..m of x.
 
     One bound-guided witness per endpoint (`_guided_witness`), at a cost
@@ -156,7 +160,7 @@ def hull_estimate(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
 
 
 def _guided_witness(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
-                    horizon: int, maximize: bool):
+                    horizon: Optional[int], maximize: bool):
     """Build a witness coordinate by coordinate, following cylinder bounds.
 
     At coordinate i the symbol optimizing the enclosure of f over
@@ -165,7 +169,7 @@ def _guided_witness(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
     enclosure comes from one window over x from m + 1 on, so the search
     reads x past m once, not once per candidate.
     """
-    window = f.window_bounds(x, m + 1, horizon)
+    window = f.window_bounds(x, m + 1, f.read_horizon(x, horizon))
     prefix = ()
     for i in range(1, m + 1):
         own = x.coordinate(i)
@@ -183,7 +187,7 @@ def _guided_witness(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
 
 
 def classify(f: TailFunction, sigma: ProductMeasure, x: PointSpec, r: Rational,
-             m: int, *, horizon: int = DEFAULT_HORIZON) -> ClassVerdict:
+             m: int, *, horizon: Optional[int] = None) -> ClassVerdict:
     """Certify r inside the depth-m modification hull of x, if it is.
 
     Finite modifications never leave the tail class of x, so a hull
@@ -199,7 +203,8 @@ def classify(f: TailFunction, sigma: ProductMeasure, x: PointSpec, r: Rational,
 
 def construct_weak_zero(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
                         y: PointSpec, r: Rational,
-                        horizon: int = DEFAULT_HORIZON) -> WeakApproxCertificate:
+                        horizon: Optional[int] = None
+                        ) -> WeakApproxCertificate:
     """Single-coordinate mixing certificate from a straddling pair.
 
     Requires f(x) <= r <= f(y) and tail-equivalent x, y.  Walks the
@@ -274,14 +279,16 @@ def weak_zero_from_sample(f: TailFunction, sigma: ProductMeasure,
                           tol: Rational = Fraction(1, 10**9),
                           m: int = 1, seed: int = 0, *,
                           retries: int = DEFAULT_RETRIES,
-                          horizon: int = DEFAULT_HORIZON,
+                          horizon: Optional[int] = None,
                           reference: Optional[Fraction] = None
                           ) -> WeakApproxCertificate:
     """Sample points under sigma until a depth-m hull straddles E[f].
 
     The target r is the midpoint of the certified enclosure of E[f]
     (the certificate then achieves r exactly and the true expectation
-    within the enclosure width).  Each retry uses a fresh substream.
+    within the enclosure width).  Each retry uses a fresh substream; a
+    sample whose value the horizon does not determine is passed over, as
+    `verify_weak` counts it inconclusive.
     """
     if m < 1:
         raise ValidationError("hull depth must be >= 1")
@@ -292,7 +299,10 @@ def weak_zero_from_sample(f: TailFunction, sigma: ProductMeasure,
         r = as_fraction(reference)
     for attempt in range(retries):
         x = LazyPoint(derive_seed(seed, "weak-sample", attempt), sigma)
-        hull = hull_estimate(f, x, m, sigma.spaces, horizon=horizon)
+        try:
+            hull = hull_estimate(f, x, m, sigma.spaces, horizon=horizon)
+        except UndeterminedValueError:
+            continue
         if hull.contains(r):
             return construct_weak_zero(f, sigma, hull.witness_min,
                                        hull.witness_max, r, horizon)

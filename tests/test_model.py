@@ -152,8 +152,9 @@ class TestIntegerDraws:
         sigma = uniform_sigma()
         with pytest.raises(ValidationError):
             LazyPoint(seed, sigma)
-        with pytest.raises(ValidationError):
-            derive_seed(seed, "sample", 0)
+        for draw in (derive_seed, unit_bits, unit_fraction):
+            with pytest.raises(ValidationError):
+                draw(seed, "sample", 0)
         with pytest.raises(ValidationError):
             verify_strong(discounted_unit(), sigma, F(1, 10), 1, 4, seed=seed)
 

@@ -488,6 +488,32 @@ class TestHorizonResolution:
         assert "PurificationFailedError" in capsys.readouterr().err
 
 
+class TestFallbacks:
+    @pytest.mark.parametrize("name, position, argv, fallback", [
+        ("find_strong_approx", 3, ["strong-approx", "cylinder-mix"],
+         F(1, 100)),
+        ("verify_strong", 2, ["verify-strong", "cylinder-mix"], F(1, 100)),
+        ("purify", 2, ["game", "purify-demo", "purify"], F(1, 10)),
+    ])
+    def test_epsilon_fallback_is_exact(self, name, position, argv, fallback,
+                                       tmp_path, monkeypatch):
+        # a scenario with no epsilon default gets the command's fallback,
+        # which reaches the library as an exact rational, not a float
+        doc = json.loads(BUILTIN_TEXTS[argv[1]])
+        del doc["defaults"]["epsilon"]
+        path = tmp_path / f"{argv[1]}.json"
+        path.write_text(json.dumps(doc))
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(args[position])
+            raise ScenarioError("stop")
+
+        monkeypatch.setattr(prodex.cli, name, spy)
+        assert main([argv[0], str(path)] + argv[2:]) == 2
+        assert seen == [fallback] and isinstance(seen[0], Fraction)
+
+
 def test_node_budget_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expect", "example-3-4", "--node-budget", "10"])

@@ -1,5 +1,6 @@
 """Hull estimation, class certification, weak-zero certificates."""
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -9,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodex.engine import expect
-from prodex.errors import NotStraddlingError, StraddleNotFoundError
+from prodex.errors import (
+    NotStraddlingError,
+    StraddleNotFoundError,
+    UndeterminedValueError,
+)
 from prodex.functions import Cylinder, ProductIndicator, eval_function
 from prodex.model import (
     ConstantSymbol,
@@ -21,6 +26,7 @@ from prodex.model import (
     point_coordinate,
 )
 from prodex import tailclass
+from prodex.seeds import derive_seed
 from prodex.tailclass import (
     UNDETERMINED,
     Z0_CERTIFIED,
@@ -317,6 +323,36 @@ class TestWeakZeroFromSample:
                                   reference=F(1, 2))
         assert err.value.depth == 1
         assert err.value.samples_tried == 3
+
+
+    def test_undetermined_samples_are_passed_over(self):
+        # read to horizon 2, a sample is determined exactly when x_2 = 0
+        # (then f = x_1); at x_2 = 1 the value is the unread x_3.  The
+        # depth-1 hull of a determined sample spans [0, 1] around E = 1/2
+        f = Cylinder.from_callable([(0, 1)] * 3,
+                                   lambda a, b, c: F(c if b else a))
+        sigma = uniform_sigma()
+
+        def sample(seed, attempt):
+            return LazyPoint(derive_seed(seed, "weak-sample", attempt), sigma)
+
+        seed = next(s for s in itertools.count()
+                    if sample(s, 0).coordinate(2) == 1)
+        first = next(a for a in itertools.count()
+                     if sample(seed, a).coordinate(2) == 0)
+        with pytest.raises(UndeterminedValueError):
+            hull_estimate(f, sample(seed, 0), 1, sigma.spaces, horizon=2)
+        cert = weak_zero_from_sample(f, sigma, TOL, 1, seed=seed, horizon=2)
+        root = cert.point
+        while not isinstance(root, LazyPoint):
+            root = root.base
+        assert root.seed == sample(seed, first).seed
+        assert cert.achieved == F(1, 2)
+        # with only the undetermined samples to try, no hull is found
+        with pytest.raises(StraddleNotFoundError) as err:
+            weak_zero_from_sample(f, sigma, TOL, 1, seed=seed, horizon=2,
+                                  retries=first)
+        assert err.value.samples_tried == first
 
 
 class TestCertificateProperties:
