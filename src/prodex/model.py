@@ -673,7 +673,10 @@ def modify_point(x: PointSpec, overrides: Mapping[int, Symbol]) -> PointSpec:
     """Point equal to x except at the overridden coordinates.
 
     Described bases stay described (the head is extended as needed), so
-    hull witnesses over described points remain described points.
+    hull witnesses over described points remain described points.  A
+    modified point keeps every override, one equal to its base's symbol
+    included, so the read limit of a lazily sampled point covers each
+    one: a point spliced from two witnesses reads as deep as they do.
     """
     if not overrides:
         return x
@@ -693,9 +696,6 @@ def modify_point(x: PointSpec, overrides: Mapping[int, Symbol]) -> PointSpec:
     if isinstance(x, ModifiedPoint):
         merged = dict(x.overrides)
         merged.update(clean)
-        merged = {i: s for i, s in merged.items() if x.base.coordinate(i) != s}
-        if not merged:
-            return x.base
         return ModifiedPoint(x.base, tuple(sorted(merged.items())))
     return ModifiedPoint(x, tuple(sorted(clean.items())))
 

@@ -101,6 +101,16 @@ class TestVerifyWeak:
         assert (rep.inconclusive, rep.certified, rep.failed) == (4, 0, 0)
         assert all((r.detail, r.eta) == (8, 0) for r in rep.records)
 
+    def test_walk_points_read_as_deep_as_their_witnesses(self):
+        # f = 1/2 at x_1 = 1, else x_2.  At horizon 1 only a modified
+        # coordinate 2 is read, so every determined sample has witnesses
+        # modified through 2; a walk point that kept only coordinate 1
+        # would leave x_2 unread and fail the sample
+        f = Cylinder(2, {(0, 0): F(0), (0, 1): F(1),
+                         (1, 0): F(1, 2), (1, 1): F(1, 2)})
+        rep = verify_weak(f, uniform_sigma(), 2, 40, TOL, seed=0, horizon=1)
+        assert (rep.certified, rep.inconclusive, rep.failed) == (17, 23, 0)
+
     def test_deterministic_given_seed(self):
         a = verify_weak(mix_cylinder(), uniform_sigma(), 2, 60, TOL, seed=12)
         b = verify_weak(mix_cylinder(), uniform_sigma(), 2, 60, TOL, seed=12)

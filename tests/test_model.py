@@ -277,6 +277,18 @@ class TestPoints:
         for i in (1, 2, 4, 5, 20):
             assert point_coordinate(y, i) == point_coordinate(x, i)
 
+    def test_modify_modified_keeps_every_override(self, sigma_uniform):
+        # an override equal to the base's own symbol is kept: it is part of
+        # what a lazily sampled point is read to
+        x = LazyPoint(5, sigma_uniform)
+        y = modify_point(x, {2: 1 - point_coordinate(x, 2), 4: 0})
+        z = modify_point(y, {2: point_coordinate(x, 2)})
+        assert isinstance(z, ModifiedPoint)
+        assert [i for i, _ in z.overrides] == [2, 4]
+        assert all(point_coordinate(z, i) == point_coordinate(x, i)
+                   for i in (1, 2, 3, 5, 20))
+        assert point_coordinate(z, 4) == 0
+
     @given(seed=st.integers(0, 2**32),
            layers=st.lists(st.dictionaries(st.integers(1, 30),
                                            st.sampled_from([0, 1, "a"]),

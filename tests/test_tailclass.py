@@ -354,6 +354,17 @@ class TestWeakZeroFromSample:
                                   retries=first)
         assert err.value.samples_tried == first
 
+    def test_walk_point_reads_as_deep_as_its_witnesses(self):
+        # read to horizon 1, f = 1/2 at x_1 = 1, else x_2: the certificate
+        # point keeps the witnesses' override at coordinate 2, which the
+        # horizon alone would not read
+        f = Cylinder(2, {(0, 0): F(0), (0, 1): F(1),
+                         (1, 0): F(1, 2), (1, 1): F(1, 2)})
+        cert = weak_zero_from_sample(f, uniform_sigma(), TOL, 2, seed=0,
+                                     horizon=1)
+        assert cert.achieved == F(1, 2)
+        assert cert.mixed_value(f, 1) == F(1, 2)
+
 
 class TestCertificateProperties:
     @given(seed=st.integers(min_value=0, max_value=2**32))
