@@ -674,9 +674,8 @@ def modify_point(x: PointSpec, overrides: Mapping[int, Symbol]) -> PointSpec:
 
     Described bases stay described (the head is extended as needed), so
     hull witnesses over described points remain described points.  A
-    modified point keeps every override, one equal to its base's symbol
-    included, so the read limit of a lazily sampled point covers each
-    one: a point spliced from two witnesses reads as deep as they do.
+    modified point keeps every override, even one equal to its base's
+    symbol, so a lazily sampled point is read as deep as each one.
     """
     if not overrides:
         return x

@@ -5,13 +5,13 @@ class, so the span of f over depth-m modifications is an inner estimate
 of the class hull.  `hull_estimate` spans them by one route, a
 bound-guided search that builds a concrete witness for each endpoint;
 for the built-in families, whose window bounds are attained, it returns
-the exact span over all modifications.  A witness costs m * |space|
-queries of one window over the base point, which reads the point past
-m once, plus one evaluation of the witness: O(m * |space| + horizon)
-coordinate reads.  When that span straddles a target value r, walking
-from the low witness to the high witness one coordinate at a time must
-cross r between two adjacent points that differ in a single coordinate;
-mixing those two symbols with the right weight hits r exactly.  This is
+the exact span over all modifications.  The searches and both witness
+values query one window over the base point, which reads the point
+past m once: O(m * |space| + horizon) coordinate reads.  When that span
+straddles a target value r, walking from the low witness to the high
+witness one coordinate at a time must cross r between two adjacent
+points that differ in a single coordinate; mixing those two symbols
+with the right weight hits r exactly.  This is
 the constructive content behind `construct_weak_zero`: the certificate
 it returns realizes E[f] with a measure that randomizes in exactly one
 coordinate and is Dirac everywhere else.
@@ -21,8 +21,8 @@ membership, but no finite search can rule r out of the full hull over
 unbounded-depth modifications, so the negative direction is reported as
 undetermined rather than certified.
 
-A `horizon` of None is resolved by `f.read_horizon`, once for the
-window over the base point and once for each point evaluated.
+A `horizon` of None is resolved by `f.read_horizon`, once for each
+window and once for each point that is read whole.
 """
 
 from __future__ import annotations
@@ -126,11 +126,13 @@ class WeakApproxCertificate:
 
 def _determined_value(f: TailFunction, x: PointSpec,
                       horizon: Optional[int]) -> ValueBounds:
-    vb = f.eval_soft(x, horizon)
+    return _determined(f.eval_soft(x, horizon), f.read_horizon(x, horizon))
+
+
+def _determined(vb: ValueBounds, depth: int) -> ValueBounds:
     if vb.width > DETERMINED_WIDTH:
         raise UndeterminedValueError(
-            "function value not determinable at horizon "
-            f"{f.read_horizon(x, horizon)} "
+            f"function value not determinable at horizon {depth} "
             f"(enclosure width {float(vb.width)})"
         )
     return vb
@@ -142,48 +144,45 @@ def hull_estimate(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
 
     One bound-guided witness per endpoint (`_guided_witness`), at a cost
     of |space| window bounds per coordinate instead of a product over all
-    |space|**m modifications; the bounds of one witness share one window
-    over x, so x is read past m once per witness, not once per
-    candidate.  Each endpoint is the value of its witness,
-    so the span is inner; for the built-in families it is the exact span,
-    because their window bounds are attained and the search never leaves
-    an optimal completion.
+    |space|**m modifications.  The searches and both witness values
+    share one window over x from m + 1 on, so x is read past m once
+    there, and once more for the base point's own value.  Each endpoint
+    is the value of its witness, so the span is inner; for the built-in
+    families it is the exact span, because their window bounds are
+    attained and the search never leaves an optimal completion.
     """
     if m < 0:
         raise ValidationError("hull depth must be >= 0")
-    base = _determined_value(f, x, horizon)
-    if m == 0:
-        return HullEstimate(0, base.midpoint, base.midpoint, x, x, base.eta)
-    wmin, vmin, eta_min = _guided_witness(f, x, m, spaces, horizon, maximize=False)
-    wmax, vmax, eta_max = _guided_witness(f, x, m, spaces, horizon, maximize=True)
-    return HullEstimate(m, vmin, vmax, wmin, wmax, max(eta_min, eta_max))
+    _determined_value(f, x, horizon)
+    depth = f.read_horizon(x, horizon)
+    window = f.window_bounds(x, m + 1, depth)
+    ends = []
+    for maximize in (False, True):
+        prefix = _guided_witness(window, x, m, spaces, maximize)
+        ends.append((modify_point(x, dict(enumerate(prefix, start=1))),
+                     _determined(window(prefix), depth)))
+    (wmin, vmin), (wmax, vmax) = ends
+    return HullEstimate(m, vmin.midpoint, vmax.midpoint, wmin, wmax,
+                        max(vmin.eta, vmax.eta))
 
 
-def _guided_witness(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
-                    horizon: Optional[int], maximize: bool):
-    """Build a witness coordinate by coordinate, following cylinder bounds.
+def _guided_witness(window, x: PointSpec, m: int, spaces: SpaceFamily,
+                    maximize: bool) -> tuple:
+    """The witness's symbols at 1..m, chosen coordinate by coordinate.
 
     At coordinate i the symbol optimizing the enclosure of f over
     (chosen prefix, free window to m, base point beyond) is kept; ties
     prefer the base point's own symbol, then space order.  Every
-    enclosure comes from one window over x from m + 1 on, so the search
-    reads x past m once, not once per candidate.
+    enclosure comes from `window`, one window over x from m + 1 on.
     """
-    window = f.window_bounds(x, m + 1, f.read_horizon(x, horizon))
     prefix = ()
     for i in range(1, m + 1):
         own = x.coordinate(i)
         symbols = [own] + [s for s in spaces.space_at(i).symbols if s != own]
-        best_sym, best_score = None, None
-        for s in symbols:
-            vb = window(prefix + (s,))
-            score = vb.hi if maximize else -vb.lo
-            if best_score is None or score > best_score:
-                best_sym, best_score = s, score
-        prefix += (best_sym,)
-    witness = modify_point(x, dict(enumerate(prefix, start=1)))
-    vb = _determined_value(f, witness, horizon)
-    return witness, vb.midpoint, vb.eta
+        bounds = [window(prefix + (s,)) for s in symbols]
+        scores = [vb.hi if maximize else -vb.lo for vb in bounds]
+        prefix += (symbols[scores.index(max(scores))],)
+    return prefix
 
 
 def classify(f: TailFunction, sigma: ProductMeasure, x: PointSpec, r: Rational,
@@ -210,19 +209,20 @@ def construct_weak_zero(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
     Requires f(x) <= r <= f(y) and tail-equivalent x, y.  Walks the
     chain z_k = (y_1, .., y_{k-1}, x_k, x_{k+1}, ..) from z_1 = x to
     z_{n+1} = y, finds the first adjacent pair straddling r (they differ
-    in exactly coordinate k) and solves the mixing weight exactly.
+    in exactly coordinate k) and solves the mixing weight exactly.  Each
+    z_k is a prefix over x past the agreement index n of x and y, read
+    from one window over x; only the chosen z_k is built as a point.
     """
     rv = as_fraction(r)
     n = agreement_index(x, y)
+    depth = f.read_horizon(x, horizon)
+    window = f.window_bounds(x, n + 1, depth)
+    xs, ys = (tuple(p.coordinate(i) for i in range(1, n + 1))
+              for p in (x, y))
     values = []
-    points = []
     eta = F0
     for k in range(1, n + 2):
-        zk = splice_prefix(x, y, k)
-        # each z_k is evaluated on its own: its read limit covers its own
-        # modifications, which a window over x would not
-        vb = _determined_value(f, zk, horizon)
-        points.append(zk)
+        vb = _determined(window(ys[:k - 1] + xs[k - 1:]), depth)
         values.append(vb.midpoint)
         eta = max(eta, vb.eta)
     fx, fy = values[0], values[-1]
@@ -270,7 +270,7 @@ def construct_weak_zero(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
         weights.append(w)
     tau = CoordinateMeasure(k, space.symbols, tuple(weights))
     return WeakApproxCertificate(
-        point=points[k - 1], coordinate=k, alpha=alpha, tau=tau,
+        point=splice_prefix(x, y, k), coordinate=k, alpha=alpha, tau=tau,
         achieved=achieved, symbol_low=sym_low, symbol_high=sym_high,
         value_low=v_low, value_high=v_high, eta=eta)
 

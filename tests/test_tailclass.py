@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from prodex.engine import expect
 from prodex.errors import (
     NotStraddlingError,
+    ProdexError,
     StraddleNotFoundError,
     UndeterminedValueError,
 )
@@ -22,10 +23,11 @@ from prodex.model import (
     HybridMeasure,
     LazyPoint,
     MeasureAssignment,
+    agreement_index,
     modify_point,
     point_coordinate,
+    splice_prefix,
 )
-from prodex import tailclass
 from prodex.seeds import derive_seed
 from prodex.tailclass import (
     UNDETERMINED,
@@ -37,6 +39,7 @@ from prodex.tailclass import (
 )
 
 from conftest import (
+    BITS,
     all_ones_point,
     all_zeros_point,
     binary_spaces,
@@ -67,6 +70,14 @@ class CountingPoint(LazyPoint):
     def coordinate(self, i):
         self.reads[i] += 1
         return super().coordinate(i)
+
+
+READ_COUNT_CASES = pytest.mark.parametrize(
+    "f, m", [(f, m) for f in (indicator_all_ones(), discounted_unit(),
+                              mix_cylinder())
+             for m in (1, 5, 12)],
+    ids=[f"{name}-{m}" for name in ("indicator", "discounted", "cylinder")
+         for m in (1, 5, 12)])
 
 
 class TestHullEstimate:
@@ -149,30 +160,25 @@ class TestHullEstimate:
             for i in range(m + 1, m + 16):
                 assert point_coordinate(witness, i) == point_coordinate(x, i)
 
-    @pytest.mark.parametrize("f", [indicator_all_ones(), discounted_unit(),
-                                   mix_cylinder()],
-                             ids=["indicator", "discounted", "cylinder"])
-    @pytest.mark.parametrize("m", [1, 5, 12])
-    def test_one_witness_reads_the_base_past_m_once(self, f, m, monkeypatch):
-        # the search reads each coordinate of x past m at most once, however
-        # many candidates it bounds; the witness's own value reads it again
+    @READ_COUNT_CASES
+    def test_hull_reads_the_base_past_m_at_most_twice(self, f, m):
+        # once for x's own value, once for the window that both searches
+        # and both witness values share, however many candidates it bounds
         x = CountingPoint(7, geometric_sigma())
-        searched = {}
+        hull_estimate(f, x, m, binary_spaces())
+        assert all(n <= 2 for i, n in x.reads.items() if i > m)
 
-        def snapshot(f, witness, horizon):
-            searched.update(x.reads)
-            return determined(f, witness, horizon)
-
-        determined = tailclass._determined_value
-        monkeypatch.setattr(tailclass, "_determined_value", snapshot)
-        for maximize in (False, True):
-            x.reads.clear()
-            searched.clear()
-            tailclass._guided_witness(f, x, m, binary_spaces(), 64, maximize)
-            past_m = [i for i in x.reads if i > m]
-            assert all(searched.get(i, 0) <= 1 for i in past_m)
-            assert all(x.reads[i] <= 2 for i in past_m)
-            assert all(searched[i] == 1 for i in range(1, m + 1))
+    @READ_COUNT_CASES
+    def test_walk_reads_the_base_at_most_once(self, f, m):
+        # every walk point is a prefix over the low witness: one window
+        x = CountingPoint(7, geometric_sigma())
+        hull = hull_estimate(f, x, m, binary_spaces())
+        r = (hull.lo + hull.hi) / 2
+        x.reads.clear()
+        cert = construct_weak_zero(f, geometric_sigma(), hull.witness_min,
+                                   hull.witness_max, r)
+        assert cert.achieved == r
+        assert all(n <= 1 for n in x.reads.values())
 
     def test_horizon_is_keyword_only(self):
         # a stale call passing an enumeration budget positionally must
@@ -269,7 +275,6 @@ class TestConstructWeakZero:
         sigma = uniform_sigma()
         x = modify_point(all_zeros_point(), {1: 1, 3: 1})
         y = modify_point(all_zeros_point(), {2: 1, 4: 1})
-        from prodex.model import agreement_index, splice_prefix
         n = agreement_index(x, y)
         for k in range(1, n + 1):
             zk, zk1 = splice_prefix(x, y, k), splice_prefix(x, y, k + 1)
@@ -278,6 +283,44 @@ class TestConstructWeakZero:
             assert diffs == [k] or (diffs == [] and
                                     point_coordinate(x, k) ==
                                     point_coordinate(y, k))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_walk_window_equals_spliced_points(self, data):
+        # reference: the whole-point route, f at each spliced z_k read on
+        # its own; the walk reads z_k from one window over the low witness
+        sigma = data.draw(product_measures())
+        f = data.draw(st.one_of(cylinders(), discounted_sums(),
+                                product_indicators()))
+        m = data.draw(st.integers(1, 6))
+        horizon = data.draw(st.sampled_from([None, 0, 2, 4, 8]))
+        x = LazyPoint(data.draw(st.integers(0, 2**32)), sigma)
+        prefixes = data.draw(st.lists(st.lists(BITS, min_size=m, max_size=m),
+                                      min_size=2, max_size=2))
+        pairs = [tuple(modify_point(x, dict(enumerate(p, start=1)))
+                       for p in prefixes)]
+        try:
+            hull = hull_estimate(f, x, m, sigma.spaces, horizon=horizon)
+            pairs.append((hull.witness_min, hull.witness_max))
+        except UndeterminedValueError:
+            pass
+
+        def outcome(read):
+            try:
+                vb = read()
+            except ProdexError as err:  # the error must match, too
+                return type(err)
+            return vb.lo, vb.hi, vb.eta
+
+        for low, high in pairs:
+            n = agreement_index(low, high)
+            window = f.window_bounds(low, n + 1, f.read_horizon(low, horizon))
+            xs = tuple(low.coordinate(i) for i in range(1, n + 1))
+            ys = tuple(high.coordinate(i) for i in range(1, n + 1))
+            for k in range(1, n + 2):
+                assert outcome(lambda: window(ys[:k - 1] + xs[k - 1:])) == \
+                    outcome(lambda: f.eval_soft(splice_prefix(low, high, k),
+                                                horizon))
 
 
 class TestWeakZeroFromSample:
@@ -402,7 +445,6 @@ class TestCertificateProperties:
         f = discounted_unit()
         x = all_zeros_point()
         y = modify_point(x, {1: 1, 2: 1, 3: 1})
-        from prodex.model import splice_prefix
         values = [eval_function(f, splice_prefix(x, y, k), 8).lo
                   for k in range(1, 5)]
         assert min(values) <= values[0] and values[-1] <= max(values)
