@@ -72,12 +72,12 @@ class CountingPoint(LazyPoint):
         return super().coordinate(i)
 
 
-READ_COUNT_CASES = pytest.mark.parametrize(
-    "f, m", [(f, m) for f in (indicator_all_ones(), discounted_unit(),
-                              mix_cylinder())
-             for m in (1, 5, 12)],
-    ids=[f"{name}-{m}" for name in ("indicator", "discounted", "cylinder")
-         for m in (1, 5, 12)])
+READ_COUNT_CASES = [
+    pytest.param(f, m, id=f"{name}-{m}")
+    for name, f in (("indicator", indicator_all_ones()),
+                    ("discounted", discounted_unit()),
+                    ("cylinder", mix_cylinder()))
+    for m in (1, 5, 12)]
 
 
 class TestHullEstimate:
@@ -160,7 +160,7 @@ class TestHullEstimate:
             for i in range(m + 1, m + 16):
                 assert point_coordinate(witness, i) == point_coordinate(x, i)
 
-    @READ_COUNT_CASES
+    @pytest.mark.parametrize("f, m", READ_COUNT_CASES)
     def test_hull_reads_the_base_past_m_at_most_twice(self, f, m):
         # once for x's own value, once for the window that both searches
         # and both witness values share, however many candidates it bounds
@@ -168,7 +168,7 @@ class TestHullEstimate:
         hull_estimate(f, x, m, binary_spaces())
         assert all(n <= 2 for i, n in x.reads.items() if i > m)
 
-    @READ_COUNT_CASES
+    @pytest.mark.parametrize("f, m", READ_COUNT_CASES)
     def test_walk_reads_the_base_at_most_once(self, f, m):
         # every walk point is a prefix over the low witness: one window
         x = CountingPoint(7, geometric_sigma())
