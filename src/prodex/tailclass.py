@@ -230,24 +230,15 @@ def construct_weak_zero(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
         raise NotStraddlingError(
             f"f(x) = {float(fx)}, f(y) = {float(fy)} do not straddle r = {float(rv)}"
         )
-    # adjacent intervals share endpoints, so their union is one interval
-    # that must cover [f(x), f(y)]; checked on every run
-    union_lo, union_hi = min(values), max(values)
-    if union_lo > fx or union_hi < fy:
-        raise ValidationError("z-walk intervals fail to cover [f(x), f(y)]")
-
     if n == 0:
         k, v_low, v_high = 1, fx, fx
         sym_low = sym_high = x.coordinate(1)
     else:
-        k = None
-        for j in range(n):
-            lo, hi = min(values[j], values[j + 1]), max(values[j], values[j + 1])
-            if lo <= rv <= hi:
-                k = j + 1
-                break
-        if k is None:  # unreachable given the covering check
-            raise NotStraddlingError("no adjacent pair straddles r")
+        # f(x) <= r <= f(y), so the last walk value <= r before z_{n+1}
+        # and its successor straddle r: some adjacent pair does
+        k = next(j for j in range(1, n + 1)
+                 if min(values[j - 1], values[j]) <= rv
+                 <= max(values[j - 1], values[j]))
         v_low, v_high = values[k - 1], values[k]
         sym_low, sym_high = x.coordinate(k), y.coordinate(k)
 
