@@ -20,6 +20,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -51,19 +52,45 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _around(x: Fraction) -> tuple:
+    """The floats either side of x, (largest <= x, smallest >= x): one
+    float division and one exact comparison, however long x is."""
+    f = float(x)
+    n, d = f.as_integer_ratio()
+    below, above = x.numerator * d, n * x.denominator  # x and f, scaled
+    if below == above:
+        return f, f
+    if below < above:
+        return math.nextafter(f, -math.inf), f
+    return f, math.nextafter(f, math.inf)
+
+
+def _down(x: Fraction) -> float:
+    """A lower bound as reported: the largest float <= x."""
+    return _around(x)[0]
+
+
+def _up(x: Fraction) -> float:
+    """An upper bound, width or eta as reported: the smallest float >= x."""
+    return _around(x)[1]
+
+
+def _enclosure(iv: Interval) -> dict:
+    """An exact enclosure's ends as floats that still enclose it."""
+    if iv.lo is iv.hi:  # a point: both ends from one rounding
+        lo, hi = _around(iv.lo)
+    else:
+        lo, hi = _down(iv.lo), _up(iv.hi)
+    return {"lo": lo, "hi": hi}
+
+
 def _interval_payload(iv: Interval) -> dict:
-    return {"lo": float(iv.lo), "hi": float(iv.hi), "width": float(iv.width)}
+    return {**_enclosure(iv), "width": _up(iv.width)}
 
 
-def _payload(command: str, scenario: Scenario, params: dict, result: dict) -> dict:
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "scenario": scenario.name,
-        "scenario_digest": scenario.digest,
-        "params": params,
-        "result": result,
-    }
+def _shown(bounds: dict) -> str:
+    """The text form of a reported {lo, hi} pair."""
+    return f"[{bounds['lo']!r}, {bounds['hi']!r}]"
 
 
 def _resolve_settings(args, scenario: Scenario, fallbacks: dict):
@@ -73,8 +100,7 @@ def _resolve_settings(args, scenario: Scenario, fallbacks: dict):
     for key, fallback in {"horizon": None, **fallbacks}.items():
         value = getattr(args, key, None)
         if value is None:
-            value = scenario.defaults.get(key.replace("_", "-"),
-                                          scenario.defaults.get(key))
+            value = scenario.defaults.get(key)
         setattr(resolved, key, fallback if value is None else value)
     return resolved
 
@@ -95,34 +121,30 @@ def _need(scenario: Scenario, part: str):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, text_lines, payload)
+# command handlers: each returns (exit_code, text_lines, params, result).
+# A handler builds its `result` once from exact values (bounds through
+# `_down`/`_up`), and its text reads the numbers from that `result`.
 # ---------------------------------------------------------------------------
 
 def _cmd_expect(args, scenario: Scenario):
     f = _need(scenario, "function")
     res = expect(f, scenario.measure, args.tol, horizon=args.horizon)
+    result = {**_enclosure(res.interval),
+              "lo_rational": _frac_str(res.interval.lo),
+              "hi_rational": _frac_str(res.interval.hi),
+              "status": res.status, "eta": _up(res.eta),
+              "nodes_expanded": res.nodes_expanded,
+              "oracle_used": res.oracle_used}
     lines = [
         f"expectation of {f.family} under {scenario.name}",
-        f"  interval  [{float(res.interval.lo)!r}, {float(res.interval.hi)!r}]",
-        f"  width     {float(res.width)!r}",
+        f"  interval  {_shown(result)}",
+        f"  width     {_up(res.width)!r}",
         f"  status    {res.status}",
         f"  nodes     {res.nodes_expanded}",
     ]
     if res.eta > 0:
-        lines.append(f"  eta       {float(res.eta)!r}")
-    result = {
-        "lo": float(res.interval.lo),
-        "hi": float(res.interval.hi),
-        "lo_rational": _frac_str(res.interval.lo),
-        "hi_rational": _frac_str(res.interval.hi),
-        "status": res.status,
-        "nodes_expanded": res.nodes_expanded,
-        "eta": float(res.eta),
-        "oracle_used": res.oracle_used,
-    }
-    params = {"tol": float(args.tol)}
-    return (0 if res.certified else 1), lines, _payload(
-        "expect", scenario, params, result)
+        lines.append(f"  eta       {result['eta']!r}")
+    return (0 if res.certified else 1), lines, {"tol": float(args.tol)}, result
 
 
 def _cmd_gn_trace(args, scenario: Scenario):
@@ -130,24 +152,20 @@ def _cmd_gn_trace(args, scenario: Scenario):
     point, point_name = _resolve_point(args, scenario)
     tr = trace(f, scenario.measure, point, args.n_max, args.tol,
                horizon=args.horizon)
-    lines = [f"g_n trace at point {point_name} ({scenario.name})",
-             "# n  g_n"]
-    entries = []
-    for e in tr.entries:
-        lines.append(f"{e.n}  {float(e.interval.midpoint)!r}")
-        entries.append({
-            "n": e.n,
-            "lo": float(e.interval.lo),
-            "hi": float(e.interval.hi),
-            "eta": float(e.eta),
-        })
     ref = tr.reference.interval
-    lines.append(f"# reference E[f] = {float(ref.midpoint)!r} "
-                 f"(width {float(ref.width)!r})")
-    result = {"entries": entries, "reference": _interval_payload(ref)}
+    result = {
+        "entries": [{"n": e.n, **_enclosure(e.interval), "eta": _up(e.eta)}
+                    for e in tr.entries],
+        "reference": _interval_payload(ref),
+    }
+    # the g_n column and E[f] show midpoints, point estimates, not bounds
+    lines = [f"g_n trace at point {point_name} ({scenario.name})", "# n  g_n",
+             *(f"{e.n}  {float(e.interval.midpoint)!r}" for e in tr.entries),
+             f"# reference E[f] = {float(ref.midpoint)!r} "
+             f"(width {result['reference']['width']!r})"]
     params = {"point": point_name, "n_max": args.n_max,
               "tol": float(args.tol)}
-    return 0, lines, _payload("gn-trace", scenario, params, result)
+    return 0, lines, params, result
 
 
 def _cmd_strong_approx(args, scenario: Scenario):
@@ -156,29 +174,26 @@ def _cmd_strong_approx(args, scenario: Scenario):
     epsilon, n_max = args.epsilon, args.n_max
     res = find_strong_approx(f, scenario.measure, point, epsilon, n_max,
                              args.tol, horizon=args.horizon)
+    result = {"outcome": res.outcome, "n": res.n,
+              "undecided": list(res.undecided),
+              "first_certified": res.first_certified,
+              "value": (None if res.found_value is None
+                        else _interval_payload(res.found_value)),
+              "eta": _up(res.eta)}
+    params = {"point": point_name, "epsilon": float(epsilon),
+              "n_max": n_max, "tol": float(args.tol)}
     lines = [f"strong approximation search at point {point_name} "
-             f"(epsilon={float(epsilon)}, n_max={n_max})"]
+             f"(epsilon={params['epsilon']}, n_max={n_max})"]
     if res.is_found:
         lines.append(f"  Found({res.n})")
-        lines.append(f"  g_n in [{float(res.found_value.lo)!r}, "
-                     f"{float(res.found_value.hi)!r}]")
+        lines.append(f"  g_n in {_shown(result['value'])}")
     elif res.outcome == "not_found":
         lines.append(f"  NotFoundUpTo({n_max})")
     else:
-        lines.append(f"  Inconclusive(undecided n: {list(res.undecided)})")
+        lines.append(f"  Inconclusive(undecided n: {result['undecided']})")
     if res.eta > 0:
-        lines.append(f"  eta {float(res.eta)!r}")
-    result = {
-        "outcome": res.outcome,
-        "n": res.n,
-        "undecided": list(res.undecided),
-        "first_certified": res.first_certified,
-        "eta": float(res.eta),
-    }
-    params = {"point": point_name, "epsilon": float(epsilon),
-              "n_max": n_max, "tol": float(args.tol)}
-    return (0 if res.is_found else 1), lines, _payload(
-        "strong-approx", scenario, params, result)
+        lines.append(f"  eta {result['eta']!r}")
+    return (0 if res.is_found else 1), lines, params, result
 
 
 def _cmd_weak_approx(args, scenario: Scenario):
@@ -187,30 +202,24 @@ def _cmd_weak_approx(args, scenario: Scenario):
     cert = weak_zero_from_sample(
         f, scenario.measure, args.tol, depth, args.seed,
         retries=args.retries, horizon=args.horizon, reference=args.r)
+    result = {"coordinate": cert.coordinate, "symbol_low": cert.symbol_low,
+              "symbol_high": cert.symbol_high, "eta": _up(cert.eta)}
+    # exact point values: the nearest float, beside the rational itself
+    for key in ("alpha", "achieved", "value_low", "value_high"):
+        value = getattr(cert, key)
+        result[key], result[f"{key}_rational"] = float(value), _frac_str(value)
     lines = [
         f"weak 0-approximation certificate ({scenario.name}, depth {depth})",
         f"  coordinate   {cert.coordinate}",
-        f"  alpha        {_frac_str(cert.alpha)} = {float(cert.alpha)!r}",
+        f"  alpha        {result['alpha_rational']} = {result['alpha']!r}",
         f"  mixes        {cert.symbol_low!r} (alpha) with {cert.symbol_high!r}",
-        f"  achieved     {float(cert.achieved)!r}",
+        f"  achieved     {result['achieved']!r}",
     ]
     if cert.eta > 0:
-        lines.append(f"  eta          {float(cert.eta)!r}")
-    result = {
-        "coordinate": cert.coordinate,
-        "alpha": float(cert.alpha),
-        "alpha_rational": _frac_str(cert.alpha),
-        "symbol_low": cert.symbol_low,
-        "symbol_high": cert.symbol_high,
-        "achieved": float(cert.achieved),
-        "achieved_rational": _frac_str(cert.achieved),
-        "value_low": float(cert.value_low),
-        "value_high": float(cert.value_high),
-        "eta": float(cert.eta),
-    }
+        lines.append(f"  eta          {result['eta']!r}")
     params = {"depth": depth, "seed": args.seed, "retries": args.retries,
               "r": None if args.r is None else float(args.r)}
-    return 0, lines, _payload("weak-approx", scenario, params, result)
+    return 0, lines, params, result
 
 
 def _campaign(command: str, title: str, scenario: Scenario, report,
@@ -218,35 +227,32 @@ def _campaign(command: str, title: str, scenario: Scenario, report,
     """Exit code, text and payload of a campaign against its threshold."""
     threshold = scenario.threshold(command, "min_certified_fraction")
     met = threshold is None or report.certified_fraction >= threshold
-    lines = [
-        title,
-        f"  samples              {report.samples}",
-        f"  certified_fraction   {float(report.certified_fraction)!r}"
-        f"  ({report.certified}/{report.samples})",
-        f"  inconclusive         {report.inconclusive}",
-        f"  failed               {report.failed}",
-        f"  max eta              {float(report.max_eta)!r}",
-    ]
-    if threshold is not None:
-        lines.append(f"  threshold            {float(threshold)!r} "
-                     f"-> {'met' if met else 'MISSED'}")
     result = {
-        "samples": report.samples,
-        "certified": report.certified,
-        "inconclusive": report.inconclusive,
-        "failed": report.failed,
+        "samples": report.samples, "certified": report.certified,
+        "inconclusive": report.inconclusive, "failed": report.failed,
         "certified_fraction": float(report.certified_fraction),
         "inconclusive_fraction": float(report.inconclusive_fraction),
-        "max_eta": float(report.max_eta),
+        "max_eta": _up(report.max_eta),
         "threshold": None if threshold is None else float(threshold),
         "records": [
             {"index": r.index, "substream": r.substream, "outcome": r.outcome,
-             "detail": r.detail, "eta": float(r.eta)}
+             "detail": r.detail, "eta": _up(r.eta)}
             for r in report.records
         ],
     }
-    return (0 if met else 1), lines, _payload(command, scenario, params,
-                                              result)
+    lines = [
+        title,
+        f"  samples              {report.samples}",
+        f"  certified_fraction   {result['certified_fraction']!r}"
+        f"  ({report.certified}/{report.samples})",
+        f"  inconclusive         {report.inconclusive}",
+        f"  failed               {report.failed}",
+        f"  max eta              {result['max_eta']!r}",
+    ]
+    if threshold is not None:
+        lines.append(f"  threshold            {result['threshold']!r} "
+                     f"-> {'met' if met else 'MISSED'}")
+    return (0 if met else 1), lines, params, result
 
 
 def _cmd_verify_strong(args, scenario: Scenario):
@@ -294,18 +300,14 @@ def _profile_payload(profile: FinitisticProfile) -> dict:
 def _cmd_game_value(args, scenario: Scenario):
     res = best_response_value(_need(scenario, "game"), scenario.measure,
                               args.tol, horizon=args.horizon)
-    lines = [f"best response against the scenario profile ({scenario.name})",
-             f"  value in [{float(res.interval.lo)!r}, "
-             f"{float(res.interval.hi)!r}]",
-             f"  argmax action {res.action!r}"]
-    per_action = [
-        {"action": a, **_interval_payload(r.interval)}
-        for a, r in res.per_action
-    ]
     result = {"value": _interval_payload(res.interval),
-              "action": res.action, "per_action": per_action}
-    return 0, lines, _payload("game-value", scenario,
-                              {"tol": float(args.tol)}, result)
+              "action": res.action,
+              "per_action": [{"action": a, **_interval_payload(r.interval)}
+                             for a, r in res.per_action]}
+    lines = [f"best response against the scenario profile ({scenario.name})",
+             f"  value in {_shown(result['value'])}",
+             f"  argmax action {res.action!r}"]
+    return 0, lines, {"tol": float(args.tol)}, result
 
 
 def _cmd_game_purify(args, scenario: Scenario):
@@ -313,22 +315,8 @@ def _cmd_game_purify(args, scenario: Scenario):
     res = purify(_need(scenario, "game"), scenario.measure, args.epsilon,
                  args.n_max, args.tol, args.seed, retries=args.retries,
                  horizon=args.horizon)
-    lines = [
-        f"purified profile ({scenario.name}, epsilon={epsilon})",
-        f"  switch index n = {res.n} (Dirac from coordinate {res.n} on)",
-        f"  sample attempt {res.attempt}",
-    ]
-    for c in res.per_action:
-        lines.append(
-            f"  action {c.action!r}: E_sigma in "
-            f"[{float(c.sigma_value.lo)!r}, {float(c.sigma_value.hi)!r}], "
-            f"E_profile in [{float(c.profile_value.lo)!r}, "
-            f"{float(c.profile_value.hi)!r}]"
-        )
     result = {
-        "n": res.n,
-        "attempt": res.attempt,
-        "sample_seed": res.sample_seed,
+        "n": res.n, "attempt": res.attempt, "sample_seed": res.sample_seed,
         "profile": _profile_payload(res.profile),
         "per_action": [
             {"action": c.action,
@@ -336,11 +324,19 @@ def _cmd_game_purify(args, scenario: Scenario):
              "profile_value": _interval_payload(c.profile_value)}
             for c in res.per_action
         ],
-        "eta": float(res.eta),
+        "eta": _up(res.eta),
     }
+    lines = [
+        f"purified profile ({scenario.name}, epsilon={epsilon})",
+        f"  switch index n = {res.n} (Dirac from coordinate {res.n} on)",
+        f"  sample attempt {res.attempt}",
+        *(f"  action {c['action']!r}: E_sigma in {_shown(c['sigma_value'])}, "
+          f"E_profile in {_shown(c['profile_value'])}"
+          for c in result["per_action"]),
+    ]
     params = {"epsilon": epsilon, "n_max": args.n_max,
               "seed": args.seed, "tol": float(args.tol)}
-    return 0, lines, _payload("game-purify", scenario, params, result)
+    return 0, lines, params, result
 
 
 def _cmd_game_naming_demo(args, scenario: Scenario):
@@ -367,20 +363,19 @@ def _cmd_game_naming_demo(args, scenario: Scenario):
         ok = res.interval.is_point and res.interval.lo == 1
         all_pay_one = all_pay_one and ok
         exploits.append({"profile": j, "coordinate": n, "symbol": sym})
-    lines = [
-        f"naming game ({scenario.name})",
-        f"  mixing value  {float(value)!r}  "
-        f"({_frac_str(value)}; no action does better)",
-        f"  exploited {args.samples} finitistic profiles, payoff 1 each: "
-        f"{all_pay_one}",
-    ]
     result = {"value": float(value), "value_rational": _frac_str(value),
               "profiles_exploited": args.samples,
               "all_payoff_one": all_pay_one,
               "exploits": exploits}
+    lines = [
+        f"naming game ({scenario.name})",
+        f"  mixing value  {result['value']!r}  "
+        f"({result['value_rational']}; no action does better)",
+        f"  exploited {args.samples} finitistic profiles, payoff 1 each: "
+        f"{all_pay_one}",
+    ]
     params = {"samples": args.samples, "seed": args.seed}
-    return (0 if all_pay_one else 1), lines, _payload(
-        "game-naming-demo", scenario, params, result)
+    return (0 if all_pay_one else 1), lines, params, result
 
 
 #: per command (a game by its verb): its handler, and the settings it
@@ -406,10 +401,13 @@ COMMANDS = {
 def run_scenario(path: str, command: str, args) -> int:
     """Load a scenario, dispatch a command, emit reports, return exit code."""
     scenario = load_scenario(path)
-    handler, fallbacks = COMMANDS[
-        f"game-{args.verb}" if command == "game" else command]
-    code, lines, payload = handler(
+    name = f"game-{args.verb}" if command == "game" else command
+    handler, fallbacks = COMMANDS[name]
+    code, lines, params, result = handler(
         _resolve_settings(args, scenario, fallbacks), scenario)
+    payload = {"schema_version": REPORT_SCHEMA_VERSION, "command": name,
+               "scenario": scenario.name, "scenario_digest": scenario.digest,
+               "params": params, "result": result}
     text = "\n".join(lines) + "\n"
     machine = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.report == "machine":

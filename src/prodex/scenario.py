@@ -83,10 +83,8 @@ class Scenario:
                 f"unknown point {name!r}; scenario defines: {known}",
                 self.source) from None
 
-    def threshold(self, command: str, key: str):
-        section = self.thresholds.get(command, {})
-        value = section.get(key)
-        return None if value is None else Fraction(value)
+    def threshold(self, command: str, key: str) -> Optional[Fraction]:
+        return self.thresholds.get(command, {}).get(key)
 
 
 def _object(value, location) -> dict:
@@ -345,18 +343,36 @@ def _build_game(data, spaces, loc) -> GameSpec:
     return GameSpec(actions, spaces, payoffs, rng[0], rng[1])
 
 
+#: the campaigns a scenario may hold to a threshold, and the one key read
+_THRESHOLD_COMMANDS = ("verify-strong", "verify-weak")
+_THRESHOLD_KEY = "min_certified_fraction"
+
+
 def _thresholds(data, loc) -> dict:
-    """Per-command threshold numbers, e.g. min_certified_fraction."""
-    return {
-        command: {key: _number(value, f"{loc}.{command}.{key}")
-                  for key, value in _object(section, f"{loc}.{command}").items()}
-        for command, section in _object(data, loc).items()
-    }
+    """Per-campaign certified-fraction thresholds, each in [0, 1]."""
+    out = {}
+    for command, section in _object(data, loc).items():
+        if command not in _THRESHOLD_COMMANDS:
+            raise ScenarioError(
+                f"no threshold applies to {command!r}; known: "
+                f"{', '.join(_THRESHOLD_COMMANDS)}", f"{loc}.{command}")
+        out[command] = {}
+        for key, value in _object(section, f"{loc}.{command}").items():
+            where = f"{loc}.{command}.{key}"
+            if key != _THRESHOLD_KEY:
+                raise ScenarioError(
+                    f"unknown threshold {key!r}; known: {_THRESHOLD_KEY}",
+                    where)
+            value = _number(value, where)
+            if not 0 <= value <= 1:
+                raise ScenarioError(f"expected a fraction in [0, 1], got "
+                                    f"{value}", where)
+            out[command][key] = value
+    return out
 
 
 #: defaults read by the CLI, each with its smallest admissible value
-_COUNT_DEFAULTS = {"n_max": 1, "n-max": 1, "depth": 1, "samples": 1,
-                   "horizon": 0}
+_COUNT_DEFAULTS = {"n_max": 1, "depth": 1, "samples": 1, "horizon": 0}
 
 
 def _defaults(data, loc) -> dict:
@@ -370,6 +386,10 @@ def _defaults(data, loc) -> dict:
             if value < 0:
                 raise ScenarioError("epsilon must be nonnegative",
                                     f"{loc}.{key}")
+        else:
+            raise ScenarioError(
+                f"unknown default {key!r}; known: epsilon, "
+                f"{', '.join(_COUNT_DEFAULTS)}", f"{loc}.{key}")
         out[key] = value
     return out
 

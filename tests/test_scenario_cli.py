@@ -336,6 +336,18 @@ BAD_SETTINGS = [
     ('{"prefix": [0], "value": 0}', '{"prefix": [[0]], "value": 0}',
      "function.table[0].prefix[0]"),
     ('"symbol": 1}}}', '"symbol": [1]}}}', "points.one.tail.symbol"),
+    # defaults take one spelling each; nothing reads any other key
+    ('"samples": 4', '"smaples": 4', "defaults.smaples"),
+    ('"n_max": 3', '"n_max": 3, "n-max": 5', "defaults.n-max"),
+    # thresholds: only the campaigns read one, and only this key
+    ('"thresholds": {', '"thresholds": {"expect": '
+     '{"min_certified_fraction": 0.5}, ', "thresholds.expect"),
+    ('"thresholds": {', '"thresholds": {"verify-weak": '
+     '{"min_certified_fration": 1.0}, ',
+     "thresholds.verify-weak.min_certified_fration"),
+    ('"thresholds": {', '"thresholds": {"verify-weak": '
+     '{"min_certified_fraction": 1.5}, ',
+     "thresholds.verify-weak.min_certified_fraction"),
 ]
 
 MINIMAL_WITH_SETTINGS = MINIMAL.rstrip()[:-1] + """,
