@@ -224,7 +224,7 @@ def _cmd_weak_approx(args, scenario: Scenario):
 
 def _campaign(command: str, title: str, scenario: Scenario, report,
               params: dict):
-    """Exit code, text and payload of a campaign against its threshold."""
+    """(code, lines, params, result) of a campaign against its threshold."""
     threshold = scenario.threshold(command, "min_certified_fraction")
     met = threshold is None or report.certified_fraction >= threshold
     result = {

@@ -47,7 +47,7 @@ def _machine(argv):
                   if out.getvalue() else None)
 
 
-def _enclosure(reported, iv):
+def _enclosure_claims(reported, iv):
     """(side, reported float, exact value) for one reported enclosure."""
     claims = [("lo", reported["lo"], iv.lo), ("hi", reported["hi"], iv.hi)]
     if "width" in reported:
@@ -99,7 +99,7 @@ class TestInwardRoundingRepros:
             assert code == 0
             assert len(result["entries"]) == len(exact.entries) == 8
             for reported, e in zip(result["entries"], exact.entries):
-                _assert_outward(_enclosure(reported, e.interval)
+                _assert_outward(_enclosure_claims(reported, e.interval)
                                 + [("hi", reported["eta"], e.eta)])
 
 
@@ -130,10 +130,11 @@ def _exact(command, name, seed, horizon):
 def _claims(command, result, exact):
     """(side, reported float, exact value) for every bound a report states."""
     if command == "gn-trace":
-        claims = _enclosure(result["reference"], exact.reference.interval)
+        claims = _enclosure_claims(result["reference"],
+                                   exact.reference.interval)
         assert len(result["entries"]) == len(exact.entries)
         for reported, e in zip(result["entries"], exact.entries):
-            claims += _enclosure(reported, e.interval)
+            claims += _enclosure_claims(reported, e.interval)
             claims.append(("hi", reported["eta"], e.eta))
         return claims
     if command == "strong-approx":
@@ -141,7 +142,7 @@ def _claims(command, result, exact):
             assert result["value"] is None
             return [("hi", result["eta"], exact.eta)]
         return ([("hi", result["eta"], exact.eta)]
-                + _enclosure(result["value"], exact.found_value))
+                + _enclosure_claims(result["value"], exact.found_value))
     if command == "weak-approx":
         for key in ("alpha", "achieved", "value_low", "value_high"):
             value = getattr(exact, key)
@@ -154,16 +155,16 @@ def _claims(command, result, exact):
             ("hi", reported["eta"], r.eta)
             for reported, r in zip(result["records"], exact.records)]
     if command == "value":
-        claims = _enclosure(result["value"], exact.interval)
+        claims = _enclosure_claims(result["value"], exact.interval)
         for reported, (action, r) in zip(result["per_action"],
                                          exact.per_action):
             assert reported["action"] == action
-            claims += _enclosure(reported, r.interval)
+            claims += _enclosure_claims(reported, r.interval)
         return claims
     claims = [("hi", result["eta"], exact.eta)]
     for reported, c in zip(result["per_action"], exact.per_action):
-        claims += _enclosure(reported["sigma_value"], c.sigma_value)
-        claims += _enclosure(reported["profile_value"], c.profile_value)
+        claims += _enclosure_claims(reported["sigma_value"], c.sigma_value)
+        claims += _enclosure_claims(reported["profile_value"], c.profile_value)
     return claims
 
 
