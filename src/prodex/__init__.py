@@ -21,7 +21,6 @@ from .functions import (
     GeometricWeights,
     ProductIndicator,
     TailFunction,
-    ValueBounds,
     cylinder_sum,
     eval_function,
 )
@@ -64,7 +63,7 @@ from .model import (
     resolve_coordinate_measure,
     uniform_measure,
 )
-from .numeric import Interval, as_fraction
+from .numeric import Interval, ValueBounds, as_fraction
 from .scenario import Scenario, load_scenario, parse_scenario
 from .tailclass import (
     ClassVerdict,

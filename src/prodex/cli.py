@@ -40,7 +40,7 @@ from .games import (
 from .harness import verify_strong, verify_weak
 from .martingale import find_strong_approx, trace
 from .model import HybridMeasure, LazyPoint, MeasureAssignment
-from .numeric import F0, F1, Interval
+from .numeric import F0, F1, ValueBounds
 from .scenario import BUILTIN_SCENARIOS, Scenario, load_scenario
 from .seeds import derive_seed
 from .tailclass import DEFAULT_RETRIES, weak_zero_from_sample
@@ -75,17 +75,17 @@ def _up(x: Fraction) -> float:
     return _around(x)[1]
 
 
-def _enclosure(iv: Interval) -> dict:
+def _enclosure(vb: ValueBounds) -> dict:
     """An exact enclosure's ends as floats that still enclose it."""
-    if iv.lo is iv.hi:  # a point: both ends from one rounding
-        lo, hi = _around(iv.lo)
+    if vb.lo is vb.hi:  # a point: both ends from one rounding
+        lo, hi = _around(vb.lo)
     else:
-        lo, hi = _down(iv.lo), _up(iv.hi)
+        lo, hi = _down(vb.lo), _up(vb.hi)
     return {"lo": lo, "hi": hi}
 
 
-def _interval_payload(iv: Interval) -> dict:
-    return {**_enclosure(iv), "width": _up(iv.width)}
+def _interval_payload(vb: ValueBounds) -> dict:
+    return {**_enclosure(vb), "width": _up(vb.width)}
 
 
 def _shown(bounds: dict) -> str:
@@ -129,9 +129,9 @@ def _need(scenario: Scenario, part: str):
 def _cmd_expect(args, scenario: Scenario):
     f = _need(scenario, "function")
     res = expect(f, scenario.measure, args.tol, horizon=args.horizon)
-    result = {**_enclosure(res.interval),
-              "lo_rational": _frac_str(res.interval.lo),
-              "hi_rational": _frac_str(res.interval.hi),
+    result = {**_enclosure(res.bounds),
+              "lo_rational": _frac_str(res.bounds.lo),
+              "hi_rational": _frac_str(res.bounds.hi),
               "status": res.status, "eta": _up(res.eta),
               "nodes_expanded": res.nodes_expanded,
               "oracle_used": res.oracle_used}
@@ -152,15 +152,15 @@ def _cmd_gn_trace(args, scenario: Scenario):
     point, point_name = _resolve_point(args, scenario)
     tr = trace(f, scenario.measure, point, args.n_max, args.tol,
                horizon=args.horizon)
-    ref = tr.reference.interval
+    ref = tr.reference.bounds
     result = {
-        "entries": [{"n": e.n, **_enclosure(e.interval), "eta": _up(e.eta)}
+        "entries": [{"n": e.n, **_enclosure(e.bounds), "eta": _up(e.eta)}
                     for e in tr.entries],
         "reference": _interval_payload(ref),
     }
     # the g_n column and E[f] show midpoints, point estimates, not bounds
     lines = [f"g_n trace at point {point_name} ({scenario.name})", "# n  g_n",
-             *(f"{e.n}  {float(e.interval.midpoint)!r}" for e in tr.entries),
+             *(f"{e.n}  {float(e.bounds.midpoint)!r}" for e in tr.entries),
              f"# reference E[f] = {float(ref.midpoint)!r} "
              f"(width {result['reference']['width']!r})"]
     params = {"point": point_name, "n_max": args.n_max,
@@ -300,9 +300,9 @@ def _profile_payload(profile: FinitisticProfile) -> dict:
 def _cmd_game_value(args, scenario: Scenario):
     res = best_response_value(_need(scenario, "game"), scenario.measure,
                               args.tol, horizon=args.horizon)
-    result = {"value": _interval_payload(res.interval),
+    result = {"value": _interval_payload(res.bounds),
               "action": res.action,
-              "per_action": [{"action": a, **_interval_payload(r.interval)}
+              "per_action": [{"action": a, **_interval_payload(r.bounds)}
                              for a, r in res.per_action]}
     lines = [f"best response against the scenario profile ({scenario.name})",
              f"  value in {_shown(result['value'])}",
@@ -360,7 +360,7 @@ def _cmd_game_naming_demo(args, scenario: Scenario):
                   for i in range(1, n + 1)))
         })
         res = expect(payoff, profile.measure, args.tol)
-        ok = res.interval.is_point and res.interval.lo == 1
+        ok = res.bounds.is_point and res.bounds.lo == 1
         all_pay_one = all_pay_one and ok
         exploits.append({"profile": j, "coordinate": n, "symbol": sym})
     result = {"value": float(value), "value_rational": _frac_str(value),

@@ -23,10 +23,10 @@ code path.  Two routes:
 
 Accumulation is exact: integers inside the discounted-sum, lazy-draw
 and cylinder-table loops, rationals (Fractions) everywhere else, so
-results are independent of evaluation order.  Results carry a residual
-probability `eta`, nonzero only when an indicator verdict rests on the
-unrealized tail of a lazily sampled point; how far that point is read
-is set by `horizon` alone, through `f.read_horizon`.
+results are independent of evaluation order.  A result's `bounds` carry
+a residual probability `eta`, nonzero only when an indicator verdict
+rests on the unrealized tail of a lazily sampled point; how far that
+point is read is set by `horizon` alone, through `f.read_horizon`.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import UnsupportedTailError, ValidationError
-from .functions import Measure, ProductIndicator, TailFunction, ValueBounds
+from .functions import Measure, ProductIndicator, TailFunction
 from .model import DiracAssignment
-from .numeric import F0, F1, Interval, Rational, as_fraction
+from .numeric import F0, F1, Rational, ValueBounds, as_fraction
 
 CERTIFIED = "certified"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -49,13 +49,20 @@ DEFAULT_NODE_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """Certified enclosure of an expectation."""
+    """Certified enclosure of an expectation, its eta included."""
 
-    interval: Interval
+    bounds: ValueBounds
     nodes_expanded: int
     status: str
-    eta: Fraction = F0
     oracle_used: bool = False
+
+    @property
+    def interval(self) -> ValueBounds:
+        return self.bounds
+
+    @property
+    def eta(self) -> Fraction:
+        return self.bounds.eta
 
     @property
     def certified(self) -> bool:
@@ -63,11 +70,11 @@ class ExpectationResult:
 
     @property
     def midpoint(self) -> Fraction:
-        return self.interval.midpoint
+        return self.bounds.midpoint
 
     @property
     def width(self) -> Fraction:
-        return self.interval.width
+        return self.bounds.width
 
 
 def osc_bound(f: TailFunction, prefix) -> Fraction:
@@ -87,7 +94,7 @@ def exact_expectation_product_indicator(
 
 def _oracle_result(vb: ValueBounds, tol: Fraction) -> ExpectationResult:
     status = CERTIFIED if vb.width <= 2 * tol else BUDGET_EXHAUSTED
-    return ExpectationResult(vb.interval, 0, status, vb.eta, True)
+    return ExpectationResult(vb, 0, status, True)
 
 
 def _check_tol(tol: Rational) -> Fraction:
@@ -177,5 +184,6 @@ def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
 
     if not heap and total_width() > 2 * tol:
         status = BUDGET_EXHAUSTED
-    interval = Interval(settled_lo + frontier_lo, settled_hi + frontier_hi)
-    return ExpectationResult(interval, nodes, status, settled_eta, False)
+    bounds = ValueBounds(settled_lo + frontier_lo, settled_hi + frontier_hi,
+                         settled_eta)
+    return ExpectationResult(bounds, nodes, status)

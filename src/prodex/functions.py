@@ -39,64 +39,12 @@ from .model import (
     _root_of,
     streams_eventually_equal,
 )
-from .numeric import F0, F1, Interval, Rational, as_fraction
+from .numeric import F0, F1, Rational, ValueBounds, as_fraction
 
 #: default bound on how deep a lazily sampled point may be realized
 DEFAULT_HORIZON = 64
 
 Measure = Union[ProductMeasure, HybridMeasure]
-
-
-@dataclass(frozen=True)
-class ValueBounds:
-    """Enclosure [lo, hi] of function values, with residual risk eta.
-
-    eta > 0 marks a soft verdict: the enclosure holds unless an event of
-    probability at most eta occurs in the unrealized tail of a lazily
-    sampled point.
-    """
-
-    lo: Fraction
-    hi: Fraction
-    eta: Fraction = F0
-
-    def __post_init__(self):
-        # a point enclosure holds one object at both ends; comparing long
-        # exact rationals multiplies their big integers, so skip it then
-        if self.lo is not self.hi and self.lo > self.hi:
-            raise ValidationError(f"invalid bounds [{self.lo}, {self.hi}]")
-        if self.eta < 0:
-            raise ValidationError("eta must be nonnegative")
-
-    @classmethod
-    def point(cls, value: Rational, eta: Rational = 0) -> "ValueBounds":
-        v = as_fraction(value)
-        return cls(v, v, as_fraction(eta))
-
-    def scaled(self, factor: Fraction) -> "ValueBounds":
-        """[factor * lo, factor * hi] with the same eta, for factor >= 0."""
-        lo = factor * self.lo
-        hi = lo if self.lo is self.hi else factor * self.hi
-        return ValueBounds(lo, hi, self.eta)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
-
-    @property
-    def midpoint(self) -> Fraction:
-        # a point enclosure is its own midpoint: no sum over long rationals
-        if self.lo == self.hi:
-            return self.lo
-        return (self.lo + self.hi) / 2
 
 
 #: the hard point 0, shared by every mismatch verdict
@@ -768,9 +716,8 @@ class ProductIndicator(TailFunction):
                 if product == 0:
                     return _ZERO
         if switch is None:
-            tail = mu.tail.indicator_tail_product(targets, boundary,
-                                                  mu.head_len)
-            return ValueBounds(product * tail.lo, product * tail.hi)
+            return mu.tail.indicator_tail_product(
+                targets, boundary, mu.head_len).scaled(product)
         rest = mu.tail_point
         return self._tail_match(rest, switch, self.read_horizon(
             rest, horizon)).scaled(product)

@@ -30,7 +30,7 @@ from .errors import (
 from .functions import TailFunction
 from .martingale import YES, compare_to_epsilon, find_strong_approx, g_n
 from .model import HybridMeasure, LazyPoint, ProductMeasure, SpaceFamily
-from .numeric import F0, Interval, Rational, as_fraction
+from .numeric import F0, Rational, ValueBounds, as_fraction
 from .seeds import derive_seed
 
 DEFAULT_PURIFY_RETRIES = 8
@@ -85,38 +85,44 @@ def _as_measure(pi: Profile):
 
 @dataclass(frozen=True)
 class BestResponseResult:
-    """Sound interval max over actions, with the attaining action."""
+    """Sound enclosure of the max over actions, with the attaining action."""
 
-    interval: Interval
+    bounds: ValueBounds
     action: object
     per_action: tuple  # ((action, ExpectationResult), ...)
+
+    @property
+    def interval(self) -> ValueBounds:
+        return self.bounds
 
 
 def best_response_value(game: GameSpec, pi: Profile,
                         tol: Rational = Fraction(1, 10**9), *,
                         horizon: Optional[int] = None
                         ) -> BestResponseResult:
-    """max over actions of E[payoff] under pi, as a sound interval.
+    """max over actions of E[payoff] under pi, as a sound enclosure.
 
-    The upper endpoint is the max of the per-action uppers; the action
-    attaining it is returned, ties broken by action order.
+    Each end is the max of the per-action ends, and eta the largest
+    per-action eta; the action attaining the upper end is returned, ties
+    broken by action order.
     """
     mu = _as_measure(pi)
     results = []
     for a in game.actions:
         res = expect(game.payoff(a), mu, tol, horizon=horizon)
         results.append((a, res))
-    lo = max(res.interval.lo for _, res in results)
-    hi = max(res.interval.hi for _, res in results)
-    best = next(a for a, res in results if res.interval.hi == hi)
-    return BestResponseResult(Interval(lo, hi), best, tuple(results))
+    lo = max(res.bounds.lo for _, res in results)
+    hi = max(res.bounds.hi for _, res in results)
+    eta = max(res.bounds.eta for _, res in results)
+    best = next(a for a, res in results if res.bounds.hi == hi)
+    return BestResponseResult(ValueBounds(lo, hi, eta), best, tuple(results))
 
 
 @dataclass(frozen=True)
 class ActionCertification:
     action: object
-    sigma_value: Interval
-    profile_value: Interval
+    sigma_value: ValueBounds
+    profile_value: ValueBounds
     found_n: int
 
 
@@ -181,7 +187,7 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
                     certs = None
                     break
                 certs.append(ActionCertification(
-                    a, references[a].interval, res.interval, n))
+                    a, references[a].bounds, res.bounds, n))
             if certs is not None:
                 profile = FinitisticProfile(
                     HybridMeasure.measures_then_point(sigma, x, n))

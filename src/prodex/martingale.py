@@ -39,7 +39,7 @@ from .engine import ExpectationResult, _check_tol, _oracle_result, expect
 from .errors import ToleranceConfigError, ValidationError
 from .functions import TailFunction
 from .model import HybridMeasure, PointSpec, ProductMeasure
-from .numeric import F0, Interval, Rational, as_fraction
+from .numeric import F0, Rational, ValueBounds, as_fraction
 
 FOUND = "found"
 NOT_FOUND = "not_found"
@@ -53,8 +53,15 @@ UNDECIDED = "undecided"
 @dataclass(frozen=True)
 class TraceEntry:
     n: int
-    interval: Interval
-    eta: Fraction = F0
+    bounds: ValueBounds
+
+    @property
+    def interval(self) -> ValueBounds:
+        return self.bounds
+
+    @property
+    def eta(self) -> Fraction:
+        return self.bounds.eta
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,7 @@ class StrongApproxResult:
     n_max: int
     eta: Fraction = F0
     first_certified: Optional[int] = None
-    found_value: Optional[Interval] = None
+    found_value: Optional[ValueBounds] = None
 
     @property
     def is_found(self) -> bool:
@@ -126,13 +133,13 @@ def trace(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
     if n_max < 1:
         raise ValidationError("trace length must be >= 1")
     scan = _scan(f, sigma, x, n_max, tol, horizon=horizon)
-    entries = [TraceEntry(n, res.interval, res.eta)
+    entries = [TraceEntry(n, res.bounds)
                for n, res in enumerate(scan, start=1)]
     reference = expect(f, sigma, tol, horizon=horizon)
     return MartingaleTrace(tuple(entries), reference)
 
 
-def _epsilon_verdicts(reference: Interval, epsilon: Fraction):
+def _epsilon_verdicts(reference: ValueBounds, epsilon: Fraction):
     """Verdict function on |v - reference| <= epsilon for an enclosure of v.
 
     The rule of `abs_difference`, with the reference's bounds moved by
@@ -146,7 +153,7 @@ def _epsilon_verdicts(reference: Interval, epsilon: Fraction):
     yes_lo, yes_hi = reference.hi - epsilon, reference.lo + epsilon
     no_above, no_below = reference.hi + epsilon, reference.lo - epsilon
 
-    def verdict(value: Interval) -> str:
+    def verdict(value: ValueBounds) -> str:
         if value.lo >= yes_lo and value.hi <= yes_hi:
             return YES
         if value.lo > no_above or value.hi < no_below:
@@ -159,8 +166,8 @@ def _epsilon_verdicts(reference: Interval, epsilon: Fraction):
 def compare_to_epsilon(value: ExpectationResult, reference: ExpectationResult,
                        epsilon: Fraction) -> str:
     """Definite verdict on |value - reference| <= epsilon, if any."""
-    return _epsilon_verdicts(reference.interval,
-                             as_fraction(epsilon))(value.interval)
+    return _epsilon_verdicts(reference.bounds,
+                             as_fraction(epsilon))(value.bounds)
 
 
 def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
@@ -189,19 +196,20 @@ def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
         reference = expect(f, sigma, tol_f, horizon=horizon)
     undecided = []
     eta = reference.eta
-    verdict_of = _epsilon_verdicts(reference.interval, eps)
+    verdict_of = _epsilon_verdicts(reference.bounds, eps)
     scan = _scan(f, sigma, x, n_max, tol_f, horizon=horizon)
     for n, res in enumerate(scan, start=1):
-        eta = max(eta, res.eta)
-        verdict = verdict_of(res.interval)
+        value = res.bounds
+        eta = max(eta, value.eta)
+        verdict = verdict_of(value)
         if verdict == YES:
             if undecided:
                 return StrongApproxResult(
                     eps, INCONCLUSIVE, None, tuple(undecided), n_max, eta,
-                    first_certified=n, found_value=res.interval)
+                    first_certified=n, found_value=value)
             return StrongApproxResult(
                 eps, FOUND, n, (), n_max, eta, first_certified=n,
-                found_value=res.interval)
+                found_value=value)
         if verdict == UNDECIDED:
             undecided.append(n)
     if undecided:

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotTailEquivalentError, UnsupportedTailError, ValidationError
-from .numeric import F0, F1, Interval, PROB_SUM_TOL, Rational, as_fraction
+from .numeric import F0, F1, PROB_SUM_TOL, Rational, ValueBounds, as_fraction
 from .seeds import _unit_bits, check_seed
 
 Symbol = Union[int, str]
@@ -327,13 +327,13 @@ class TailMeasureRule:
         raise NotImplementedError
 
     def indicator_tail_product(self, targets: PeriodicStream, from_index: int,
-                               head_len: int) -> Interval:
+                               head_len: int) -> ValueBounds:
         """Enclosure of prod_{i > from_index} weight_i(target_i)."""
         raise UnsupportedTailError(f"{self.kind}: no product closed form")
 
     def mean_tail_sum(self, coef: Fraction, ratio: Fraction, score_of,
                       from_index: int, head_len: int,
-                      space: CoordinateSpace) -> Interval:
+                      space: CoordinateSpace) -> ValueBounds:
         """Enclosure of sum_{i > from_index} coef*ratio**i * E_i[score]."""
         raise UnsupportedTailError(f"{self.kind}: no mean closed form")
 
@@ -379,7 +379,7 @@ class PeriodicMeasuresTail(TailMeasureRule):
 
     def indicator_tail_product(self, targets, from_index, head_len):
         factors = self._period_factors(targets, from_index, head_len)
-        return Interval.point(1 if all(f == 1 for f in factors) else 0)
+        return ValueBounds.point(1 if all(f == 1 for f in factors) else 0)
 
     def mean_tail_sum(self, coef, ratio, score_of, from_index, head_len, space):
         p = len(self.templates)
@@ -388,7 +388,7 @@ class PeriodicMeasuresTail(TailMeasureRule):
             first = from_index + 1 + offset
             e = self._template_for(first, head_len).mean_score(score_of)
             total += e * _geometric_sum(coef, ratio, first, p)
-        return Interval.point(total)
+        return ValueBounds.point(total)
 
     def disagreement_bound(self, targets, from_index, head_len):
         factors = self._period_factors(targets, from_index, head_len)
@@ -447,19 +447,19 @@ class GeometricBernoulliTail(TailMeasureRule):
     def indicator_tail_product(self, targets, from_index, head_len):
         if any(t != self.one for t in targets.symbols):
             # infinitely many factors bounded by 2**-i: the product is 0
-            return Interval.point(0)
+            return ValueBounds.point(0)
         last = from_index + self.PRODUCT_TERMS
         partial = F1
         for i in range(from_index + 1, last + 1):
             partial *= self.weight_one(i)
         # remaining factors lie in [1 - 2**-last, 1)
-        return Interval(partial * (1 - Fraction(1, 2**last)), partial)
+        return ValueBounds(partial * (1 - Fraction(1, 2**last)), partial)
 
     def mean_tail_sum(self, coef, ratio, score_of, from_index, head_len, space):
         s1, s0 = score_of(self.one), score_of(self.zero)
         base = s1 * _geometric_sum(coef, ratio, from_index + 1, 1)
         correction = (s0 - s1) * _geometric_sum(coef, ratio / 2, from_index + 1, 1)
-        return Interval.point(base + correction)
+        return ValueBounds.point(base + correction)
 
     def disagreement_bound(self, targets, from_index, head_len):
         if all(t == self.one for t in targets.symbols):

@@ -1,4 +1,4 @@
-"""Exact rational values and closed intervals.
+"""Exact rational values and the one enclosure type, `ValueBounds`.
 
 All certified quantities in prodex are carried as `fractions.Fraction`
 so that interval endpoints, probability weights and mixing coefficients
@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .errors import ValidationError
 
 Rational = Union[int, float, str, Fraction]
 
@@ -43,26 +45,37 @@ def as_fraction(value: Rational) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+class ValueBounds:
+    """Closed enclosure [lo, hi] with exact rational ends and residual
+    risk eta, the one enclosure type of prodex.
+
+    eta > 0 marks a soft verdict: the enclosure holds unless an event of
+    probability at most eta occurs in the unrealized tail of a lazily
+    sampled point.  Every other enclosure is hard (eta = 0).
+    """
 
     lo: Fraction
     hi: Fraction
+    eta: Fraction = F0
 
     def __post_init__(self):
         # a point enclosure holds one object at both ends; comparing long
         # exact rationals multiplies their big integers, so skip it then
         if self.lo is not self.hi and self.lo > self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+            raise ValidationError(f"invalid bounds [{self.lo}, {self.hi}]")
+        if self.eta < 0:
+            raise ValidationError("eta must be nonnegative")
 
     @classmethod
-    def point(cls, value: Rational) -> "Interval":
+    def point(cls, value: Rational, eta: Rational = 0) -> "ValueBounds":
         v = as_fraction(value)
-        return cls(v, v)
+        return cls(v, v, as_fraction(eta))
 
-    @classmethod
-    def of(cls, lo: Rational, hi: Rational) -> "Interval":
-        return cls(as_fraction(lo), as_fraction(hi))
+    def scaled(self, factor: Fraction) -> "ValueBounds":
+        """[factor * lo, factor * hi] with the same eta, for factor >= 0."""
+        lo = factor * self.lo
+        hi = lo if self.lo is self.hi else factor * self.hi
+        return ValueBounds(lo, hi, self.eta)
 
     @property
     def width(self) -> Fraction:
@@ -83,15 +96,17 @@ class Interval:
         v = as_fraction(value)
         return self.lo <= v <= self.hi
 
-    def __float__(self) -> float:
-        return float(self.midpoint)
-
     def __repr__(self) -> str:
-        return f"Interval({float(self.lo)!r}, {float(self.hi)!r})"
+        return (f"ValueBounds({float(self.lo)!r}, {float(self.hi)!r}, "
+                f"eta={float(self.eta)!r})")
 
 
-def abs_difference(a: Interval, b: Interval) -> Interval:
+#: another name for `ValueBounds`, not a class of its own
+Interval = ValueBounds
+
+
+def abs_difference(a: ValueBounds, b: ValueBounds) -> ValueBounds:
     """Enclosure of |x - y| for x in a, y in b."""
     lo = max(F0, a.lo - b.hi, b.lo - a.hi)
     hi = max(a.hi - b.lo, b.hi - a.lo)
-    return Interval(lo, hi)
+    return ValueBounds(lo, hi)

@@ -27,7 +27,13 @@ from prodex.model import (
 )
 from prodex.seeds import derive_seed
 
-from conftest import all_ones_point, binary_spaces, uniform_sigma
+from conftest import (
+    all_ones_point,
+    binary_spaces,
+    geometric_sigma,
+    indicator_all_ones,
+    uniform_sigma,
+)
 
 F = Fraction
 TOL = F(1, 10**9)
@@ -72,6 +78,20 @@ class TestBestResponse:
                                   TOL)
         assert res.interval.is_point and res.interval.lo == 1
         assert res.action == "a"
+
+    def test_value_keeps_the_per_action_eta(self):
+        # the all-ones verdict rests on a lazy point's unread tail
+        sigma = geometric_sigma()
+        game = GameSpec(("a",), binary_spaces(), {"a": indicator_all_ones()},
+                        F(0), F(1))
+        profile = HybridMeasure.measures_then_point(
+            sigma, LazyPoint(2, sigma), 3)
+        res = best_response_value(game, profile, TOL)
+        (_, action_res), = res.per_action
+        assert action_res.eta > 0
+        assert res.bounds.eta == action_res.eta
+        assert (res.bounds.lo, res.bounds.hi) == (action_res.bounds.lo,
+                                                  action_res.bounds.hi)
 
     def test_enlarging_action_set_never_decreases_upper(self):
         game = coordinate_game()
