@@ -20,7 +20,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -40,7 +39,7 @@ from .games import (
 from .harness import verify_strong, verify_weak
 from .martingale import find_strong_approx, trace
 from .model import HybridMeasure, LazyPoint, MeasureAssignment
-from .numeric import F0, F1, ValueBounds
+from .numeric import F0, F1, ValueBounds, round_up
 from .scenario import BUILTIN_SCENARIOS, Scenario, load_scenario
 from .seeds import derive_seed
 from .tailclass import DEFAULT_RETRIES, weak_zero_from_sample
@@ -52,40 +51,14 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _around(x: Fraction) -> tuple:
-    """The floats either side of x, (largest <= x, smallest >= x): one
-    float division and one exact comparison, however long x is."""
-    f = float(x)
-    n, d = f.as_integer_ratio()
-    below, above = x.numerator * d, n * x.denominator  # x and f, scaled
-    if below == above:
-        return f, f
-    if below < above:
-        return math.nextafter(f, -math.inf), f
-    return f, math.nextafter(f, math.inf)
-
-
-def _down(x: Fraction) -> float:
-    """A lower bound as reported: the largest float <= x."""
-    return _around(x)[0]
-
-
-def _up(x: Fraction) -> float:
-    """An upper bound, width or eta as reported: the smallest float >= x."""
-    return _around(x)[1]
-
-
 def _enclosure(vb: ValueBounds) -> dict:
     """An exact enclosure's ends as floats that still enclose it."""
-    if vb.lo is vb.hi:  # a point: both ends from one rounding
-        lo, hi = _around(vb.lo)
-    else:
-        lo, hi = _down(vb.lo), _up(vb.hi)
+    lo, hi = vb.outward()
     return {"lo": lo, "hi": hi}
 
 
 def _interval_payload(vb: ValueBounds) -> dict:
-    return {**_enclosure(vb), "width": _up(vb.width)}
+    return {**_enclosure(vb), "width": round_up(vb.width)}
 
 
 def _shown(bounds: dict) -> str:
@@ -122,8 +95,8 @@ def _need(scenario: Scenario, part: str):
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (exit_code, text_lines, params, result).
-# A handler builds its `result` once from exact values (bounds through
-# `_down`/`_up`), and its text reads the numbers from that `result`.
+# A handler builds its `result` once from exact values (bounds rounded
+# outward, see `numeric`), and its text reads the numbers from `result`.
 # ---------------------------------------------------------------------------
 
 def _cmd_expect(args, scenario: Scenario):
@@ -132,13 +105,13 @@ def _cmd_expect(args, scenario: Scenario):
     result = {**_enclosure(res.bounds),
               "lo_rational": _frac_str(res.bounds.lo),
               "hi_rational": _frac_str(res.bounds.hi),
-              "status": res.status, "eta": _up(res.eta),
+              "status": res.status, "eta": round_up(res.eta),
               "nodes_expanded": res.nodes_expanded,
               "oracle_used": res.oracle_used}
     lines = [
         f"expectation of {f.family} under {scenario.name}",
         f"  interval  {_shown(result)}",
-        f"  width     {_up(res.width)!r}",
+        f"  width     {round_up(res.width)!r}",
         f"  status    {res.status}",
         f"  nodes     {res.nodes_expanded}",
     ]
@@ -154,8 +127,8 @@ def _cmd_gn_trace(args, scenario: Scenario):
                horizon=args.horizon)
     ref = tr.reference.bounds
     result = {
-        "entries": [{"n": e.n, **_enclosure(e.bounds), "eta": _up(e.eta)}
-                    for e in tr.entries],
+        "entries": [{"n": e.n, **_enclosure(e.bounds),
+                     "eta": round_up(e.eta)} for e in tr.entries],
         "reference": _interval_payload(ref),
     }
     # the g_n column and E[f] show midpoints, point estimates, not bounds
@@ -179,7 +152,7 @@ def _cmd_strong_approx(args, scenario: Scenario):
               "first_certified": res.first_certified,
               "value": (None if res.found_value is None
                         else _interval_payload(res.found_value)),
-              "eta": _up(res.eta)}
+              "eta": round_up(res.eta)}
     params = {"point": point_name, "epsilon": float(epsilon),
               "n_max": n_max, "tol": float(args.tol)}
     lines = [f"strong approximation search at point {point_name} "
@@ -203,7 +176,7 @@ def _cmd_weak_approx(args, scenario: Scenario):
         f, scenario.measure, args.tol, depth, args.seed,
         retries=args.retries, horizon=args.horizon, reference=args.r)
     result = {"coordinate": cert.coordinate, "symbol_low": cert.symbol_low,
-              "symbol_high": cert.symbol_high, "eta": _up(cert.eta)}
+              "symbol_high": cert.symbol_high, "eta": round_up(cert.eta)}
     # exact point values: the nearest float, beside the rational itself
     for key in ("alpha", "achieved", "value_low", "value_high"):
         value = getattr(cert, key)
@@ -232,11 +205,11 @@ def _campaign(command: str, title: str, scenario: Scenario, report,
         "inconclusive": report.inconclusive, "failed": report.failed,
         "certified_fraction": float(report.certified_fraction),
         "inconclusive_fraction": float(report.inconclusive_fraction),
-        "max_eta": _up(report.max_eta),
+        "max_eta": round_up(report.max_eta),
         "threshold": None if threshold is None else float(threshold),
         "records": [
             {"index": r.index, "substream": r.substream, "outcome": r.outcome,
-             "detail": r.detail, "eta": _up(r.eta)}
+             "detail": r.detail, "eta": round_up(r.eta)}
             for r in report.records
         ],
     }
@@ -324,7 +297,7 @@ def _cmd_game_purify(args, scenario: Scenario):
              "profile_value": _interval_payload(c.profile_value)}
             for c in res.per_action
         ],
-        "eta": _up(res.eta),
+        "eta": round_up(res.eta),
     }
     lines = [
         f"purified profile ({scenario.name}, epsilon={epsilon})",

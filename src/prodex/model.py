@@ -672,10 +672,10 @@ def point_coordinate(x: PointSpec, i: int):
 def modify_point(x: PointSpec, overrides: Mapping[int, Symbol]) -> PointSpec:
     """Point equal to x except at the overridden coordinates.
 
-    Described bases stay described (the head is extended as needed), so
-    hull witnesses over described points remain described points.  A
-    modified point keeps every override, even one equal to its base's
-    symbol, so a lazily sampled point is read as deep as each one.
+    The result is a `ModifiedPoint` whatever x's kind (x itself when
+    nothing is overridden; a modified x has its overrides merged).  It
+    keeps every override, even one equal to its base's symbol, so a
+    lazily sampled point is read as deep as each one.
     """
     if not overrides:
         return x
@@ -683,15 +683,6 @@ def modify_point(x: PointSpec, overrides: Mapping[int, Symbol]) -> PointSpec:
     for i in clean:
         if i < 1:
             raise ValidationError(f"override index must be >= 1, got {i}")
-    if isinstance(x, DescribedPoint):
-        top = max(max(clean), len(x.head))
-        head = [x.coordinate(i) for i in range(1, top + 1)]
-        for i, sym in clean.items():
-            head[i - 1] = sym
-        # the tail rule is phased from the end of the head: re-anchor it
-        symbols = x.eventual_stream().rebase(top + 1).symbols
-        tail = x.tail if symbols == x.tail.symbols else PeriodicSymbols(symbols)
-        return DescribedPoint(tuple(head), tail)
     if isinstance(x, ModifiedPoint):
         merged = dict(x.overrides)
         merged.update(clean)

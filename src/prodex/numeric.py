@@ -5,10 +5,15 @@ so that interval endpoints, probability weights and mixing coefficients
 never accumulate rounding error.  Floats entering through the public API
 are converted exactly (a float is a binary rational); decimal strings
 are converted with decimal semantics.
+
+Reports and `repr` state an enclosure as floats by one rule, outward
+rounding (`ValueBounds.outward`, and `round_up` for a width or an eta),
+so the stated floats still enclose the exact value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -42,6 +47,24 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def _around(x: Fraction) -> tuple:
+    """The floats either side of x, (largest <= x, smallest >= x): one
+    float division and one exact comparison, however long x is."""
+    f = float(x)
+    n, d = f.as_integer_ratio()
+    below, above = x.numerator * d, n * x.denominator  # x and f, scaled
+    if below == above:
+        return f, f
+    if below < above:
+        return math.nextafter(f, -math.inf), f
+    return f, math.nextafter(f, math.inf)
+
+
+def round_up(x: Fraction) -> float:
+    """An upper bound, width or eta as stated: the smallest float >= x."""
+    return _around(x)[1]
 
 
 @dataclass(frozen=True)
@@ -96,9 +119,15 @@ class ValueBounds:
         v = as_fraction(value)
         return self.lo <= v <= self.hi
 
+    def outward(self) -> tuple:
+        """(largest float <= lo, smallest float >= hi), still enclosing."""
+        if self.lo is self.hi:  # a point: both ends from one rounding
+            return _around(self.lo)
+        return _around(self.lo)[0], _around(self.hi)[1]
+
     def __repr__(self) -> str:
-        return (f"ValueBounds({float(self.lo)!r}, {float(self.hi)!r}, "
-                f"eta={float(self.eta)!r})")
+        lo, hi = self.outward()
+        return f"ValueBounds({lo!r}, {hi!r}, eta={round_up(self.eta)!r})"
 
 
 #: another name for `ValueBounds`, not a class of its own

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .errors import ProdexError, ScenarioError
+from .errors import ProdexError, ScenarioError, ValidationError
 from .functions import (
     Cylinder,
     DiscountedSum,
@@ -47,6 +47,7 @@ from .model import (
     formula_tail,
 )
 from .numeric import as_fraction
+from .seeds import check_seed
 
 SCHEMA_VERSION = 1
 
@@ -324,8 +325,11 @@ def _build_point(data, measure, loc) -> PointSpec:
         return point
     if kind == "lazy":
         seed = _require(data, "seed", loc)
-        if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
-            raise ScenarioError("seed must be a 64-bit unsigned integer", loc)
+        try:
+            check_seed(seed)
+        except ValidationError:
+            raise ScenarioError("seed must be a 64-bit unsigned integer",
+                                loc) from None
         return LazyPoint(seed, measure)
     raise ScenarioError(f"unknown point kind {kind!r}", loc)
 

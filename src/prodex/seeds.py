@@ -21,8 +21,8 @@ from .errors import ValidationError
 
 
 def check_seed(seed: int) -> None:
-    """Reject a seed outside [0, 2**64) instead of aliasing it to another."""
-    if not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+    """Reject a bool or a seed outside [0, 2**64) instead of aliasing it."""
+    if type(seed) is not int or not 0 <= seed < 1 << 64:
         raise ValidationError(f"seed must be an int in [0, 2**64), got {seed!r}")
 
 

@@ -49,7 +49,7 @@ from .model import (
     modify_point,
     splice_prefix,
 )
-from .numeric import DETERMINED_WIDTH, F0, F1, Rational, as_fraction
+from .numeric import DETERMINED_WIDTH, F0, F1, Rational, as_fraction, round_up
 from .seeds import derive_seed
 
 DEFAULT_RETRIES = 8
@@ -133,7 +133,7 @@ def _determined(vb: ValueBounds, depth: int) -> ValueBounds:
     if vb.width > DETERMINED_WIDTH:
         raise UndeterminedValueError(
             f"function value not determinable at horizon {depth} "
-            f"(enclosure width {float(vb.width)})"
+            f"(enclosure width {round_up(vb.width)})"
         )
     return vb
 

@@ -1,11 +1,16 @@
 """The one enclosure type: `ValueBounds` (lo, hi, eta), alias `Interval`."""
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prodex
 import prodex.functions
+from prodex.cli import _enclosure
 from prodex.engine import expect
 from prodex.errors import ValidationError
 from prodex.martingale import trace
@@ -62,3 +67,44 @@ class TestResultsCarryBounds:
         for e in tr.entries:
             assert e.eta == e.bounds.eta
             assert e.interval is e.bounds
+
+
+def _is_floor(f: float, x: Fraction) -> bool:
+    """f is the largest float <= x."""
+    return F(f) <= x < F(math.nextafter(f, math.inf))
+
+
+def _is_ceil(f: float, x: Fraction) -> bool:
+    """f is the smallest float >= x."""
+    return F(math.nextafter(f, -math.inf)) < x <= F(f)
+
+
+#: short, long, tiny (about the smallest normal float, or subnormal) and
+#: negative exact values
+EXACT = st.one_of(
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.builds(F, st.integers(-2**1000, 2**1000), st.integers(1, 2**1000)),
+    st.builds(lambda k, e: F(k, 2**e), st.integers(-2**60, 2**60),
+              st.integers(1000, 1100)),
+)
+
+
+@st.composite
+def enclosures(draw):
+    a, b, eta = draw(EXACT), draw(EXACT), abs(draw(EXACT))
+    if draw(st.booleans()):
+        return ValueBounds.point(a, eta)
+    return ValueBounds(min(a, b), max(a, b), eta)
+
+
+class TestOutwardRounding:
+    @given(vb=enclosures())
+    @settings(max_examples=40)
+    def test_repr_states_the_nearest_outward_floats(self, vb):
+        lo, hi, eta = map(float, re.fullmatch(
+            r"ValueBounds\((\S+), (\S+), eta=(\S+)\)", repr(vb)).groups())
+        assert _is_floor(lo, vb.lo)
+        assert _is_ceil(hi, vb.hi)
+        assert _is_ceil(eta, vb.eta)
+        assert vb.outward() == (lo, hi)
+        assert _enclosure(vb) == dict(zip(("lo", "hi"), vb.outward()))

@@ -1,6 +1,7 @@
 """The README's library example runs and prints what it says."""
 
 import re
+from fractions import Fraction
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -18,3 +19,9 @@ def test_library_example_runs(capsys):
     assert names["hit"].n == 6
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "1 2/7 0.5"
+    # the printed enclosure still encloses the exact one
+    lo, hi, _ = re.fullmatch(r"ValueBounds\((\S+), (\S+), eta=(\S+)\)",
+                             lines[0]).groups()
+    exact = names["res"].bounds
+    assert Fraction(float(lo)) <= exact.lo
+    assert Fraction(float(hi)) >= exact.hi

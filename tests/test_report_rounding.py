@@ -19,12 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodex.cli import _down, _up, main
+from prodex.cli import main
 from prodex.errors import ProdexError
 from prodex.games import DEFAULT_PURIFY_RETRIES, best_response_value, purify
 from prodex.harness import verify_strong, verify_weak
 from prodex.martingale import find_strong_approx, trace
 from prodex.model import LazyPoint
+from prodex.numeric import ValueBounds
 from prodex.scenario import load_scenario
 from prodex.seeds import derive_seed
 from prodex.tailclass import DEFAULT_RETRIES, weak_zero_from_sample
@@ -73,7 +74,7 @@ class TestRoundingHelpers:
         F(1) - F(1, 2**200),
     ])
     def test_nearest_floats_either_side(self, x):
-        lo, hi = _down(x), _up(x)
+        lo, hi = ValueBounds.point(x).outward()
         assert F(lo) <= x <= F(hi)
         assert F(math.nextafter(lo, math.inf)) > x
         assert F(math.nextafter(hi, -math.inf)) < x

@@ -84,6 +84,19 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="64-bit"):
             parse_scenario(bad)
 
+    def test_bool_seed_rejected_not_aliased(self, tmp_path, capsys):
+        # JSON true is a Python bool, an int subclass equal to 1
+        bad = tmp_path / "bool-seed.json"
+        bad.write_text(MINIMAL.replace(
+            '{"kind": "described", "head": [],\n                      '
+            '"tail": {"kind": "constant_symbol", "symbol": 1}}',
+            '{"kind": "lazy", "seed": true}'))
+        with pytest.raises(ScenarioError, match="64-bit") as info:
+            load_scenario(str(bad))
+        assert info.value.location == "points.one"
+        assert main(["gn-trace", str(bad), "--point", "one"]) == 2
+        assert "points.one: seed must be a 64-bit" in capsys.readouterr().err
+
     def test_example_scenario_semantics(self):
         sc = load_scenario("example-3-4")
         assert sc.measure.coordinate_measure(3).weight_of(1) == F(7, 8)
