@@ -74,6 +74,9 @@ class TailFunction:
     """
 
     family = "abstract"
+    #: whether `martingale_steps` at a depth h enclose those at every deeper
+    #: depth, with eta 0: a scan decided at h stands (`harness.verify_strong`)
+    nested_steps = False
 
     range_lo: Fraction
     range_hi: Fraction
@@ -162,8 +165,8 @@ def _resolve_range(explicit, derived_lo: Fraction, derived_hi: Fraction):
         raise ValidationError(f"range lower bound {lo} exceeds upper bound {hi}")
     if lo > derived_lo or hi < derived_hi:
         raise ValidationError(
-            f"declared range [{float(lo)}, {float(hi)}] does not bound the "
-            f"function (needs [{float(derived_lo)}, {float(derived_hi)}])"
+            f"declared range [{lo}, {hi}] does not bound the "
+            f"function (needs [{derived_lo}, {derived_hi}])"
         )
     return lo, hi
 
@@ -441,6 +444,7 @@ class DiscountedSum(TailFunction):
     _score_nums: dict = field(init=False, repr=False)
 
     family = "discounted_sum"
+    nested_steps = True
 
     def __post_init__(self):
         if not self.scores:

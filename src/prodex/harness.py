@@ -87,6 +87,25 @@ def _report(theorem, records, samples, seed) -> VerificationReport:
         counts[FAILED], tuple(records), seed)
 
 
+def _find_shallow_first(f, sigma, x, eps, n_max, tol, horizon, reference):
+    """`find_strong_approx` at `horizon`, reading x only as deep as its
+    verdict needs: if `f.nested_steps`, a verdict decided with eta 0 at a
+    depth 4, 8, 16, ... below `f.read_horizon(x, horizon)` is the cap's."""
+    if f.nested_steps:
+        cap, depth = f.read_horizon(x, horizon), 4
+        while depth < cap:
+            try:
+                res = find_strong_approx(f, sigma, x, eps, n_max, tol,
+                                         horizon=depth, reference=reference)
+            except ValidationError:  # a shallow scan may step further
+                break
+            if res.outcome in (FOUND, NOT_FOUND) and res.eta == 0:
+                return res
+            depth *= 2
+    return find_strong_approx(f, sigma, x, eps, n_max, tol, horizon=horizon,
+                              reference=reference)
+
+
 def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
                   samples: int, n_max: int,
                   tol: Rational = Fraction(1, 10**9), seed: int = 0, *,
@@ -105,9 +124,8 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
     def worker(j: int) -> SampleRecord:
         sub = derive_seed(seed, "strong-sample", j)
         x = LazyPoint(sub, sigma)
-        res = find_strong_approx(
-            f, sigma, x, eps, n_max, tol, horizon=horizon,
-            reference=reference)
+        res = _find_shallow_first(f, sigma, x, eps, n_max, tol, horizon,
+                                  reference)
         if res.outcome == FOUND:
             return SampleRecord(j, sub, CERTIFIED, res.n, res.eta)
         if res.outcome == NOT_FOUND:

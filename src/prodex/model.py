@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotTailEquivalentError, UnsupportedTailError, ValidationError
 from .numeric import F0, F1, PROB_SUM_TOL, Rational, ValueBounds, as_fraction
-from .seeds import _unit_bits, check_seed
+from .seeds import unit_hasher
 
 Symbol = Union[int, str]
 
@@ -602,10 +602,11 @@ def constant_point(symbol, head: Sequence = ()) -> DescribedPoint:
 class LazyPoint(PointSpec):
     """Point sampled from a product measure, realized on demand.
 
-    Coordinate i is a pure function of (seed, i): a 64-bit uniform k is
-    derived by keyed hashing and inverted through coordinate i's CDF by
-    comparing k with the integer thresholds ceil(cum * 2**64) of
-    `CoordinateMeasure.sample_bits`.
+    Coordinate i is a pure function of (seed, i): the 64-bit uniform
+    k = ``unit_bits(seed, "coord", i)``, digested by a copy of the point's
+    one hasher (`seeds.unit_hasher`, rebuilt rather than pickled or copied)
+    fed ``str(i)``, is inverted through coordinate i's CDF by comparing k
+    with the integer thresholds ceil(cum * 2**64) of `sample_bits`.
     The cache is write-once per index and safe under concurrent readers
     because every writer computes the identical value.  The seed must lie
     in [0, 2**64), checked once here rather than on every draw.
@@ -618,14 +619,23 @@ class LazyPoint(PointSpec):
     kind = "lazy"
 
     def __post_init__(self):
-        check_seed(self.seed)
+        object.__setattr__(self, "_hasher", unit_hasher(self.seed, "coord"))
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hasher"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def coordinate(self, i: int):
         hit = self._cache.get(i)
         if hit is not None:
             return hit
+        h = self._hasher.copy()
+        h.update(str(i).encode())
         sym = self.measure.coordinate_measure(i).sample_bits(
-            _unit_bits(self.seed, ("coord", i)))
+            int.from_bytes(h.digest(), "little"))
         self._cache[i] = sym
         return sym
 

@@ -10,6 +10,10 @@ mutable generator state, so
   draws only from its own substream
   ``derive_seed(master, "<campaign>-sample", j)``, so no sample's draws
   depend on another's.
+
+A lazy point draws ``unit_bits(seed, "coord", i)`` from a copy of one
+hasher per point (`unit_hasher`: keyed, pre-fed ``u/coord/``) fed
+``str(i)``, which digests the same bytes, so the same 64 bits.
 """
 
 from __future__ import annotations
@@ -38,16 +42,20 @@ def derive_seed(seed: int, *path) -> int:
     return int.from_bytes(_digest(seed, label), "little")
 
 
-def _unit_bits(seed: int, path: tuple) -> int:
-    """`unit_bits` for a seed its caller has checked once already."""
+def unit_bits(seed: int, *path) -> int:
+    """Uniform 64-bit draw k in [0, 2**64), the numerator of `unit_fraction`."""
+    check_seed(seed)
     label = "u/" + "/".join(str(p) for p in path)
     return int.from_bytes(_digest(seed, label.encode("utf-8")), "little")
 
 
-def unit_bits(seed: int, *path) -> int:
-    """Uniform 64-bit draw k in [0, 2**64), the numerator of `unit_fraction`."""
+def unit_hasher(seed: int, *path):
+    """Keyed blake2b pre-fed the label of ``unit_bits(seed, *path, i)`` up
+    to i: a copy fed ``str(i)`` digests to that draw's 64 bits."""
     check_seed(seed)
-    return _unit_bits(seed, path)
+    label = "/".join(("u", *map(str, path), ""))
+    return hashlib.blake2b(label.encode("utf-8"), digest_size=8,
+                           key=seed.to_bytes(8, "little"))
 
 
 def unit_fraction(seed: int, *path) -> Fraction:

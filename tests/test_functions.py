@@ -1,6 +1,7 @@
 """Tail-function families: evaluation, cylinder bounds, oscillation."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,15 @@ class TestConstruction:
     def test_cylinder_range_must_cover_table(self):
         with pytest.raises(ValidationError):
             Cylinder(1, {(0,): F(0), (1,): F(2)}, F(0), F(1))
+
+    def test_range_miss_states_exact_rationals(self):
+        # hi is 10**-20 below 1/3: nearest floats would print the same
+        # 0.3333333333333333 on both sides of the message
+        msg = ("declared range [0, 99999999999999999997/300000000000000000000]"
+               " does not bound the function (needs [0, 1/3])")
+        with pytest.raises(ValidationError, match=f"^{re.escape(msg)}$"):
+            Cylinder(1, {(0,): F(0), (1,): F(1, 3)}, F(0),
+                     F(1, 3) - F(1, 10**20))
 
     def test_discounted_ratio_must_contract(self):
         with pytest.raises(ValidationError):

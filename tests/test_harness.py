@@ -2,14 +2,31 @@
 
 from fractions import Fraction
 
-from prodex.functions import Cylinder
-from prodex.harness import verify_strong, verify_weak
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prodex import harness
+from prodex.engine import expect
+from prodex.errors import ValidationError
+from prodex.functions import Cylinder, DiscountedSum
+from prodex.harness import (
+    CERTIFIED,
+    FAILED,
+    INCONCLUSIVE,
+    verify_strong,
+    verify_weak,
+)
+from prodex.martingale import FOUND, NOT_FOUND, find_strong_approx
+from prodex.model import LazyPoint
+from prodex.seeds import derive_seed
 
 from conftest import (
+    discounted_sums,
     discounted_unit,
     geometric_sigma,
     indicator_all_ones,
     mix_cylinder,
+    product_measures,
     uniform_sigma,
 )
 
@@ -66,6 +83,87 @@ class TestVerifyStrong:
         b = verify_strong(discounted_unit(), uniform_sigma(), F(1, 10),
                           40, 10, TOL, seed=9)
         assert a.records == b.records
+
+
+class RecordedPoint(LazyPoint):
+    """A lazy point that keeps a list of every instance made."""
+
+    made = []
+
+    def __post_init__(self):
+        super().__post_init__()
+        RecordedPoint.made.append(self)
+
+
+class TestShallowFirst:
+    """A discounted sample is read only as deep as its verdict needs, and
+    its record is the one a scan at the read horizon gives."""
+
+    OUTCOMES = {FOUND: CERTIFIED, NOT_FOUND: FAILED}
+
+    @given(f=discounted_sums(), sigma=product_measures(),
+           seed=st.integers(0, 2**64 - 1),
+           eps=st.sampled_from([F(0), F(1, 100), F(1, 10), F(1, 2)]),
+           n_max=st.integers(1, 12),
+           horizon=st.sampled_from([None, 0, 3, 5, 9, 40]))
+    @settings(max_examples=40, deadline=None)
+    def test_records_match_a_scan_at_the_read_horizon(self, f, sigma, seed,
+                                                      eps, n_max, horizon):
+        rep = verify_strong(f, sigma, eps, 4, n_max, TOL, seed=seed,
+                            horizon=horizon)
+        reference = expect(f, sigma, TOL, horizon=horizon)
+        for r in rep.records:
+            res = find_strong_approx(f, sigma, LazyPoint(r.substream, sigma),
+                                     eps, n_max, TOL, horizon=horizon,
+                                     reference=reference)
+            assert (r.outcome, r.detail, r.eta) == (
+                self.OUTCOMES.get(res.outcome, INCONCLUSIVE), res.n, res.eta)
+
+    def test_discounted_samples_read_shallow(self, monkeypatch):
+        monkeypatch.setattr(harness, "LazyPoint", RecordedPoint)
+        RecordedPoint.made.clear()
+        verify_strong(discounted_unit(), uniform_sigma(), F(1, 10), 100, 10,
+                      TOL, seed=11)
+        reads = [len(x._cache) for x in RecordedPoint.made]
+        assert len(reads) == 100
+        assert max(reads) <= 16 and sum(reads) <= 8 * len(reads)
+
+    def test_an_error_at_a_shallow_depth_defers_to_the_horizon(self):
+        # a shallow scan can step past the horizon's found n and score a
+        # symbol the horizon's scan never scores
+        class ShallowRaises(DiscountedSum):
+            def martingale_steps(self, sigma, x, horizon):
+                if horizon is not None:
+                    raise ValidationError("symbol 2 has no score")
+                return super().martingale_steps(sigma, x, horizon)
+
+        plain = discounted_unit()
+        f = ShallowRaises(plain.weights, plain.scores)
+        args = (uniform_sigma(), F(1, 10), 20, 10, TOL)
+        assert verify_strong(f, *args, seed=3).records == \
+            verify_strong(plain, *args, seed=3).records
+
+    def test_only_nesting_families_climb_the_ladder(self, monkeypatch):
+        depths = []
+
+        def spy(*args, horizon, **kwargs):
+            depths.append(horizon)
+            return find_strong_approx(*args, horizon=horizon, **kwargs)
+
+        monkeypatch.setattr(harness, "find_strong_approx", spy)
+        verify_strong(indicator_all_ones(), geometric_sigma(), F(1, 100), 20,
+                      60, TOL, seed=2024)
+        verify_strong(mix_cylinder(), uniform_sigma(), F(1, 10), 20, 4, TOL,
+                      seed=1)
+        assert set(depths) == {None} and len(depths) == 40
+        depths.clear()
+        # epsilon is the sample's own |f(x) - E[f]|, read deeper than the
+        # cap: g_1 stays undecided at every rung, up to the cap
+        f, sigma = discounted_unit(), uniform_sigma()
+        x = LazyPoint(derive_seed(0, "strong-sample", 0), sigma)
+        eps = abs(f.eval_soft(x, horizon=40).midpoint - F(1, 2))
+        rep = verify_strong(f, sigma, eps, 1, 1, TOL, horizon=20)
+        assert rep.inconclusive == 1 and depths == [4, 8, 16, 20]
 
 
 class TestVerifyWeak:

@@ -45,6 +45,7 @@ from prodex.model import (
     DescribedPoint,
     HybridMeasure,
     LazyPoint,
+    PeriodicMeasuresTail,
     PointSpec,
     ProductMeasure,
     TailMeasureRule,
@@ -54,6 +55,7 @@ from prodex.model import (
 from prodex.numeric import Interval, abs_difference
 
 from conftest import (
+    PROBS,
     all_ones_point,
     bernoulli,
     binary_spaces,
@@ -369,6 +371,35 @@ class TestScanMatchesPerIndex:
                                formula_tail("geometric_bernoulli"))
         x = modify_point(LazyPoint(0, sigma), {i: 1 for i in range(1, 9)})
         assert_scan_matches_g_n(indicator_all_ones(), sigma, x, 12, 8)
+
+
+class TestStepNesting:
+    """`DiscountedSum.nested_steps`: steps read at a depth h enclose those
+    read at every deeper h', with eta 0, so a verdict decided at h is
+    decided alike at h'."""
+
+    @given(f=discounted_sums(), seed=st.integers(0, 2**64 - 1),
+           head=st.lists(PROBS, max_size=2),
+           tail=st.lists(PROBS, min_size=1, max_size=3),
+           depths=st.lists(st.integers(0, 20), min_size=2, max_size=2))
+    @settings(max_examples=40)
+    def test_discounted_steps_nest_in_depth(self, f, seed, head, tail,
+                                            depths):
+        templates = tuple(bernoulli(len(head) + 1, p) for p in tail)
+        sigma = ProductMeasure(
+            binary_spaces(),
+            tuple(bernoulli(i, p) for i, p in enumerate(head, start=1)),
+            ConstantMeasureTail(templates[0]) if len(templates) == 1
+            else PeriodicMeasuresTail(templates))
+        x = LazyPoint(seed, sigma)
+        h, deep = sorted(depths)
+        # indices 1..24 run below, at and past both depths
+        pairs = zip(f.martingale_steps(sigma, x, h),
+                    f.martingale_steps(sigma, x, deep))
+        for shallow, vb in itertools.islice(pairs, 24):
+            assert shallow.lo <= vb.lo <= vb.hi <= shallow.hi
+            assert shallow.eta == vb.eta == 0
+        assert f.nested_steps
 
 
 class OnesPoint(PointSpec):

@@ -1,6 +1,8 @@
 """Core model: spaces, measures, tail rules, points, hybrids."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -34,7 +36,7 @@ from prodex.model import (
     splice_prefix,
     uniform_measure,
 )
-from prodex.seeds import derive_seed, unit_bits, unit_fraction
+from prodex.seeds import derive_seed, unit_bits, unit_fraction, unit_hasher
 
 from conftest import (
     all_ones_point,
@@ -147,12 +149,25 @@ class TestIntegerDraws:
             assert 0 <= k <= TOP
             assert unit_fraction(2024, *path) == F(k, 2**64)
 
+    @given(seed=st.one_of(st.sampled_from([0, TOP]), st.integers(0, TOP)),
+           i=st.one_of(st.just(1), st.integers(2, 10**4),
+                       st.integers(2**64, 2**200)))
+    @settings(max_examples=40)
+    def test_point_hasher_draws_unit_bits(self, seed, i):
+        h = unit_hasher(seed, "coord").copy()
+        h.update(str(i).encode())
+        k = unit_bits(seed, "coord", i)
+        assert int.from_bytes(h.digest(), "little") == k
+        sigma = uniform_sigma()
+        assert LazyPoint(seed, sigma).coordinate(i) == \
+            sigma.coordinate_measure(i).sample_bits(k)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, True, False])
     def test_seeds_outside_64_bits_are_rejected_not_aliased(self, seed):
         sigma = uniform_sigma()
         with pytest.raises(ValidationError):
             LazyPoint(seed, sigma)
-        for draw in (derive_seed, unit_bits, unit_fraction):
+        for draw in (derive_seed, unit_bits, unit_fraction, unit_hasher):
             with pytest.raises(ValidationError):
                 draw(seed, "sample", 0)
         with pytest.raises(ValidationError):
@@ -243,6 +258,17 @@ class TestPoints:
         forward = [point_coordinate(a, i) for i in (1, 2, 3, 4, 5)]
         backward = [point_coordinate(b, i) for i in (5, 4, 3, 2, 1)]
         assert forward == backward[::-1]
+
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)),
+                                       copy.deepcopy])
+    def test_lazy_point_survives_pickle_and_deepcopy_after_draws(self, clone):
+        sigma = uniform_sigma(head_weights=(F(1, 3), F(3, 4)))
+        x = LazyPoint(2**64 - 1, sigma)
+        drawn = [x.coordinate(i) for i in range(1, 40)]
+        y = clone(x)
+        assert (y.seed, y.measure) == (x.seed, x.measure)
+        assert [y.coordinate(i) for i in range(1, 80)] == \
+            drawn + [x.coordinate(i) for i in range(40, 80)]
 
     def test_lazy_points_follow_their_measure(self):
         # heavily biased coordinates: empirical frequency must reflect it

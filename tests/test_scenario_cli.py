@@ -326,6 +326,19 @@ class TestMalformedNumbers:
         assert main(["verify-strong", str(bad), "--samples", "2"]) == 2
         assert "function.scores" in capsys.readouterr().err
 
+    def test_range_miss_exits_two_with_exact_rationals(self, tmp_path,
+                                                       capsys):
+        # the derived range is [0, 1]; the declared hi is 10**-20 below it
+        bad = tmp_path / "narrow.json"
+        bad.write_text(DISCOUNTED.replace(
+            '"range": [0, 1]',
+            '"range": [0, "99999999999999999999/100000000000000000000"]'))
+        assert main(["expect", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: declared range "
+            f"[0, 99999999999999999999/100000000000000000000] does not bound "
+            f"the function (needs [0, 1])\n")
+
     def test_well_formed_discounted_scenario_loads(self):
         sc = parse_scenario(DISCOUNTED)
         assert sc.function.weights.ratio == F(1, 2)
