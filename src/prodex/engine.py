@@ -2,9 +2,10 @@
 
 `expect` encloses E_mu[f] for a product or hybrid measure in an exact
 rational interval.  Both kinds of measure give `switch_index` (None for
-a product measure) and one assignment per index, `assignment_at(i)` (a
-coordinate measure or a Dirac point), so every route reads them on one
-code path.  Two routes:
+a product measure) and `coordinate_measure(i)`, one measure per index
+(a Dirac coordinate's is the one-point measure on its symbol), so every
+route reads them on one code path; they differ only from the switch on,
+where a hybrid pins `tail_point`.  Two routes:
 
 * the function's own exact oracle, `f.expectation(mu, horizon)` (see
   `TailFunction`).  Discounted sums and product indicators evaluate
@@ -16,10 +17,11 @@ code path.  Two routes:
   or raises UnsupportedTailError: for user-defined functions and tails
   without closed forms, each node scored by (cylinder measure x
   oscillation bound) and leaves pruned as soon as their enclosure width
-  hits zero.  Dirac coordinates are substituted, never branched, so
-  hybrid measures keep the tree narrow past the switch index.  Its
-  expansion limit, `node_budget`, is a keyword of `expect` alone; every
-  other entry point runs the tree with `DEFAULT_NODE_BUDGET`.
+  hits zero.  A Dirac coordinate has one child, and nodes from the
+  switch index on are settled on the pinned point, so hybrid measures
+  keep the tree narrow.  Its expansion limit, `node_budget`, is a
+  keyword of `expect` alone; every other entry point runs the tree
+  with `DEFAULT_NODE_BUDGET`.
 
 Accumulation is exact: integers inside the discounted-sum, lazy-draw
 and cylinder-table loops, rationals (Fractions) everywhere else, so
@@ -38,7 +40,6 @@ from typing import Optional
 
 from .errors import UnsupportedTailError, ValidationError
 from .functions import Measure, ProductIndicator, TailFunction
-from .model import DiracAssignment
 from .numeric import F0, F1, Rational, ValueBounds, as_fraction
 
 CERTIFIED = "certified"
@@ -171,15 +172,9 @@ def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
         frontier_lo -= weight * vb.lo
         frontier_hi -= weight * vb.hi
         nodes += 1
-        i = len(prefix) + 1
-        a = mu.assignment_at(i)
-        if isinstance(a, DiracAssignment):
-            sym = a.point.coordinate(i)
-            place(prefix + (sym,), rank + (0,), weight)
-        else:
-            for pos, (sym, w) in enumerate(a.measure.items()):
-                if w == 0:
-                    continue
+        measure = mu.coordinate_measure(len(prefix) + 1)
+        for pos, (sym, w) in enumerate(measure.items()):
+            if w:
                 place(prefix + (sym,), rank + (pos,), weight * w)
 
     if not heap and total_width() > 2 * tol:

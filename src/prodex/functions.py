@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import UnsupportedTailError, ValidationError
 from .model import (
-    DiracAssignment,
+    DescribedPoint,
     HybridMeasure,
     LazyPoint,
     PeriodicStream,
@@ -122,9 +122,10 @@ class TailFunction:
 
     def expectation(self, mu: Measure,
                     horizon: Optional[int]) -> Optional[ValueBounds]:
-        """Exact enclosure of E_mu[f] on a product or hybrid measure (read
-        through `mu.switch_index` and `mu.assignment_at(i)`), or None for
-        the prefix tree; UnsupportedTailError also sends it to the tree."""
+        """Exact enclosure of E_mu[f], or None (or UnsupportedTailError) for
+        the prefix tree.  Product and hybrid measures read alike:
+        `mu.coordinate_measure(i)` below `mu.switch_index`, then the tail
+        rule `mu.tail` (switch None) or the pinned `mu.tail_point`."""
         return None
 
     def martingale_steps(self, sigma: ProductMeasure, x: PointSpec,
@@ -346,14 +347,10 @@ class Cylinder(TailFunction):
         # full coverage means covered == mass, both over prod D_i
         weights, mass = [], 1
         for i in range(1, k + 1):
-            a = mu.assignment_at(i)
-            if isinstance(a, DiracAssignment):
-                weights.append({a.point.coordinate(i): 1})
-            else:
-                d, nums = a.measure._scaled_weights
-                weights.append(nums)
-                mass *= sum(nums.values())
-                den *= d
+            d, nums = mu.coordinate_measure(i)._scaled_weights
+            weights.append(nums)
+            mass *= sum(nums.values())
+            den *= d
         memo = {(): 1}  # prefix weights: a shared prefix is multiplied once
         lo = hi = covered = 0
         for prefix, (vlo, vhi) in groups.items():
@@ -540,12 +537,8 @@ class DiscountedSum(TailFunction):
         boundary = mu.head_len if switch is None else switch - 1
         head = F0
         for i in range(1, boundary + 1):
-            a = mu.assignment_at(i)
-            w = self.weights.weight_at(i)
-            if isinstance(a, DiracAssignment):
-                head += w * self.score_of(a.point.coordinate(i))
-            else:
-                head += w * a.measure.mean_score(self.score_of)
+            head += self.weights.weight_at(i) * mu.coordinate_measure(
+                i).mean_score(self.score_of)
         if switch is None:
             tail = mu.tail.mean_tail_sum(
                 self.weights.coef, self.weights.ratio, self.score_of, boundary,
@@ -593,6 +586,8 @@ class ProductIndicator(TailFunction):
     spaces: SpaceFamily
     targets_head: tuple
     targets_tail: SymbolRule
+    #: the targets as the one point f is the indicator of
+    targets: DescribedPoint = field(init=False, repr=False)
     #: targets of coordinates 1..len, grown on demand by `_targets_through`
     _targets: tuple = field(init=False, repr=False, default=())
 
@@ -601,26 +596,15 @@ class ProductIndicator(TailFunction):
     range_hi = F1
 
     def __post_init__(self):
-        for i, sym in enumerate(self.targets_head, start=1):
-            if sym not in self.spaces.space_at(i):
-                raise ValidationError(
-                    f"target head[{i - 1}]: symbol {sym!r} not in coordinate {i}"
-                )
-        stream = self.targets_stream()
-        for off, sym in enumerate(stream.symbols):
-            if sym not in self.spaces.space_at(stream.start + off):
-                raise ValidationError(
-                    f"target tail: symbol {sym!r} not in coordinate "
-                    f"{stream.start + off}"
-                )
+        targets = DescribedPoint(self.targets_head, self.targets_tail)
+        targets.validate_against(self.spaces, "target")
+        object.__setattr__(self, "targets", targets)
 
     def target_at(self, i: int):
-        if i <= len(self.targets_head):
-            return self.targets_head[i - 1]
-        return self.targets_tail.symbol_at(i, len(self.targets_head))
+        return self.targets.coordinate(i)
 
     def targets_stream(self) -> PeriodicStream:
-        return self.targets_tail.stream(len(self.targets_head))
+        return self.targets.eventual_stream()
 
     def _targets_through(self, n: int) -> tuple:
         """The targets of coordinates 1..n (or more) as one tuple: prefix
@@ -698,7 +682,7 @@ class ProductIndicator(TailFunction):
         """Closed-form E_mu[f].
 
         Every head coordinate contributes its weight on the target symbol
-        (Dirac coordinates contribute exactly 0 or 1); the infinite tail
+        (a Dirac coordinate's is exactly 0 or 1); the infinite tail
         product is evaluated in closed form or enclosed to width below
         1e-12, or is a hybrid's pinned point matched against the targets
         (`_tail_match`).  Raises UnsupportedTailError when the measure
@@ -711,14 +695,9 @@ class ProductIndicator(TailFunction):
         product = F1
         target = self._targets_through(boundary)
         for i in range(1, boundary + 1):
-            a = mu.assignment_at(i)
-            if isinstance(a, DiracAssignment):
-                if a.point.coordinate(i) != target[i - 1]:
-                    return _ZERO
-            else:
-                product *= a.measure.weight_of(target[i - 1])
-                if product == 0:
-                    return _ZERO
+            product *= mu.coordinate_measure(i).weight_of(target[i - 1])
+            if product == 0:
+                return _ZERO
         if switch is None:
             return mu.tail.indicator_tail_product(
                 targets, boundary, mu.head_len).scaled(product)

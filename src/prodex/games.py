@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .engine import ExpectationResult, expect
+from .engine import expect
 from .errors import (
     NotFinitisticError,
     PurificationFailedError,

@@ -170,7 +170,8 @@ class CoordinateMeasure:
         return CoordinateMeasure(i, self.symbols, self.weights)
 
     def mean_score(self, score_of) -> Fraction:
-        return sum((w * score_of(s) for s, w in zip(self.symbols, self.weights)), F0)
+        """E[score]; a zero-weight symbol is never scored."""
+        return sum((w * score_of(s) for s, w in self.items() if w), F0)
 
     @cached_property
     def _thresholds(self) -> tuple:
@@ -580,17 +581,18 @@ class DescribedPoint(PointSpec):
     def eventual_stream(self) -> PeriodicStream:
         return self.tail.stream(len(self.head))
 
-    def validate_against(self, spaces: SpaceFamily) -> None:
+    def validate_against(self, spaces: SpaceFamily, label: str = "point") -> None:
         for i, sym in enumerate(self.head, start=1):
             if sym not in spaces.space_at(i):
                 raise ValidationError(
-                    f"point head[{i - 1}]: symbol {sym!r} not in coordinate {i}"
+                    f"{label} head[{i - 1}]: symbol {sym!r} not in coordinate {i}"
                 )
         stream = self.eventual_stream()
         for off, sym in enumerate(stream.symbols):
             if sym not in spaces.space_at(stream.start + off):
                 raise ValidationError(
-                    f"point tail: symbol {sym!r} not in coordinate {stream.start + off}"
+                    f"{label} tail: symbol {sym!r} not in coordinate "
+                    f"{stream.start + off}"
                 )
 
 
@@ -767,6 +769,7 @@ class HybridMeasure:
 
     Coordinates below switch_index follow `head` (measure or Dirac each);
     every coordinate >= switch_index is the Dirac measure on tail_point.
+    `coordinate_measure(i)` gives each as a measure, like `ProductMeasure`'s.
     """
 
     head: tuple
@@ -807,3 +810,11 @@ class HybridMeasure:
         if i >= self.switch_index:
             return DiracAssignment(self.tail_point)
         return self.head[i - 1]
+
+    def coordinate_measure(self, i: int) -> CoordinateMeasure:
+        """Coordinate i's measure; a Dirac coordinate's is the one-point
+        measure on its symbol, so no massless symbol is ranked or scored."""
+        a = self.assignment_at(i)
+        if a.is_dirac:
+            return CoordinateMeasure(i, (a.point.coordinate(i),), (F1,))
+        return a.measure

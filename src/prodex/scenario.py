@@ -311,7 +311,10 @@ def _build_function(data, spaces, loc) -> TailFunction:
         head = _symbols(targets.get("head", []), f"{loc}.targets.head")
         tail = _build_symbol_tail(_require(targets, "tail", f"{loc}.targets"),
                                   f"{loc}.targets.tail")
-        return ProductIndicator(spaces, head, tail)
+        try:
+            return ProductIndicator(spaces, head, tail)
+        except ValidationError as exc:
+            raise ScenarioError(str(exc), f"{loc}.targets") from None
     raise ScenarioError(f"unknown function family {family!r}", loc)
 
 
@@ -321,7 +324,10 @@ def _build_point(data, measure, loc) -> PointSpec:
         head = _symbols(data.get("head", []), f"{loc}.head")
         tail = _build_symbol_tail(_require(data, "tail", loc), f"{loc}.tail")
         point = DescribedPoint(head, tail)
-        point.validate_against(measure.spaces)
+        try:
+            point.validate_against(measure.spaces)
+        except ValidationError as exc:
+            raise ScenarioError(str(exc), loc) from None
         return point
     if kind == "lazy":
         seed = _require(data, "seed", loc)

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from prodex.engine import exact_expectation_product_indicator, expect
 from prodex.errors import UnsupportedTailError, ValidationError
-from prodex.functions import Cylinder, ProductIndicator, cylinder_sum
+from prodex.functions import (
+    Cylinder,
+    DiscountedSum,
+    GeometricWeights,
+    ProductIndicator,
+    cylinder_sum,
+)
 from prodex.games import GameSpec, best_response_value, purify
 from prodex.harness import verify_strong, verify_weak
 from prodex.martingale import find_strong_approx, g_n, trace
@@ -30,6 +36,7 @@ from prodex.model import (
     bernoulli_measure,
     dirac_measure,
     modify_point,
+    uniform_measure,
 )
 from prodex.seeds import unit_fraction
 from prodex.tailclass import weak_zero_from_sample
@@ -507,6 +514,88 @@ class TestCylinderOracle:
         res = expect(f, sigma, TOL)
         assert res.oracle_used and res.interval.is_point
         assert res.interval.lo == F(1, 2) * 1 + F(1, 2) * 3
+
+
+# ---------------------------------------------------------------------------
+# A Dirac coordinate is a point mass
+# ---------------------------------------------------------------------------
+
+class TestPointMass:
+    """A head coordinate given as `DiracAssignment(y)` and one given as
+    the measure `dirac_measure(i, symbols, y_i)` are the same measure, so
+    every family's oracle returns the same enclosure for both."""
+
+    @pytest.mark.parametrize("family", ["cylinder", "discounted_sum",
+                                        "product_indicator"])
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_dirac_assignment_is_a_dirac_measure(self, family, data):
+        if family == "cylinder":
+            arity, sigma, f = data.draw(cylinder_setups())
+            x, y, z = data.draw(tail_points(sigma, arity))
+            switch = data.draw(st.integers(1, f.depth + 2))
+            horizon = data.draw(st.one_of(st.none(), st.integers(0, f.depth)))
+        else:
+            sigma = data.draw(product_measures())
+            f = data.draw(discounted_sums() if family == "discounted_sum"
+                          else product_indicators())
+            x = draw_point(data, sigma, f)
+            y, z = data.draw(points(sigma)), data.draw(points(sigma))
+            switch = data.draw(st.integers(1, 6))
+            horizon = data.draw(HORIZONS)
+        pins = data.draw(st.lists(st.sampled_from([None, y, z]),
+                                  min_size=switch - 1, max_size=switch - 1))
+
+        def hybrid(pinned):
+            head = tuple(
+                MeasureAssignment(sigma.coordinate_measure(i)) if p is None
+                else pinned(i, p) for i, p in enumerate(pins, start=1))
+            return HybridMeasure(head, switch, x)
+
+        by_point = hybrid(lambda i, p: DiracAssignment(p))
+        by_measure = hybrid(lambda i, p: MeasureAssignment(dirac_measure(
+            i, sigma.spaces.space_at(i).symbols, p.coordinate(i))))
+        a, b = (f.expectation(mu, horizon) for mu in (by_point, by_measure))
+        assert (a.lo, a.hi, a.eta) == (b.lo, b.hi, b.eta)
+
+
+class TestZeroWeightSymbols:
+    """A symbol of zero weight is never drawn, so a discounted sum need
+    not score it: the oracle, the steps and the tree all pass it by."""
+
+    @pytest.fixture
+    def setup(self):
+        spaces = SpaceFamily.uniform((0, 1, 2))
+        tail = ConstantMeasureTail(CoordinateMeasure.from_weights(
+            1, (0, 1, 2), (F(1, 2), F(1, 2), F(0))))
+        sigma = ProductMeasure(spaces, (), tail)
+        return DiscountedSum(GeometricWeights.of(F(1, 2), F(1, 2)),
+                             {0: F(0), 1: F(1)}), sigma
+
+    def test_expect(self, setup):
+        f, sigma = setup
+        oracle = expect(f, sigma, TOL)
+        tree = expect(f, sigma, F(1, 1000), use_oracle=False)
+        assert oracle.oracle_used and oracle.interval.lo == oracle.interval.hi
+        assert oracle.interval.lo == F(1, 4)
+        assert tree.certified and tree.interval.contains(F(1, 4))
+
+    def test_g_n_and_trace(self, setup):
+        f, sigma = setup
+        x = LazyPoint(1, sigma)
+        steps = trace(f, sigma, x, 6)
+        for n in range(1, 7):
+            tree = g_n(f, sigma, x, n, use_oracle=False)
+            assert g_n(f, sigma, x, n).bounds == tree.bounds
+            assert steps.entries[n - 1].bounds == tree.bounds
+        assert steps.reference.interval.lo == F(1, 4)
+
+    def test_a_symbol_with_weight_is_still_scored(self, setup):
+        f, _ = setup
+        sigma = ProductMeasure(SpaceFamily.uniform((0, 1, 2)), (),
+                               ConstantMeasureTail(uniform_measure(1, (0, 1, 2))))
+        with pytest.raises(ValidationError, match="symbol 2 has no score"):
+            expect(f, sigma, TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from prodex.model import (
     ConstantSymbol,
     DescribedPoint,
     LazyPoint,
+    PeriodicSymbols,
     modify_point,
 )
 
@@ -210,6 +211,25 @@ class TestConstruction:
     def test_indicator_targets_must_live_in_spaces(self):
         with pytest.raises(ValidationError):
             ProductIndicator(binary_spaces(), (2,), ConstantSymbol(1))
+
+    @pytest.mark.parametrize("head, tail, message", [
+        ((2,), ConstantSymbol(1), "target head[0]: symbol 2 not in coordinate 1"),
+        ((0, 1, "a"), ConstantSymbol(1),
+         "target head[2]: symbol 'a' not in coordinate 3"),
+        ((), ConstantSymbol(3), "target tail: symbol 3 not in coordinate 1"),
+        ((0, 1), PeriodicSymbols((1, 7)),
+         "target tail: symbol 7 not in coordinate 4"),
+    ])
+    def test_indicator_target_messages(self, head, tail, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ProductIndicator(binary_spaces(), head, tail)
+
+    def test_indicator_targets_are_a_described_point(self):
+        f = ProductIndicator(binary_spaces(), (0, 1), PeriodicSymbols((1, 0)))
+        assert f.targets == DescribedPoint((0, 1), PeriodicSymbols((1, 0)))
+        assert [f.target_at(i) for i in range(1, 7)] == [0, 1, 1, 0, 1, 0]
+        assert f.targets_stream() == f.targets.eventual_stream()
+        assert "targets=" not in repr(f)
 
     def test_cylinder_rejects_a_repeated_prefix(self):
         with pytest.raises(ValidationError, match="prefix \\(0, 0\\) twice"):

@@ -398,3 +398,30 @@ class TestHybridMeasure:
         h = HybridMeasure.dirac(all_ones_point())
         assert h.switch_index == 1
         assert isinstance(h.assignment_at(1), DiracAssignment)
+
+    def test_coordinate_measure_of_each_kind_of_coordinate(self):
+        head_measure = bernoulli_measure(1, F(1, 3))
+        y = DescribedPoint((1, 0), ConstantSymbol(1))
+        h = HybridMeasure((MeasureAssignment(head_measure),
+                           DiracAssignment(y)), 3, all_ones_point())
+        # a measure head coordinate gives its own measure
+        assert h.coordinate_measure(1) is head_measure
+        # a Dirac coordinate is the one-point measure on its symbol, not
+        # the whole space with zero weights
+        assert h.coordinate_measure(2) == CoordinateMeasure(2, (0,), (F(1),))
+        for i in (3, 4, 50):
+            assert h.coordinate_measure(i) == CoordinateMeasure(
+                i, (1,), (F(1),))
+        for i in (0, -1):
+            with pytest.raises(ValidationError, match="must be >= 1"):
+                h.coordinate_measure(i)
+
+    def test_coordinate_measure_reads_a_lazy_tail_point(self, sigma_uniform):
+        x = LazyPoint(7, sigma_uniform)
+        h = HybridMeasure.measures_then_point(sigma_uniform, x, 3)
+        for i in (1, 2):
+            assert h.coordinate_measure(i) is sigma_uniform.coordinate_measure(i)
+        for i in range(3, 12):
+            m = h.coordinate_measure(i)
+            assert (m.space_index, m.symbols, m.weights) == (
+                i, (x.coordinate(i),), (F(1),))

@@ -756,3 +756,46 @@ class TestParseScenarioFuzz:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(json.dumps(doc))
         assert exc.value.location == location
+
+
+INDICATOR_PAYOFF = {
+    "family": "product_indicator",
+    "targets": {"head": [1, 7], "tail": {"kind": "constant_symbol",
+                                         "symbol": 1}}}
+
+# (scenario, JSON path, replacement, location, message after the location)
+BAD_SYMBOLS = [
+    ("example-3-4", ("points", "all-ones", "head"), [5],
+     "points.all-ones", "point head[0]: symbol 5 not in coordinate 1"),
+    ("example-3-4", ("points", "all-ones", "tail", "symbol"), 9,
+     "points.all-ones", "point tail: symbol 9 not in coordinate 1"),
+    ("example-3-4", ("function", "targets", "head"), [7],
+     "function.targets", "target head[0]: symbol 7 not in coordinate 1"),
+    ("example-3-4", ("function", "targets", "tail", "symbol"), 3,
+     "function.targets", "target tail: symbol 3 not in coordinate 1"),
+    ("purify-demo", ("game", "payoffs", "b"), INDICATOR_PAYOFF,
+     "game.payoffs.b.targets", "target head[1]: symbol 7 not in coordinate 2"),
+]
+
+
+class TestBadSymbolsNameTheirJsonPath:
+    """A symbol outside its coordinate's space names the point, the
+    function or the game payoff it belongs to, not only the file."""
+
+    @pytest.mark.parametrize("name, path, value, location, message",
+                             BAD_SYMBOLS, ids=[".".join(c[1])
+                                               for c in BAD_SYMBOLS])
+    def test_exits_two_with_its_json_path(self, name, path, value, location,
+                                          message, tmp_path, capsys):
+        doc = _mutated(json.loads(BUILTIN_TEXTS[name]), path, value)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert exc.value.location == location
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        command = (["game", str(bad), "value"] if name == "purify-demo"
+                   else ["expect", str(bad)])
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert f"error: {location}: {message}\n" in err
+        assert "Traceback" not in err

@@ -1,0 +1,61 @@
+"""Source hygiene: every name a module of the package imports is used there."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "prodex"
+#: `__init__.py` imports to re-export, so only the other modules are read
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """{bound name: line} of every import, `from __future__` aside."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set:
+    """Names read in code, quoted annotations included; comments and
+    docstrings do not count."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    used = used_names(tree)
+    unused = {name: line for name, line in imported_names(tree).items()
+              if name not in used}
+    assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def test_the_check_sees_a_name_used_only_in_a_comment():
+    tree = ast.parse("from x import A, B\n"
+                     "def f(a: 'B'):\n"
+                     "    pass  # A\n")
+    assert set(imported_names(tree)) - used_names(tree) == {"A"}
