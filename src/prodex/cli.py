@@ -390,7 +390,7 @@ def run_scenario(path: str, command: str, args) -> int:
     if args.report_dir is not None:
         directory = Path(args.report_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        stem = re.sub(r"[^A-Za-z0-9._-]+", "-", f"{command}-{scenario.name}")
+        stem = re.sub(r"[^A-Za-z0-9._-]+", "-", f"{name}-{scenario.name}")
         (directory / f"{stem}.txt").write_text(text, encoding="utf-8")
         (directory / f"{stem}.json").write_text(machine, encoding="utf-8")
     return code

@@ -7,10 +7,11 @@ constructor on each, and report the certified fraction.  Sample j
 always uses the substream seed ``derive_seed(master, "<campaign>-sample",
 j)``, so campaigns are deterministic given (scenario, master seed,
 sample count); samples run one after another and records come out in
-sample order.  A report names no scenario: the CLI's machine report
-carries the scenario's digest beside it.  A campaign passes `horizon`
-on as given; None is the function's default depth, which the library
-resolves through `f.read_horizon` wherever a point is read.
+sample order; a weak sample is `tailclass._weak_sample`, as in
+`weak_zero_from_sample`.  A report names no scenario: the CLI's machine
+report carries the scenario's digest beside it.  A campaign passes
+`horizon` on as given; None is the function's default depth, which the
+library resolves through `f.read_horizon` wherever a point is read.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import expect
-from .errors import ProdexError, UndeterminedValueError, ValidationError
+from .errors import ValidationError
 from .functions import TailFunction
 from .martingale import FOUND, NOT_FOUND, find_strong_approx
 from .model import LazyPoint, ProductMeasure
 from .numeric import F0, Rational, as_fraction
 from .seeds import derive_seed
-from .tailclass import classify, construct_weak_zero
+from .tailclass import _weak_sample
 
 STRONG = "strong-epsilon"
 WEAK = "weak-zero"
@@ -78,13 +79,11 @@ class VerificationReport:
         return max((r.eta for r in self.records), default=F0)
 
 
-def _report(theorem, records, samples, seed) -> VerificationReport:
-    counts = {CERTIFIED: 0, INCONCLUSIVE: 0, FAILED: 0}
-    for r in records:
-        counts[r.outcome] += 1
-    return VerificationReport(
-        theorem, samples, counts[CERTIFIED], counts[INCONCLUSIVE],
-        counts[FAILED], tuple(records), seed)
+def _report(theorem, records, seed) -> VerificationReport:
+    counts = [sum(r.outcome == outcome for r in records)
+              for outcome in (CERTIFIED, INCONCLUSIVE, FAILED)]
+    return VerificationReport(theorem, len(records), *counts,
+                              tuple(records), seed)
 
 
 def _find_shallow_first(f, sigma, x, eps, n_max, tol, horizon, reference):
@@ -126,14 +125,11 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
         x = LazyPoint(sub, sigma)
         res = _find_shallow_first(f, sigma, x, eps, n_max, tol, horizon,
                                   reference)
-        if res.outcome == FOUND:
-            return SampleRecord(j, sub, CERTIFIED, res.n, res.eta)
-        if res.outcome == NOT_FOUND:
-            return SampleRecord(j, sub, FAILED, None, res.eta)
-        return SampleRecord(j, sub, INCONCLUSIVE, None, res.eta)
+        outcome = (CERTIFIED if res.outcome == FOUND else
+                   FAILED if res.outcome == NOT_FOUND else INCONCLUSIVE)
+        return SampleRecord(j, sub, outcome, res.n, res.eta)
 
-    records = [worker(j) for j in range(samples)]
-    return _report(STRONG, records, samples, seed)
+    return _report(STRONG, [worker(j) for j in range(samples)], seed)
 
 
 def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
@@ -141,35 +137,23 @@ def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
                 horizon: Optional[int] = None) -> VerificationReport:
     """Fraction of sampled points whose depth-m hull certifies E[f].
 
-    A sample is certified only when classification succeeds and the
-    constructed single-coordinate certificate reproduces the target
-    exactly; hulls that miss the target are inconclusive (membership at
-    larger depth remains possible), and so are samples whose value the
-    horizon does not determine (`UndeterminedValueError`).
+    A sample is certified when its hull contains the target, with the
+    single-coordinate certificate on the hull's witnesses; else it is
+    inconclusive: its hull misses the target (a larger depth may not),
+    or it reads a value the horizon does not determine.  A certificate
+    on hull witnesses cannot fail, so no sample does.
     """
     if samples < 1:
         raise ValidationError("sample count must be >= 1")
     if m < 1:
         raise ValidationError("hull depth must be >= 1")
-    result = expect(f, sigma, tol, horizon=horizon)
-    r = result.midpoint
+    r = expect(f, sigma, tol, horizon=horizon).midpoint
 
     def worker(j: int) -> SampleRecord:
-        sub = derive_seed(seed, "weak-sample", j)
-        x = LazyPoint(sub, sigma)
-        try:
-            verdict = classify(f, sigma, x, r, m, horizon=horizon)
-        except UndeterminedValueError:
-            return SampleRecord(j, sub, INCONCLUSIVE, m)
-        if not verdict.certified:
-            return SampleRecord(j, sub, INCONCLUSIVE, m, verdict.hull.eta)
-        try:
-            cert = construct_weak_zero(
-                f, sigma, verdict.hull.witness_min, verdict.hull.witness_max,
-                r, horizon)
-        except ProdexError:
-            return SampleRecord(j, sub, FAILED, None, verdict.hull.eta)
-        return SampleRecord(j, sub, CERTIFIED, cert.coordinate, cert.eta)
+        sub, hull, cert = _weak_sample(f, sigma, r, m, seed, j, horizon)
+        if cert is not None:
+            return SampleRecord(j, sub, CERTIFIED, cert.coordinate, cert.eta)
+        return SampleRecord(j, sub, INCONCLUSIVE, m,
+                            F0 if hull is None else hull.eta)
 
-    records = [worker(j) for j in range(samples)]
-    return _report(WEAK, records, samples, seed)
+    return _report(WEAK, [worker(j) for j in range(samples)], seed)

@@ -18,8 +18,8 @@ stays the single-index API: a cylinder as one exact table sum in
 integers, O(|table| * d) per index, through its oracle; user-defined
 functions and tails without a closed form on the generic tree, which
 `g_n(..., use_oracle=False)` also forces for every family.  All routes
-give identical enclosures.  `horizon` alone sets how far a lazily
-sampled x is read (`f.read_horizon`).
+give identical enclosures; a scan yields them as bare `ValueBounds`.
+`horizon` alone sets how far a lazily sampled x is read (`f.read_horizon`).
 
 Comparisons are decided on interval separation only: a verdict is
 issued when the two enclosures admit no other answer, otherwise the
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .engine import ExpectationResult, _check_tol, _oracle_result, expect
+from .engine import ExpectationResult, _check_tol, expect
 from .errors import ToleranceConfigError, ValidationError
 from .functions import TailFunction
 from .model import HybridMeasure, PointSpec, ProductMeasure
@@ -113,17 +113,15 @@ def g_n(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n: int,
 
 def _scan(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
           tol: Rational, *, horizon: Optional[int]):
-    """Enclosures of g_1(x) .. g_{n_max}(x), in order, each equal to `g_n`'s:
+    """Enclosures of g_1(x) .. g_{n_max}(x), in order, each `g_n`'s bounds:
     the function's own steps (`f.martingale_steps`) when it has them,
     else one `g_n` per index."""
     tol = _check_tol(tol)
     steps = f.martingale_steps(sigma, x, horizon)
     if steps is None:
-        for n in range(1, n_max + 1):
-            yield g_n(f, sigma, x, n, tol, horizon=horizon)
-    else:
-        for vb in itertools.islice(steps, n_max):
-            yield _oracle_result(vb, tol)
+        steps = (g_n(f, sigma, x, n, tol, horizon=horizon).bounds
+                 for n in itertools.count(1))
+    yield from itertools.islice(steps, n_max)
 
 
 def trace(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
@@ -133,8 +131,7 @@ def trace(f: TailFunction, sigma: ProductMeasure, x: PointSpec, n_max: int,
     if n_max < 1:
         raise ValidationError("trace length must be >= 1")
     scan = _scan(f, sigma, x, n_max, tol, horizon=horizon)
-    entries = [TraceEntry(n, res.bounds)
-               for n, res in enumerate(scan, start=1)]
+    entries = [TraceEntry(n, value) for n, value in enumerate(scan, start=1)]
     reference = expect(f, sigma, tol, horizon=horizon)
     return MartingaleTrace(tuple(entries), reference)
 
@@ -198,8 +195,7 @@ def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
     eta = reference.eta
     verdict_of = _epsilon_verdicts(reference.bounds, eps)
     scan = _scan(f, sigma, x, n_max, tol_f, horizon=horizon)
-    for n, res in enumerate(scan, start=1):
-        value = res.bounds
+    for n, value in enumerate(scan, start=1):
         eta = max(eta, value.eta)
         verdict = verdict_of(value)
         if verdict == YES:

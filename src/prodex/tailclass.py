@@ -14,7 +14,9 @@ points that differ in a single coordinate; mixing those two symbols
 with the right weight hits r exactly.  This is
 the constructive content behind `construct_weak_zero`: the certificate
 it returns realizes E[f] with a measure that randomizes in exactly one
-coordinate and is Dirac everywhere else.
+coordinate and is Dirac everywhere else.  `weak_zero_from_sample` and
+`harness.verify_weak` run each sample through one routine,
+`_weak_sample`: its hull, then its certificate.
 
 Certification is one-sided by design: a hull that straddles r certifies
 membership, but no finite search can rule r out of the full hull over
@@ -266,6 +268,25 @@ def construct_weak_zero(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
         value_low=v_low, value_high=v_high, eta=eta)
 
 
+def _weak_sample(f: TailFunction, sigma: ProductMeasure, r: Fraction, m: int,
+                 seed: int, j: int, horizon: Optional[int]) -> tuple:
+    """(substream, depth-m hull, certificate) of weak sample j of `seed`.
+
+    The certificate is None when the hull misses r; both are None when a
+    value the sample reads (the base, a witness or a walk point) is
+    undetermined at the horizon."""
+    sub = derive_seed(seed, "weak-sample", j)
+    try:
+        hull = hull_estimate(f, LazyPoint(sub, sigma), m, sigma.spaces,
+                             horizon=horizon)
+        if not hull.contains(r):
+            return sub, hull, None
+        return sub, hull, construct_weak_zero(
+            f, sigma, hull.witness_min, hull.witness_max, r, horizon)
+    except UndeterminedValueError:
+        return sub, None, None
+
+
 def weak_zero_from_sample(f: TailFunction, sigma: ProductMeasure,
                           tol: Rational = Fraction(1, 10**9),
                           m: int = 1, seed: int = 0, *,
@@ -273,28 +294,21 @@ def weak_zero_from_sample(f: TailFunction, sigma: ProductMeasure,
                           horizon: Optional[int] = None,
                           reference: Optional[Fraction] = None
                           ) -> WeakApproxCertificate:
-    """Sample points under sigma until a depth-m hull straddles E[f].
+    """The first certificate among weak samples 0..retries-1 under `seed`.
 
     The target r is the midpoint of the certified enclosure of E[f]
     (the certificate then achieves r exactly and the true expectation
-    within the enclosure width).  Each retry uses a fresh substream; a
-    sample whose value the horizon does not determine is passed over, as
-    `verify_weak` counts it inconclusive.
+    within the enclosure width).  It is the first sample that
+    `verify_weak` certifies at the same seed, depth and horizon: a
+    sample whose hull misses r, or that reads a value the horizon does
+    not determine, is passed over.
     """
     if m < 1:
         raise ValidationError("hull depth must be >= 1")
-    if reference is None:
-        result = expect(f, sigma, tol, horizon=horizon)
-        r = result.midpoint
-    else:
-        r = as_fraction(reference)
-    for attempt in range(retries):
-        x = LazyPoint(derive_seed(seed, "weak-sample", attempt), sigma)
-        try:
-            hull = hull_estimate(f, x, m, sigma.spaces, horizon=horizon)
-        except UndeterminedValueError:
-            continue
-        if hull.contains(r):
-            return construct_weak_zero(f, sigma, hull.witness_min,
-                                       hull.witness_max, r, horizon)
+    r = (expect(f, sigma, tol, horizon=horizon).midpoint
+         if reference is None else as_fraction(reference))
+    for j in range(retries):
+        cert = _weak_sample(f, sigma, r, m, seed, j, horizon)[2]
+        if cert is not None:
+            return cert
     raise StraddleNotFoundError(m, retries)

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodex import harness
 from prodex.engine import expect
-from prodex.errors import ValidationError
+from prodex.errors import StraddleNotFoundError, ValidationError
 from prodex.functions import Cylinder, DiscountedSum
 from prodex.harness import (
     CERTIFIED,
@@ -19,6 +20,7 @@ from prodex.harness import (
 from prodex.martingale import FOUND, NOT_FOUND, find_strong_approx
 from prodex.model import LazyPoint
 from prodex.seeds import derive_seed
+from prodex.tailclass import weak_zero_from_sample
 
 from conftest import (
     discounted_sums,
@@ -208,6 +210,23 @@ class TestVerifyWeak:
                          (1, 0): F(1, 2), (1, 1): F(1, 2)})
         rep = verify_weak(f, uniform_sigma(), 2, 40, TOL, seed=0, horizon=1)
         assert (rep.certified, rep.inconclusive, rep.failed) == (17, 23, 0)
+
+    def test_an_undetermined_walk_point_is_inconclusive(self):
+        # at horizon 2 coordinate 3 is never read: some samples have both
+        # witness values determined but the walk point (y_1, x_2) not.
+        # Such a sample is inconclusive, never failed, and weak_zero_from_
+        # sample passes over it as the campaign does
+        f = Cylinder(3, {(0, 0, 0): F(1), (0, 0, 1): F(1, 2),
+                         (0, 1, 0): F(1), (0, 1, 1): F(1),
+                         (1, 0, 0): F(0), (1, 0, 1): F(0),
+                         (1, 1, 0): F(1, 4), (1, 1, 1): F(1, 2)})
+        sigma = uniform_sigma()
+        rep = verify_weak(f, sigma, 2, 12, TOL, seed=183, horizon=2)
+        assert (rep.certified, rep.inconclusive, rep.failed) == (0, 12, 0)
+        assert all((r.detail, r.eta) == (2, 0) for r in rep.records)
+        with pytest.raises(StraddleNotFoundError):
+            weak_zero_from_sample(f, sigma, TOL, 2, seed=183, horizon=2,
+                                  retries=12)
 
     def test_deterministic_given_seed(self):
         a = verify_weak(mix_cylinder(), uniform_sigma(), 2, 60, TOL, seed=12)

@@ -330,9 +330,10 @@ def _fields(res):
 def assert_scan_matches_g_n(f, sigma, x, n_max, horizon):
     scanned = list(_scan(f, sigma, x, n_max, TOL, horizon=horizon))
     assert len(scanned) == n_max
-    for n, res in enumerate(scanned, start=1):
-        assert _fields(res) == _fields(g_n(f, sigma, x, n, TOL,
-                                           horizon=horizon)), n
+    for n, value in enumerate(scanned, start=1):
+        res = g_n(f, sigma, x, n, TOL, horizon=horizon)
+        assert (value.lo, value.hi, value.eta) == \
+            (res.bounds.lo, res.bounds.hi, res.eta), n
 
 
 class TestScanMatchesPerIndex:

@@ -27,6 +27,8 @@ from prodex.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 #: depth 8, binary, with a different head weight at every coordinate
 SKEWED = Path(__file__).parent / "scenarios" / "cylinder-skewed.json"
+#: depth 3, binary: at horizon 2 some walk points read the unread x_3
+WALK = Path(__file__).parent / "scenarios" / "cylinder-walk.json"
 
 CASES = [
     ["expect", "example-3-4"],
@@ -91,6 +93,11 @@ CASES = [
     ["verify-weak", "discounted-uniform", "--depth", "50", "--samples", "2",
      "--seed", "3", "--horizon", "45"],
     ["weak-approx", SKEWED, "--seed", "3", "--depth", "8", "--horizon", "2"],
+    # samples whose witnesses are determined but a walk point is not:
+    # inconclusive in the campaign, passed over by weak-approx
+    ["verify-weak", WALK, "--depth", "2", "--horizon", "2", "--samples", "12",
+     "--seed", "183"],
+    ["weak-approx", WALK, "--depth", "2", "--horizon", "2", "--seed", "183"],
 ]
 
 

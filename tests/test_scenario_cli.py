@@ -222,6 +222,18 @@ class TestCli:
         assert payload["command"] == "expect"
         assert payload["scenario_digest"]
 
+    def test_game_verbs_write_their_own_report_files(self, tmp_path, capsys):
+        # every verb runs as command "game"; the files are named after the
+        # resolved command, so one verb's report does not overwrite another's
+        for verb in (["value"], ["purify", "--seed", "3"]):
+            main(["game", "purify-demo", *verb, "--report-dir", str(tmp_path)])
+        reports = {p.name: json.loads(p.read_text())["command"]
+                   for p in tmp_path.glob("*.json")}
+        assert reports == {"game-value-purify-demo.json": "game-value",
+                           "game-purify-purify-demo.json": "game-purify"}
+        assert (tmp_path / "game-value-purify-demo.txt").exists()
+        assert (tmp_path / "game-purify-purify-demo.txt").exists()
+
     def test_machine_reports_byte_identical_across_runs(self, tmp_path):
         outs = []
         for run in ("a", "b"):

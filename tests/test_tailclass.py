@@ -1,12 +1,14 @@
 """Hull estimation, class certification, weak-zero certificates."""
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodex.engine import expect
@@ -17,6 +19,7 @@ from prodex.errors import (
     UndeterminedValueError,
 )
 from prodex.functions import Cylinder, ProductIndicator, eval_function
+from prodex.harness import CERTIFIED, verify_weak
 from prodex.model import (
     ConstantSymbol,
     DescribedPoint,
@@ -28,6 +31,7 @@ from prodex.model import (
     point_coordinate,
     splice_prefix,
 )
+from prodex.scenario import load_scenario
 from prodex.seeds import derive_seed
 from prodex.tailclass import (
     UNDETERMINED,
@@ -407,6 +411,49 @@ class TestWeakZeroFromSample:
                                      horizon=1)
         assert cert.achieved == F(1, 2)
         assert cert.mixed_value(f, 1) == F(1, 2)
+
+
+WALK = Path(__file__).parent / "scenarios" / "cylinder-walk.json"
+
+
+@functools.lru_cache(maxsize=None)
+def scenario(name):
+    return load_scenario(name)
+
+
+class TestOneRoutePerWeakSample:
+    """`weak_zero_from_sample` with R retries is the first sample that
+    `verify_weak` with R samples certifies, at the same seed, depth and
+    horizon, and raises exactly when that campaign certifies none."""
+
+    @given(name=st.sampled_from(["cylinder-mix", "cylinder-threshold",
+                                 "discounted-uniform", "example-3-4",
+                                 str(WALK)]),
+           seed=st.integers(min_value=0, max_value=2**64 - 1),
+           depth=st.integers(min_value=1, max_value=8),
+           horizon=st.sampled_from([None, 0, 2]),
+           retries=st.integers(min_value=1, max_value=6))
+    @example(name=str(WALK), seed=183, depth=2, horizon=2, retries=1)
+    @settings(max_examples=40, deadline=None)
+    def test_first_certified_sample_of_the_campaign(self, name, seed, depth,
+                                                    horizon, retries):
+        f, sigma = scenario(name).function, scenario(name).measure
+        rep = verify_weak(f, sigma, depth, retries, TOL, seed,
+                          horizon=horizon)
+        first = next((r for r in rep.records if r.outcome == CERTIFIED),
+                     None)
+        if first is None:
+            with pytest.raises(StraddleNotFoundError):
+                weak_zero_from_sample(f, sigma, TOL, depth, seed,
+                                      retries=retries, horizon=horizon)
+            return
+        cert = weak_zero_from_sample(f, sigma, TOL, depth, seed,
+                                     retries=retries, horizon=horizon)
+        assert (cert.coordinate, cert.eta) == (first.detail, first.eta)
+        root = cert.point
+        while not isinstance(root, LazyPoint):
+            root = root.base
+        assert root.seed == first.substream
 
 
 class TestCertificateProperties:
