@@ -10,8 +10,8 @@ where a hybrid pins `tail_point`.  Two routes:
 * the function's own exact oracle, `f.expectation(mu, horizon)` (see
   `TailFunction`).  Discounted sums and product indicators evaluate
   their tail contributions in closed form (width 0 or below 1e-12); a
-  cylinder of depth d is a table sum in O(|table| * d) integer
-  operations, so a g_n on a cylinder costs one pass over the table;
+  cylinder sums its weighted prefixes in integers, one lookup each in
+  its per-level row aggregates, built once per cylinder;
 * generic best-first refinement of the prefix tree (the paper's general
   case; no built-in scenario reaches it), when the oracle returns None
   or raises UnsupportedTailError: for user-defined functions and tails

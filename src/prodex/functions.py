@@ -176,9 +176,23 @@ def _resolve_range(explicit, derived_lo: Fraction, derived_hi: Fraction):
 # Cylinder functions
 # ---------------------------------------------------------------------------
 
+def _coarsen(level: tuple) -> tuple:
+    """`level` one coordinate shorter: min lows, max highs by key[:-1]."""
+    lows, highs = {}, {}
+    for key, lo in level[0].items():
+        p, hi = key[:-1], level[1][key]
+        lows[p], highs[p] = min(lows.get(p, lo), lo), max(highs.get(p, hi), hi)
+    return lows, highs
+
+
 @dataclass(frozen=True, eq=False)
 class Cylinder(TailFunction):
-    """Function of the first `depth` coordinates, given by a value table."""
+    """Function of the first `depth` coordinates, given by a value table.
+
+    Queries run in integers: the values over one denominator, the min
+    and max of the rows under every shorter prefix (`_level`, built
+    once) and prefix weights expanded one coordinate at a time (`_sums`).
+    """
 
     depth: int
     table: Mapping[tuple, Fraction]
@@ -194,25 +208,47 @@ class Cylinder(TailFunction):
             raise ValidationError("cylinder table must be nonempty")
         for key in self.table:
             if len(key) != self.depth:
-                raise ValidationError(
-                    f"cylinder table key {key!r} has length {len(key)}, "
-                    f"expected {self.depth}"
-                )
-        values = list(self.table.values())
+                raise ValidationError(f"cylinder table key {key!r} has length "
+                                      f"{len(key)}, expected {self.depth}")
+        den, rows = self._scaled_table
         lo, hi = _resolve_range(
             None if self.range_lo is None else (self.range_lo, self.range_hi),
-            min(values), max(values))
+            Fraction(min(rows.values()), den), Fraction(max(rows.values()), den))
         object.__setattr__(self, "range_lo", lo)
         object.__setattr__(self, "range_hi", hi)
 
     @cached_property
     def _scaled_table(self) -> tuple:
         """(V, {key: value * V}): the table as integers over one common
-        denominator V, the lcm of the value denominators.  Built on first
-        use; the table walks compare and sum these integers."""
+        denominator V, the lcm of the value denominators."""
         v = math.lcm(*(value.denominator for value in self.table.values()))
         return v, {key: value.numerator * (v // value.denominator)
                    for key, value in self.table.items()}
+
+    @cached_property
+    def _fractions(self) -> dict:
+        """{value * V: the table's Fraction of that value}."""
+        return dict(zip(self._scaled_table[1].values(), self.table.values()))
+
+    def _level(self, k: int) -> tuple:
+        """(lows, highs): the min and max scaled row under each prefix of
+        length k; `_levels` keeps them from the depth down, built once."""
+        rows = self._scaled_table[1]
+        levels = self.__dict__.setdefault("_levels", [(rows, rows)])
+        while len(levels) <= self.depth - k:
+            levels.append(_coarsen(levels[-1]))
+        return levels[self.depth - k]
+
+    def _aggregates(self, start: int, block: tuple) -> list:
+        """`_level` of each length to start, of the rows reading `block`."""
+        top = start + len(block)
+        lows, highs = self._level(top)
+        keys = [key for key in lows if key[start:top] == block]
+        levels = [tuple({key[:start]: ends[key] for key in keys}
+                        for ends in (lows, highs))]
+        for _ in range(start):
+            levels.insert(0, _coarsen(levels[0]))
+        return levels
 
     @classmethod
     def from_entries(cls, depth: int, entries, value_range=None) -> "Cylinder":
@@ -259,125 +295,89 @@ class Cylinder(TailFunction):
         return {i: rest.coordinate(i) for i in range(start, top + 1)}
 
     def window_bounds(self, rest, rest_from, horizon):
-        # the pinned block is key[start:top], read from rest once; rows are
-        # matched on it once, on the first prefix that needs a scan
+        # the block is read from rest once; each prefix is one level lookup
         start = rest_from - 1
         block = () if rest is None else tuple(self.pinned_coordinates(
             rest, rest_from, horizon).values())
-        top = start + len(block)
-        rows = None
+        levels = None
 
         def bounds(prefix) -> ValueBounds:
-            nonlocal rows
-            m = len(prefix)
+            nonlocal levels
+            m, key = len(prefix), tuple(prefix)
             if m >= self.depth:
                 return ValueBounds.point(self.value_at_prefix(prefix))
-            head = tuple(prefix)
-            if m == start and top == self.depth:
-                # every coordinate past the prefix is read: one lookup
-                value = self.table.get(head + block)
-                if value is None:
-                    raise ValidationError(
-                        f"no cylinder table entry is consistent with "
-                        f"prefix {prefix!r}")
-                return ValueBounds(value, value)
-            if rows is None:
-                rows = [(key, v) for key, v in self._scaled_table[1].items()
-                        if key[start:top] == block]
-            lo = hi = None  # (scaled value, key) of the extreme rows
-            for key, v in rows:
-                if key[:m] != head:
-                    continue
-                if lo is None:
-                    lo = hi = (v, key)
-                elif v < lo[0]:
-                    lo = (v, key)
-                elif v > hi[0]:
-                    hi = (v, key)
-            if lo is None:
+            if m == start or not block:
+                (lows, highs), key = self._level(m + len(block)), key + block
+            else:
+                if levels is None:
+                    levels = self._aggregates(start, block)
+                lows, highs = levels[m]
+            if key not in lows:
                 raise ValidationError(
                     f"no cylinder table entry is consistent with prefix "
                     f"{prefix!r}")
-            return ValueBounds(self.table[lo[1]], self.table[hi[1]])
+            return ValueBounds(self._fractions[lows[key]],
+                               self._fractions[highs[key]])
         return bounds
 
-    def expectation(self, mu, horizon):
-        """E_mu[f] as an exact sum over the rows of the table.
+    def _sums(self, measure_at, pins: dict, first: int, last: int):
+        """E[f] with coordinates 1..j integrated out under `measure_at` and
+        the pins after j matched, for j = first..last in turn: one lookup
+        per prefix of positive weight (a product of integer weights, over
+        den = V * prod D_i).  A prefix of positive mass that no row covers
+        raises ValidationError, the shortest named; zero-mass gaps are legal."""
+        prefixes, weights, den = {(): 1}, [], self._scaled_table[0]
+        for j in range(last + 1):
+            if j:
+                d, nums = measure_at(j)._scaled_weights
+                positive = [(s, w) for s, w in nums.items() if w]
+                prefixes = {p + (s,): pw * w for p, pw in prefixes.items()
+                            for s, w in positive}
+                weights, den = weights + [nums], den * d
+            if j < first:
+                continue
+            pinned = {i: s for i, s in pins.items() if i > j}
+            block = tuple(pinned.values())
+            lows, highs = self._level(j + len(block))
+            try:
+                lo = sum(w * lows[p + block] for p, w in prefixes.items())
+                hi = lo if highs is lows else sum(
+                    w * highs[p + block] for p, w in prefixes.items())
+            except KeyError:
+                reached = {key[:i] for key in self.table
+                           if key[j:j + len(block)] == block
+                           for i in range(j + 1)}
+                level = [()]
+                while all(p in reached for p in level):
+                    level = [p + (s,) for p in level
+                             for s, w in weights[len(p)].items() if w]
+                missing = next(p for p in level if p not in reached)
+                where = f" that agrees with the point at {pinned}" if pinned else ""
+                raise ValidationError(
+                    f"cylinder table has no row for prefix {missing!r} of "
+                    f"positive mass{where}") from None
+            lo_f = Fraction(lo, den)
+            yield ValueBounds(lo_f, lo_f if hi == lo else Fraction(hi, den))
 
-        The first k = min(switch - 1, depth) coordinates are integrated
-        out; the coordinates after them are the pinned point's, and the
-        table is matched on them as `pinned_coordinates` reads them.  Rows
-        that disagree with a read symbol drop out, the rest are grouped by
-        their first k symbols, and each group adds weight(prefix) x
-        [min, max] of its values.  The walk runs in integers: values over
-        the table's common denominator V (`_scaled_table`), the weights of
-        coordinate i over theirs, D_i (`CoordinateMeasure._scaled_weights`),
-        so a prefix weight is a product of numerators over prod D_i and
-        each end of the enclosure becomes one Fraction over V * prod D_i,
-        in O(|table| * depth) integer operations.  Raises ValidationError
-        naming the shortest prefix of positive mass that no row covers;
-        zero-mass gaps are legal.
-        """
+    def expectation(self, mu, horizon):
+        """E_mu[f] as one of `_sums`: the first k = min(switch - 1, depth)
+        coordinates are integrated out, and the pinned point's after them
+        are matched as `pinned_coordinates` reads them."""
         switch = mu.switch_index
         k = self.depth if switch is None else min(switch - 1, self.depth)
-        pins = {}
-        if k < self.depth:
-            # k + 1 is the switch index: the pinned point starts there
-            rest = mu.tail_point
-            pins = self.pinned_coordinates(rest, k + 1,
-                                           self.read_horizon(rest, horizon))
-        # the pins are the coordinates k+1..top: a row keeps key[k:top] == block
-        block = tuple(pins.values())
-        top = k + len(block)
-        den, rows = self._scaled_table
-        groups = {}
-        for key, v in rows.items():
-            if key[k:top] != block:
-                continue
-            prefix = key[:k]
-            seen = groups.get(prefix)
-            if seen is None:
-                groups[prefix] = (v, v)
-            elif v < seen[0]:
-                groups[prefix] = (v, seen[1])
-            elif v > seen[1]:
-                groups[prefix] = (seen[0], v)
+        # past k the point is pinned: k + 1 is the switch index
+        pins = {} if k == self.depth else self.pinned_coordinates(
+            mu.tail_point, k + 1, self.read_horizon(mu.tail_point, horizon))
+        return next(self._sums(mu.coordinate_measure, pins, k, k))
 
-        # weights[i-1] maps the symbols of coordinate i to integer weights;
-        # full coverage means covered == mass, both over prod D_i
-        weights, mass = [], 1
-        for i in range(1, k + 1):
-            d, nums = mu.coordinate_measure(i)._scaled_weights
-            weights.append(nums)
-            mass *= sum(nums.values())
-            den *= d
-        memo = {(): 1}  # prefix weights: a shared prefix is multiplied once
-        lo = hi = covered = 0
-        for prefix, (vlo, vhi) in groups.items():
-            known = len(prefix)
-            while prefix[:known] not in memo:
-                known -= 1
-            w = memo[prefix[:known]]
-            for j in range(known, len(prefix)):
-                if w:
-                    w *= weights[j].get(prefix[j], 0)
-                memo[prefix[:j + 1]] = w
-            if w:
-                covered += w
-                lo += w * vlo
-                hi += w * vhi
-        if covered != mass:
-            # memo keys are the groups' prefixes: find the shortest gap
-            reached, level = (memo if groups else {}), [()]
-            while all(p in reached for p in level):
-                level = [p + (sym,) for p in level
-                         for sym, w in weights[len(p)].items() if w]
-            missing = next(p for p in level if p not in reached)
-            where = f" that agrees with the point at {pins}" if pins else ""
-            raise ValidationError(f"cylinder table has no row for prefix "
-                                  f"{missing!r} of positive mass{where}")
-        lo_f = Fraction(lo, den)
-        return ValueBounds(lo_f, lo_f if hi == lo else Fraction(hi, den))
+    def martingale_steps(self, sigma, x, horizon):
+        """`expectation`'s g_1(x), g_2(x), ...: x is read once, to min(depth,
+        read limit), and each index integrates one more coordinate out, at
+        about 2 |table| lookups a trace; g_n = E[f] past the depth."""
+        pins = self.pinned_coordinates(x, 1, self.read_horizon(x, horizon))
+        for value in self._sums(sigma.coordinate_measure, pins, 0, self.depth):
+            yield value
+        yield from itertools.repeat(value)
 
 
 def cylinder_sum(f: Cylinder, g: Cylinder) -> Cylinder:

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .functions import TailFunction
-from .martingale import YES, compare_to_epsilon, find_strong_approx, g_n
+from .martingale import YES, _epsilon_verdicts, _scan, find_strong_approx
 from .model import HybridMeasure, LazyPoint, ProductMeasure, SpaceFamily
 from .numeric import F0, Rational, ValueBounds, as_fraction
 from .seeds import derive_seed
@@ -147,7 +147,7 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
     certified index, then re-certifies every action at the common index
     n = max of those (closeness is not monotone in n, so the common
     index is never assumed, always re-checked; on failure larger n are
-    tried, then a fresh sample).
+    tried, then a fresh sample), from one lazy scan per action.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
@@ -177,17 +177,22 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
             )
             continue
         common = max(found.values())
+        scans = {a: _scan(game.payoff(a), sigma, x, n_max, tol,
+                          horizon=horizon) for a in game.actions}
+        values = {a: [] for a in game.actions}  # g_1, g_2, ... read so far
         for n in range(common, n_max + 1):
             certs = []
             eta = F0
             for a in game.actions:
-                res = g_n(game.payoff(a), sigma, x, n, tol, horizon=horizon)
-                eta = max(eta, res.eta, references[a].eta)
-                if compare_to_epsilon(res, references[a], eps) != YES:
+                while len(values[a]) < n:
+                    values[a].append(next(scans[a]))
+                value = values[a][n - 1]
+                eta = max(eta, value.eta, references[a].eta)
+                if _epsilon_verdicts(references[a].bounds, eps)(value) != YES:
                     certs = None
                     break
                 certs.append(ActionCertification(
-                    a, references[a].bounds, res.bounds, n))
+                    a, references[a].bounds, value, n))
             if certs is not None:
                 profile = FinitisticProfile(
                     HybridMeasure.measures_then_point(sigma, x, n))

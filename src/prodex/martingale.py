@@ -7,18 +7,19 @@ converges to E[f] for almost every sampled x, and `find_strong_approx`
 searches for the first n where |g_n(x) - E[f]| <= epsilon is certified.
 
 g_{n+1}(x) differs from g_n(x) only at coordinate n, which is
-integrated out instead of pinned.  `trace` and `find_strong_approx`
-scan the indices through the function's own steps,
-`f.martingale_steps(sigma, x, horizon)` (see `TailFunction`):
-discounted sums and product indicators realize the point once up to
-its read limit and take O(1) exact operations per further index, so a
-scan to n_max costs O(n_max + horizon) per point.  A function without
-steps (the hook returns None) evaluates each index with `g_n`, which
-stays the single-index API: a cylinder as one exact table sum in
-integers, O(|table| * d) per index, through its oracle; user-defined
-functions and tails without a closed form on the generic tree, which
-`g_n(..., use_oracle=False)` also forces for every family.  All routes
-give identical enclosures; a scan yields them as bare `ValueBounds`.
+integrated out instead of pinned.  `trace`, `find_strong_approx` and
+`games.purify` scan the indices through the function's own steps,
+`f.martingale_steps(sigma, x, horizon)` (see `TailFunction`), which
+read the point once up to its read limit: discounted sums and product
+indicators take O(1) exact operations per further index, a scan to
+n_max O(n_max + horizon); a cylinder of depth d extends its weighted
+prefixes by one coordinate per index, against row aggregates built
+once, about 2 |table| lookups for a whole trace, and g_n = E[f] for
+n > d.  A function without steps (the hook returns None) evaluates
+each index with `g_n`, the single-index API, on the generic tree,
+which `g_n(..., use_oracle=False)` also forces for every family.  All
+routes give identical enclosures; a scan yields them as bare
+`ValueBounds`.
 `horizon` alone sets how far a lazily sampled x is read (`f.read_horizon`).
 
 Comparisons are decided on interval separation only: a verdict is

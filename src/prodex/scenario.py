@@ -4,7 +4,10 @@ A scenario bundles everything a command needs: the coordinate spaces,
 the product measure (head array plus tail rule), the function under
 study, named points, and optionally a game section and verification
 thresholds.  Numeric literals are read with decimal semantics (0.3
-means 3/10 exactly); seeds are 64-bit unsigned integers.
+means 3/10 exactly), split into digits and exponent in integers; one
+whose value would not print within `sys.get_int_max_str_digits()`
+digits (4300 when unlimited) is rejected at its JSON path.  Seeds are 64-bit unsigned
+integers.
 
 Validation errors carry a location breadcrumb (section and index) so a
 malformed weight names the coordinate it belongs to.
@@ -16,6 +19,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -106,12 +110,67 @@ def _require(mapping, key, location):
     return mapping[key]
 
 
-def _number(value, location) -> Fraction:
+class _Literal(str):
+    """A JSON number's text, any but a plain int's, as `_ratio` reads it;
+    a message names it by the Fraction it denotes."""
+
+    def __repr__(self) -> str:
+        ratio = _decimal(self)
+        return repr(Fraction(*ratio)) if ratio else str.__repr__(self)
+
+
+def _digit_limit() -> int:
+    """`sys.get_int_max_str_digits()`, or 4300, its default, when the
+    interpreter sets no limit: a literal never builds a longer int."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _decimal(text: str) -> Optional[tuple]:
+    """(n, d), d a power of ten, with n / d the exact value of a JSON
+    number's text, split into digits and exponent; None when the value
+    cannot print: its significant digits, numerator or denominator would
+    need more than `_digit_limit()` digits."""
+    mantissa, _, exp = text.replace("E", "e").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    limit = _digit_limit()
+    if not exp and len(text) <= limit:
+        return int(whole + frac), 10 ** len(frac)
+    digits = (whole + frac).lstrip("-")
+    sig = digits.strip("0")
+    try:  # the value is sig * 10**k
+        k = int(exp or 0) - len(frac) + len(digits) - len(digits.rstrip("0"))
+    except ValueError:  # an exponent past the digit limit
+        k = math.inf
+    if not sig:
+        return 0, 1
+    if len(sig) + max(k, 0) > limit or -k - len(sig) >= limit:
+        return None
+    n = -int(sig) if whole.startswith("-") else int(sig)
+    if k >= 0:
+        return n * 10**k, 1
+    if -k >= limit and Fraction(n, 10**-k).denominator >= 10**limit:
+        return None
+    return n, 10**-k
+
+
+def _ratio(value, location) -> tuple:
+    """(numerator, denominator) of a number, exact; a JSON string reads
+    as `as_fraction` reads it ("0.3", "1/3")."""
+    if type(value) is _Literal:
+        ratio = _decimal(value)
+        if ratio is None:
+            raise ScenarioError(f"number literal does not print within "
+                                f"{_digit_limit()} digits", location)
+        return ratio
     try:
-        return as_fraction(value)
+        return as_fraction(value).as_integer_ratio()
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ScenarioError(f"expected a number, got {value!r}",
                             location) from None
+
+
+def _number(value, location) -> Fraction:
+    return Fraction(*_ratio(value, location))
 
 
 def _integer(value, location, minimum: int) -> int:
@@ -122,12 +181,15 @@ def _integer(value, location, minimum: int) -> int:
     return int(number)
 
 
-#: JSON numbers and strings as parsed here; lists and objects are not
-#: hashable, and booleans would alias the symbols 0 and 1
-_SYMBOL_TYPES = frozenset({int, str, Fraction})
+#: JSON ints and strings as parsed here, a float literal is read as its
+#: Fraction (`_symbol`); lists and objects are not hashable, and booleans
+#: would alias the symbols 0 and 1
+_SYMBOL_TYPES = frozenset({int, str})
 
 
 def _symbol(value, location):
+    if type(value) is _Literal:
+        return _number(value, location)
     if type(value) not in _SYMBOL_TYPES:
         raise ScenarioError(
             f"a symbol is a number or a string, got {value!r}", location)
@@ -137,8 +199,8 @@ def _symbol(value, location):
 def _symbols(values, location) -> tuple:
     values = _list(values, location)
     if not _SYMBOL_TYPES.issuperset(map(type, values)):
-        for pos, v in enumerate(values):
-            _symbol(v, f"{location}[{pos}]")
+        return tuple(_symbol(v, f"{location}[{pos}]")
+                     for pos, v in enumerate(values))
     return tuple(values)
 
 
@@ -206,6 +268,8 @@ def _build_measure_tail(data, spaces, head_len, loc):
             raise ScenarioError(f"unknown formula family {family!r}",
                                 f"{loc}.family")
         params = _object(data.get("params", {}), f"{loc}.params")
+        params = {key: _number(v, f"{loc}.params.{key}")
+                  if type(v) is _Literal else v for key, v in params.items()}
         try:
             return formula_tail(family, params)
         except TypeError as exc:
@@ -241,21 +305,32 @@ def _build_function(data, spaces, loc) -> TailFunction:
     value_range = _value_range(data.get("range"), f"{loc}.range")
     if family == "cylinder":
         depth = _integer(_require(data, "depth", loc), f"{loc}.depth", 0)
-        table = {}
+        # one pass to {prefix: (numerator, denominator)}: a row that fails
+        # the quick test is checked in order, and each literal read once
+        memo, table = {}, {}
         rows = _list(_require(data, "table", loc), f"{loc}.table")
         for pos, row in enumerate(rows):
-            rloc = f"{loc}.table[{pos}]"
-            prefix = _symbols(_require(row, "prefix", rloc), f"{rloc}.prefix")
-            if len(prefix) != depth:
-                raise ScenarioError(f"prefix has {len(prefix)} symbols, "
-                                    f"expected {depth}", f"{rloc}.prefix")
-            if prefix in table:
-                raise ScenarioError(
-                    f"prefix {list(prefix)} is already given at "
-                    f"{loc}.table[{list(table).index(prefix)}]",
-                    f"{rloc}.prefix")
-            table[prefix] = _number(_require(row, "value", rloc),
-                                    f"{rloc}.value")
+            prefix = row.get("prefix") if type(row) is dict else None
+            key = tuple(prefix) if type(prefix) is list else None
+            if (key is None or len(key) != depth or "value" not in row
+                    or not _SYMBOL_TYPES.issuperset(map(type, key))
+                    or key in table):
+                rloc = f"{loc}.table[{pos}]"
+                key = _symbols(_require(row, "prefix", rloc), f"{rloc}.prefix")
+                if len(key) != depth:
+                    raise ScenarioError(f"prefix has {len(key)} symbols, "
+                                        f"expected {depth}", f"{rloc}.prefix")
+                if key in table:
+                    raise ScenarioError(
+                        f"prefix {list(key)} is already given at "
+                        f"{loc}.table[{list(table).index(key)}]",
+                        f"{rloc}.prefix")
+                _require(row, "value", rloc)
+            value = row["value"]
+            ratio = memo.get(value) if type(value) is _Literal else None
+            if ratio is None:
+                ratio = memo[value] = _ratio(value, f"{loc}.table[{pos}].value")
+            table[key] = ratio
         # a row no point can reach would still widen the derived range;
         # the table keeps the rows' order, so a key's position is its row's
         for j, column in enumerate(zip(*table)):
@@ -266,8 +341,16 @@ def _build_function(data, spaces, loc) -> TailFunction:
                 raise ScenarioError(
                     f"symbol {sym!r} is not in the space of coordinate "
                     f"{j + 1}", f"{loc}.table[{pos}].prefix[{j}]")
+        # the values over one denominator, one Fraction per distinct value;
+        # the Cylinder takes its `_scaled_table` from these integers
+        den = math.lcm(*{d for _, d in table.values()})
+        scaled = {key: n * (den // d) for key, (n, d) in table.items()}
+        fractions = {n: Fraction(n, den) for n in set(scaled.values())}
         lo, hi = (None, None) if value_range is None else value_range
-        f = Cylinder(depth, table, lo, hi)
+        f = Cylinder.__new__(Cylinder)
+        f.__dict__["_scaled_table"] = den, scaled
+        f.__init__(depth, {key: fractions[n] for key, n in scaled.items()},
+                   lo, hi)
         # every prefix over the declared spaces must be covered; the rows
         # are distinct such prefixes, so counting them is enough
         lists = [spaces.space_at(i).symbols for i in range(1, depth + 1)]
@@ -406,14 +489,22 @@ def _defaults(data, loc) -> dict:
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     try:
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=_Literal)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             source) from None
+    except ValueError:
+        # an int literal too long for int(): keep its text, for `_ratio`
+        # to reject at its JSON path
+        limit = _digit_limit()
+        data = json.loads(text, parse_float=_Literal, parse_int=lambda t: (
+            _Literal(t) if len(t.lstrip("-")) > limit else int(t)))
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object", source)
     version = data.get("schema_version", SCHEMA_VERSION)
+    if type(version) is _Literal:
+        version = _number(version, source)
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version}", source)
     try:
