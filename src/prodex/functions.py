@@ -219,8 +219,8 @@ class Cylinder(TailFunction):
 
     @cached_property
     def _scaled_table(self) -> tuple:
-        """(V, {key: value * V}): the table as integers over one common
-        denominator V, the lcm of the value denominators."""
+        """(V, {key: value * V}): the table as integers over one denominator
+        V, the lcm of the value denominators (a power of ten when loaded)."""
         v = math.lcm(*(value.denominator for value in self.table.values()))
         return v, {key: value.numerator * (v // value.denominator)
                    for key, value in self.table.items()}

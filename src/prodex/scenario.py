@@ -6,8 +6,8 @@ study, named points, and optionally a game section and verification
 thresholds.  Numeric literals are read with decimal semantics (0.3
 means 3/10 exactly), split into digits and exponent in integers; one
 whose value would not print within `sys.get_int_max_str_digits()`
-digits (4300 when unlimited) is rejected at its JSON path.  Seeds are 64-bit unsigned
-integers.
+digits (4300 when unlimited) is rejected at its JSON path.  Seeds are
+64-bit unsigned integers.
 
 Validation errors carry a location breadcrumb (section and index) so a
 malformed weight names the coordinate it belongs to.
