@@ -342,13 +342,13 @@ def _build_function(data, spaces, loc) -> TailFunction:
                     f"symbol {sym!r} is not in the space of coordinate "
                     f"{j + 1}", f"{loc}.table[{pos}].prefix[{j}]")
         # the values over one denominator, one Fraction per distinct value;
-        # the Cylinder takes its `_scaled_table` from these integers
+        # the Cylinder takes its `_scaled_table` and `_fractions` from here
         den = math.lcm(*{d for _, d in table.values()})
         scaled = {key: n * (den // d) for key, (n, d) in table.items()}
         fractions = {n: Fraction(n, den) for n in set(scaled.values())}
         lo, hi = (None, None) if value_range is None else value_range
         f = Cylinder.__new__(Cylinder)
-        f.__dict__["_scaled_table"] = den, scaled
+        f.__dict__.update(_scaled_table=(den, scaled), _fractions=fractions)
         f.__init__(depth, {key: fractions[n] for key, n in scaled.items()},
                    lo, hi)
         # every prefix over the declared spaces must be covered; the rows
