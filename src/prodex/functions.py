@@ -20,10 +20,8 @@ mismatch verdicts, are hard (eta = 0).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import UnsupportedTailError, ValidationError
@@ -39,7 +37,7 @@ from .model import (
     _root_of,
     streams_eventually_equal,
 )
-from .numeric import F0, F1, Rational, ValueBounds, as_fraction
+from .numeric import F0, F1, Rational, ValueBounds, as_fraction, over_common_denominator
 
 #: default bound on how deep a lazily sampled point may be realized
 DEFAULT_HORIZON = 64
@@ -189,15 +187,19 @@ def _coarsen(level: tuple) -> tuple:
 class Cylinder(TailFunction):
     """Function of the first `depth` coordinates, given by a value table.
 
-    Queries run in integers: the values over one denominator, the min
-    and max of the rows under every shorter prefix (`_level`, built
-    once) and prefix weights expanded one coordinate at a time (`_sums`).
+    Queries run in integers: the values over one denominator, put there
+    by the constructor (`_scaled_table`, `_fractions`), the min and max
+    of the rows under every shorter prefix (`_level`, built once) and
+    prefix weights expanded one coordinate at a time (`_sums`).
     """
 
     depth: int
     table: Mapping[tuple, Fraction]
     range_lo: Fraction = None
     range_hi: Fraction = None
+    _scaled_table: tuple = field(init=False, repr=False)
+    _fractions: dict = field(init=False, repr=False)
+    _levels: list = field(init=False, repr=False)
 
     family = "cylinder"
 
@@ -210,31 +212,21 @@ class Cylinder(TailFunction):
             if len(key) != self.depth:
                 raise ValidationError(f"cylinder table key {key!r} has length "
                                       f"{len(key)}, expected {self.depth}")
-        den, rows = self._scaled_table
+        den, rows = over_common_denominator(self.table)
+        object.__setattr__(self, "_scaled_table", (den, rows))
+        object.__setattr__(self, "_fractions",
+                           dict(zip(rows.values(), self.table.values())))
+        object.__setattr__(self, "_levels", [(rows, rows)])
         lo, hi = _resolve_range(
             None if self.range_lo is None else (self.range_lo, self.range_hi),
             Fraction(min(rows.values()), den), Fraction(max(rows.values()), den))
         object.__setattr__(self, "range_lo", lo)
         object.__setattr__(self, "range_hi", hi)
 
-    @cached_property
-    def _scaled_table(self) -> tuple:
-        """(V, {key: value * V}): the table as integers over one denominator
-        V, the lcm of the value denominators (a power of ten when loaded)."""
-        v = math.lcm(*(value.denominator for value in self.table.values()))
-        return v, {key: value.numerator * (v // value.denominator)
-                   for key, value in self.table.items()}
-
-    @cached_property
-    def _fractions(self) -> dict:
-        """{value * V: the table's Fraction of that value}."""
-        return dict(zip(self._scaled_table[1].values(), self.table.values()))
-
     def _level(self, k: int) -> tuple:
         """(lows, highs): the min and max scaled row under each prefix of
         length k; `_levels` keeps them from the depth down, built once."""
-        rows = self._scaled_table[1]
-        levels = self.__dict__.setdefault("_levels", [(rows, rows)])
+        levels = self._levels
         while len(levels) <= self.depth - k:
             levels.append(_coarsen(levels[-1]))
         return levels[self.depth - k]
@@ -436,9 +428,8 @@ class DiscountedSum(TailFunction):
     range_hi: Fraction = None
     score_min: Fraction = field(init=False, repr=False)
     score_max: Fraction = field(init=False, repr=False)
-    #: common denominator D of the scores, and score * D per symbol
-    _score_den: int = field(init=False, repr=False)
-    _score_nums: dict = field(init=False, repr=False)
+    #: (D, {symbol: score * D}), D the lcm of the score denominators
+    _scaled_scores: tuple = field(init=False, repr=False)
 
     family = "discounted_sum"
     nested_steps = True
@@ -447,13 +438,11 @@ class DiscountedSum(TailFunction):
         if not self.scores:
             raise ValidationError("discounted sum needs at least one scored symbol")
         scores = {s: as_fraction(v) for s, v in self.scores.items()}
-        den = math.lcm(*(v.denominator for v in scores.values()))
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "score_min", min(scores.values()))
         object.__setattr__(self, "score_max", max(scores.values()))
-        object.__setattr__(self, "_score_den", den)
-        object.__setattr__(self, "_score_nums", {
-            s: v.numerator * (den // v.denominator) for s, v in scores.items()})
+        object.__setattr__(self, "_scaled_scores",
+                           over_common_denominator(scores))
         total = self.weights.tail_sum(0)
         lo, hi = _resolve_range(
             None if self.range_lo is None else (self.range_lo, self.range_hi),
@@ -477,7 +466,7 @@ class DiscountedSum(TailFunction):
         w_first * (sum_t a_t p**t q**(T-1-t)) / (D q**(T-1)); the
         numerator is accumulated in integers by Horner's rule.
         """
-        nums = self._score_nums
+        den, nums = self._scaled_scores
         p, q = self.weights.ratio.as_integer_ratio()
         num, pt, count = 0, 1, 0
         for s in symbols:
@@ -491,7 +480,7 @@ class DiscountedSum(TailFunction):
         if not count:
             return F0
         return self.weights.weight_at(first) * Fraction(
-            num, self._score_den * q**(count - 1))
+            num, den * q**(count - 1))
 
     def _rest_bounds(self, rest: PointSpec, start: int, horizon: int):
         """Enclosure (lo, hi) of sum_{i >= start} w_i * score(rest_i):

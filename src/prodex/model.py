@@ -23,7 +23,8 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import NotTailEquivalentError, UnsupportedTailError, ValidationError
-from .numeric import F0, F1, PROB_SUM_TOL, Rational, ValueBounds, as_fraction
+from .numeric import (F0, F1, PROB_SUM_TOL, Rational, ValueBounds, as_fraction,
+                      over_common_denominator)
 from .seeds import unit_hasher
 
 Symbol = Union[int, str]
@@ -175,25 +176,20 @@ class CoordinateMeasure:
 
     @cached_property
     def _thresholds(self) -> tuple:
-        """((ceil(cum_j * 2**64), symbol_j), ...) over the positive-weight
-        symbols, built in integers: the running sum is num / den."""
-        num, den = 0, 1
-        thresholds = []
-        for sym, w in zip(self.symbols, self.weights):
-            if w == 0:
-                continue
-            a, b = w.as_integer_ratio()
-            num, den = num * b + a * den, den * b
-            thresholds.append((-(-(num << 64) // den), sym))
+        """((ceil(S_j * 2**64 / D), symbol_j), ...) over the positive-weight
+        symbols: S_j / D = cum_j, S_j a running sum of `_scaled_weights`."""
+        d, nums = self._scaled_weights
+        total, thresholds = 0, []
+        for sym, w in nums.items():
+            if w:
+                total += w
+                thresholds.append((-(-(total << 64) // d), sym))
         return tuple(thresholds)
 
     @cached_property
     def _scaled_weights(self) -> tuple:
-        """(D, {symbol: weight * D}): the weights as integers over one
-        common denominator D, the lcm of their denominators."""
-        d = math.lcm(*(w.denominator for w in self.weights))
-        return d, {sym: w.numerator * (d // w.denominator)
-                   for sym, w in zip(self.symbols, self.weights)}
+        """(D, {symbol: weight * D}) by `over_common_denominator`."""
+        return over_common_denominator(dict(zip(self.symbols, self.weights)))
 
     def sample_bits(self, k: int):
         """`sample(k / 2**64)` for an integer k in [0, 2**64)."""

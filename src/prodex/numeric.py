@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Mapping, Union
 
 from .errors import ValidationError
 
@@ -47,6 +47,16 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def over_common_denominator(values: Mapping) -> tuple:
+    """(D, {key: value * D}) for a mapping of Fractions, D the lcm of their
+    denominators.  Each distinct value object is scaled once (keyed by id,
+    which `values` keeps alive), so repeated Fractions cost one each."""
+    distinct = {id(v): v for v in values.values()}
+    d = math.lcm(*(v.denominator for v in distinct.values()))
+    scaled = {i: v.numerator * (d // v.denominator) for i, v in distinct.items()}
+    return d, {key: scaled[id(v)] for key, v in values.items()}
 
 
 def _around(x: Fraction) -> tuple:

@@ -211,10 +211,10 @@ def _numbers(values, location) -> list:
     return [_number(v, f"{location}[{pos}]") for pos, v in enumerate(values)]
 
 
-def _value_range(data, location):
-    """Optional declared [lo, hi] of a function or game, as Fractions."""
+def _value_range(data, location) -> tuple:
+    """Declared (lo, hi) of a function or game as Fractions, or Nones."""
     if data is None:
-        return None
+        return None, None
     bounds = _numbers(data, location)
     if len(bounds) != 2:
         raise ScenarioError("a range is a [lo, hi] pair", location)
@@ -305,8 +305,8 @@ def _build_function(data, spaces, loc) -> TailFunction:
     value_range = _value_range(data.get("range"), f"{loc}.range")
     if family == "cylinder":
         depth = _integer(_require(data, "depth", loc), f"{loc}.depth", 0)
-        # one pass to {prefix: (numerator, denominator)}: a row that fails
-        # the quick test is checked in order, and each literal read once
+        # one pass to {prefix: Fraction}: a row that fails the quick test
+        # is checked in order, and each literal read once, to one Fraction
         memo, table = {}, {}
         rows = _list(_require(data, "table", loc), f"{loc}.table")
         for pos, row in enumerate(rows):
@@ -327,10 +327,10 @@ def _build_function(data, spaces, loc) -> TailFunction:
                         f"{rloc}.prefix")
                 _require(row, "value", rloc)
             value = row["value"]
-            ratio = memo.get(value) if type(value) is _Literal else None
-            if ratio is None:
-                ratio = memo[value] = _ratio(value, f"{loc}.table[{pos}].value")
-            table[key] = ratio
+            number = memo.get(value) if type(value) is _Literal else None
+            if number is None:
+                number = memo[value] = _number(value, f"{loc}.table[{pos}].value")
+            table[key] = number
         # a row no point can reach would still widen the derived range;
         # the table keeps the rows' order, so a key's position is its row's
         for j, column in enumerate(zip(*table)):
@@ -341,16 +341,7 @@ def _build_function(data, spaces, loc) -> TailFunction:
                 raise ScenarioError(
                     f"symbol {sym!r} is not in the space of coordinate "
                     f"{j + 1}", f"{loc}.table[{pos}].prefix[{j}]")
-        # the values over one denominator, one Fraction per distinct value;
-        # the Cylinder takes its `_scaled_table` and `_fractions` from here
-        den = math.lcm(*{d for _, d in table.values()})
-        scaled = {key: n * (den // d) for key, (n, d) in table.items()}
-        fractions = {n: Fraction(n, den) for n in set(scaled.values())}
-        lo, hi = (None, None) if value_range is None else value_range
-        f = Cylinder.__new__(Cylinder)
-        f.__dict__.update(_scaled_table=(den, scaled), _fractions=fractions)
-        f.__init__(depth, {key: fractions[n] for key, n in scaled.items()},
-                   lo, hi)
+        f = Cylinder(depth, table, *value_range)
         # every prefix over the declared spaces must be covered; the rows
         # are distinct such prefixes, so counting them is enough
         lists = [spaces.space_at(i).symbols for i in range(1, depth + 1)]
@@ -387,8 +378,7 @@ def _build_function(data, spaces, loc) -> TailFunction:
                     raise ScenarioError(
                         f"symbol {sym!r} of coordinate {space.index} has no "
                         f"score", f"{loc}.scores")
-        lo, hi = (None, None) if value_range is None else value_range
-        return DiscountedSum(weights, scores, lo, hi)
+        return DiscountedSum(weights, scores, *value_range)
     if family == "product_indicator":
         targets = _object(_require(data, "targets", loc), f"{loc}.targets")
         head = _symbols(targets.get("head", []), f"{loc}.targets.head")
@@ -426,7 +416,7 @@ def _build_point(data, measure, loc) -> PointSpec:
 def _build_game(data, spaces, loc) -> GameSpec:
     actions = _symbols(_require(data, "actions", loc), f"{loc}.actions")
     rng = _value_range(_require(data, "range", loc), f"{loc}.range")
-    if rng is None:
+    if rng[0] is None:
         raise ScenarioError("a range is a [lo, hi] pair", f"{loc}.range")
     payoffs = {}
     for a in actions:

@@ -2,6 +2,8 @@
 Fraction table sum of conftest and against `g_n` index by index."""
 
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from prodex.model import (
     ProductMeasure,
     SpaceFamily,
 )
-from prodex.scenario import load_scenario
+from prodex.scenario import load_scenario, parse_scenario
 
 
 def assert_steps_match(f, sigma, x, horizon):
@@ -158,3 +160,40 @@ def test_purify_rechecks_the_common_index_at_g_n(name):
             assert cert.found_n == res.n
             assert cert.profile_value == g_n(game.payoff(cert.action), sigma,
                                              x, res.n).bounds
+
+
+def generated_cylinder(depth: int, seed: int) -> str:
+    """A binary depth-`depth` cylinder scenario with drawn head measures
+    k/20 and drawn table values j/100, written as float literals."""
+    rng = random.Random(seed)
+    measure = [[(20 - k) * 5 / 100, k * 5 / 100]
+               for k in (rng.randint(2, 18) for _ in range(depth))]
+    table = [{"prefix": list(p), "value": rng.randint(0, 100) / 100}
+             for p in itertools.product((0, 1), repeat=depth)]
+    return json.dumps({
+        "spaces": {"head": [{"symbols": [0, 1]}] * depth,
+                   "tail": {"symbols": [0, 1]}},
+        "measure": {"head": measure,
+                    "tail": {"kind": "constant", "weights": [0.5, 0.5]}},
+        "function": {"family": "cylinder", "depth": depth, "range": [0, 1],
+                     "table": table}})
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_loaded_cylinder_is_the_constructed_one(seed):
+    """The loader hands `Cylinder` a table of shared Fractions, one per
+    literal; a table of fresh Fractions builds the same integer views."""
+    scenario = parse_scenario(generated_cylinder(6, seed))
+    loaded, sigma = scenario.function, scenario.measure
+    fresh = Cylinder(6, {key: F(v.numerator, v.denominator)
+                         for key, v in loaded.table.items()}, F(0), F(1))
+    assert fresh._scaled_table == loaded._scaled_table
+    assert fresh._fractions == loaded._fractions
+    assert (fresh.range_lo, fresh.range_hi) == (loaded.range_lo,
+                                                loaded.range_hi)
+    assert expect(fresh, sigma).bounds == expect(loaded, sigma).bounds
+    x = LazyPoint(seed, sigma)
+    for horizon in (None, 3):
+        traces = [trace(f, sigma, x, 8, horizon=horizon) for f in (fresh, loaded)]
+        assert traces[0].entries == traces[1].entries
+        assert traces[0].reference.bounds == traces[1].reference.bounds

@@ -15,7 +15,7 @@ from prodex.engine import expect
 from prodex.errors import ValidationError
 from prodex.martingale import trace
 from prodex.model import HybridMeasure, LazyPoint
-from prodex.numeric import Interval, ValueBounds
+from prodex.numeric import Interval, ValueBounds, over_common_denominator
 
 from conftest import geometric_sigma, indicator_all_ones
 
@@ -108,3 +108,32 @@ class TestOutwardRounding:
         assert _is_ceil(eta, vb.eta)
         assert vb.outward() == (lo, hi)
         assert _enclosure(vb) == dict(zip(("lo", "hi"), vb.outward()))
+
+
+#: a few shared Fraction objects, and fresh ones of like and unlike value
+SHARED = [F(3, 10), F(-7, 4), F(1, 3)]
+SCALED_VALUES = st.one_of(
+    st.sampled_from(SHARED),
+    st.builds(F, st.integers(-10**6, 10**6), st.sampled_from(
+        [1, 3, 4, 10, 12, 10**9, 2**53])),
+    st.builds(lambda v: F(v.numerator, v.denominator), st.sampled_from(SHARED)),
+)
+
+
+class TestOverCommonDenominator:
+    @given(values=st.dictionaries(st.integers(), SCALED_VALUES, min_size=1,
+                                  max_size=12))
+    @settings(max_examples=40)
+    def test_scales_every_value_by_the_lcm(self, values):
+        d, scaled = over_common_denominator(values)
+        assert d == math.lcm(*(v.denominator for v in values.values()))
+        assert list(scaled) == list(values)
+        for key, v in values.items():
+            assert scaled[key] == v * d
+            assert type(scaled[key]) is int
+
+    def test_one_shared_object_is_scaled_for_every_key(self):
+        half = F(1, 2)
+        d, scaled = over_common_denominator({"a": half, "b": F(2, 3),
+                                             "c": half})
+        assert (d, scaled) == (6, {"a": 3, "b": 4, "c": 3})
