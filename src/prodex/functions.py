@@ -34,6 +34,7 @@ from .model import (
     ProductMeasure,
     SpaceFamily,
     SymbolRule,
+    _geometric_sum,
     _root_of,
     streams_eventually_equal,
 )
@@ -407,11 +408,11 @@ class GeometricWeights:
 
     def tail_sum(self, m: int) -> Fraction:
         """sum_{i > m} w_i, exact."""
-        return self.coef * self.ratio**(m + 1) / (1 - self.ratio)
+        return _geometric_sum(self.coef, self.ratio, m + 1, 1)
 
     def periodic_tail_sum(self, first: int, period: int) -> Fraction:
         """sum_{t >= 0} w_{first + t*period}, exact."""
-        return self.coef * self.ratio**first / (1 - self.ratio**period)
+        return _geometric_sum(self.coef, self.ratio, first, period)
 
 
 @dataclass(frozen=True, eq=False)
