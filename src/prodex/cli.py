@@ -39,7 +39,7 @@ from .games import (
 from .harness import verify_strong, verify_weak
 from .martingale import find_strong_approx, trace
 from .model import HybridMeasure, LazyPoint, MeasureAssignment
-from .numeric import F0, F1, ValueBounds, round_up
+from .numeric import F0, F1, ValueBounds, as_fraction, round_up
 from .scenario import BUILTIN_SCENARIOS, Scenario, load_scenario
 from .seeds import derive_seed
 from .tailclass import DEFAULT_RETRIES, weak_zero_from_sample
@@ -402,7 +402,7 @@ def _ranged(convert, noun: str, admits, bound: str):
     def parse(text: str):
         try:
             value = convert(text)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise argparse.ArgumentTypeError(f"invalid {noun} {text!r}") from None
         if not admits(value):
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
@@ -415,9 +415,9 @@ def _ranged(convert, noun: str, admits, bound: str):
 _count = _ranged(int, "count", lambda v: v >= 1, ">= 1")
 _horizon = _ranged(int, "horizon", lambda v: v >= 0, ">= 0")
 _seed = _ranged(int, "seed", lambda v: 0 <= v < 2**64, "in [0, 2**64)")
-_tol = _ranged(Fraction, "tolerance", lambda v: v > 0, "> 0")
-_epsilon = _ranged(Fraction, "epsilon", lambda v: v >= 0, ">= 0")
-_target = _ranged(Fraction, "target", lambda v: True, "rational")
+_tol = _ranged(as_fraction, "tolerance", lambda v: v > 0, "> 0")
+_epsilon = _ranged(as_fraction, "epsilon", lambda v: v >= 0, ">= 0")
+_target = _ranged(as_fraction, "target", lambda v: True, "rational")
 #: the flag type of each setting a `COMMANDS` entry reads
 _SETTING_TYPES = {"epsilon": _epsilon, "n_max": _count, "samples": _count,
                   "depth": _count}

@@ -4,7 +4,7 @@ All certified quantities in prodex are carried as `fractions.Fraction`
 so that interval endpoints, probability weights and mixing coefficients
 never accumulate rounding error.  Floats entering through the public API
 are converted exactly (a float is a binary rational); decimal strings
-are converted with decimal semantics.
+are converted with decimal semantics, within `digit_limit()` digits.
 
 Reports and `repr` state an enclosure as floats by one rule, outward
 rounding (`ValueBounds.outward`, and `round_up` for a width or an eta),
@@ -14,9 +14,11 @@ so the stated floats still enclose the exact value.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from .errors import ValidationError
 
@@ -34,16 +36,62 @@ PROB_SUM_TOL = Fraction(1, 10**12)
 DETERMINED_WIDTH = Fraction(1, 10**13)
 
 
+def digit_limit() -> int:
+    """`sys.get_int_max_str_digits()`, or 4300, its default, when the
+    interpreter sets no limit: no number read from text builds a longer
+    int."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def decimal_ratio(text: str) -> Optional[tuple]:
+    """(n, d), d a power of ten, with n / d the exact value of a JSON
+    number's text, split into digits and exponent; None when the value
+    cannot print: its significant digits, numerator or denominator would
+    need more than `digit_limit()` digits."""
+    mantissa, _, exp = text.replace("E", "e").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    limit = digit_limit()
+    if not exp and len(text) <= limit:
+        return int(whole + frac), 10 ** len(frac)
+    digits = (whole + frac).lstrip("-")
+    sig = digits.strip("0")
+    try:  # the value is sig * 10**k
+        k = int(exp or 0) - len(frac) + len(digits) - len(digits.rstrip("0"))
+    except ValueError:  # an exponent past the digit limit
+        k = math.inf
+    if not sig:
+        return 0, 1
+    if len(sig) + max(k, 0) > limit or -k - len(sig) >= limit:
+        return None
+    n = -int(sig) if whole.startswith("-") else int(sig)
+    if k >= 0:
+        return n * 10**k, 1
+    if -k >= limit and Fraction(n, 10**-k).denominator >= 10**limit:
+        return None
+    return n, 10**-k
+
+
 def as_fraction(value: Rational) -> Fraction:
     """Convert a number to an exact Fraction.
 
     ints and Fractions pass through; floats convert to their exact binary
-    value; strings use decimal semantics ("0.3" -> 3/10).
+    value; strings read as `Fraction(text)` ("0.3" -> 3/10), except that
+    one past `decimal_ratio`'s digit bound raises OverflowError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a numeric weight")
+    if isinstance(value, str):
+        mantissa, e, exp = value.replace("E", "e").rpartition("e")
+        if e:  # Fraction's own syntax check, with the exponent zeroed
+            Fraction(mantissa + e + re.sub(r"\d", "0", exp))
+            ratio = decimal_ratio(
+                f"{mantissa.strip().lstrip('+')}e{exp}".replace("_", ""))
+            if ratio is None:
+                raise OverflowError(f"number {value.strip()!r} does not "
+                                    f"print within {digit_limit()} digits")
+            return Fraction(*ratio)
     if isinstance(value, (int, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")

@@ -3,11 +3,11 @@
 A scenario bundles everything a command needs: the coordinate spaces,
 the product measure (head array plus tail rule), the function under
 study, named points, and optionally a game section and verification
-thresholds.  Numeric literals are read with decimal semantics (0.3
-means 3/10 exactly), split into digits and exponent in integers; one
-whose value would not print within `sys.get_int_max_str_digits()`
-digits (4300 when unlimited) is rejected at its JSON path.  Seeds are
-64-bit unsigned integers.
+thresholds.  Numbers read exactly: literals with decimal semantics (0.3
+means 3/10), split into digits and exponent in integers, and strings as
+`Fraction` reads them ("1/3"); one whose value would not print within
+`sys.get_int_max_str_digits()` digits (4300 when unlimited) is rejected
+at its JSON path.  Seeds are 64-bit unsigned integers.
 
 Validation errors carry a location breadcrumb (section and index) so a
 malformed weight names the coordinate it belongs to.
@@ -19,7 +19,6 @@ import hashlib
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -50,7 +49,7 @@ from .model import (
     SpaceFamily,
     formula_tail,
 )
-from .numeric import as_fraction
+from .numeric import as_fraction, decimal_ratio as _decimal, digit_limit
 from .seeds import check_seed
 
 SCHEMA_VERSION = 1
@@ -111,7 +110,7 @@ def _require(mapping, key, location):
 
 
 class _Literal(str):
-    """A JSON number's text, any but a plain int's, as `_ratio` reads it;
+    """A JSON number's text, any but a plain int's, as `_number` reads it;
     a message names it by the Fraction it denotes."""
 
     def __repr__(self) -> str:
@@ -119,58 +118,22 @@ class _Literal(str):
         return repr(Fraction(*ratio)) if ratio else str.__repr__(self)
 
 
-def _digit_limit() -> int:
-    """`sys.get_int_max_str_digits()`, or 4300, its default, when the
-    interpreter sets no limit: a literal never builds a longer int."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-
-
-def _decimal(text: str) -> Optional[tuple]:
-    """(n, d), d a power of ten, with n / d the exact value of a JSON
-    number's text, split into digits and exponent; None when the value
-    cannot print: its significant digits, numerator or denominator would
-    need more than `_digit_limit()` digits."""
-    mantissa, _, exp = text.replace("E", "e").partition("e")
-    whole, _, frac = mantissa.partition(".")
-    limit = _digit_limit()
-    if not exp and len(text) <= limit:
-        return int(whole + frac), 10 ** len(frac)
-    digits = (whole + frac).lstrip("-")
-    sig = digits.strip("0")
-    try:  # the value is sig * 10**k
-        k = int(exp or 0) - len(frac) + len(digits) - len(digits.rstrip("0"))
-    except ValueError:  # an exponent past the digit limit
-        k = math.inf
-    if not sig:
-        return 0, 1
-    if len(sig) + max(k, 0) > limit or -k - len(sig) >= limit:
-        return None
-    n = -int(sig) if whole.startswith("-") else int(sig)
-    if k >= 0:
-        return n * 10**k, 1
-    if -k >= limit and Fraction(n, 10**-k).denominator >= 10**limit:
-        return None
-    return n, 10**-k
-
-
-def _ratio(value, location) -> tuple:
-    """(numerator, denominator) of a number, exact; a JSON string reads
-    as `as_fraction` reads it ("0.3", "1/3")."""
+def _number(value, location) -> Fraction:
+    """A number, exact: a literal by `decimal_ratio`, a JSON string by
+    `as_fraction`; one past their digit bound fails at `location`."""
     if type(value) is _Literal:
         ratio = _decimal(value)
         if ratio is None:
             raise ScenarioError(f"number literal does not print within "
-                                f"{_digit_limit()} digits", location)
-        return ratio
+                                f"{digit_limit()} digits", location)
+        return Fraction(*ratio)
     try:
-        return as_fraction(value).as_integer_ratio()
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        return as_fraction(value)
+    except OverflowError as exc:
+        raise ScenarioError(str(exc), location) from None
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ScenarioError(f"expected a number, got {value!r}",
                             location) from None
-
-
-def _number(value, location) -> Fraction:
-    return Fraction(*_ratio(value, location))
 
 
 def _integer(value, location, minimum: int) -> int:
@@ -485,9 +448,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             source) from None
     except ValueError:
-        # an int literal too long for int(): keep its text, for `_ratio`
+        # an int literal too long for int(): keep its text, for `_number`
         # to reject at its JSON path
-        limit = _digit_limit()
+        limit = digit_limit()
         data = json.loads(text, parse_float=_Literal, parse_int=lambda t: (
             _Literal(t) if len(t.lstrip("-")) > limit else int(t)))
     if not isinstance(data, dict):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from prodex.cli import main
 from prodex.errors import ScenarioError
+from prodex.numeric import as_fraction
 from prodex.scenario import _decimal, parse_scenario
 
 CYLINDER_MIX = resources.files("prodex").joinpath(
@@ -141,3 +142,92 @@ def test_oversize_literal_elsewhere_names_its_path():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
     assert exc.value.location == "spaces.tail.symbols[1]"
+
+
+#: Fraction's syntax beyond JSON's: spaces, a plus sign and underscores;
+#: and short junk, whose exponents stay small enough for `Fraction` itself
+READER_TEXTS = st.one_of(
+    decimal_texts(),
+    st.tuples(st.sampled_from(["", " ", "\t", "+"]), decimal_texts(),
+              st.sampled_from(["", " ", "\n"])).map("".join),
+    decimal_texts().map(lambda t: t.replace("0", "0_", 1)),
+    st.text("0123456789eE+-._/ ", max_size=6),
+)
+
+
+def read_by(read, text):
+    """read(text), or the type of the error it raises."""
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+class TestBoundedStrings:
+    """Numeric strings and rational flags are read by `as_fraction`: as
+    `Fraction(text)` reads them, but held to the literal digit bound."""
+
+    @given(text=READER_TEXTS)
+    @settings(max_examples=40)
+    def test_agrees_with_fraction_wherever_both_read(self, text):
+        assert read_by(as_fraction, text) == read_by(Fraction, text)
+
+    @pytest.mark.parametrize("text", [
+        " 1.5e3\n", "+2E-2", "1_000e1_0", "5.e1", ".5e1", "7/4", " 1/3 "])
+    def test_fraction_syntax_is_kept(self, text):
+        assert as_fraction(text) == Fraction(text)
+
+    def test_zero_reads_at_any_exponent(self):
+        assert as_fraction("-0e999999999") == 0
+
+    @pytest.mark.parametrize("text", ["1e999999999", "1e99999", "1e-99999",
+                                      " -1E+4300 "])
+    def test_past_the_bound_is_an_overflow(self, text):
+        with pytest.raises(OverflowError, match="does not print within"):
+            as_fraction(text)
+
+
+#: (where in cylinder-mix, replacement): numeric strings past the bound
+STRING_REPROS = {
+    "function.table[1].value": ('"value": 0.3', '"value": "1e999999999"'),
+    "function.table[2].value": ('"value": 0.7', '"value": "1e99999"'),
+    "measure.tail.weights[0]": ('"weights": [0.5, 0.5]',
+                                '"weights": ["1e99999", 0.5]'),
+}
+
+
+@pytest.mark.parametrize("location", list(STRING_REPROS))
+class TestOversizeStrings:
+    def text(self, location):
+        text = CYLINDER_MIX.replace(*STRING_REPROS[location])
+        assert text != CYLINDER_MIX
+        return text
+
+    def test_library(self, location):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(self.text(location))
+        assert exc.value.location == location
+        assert "does not print within" in str(exc.value)
+
+    def test_main(self, location, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(self.text(location))
+        assert main(["expect", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {location}: number " in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expect", "cylinder-mix", "--tol", "1e999999999"],
+    ["expect", "cylinder-mix", "--tol", "1e-99999"],
+    ["strong-approx", "cylinder-mix", "--epsilon", "1e99999"],
+    ["weak-approx", "cylinder-mix", "--r", "1e99999"],
+])
+def test_oversize_flags_exit_two_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[2]}: invalid" in err
+    assert "Traceback" not in err
