@@ -101,10 +101,11 @@ def over_common_denominator(values: Mapping) -> tuple:
     """(D, {key: value * D}) for a mapping of Fractions, D the lcm of their
     denominators.  Each distinct value object is scaled once (keyed by id,
     which `values` keeps alive), so repeated Fractions cost one each."""
-    distinct = {id(v): v for v in values.values()}
-    d = math.lcm(*(v.denominator for v in distinct.values()))
+    ids = list(map(id, values.values()))
+    distinct = dict(zip(ids, values.values()))
+    d = math.lcm(*[v.denominator for v in distinct.values()])
     scaled = {i: v.numerator * (d // v.denominator) for i, v in distinct.items()}
-    return d, {key: scaled[id(v)] for key, v in values.items()}
+    return d, dict(zip(values, map(scaled.__getitem__, ids)))
 
 
 def _around(x: Fraction) -> tuple:
