@@ -252,10 +252,8 @@ class Cylinder(TailFunction):
                 raise ValidationError(f"cylinder table lists prefix {key!r} "
                                       f"twice")
             table[key] = as_fraction(v)
-        lo, hi = (None, None) if value_range is None else value_range
-        return cls(depth, table,
-                   None if lo is None else as_fraction(lo),
-                   None if hi is None else as_fraction(hi))
+        # the constructor reads a declared range through `as_fraction`
+        return cls(depth, table, *(value_range or (None, None)))
 
     @classmethod
     def from_callable(cls, symbols_per_coordinate: Sequence[Sequence],

@@ -346,8 +346,7 @@ class TailMeasureRule:
 
 def _geometric_sum(coef: Fraction, ratio: Fraction, first: int, step: int) -> Fraction:
     """sum_{t >= 0} coef * ratio**(first + t*step), exact: with ratio p/q,
-    coef * p**first * q**step / (q**first * (q**step - p**step)), formed
-    in integers and normalized once."""
+    coef * p**first * q**step / (q**first * (q**step - p**step))."""
     p, q = ratio.as_integer_ratio()
     return coef * Fraction(p**first * q**step, q**first * (q**step - p**step))
 
