@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .engine import expect
-from .errors import ProdexError, ScenarioError
+from .errors import ProdexError, ScenarioError, ValidationError
 from .functions import Cylinder
 from .games import (
     DEFAULT_PURIFY_RETRIES,
@@ -402,7 +402,7 @@ def _ranged(convert, noun: str, admits, bound: str):
     def parse(text: str):
         try:
             value = convert(text)
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except (ValueError, ZeroDivisionError, ValidationError):
             raise argparse.ArgumentTypeError(f"invalid {noun} {text!r}") from None
         if not admits(value):
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")

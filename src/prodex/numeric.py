@@ -76,7 +76,7 @@ def as_fraction(value: Rational) -> Fraction:
 
     ints and Fractions pass through; floats convert to their exact binary
     value; strings read as `Fraction(text)` ("0.3" -> 3/10), except that
-    one past `decimal_ratio`'s digit bound raises OverflowError.
+    one past `decimal_ratio`'s digit bound raises ValidationError.
     """
     if isinstance(value, Fraction):
         return value
@@ -89,8 +89,8 @@ def as_fraction(value: Rational) -> Fraction:
             ratio = decimal_ratio(
                 f"{mantissa.strip().lstrip('+')}e{exp}".replace("_", ""))
             if ratio is None:
-                raise OverflowError(f"number {value.strip()!r} does not "
-                                    f"print within {digit_limit()} digits")
+                raise ValidationError(f"number {value.strip()!r} does not "
+                                      f"print within {digit_limit()} digits")
             return Fraction(*ratio)
     if isinstance(value, (int, float, str)):
         return Fraction(value)

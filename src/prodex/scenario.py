@@ -129,9 +129,9 @@ def _number(value, location) -> Fraction:
         return Fraction(*ratio)
     try:
         return as_fraction(value)
-    except OverflowError as exc:
+    except ValidationError as exc:
         raise ScenarioError(str(exc), location) from None
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ScenarioError(f"expected a number, got {value!r}",
                             location) from None
 

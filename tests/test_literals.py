@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodex.cli import main
-from prodex.errors import ScenarioError
+from prodex.errors import ScenarioError, ValidationError
 from prodex.numeric import as_fraction
 from prodex.scenario import _decimal, parse_scenario
 
@@ -182,8 +182,8 @@ class TestBoundedStrings:
 
     @pytest.mark.parametrize("text", ["1e999999999", "1e99999", "1e-99999",
                                       " -1E+4300 "])
-    def test_past_the_bound_is_an_overflow(self, text):
-        with pytest.raises(OverflowError, match="does not print within"):
+    def test_past_the_bound_is_a_validation_error(self, text):
+        with pytest.raises(ValidationError, match="does not print within"):
             as_fraction(text)
 
 
