@@ -11,7 +11,10 @@ Exit codes: 0 success / declared threshold met; 1 certification or
 threshold failure, or any error raised while computing; 2 a malformed
 flag or scenario.
 
-Each setting is resolved once, in `run_scenario` (see `COMMANDS`).
+`COMMANDS` is the one table of each command's settings: it gives the
+subparser its flags, `run_scenario` resolves each setting once from it,
+and the machine report's `params` state exactly the resolved settings,
+beside the seed, tol and horizon every command takes.
 """
 
 from __future__ import annotations
@@ -66,6 +69,13 @@ def _shown(bounds: dict) -> str:
     return f"[{bounds['lo']!r}, {bounds['hi']!r}]"
 
 
+def _stated(value):
+    """A setting as the report states it: a rational rounded up by the
+    report's one rule (`round_up`), so a positive one never reads 0.0;
+    an int, a string or None as it is."""
+    return round_up(value) if isinstance(value, Fraction) else value
+
+
 def _resolve_settings(args, scenario: Scenario, fallbacks: dict):
     """A copy of args with the horizon and each setting in `fallbacks`
     resolved: its flag, else the scenario's default, else the fallback."""
@@ -79,10 +89,9 @@ def _resolve_settings(args, scenario: Scenario, fallbacks: dict):
 
 
 def _resolve_point(args, scenario: Scenario):
-    name = args.point
-    if name == "lazy":
-        return LazyPoint(derive_seed(args.seed, "cli-point"), scenario.measure), name
-    return scenario.point(name), name
+    if args.point == "lazy":
+        return LazyPoint(derive_seed(args.seed, "cli-point"), scenario.measure)
+    return scenario.point(args.point)
 
 
 def _need(scenario: Scenario, part: str):
@@ -94,7 +103,7 @@ def _need(scenario: Scenario, part: str):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, text_lines, params, result).
+# command handlers: each returns (exit_code, text_lines, result).
 # A handler builds its `result` once from exact values (bounds rounded
 # outward, see `numeric`), and its text reads the numbers from `result`.
 # ---------------------------------------------------------------------------
@@ -117,14 +126,13 @@ def _cmd_expect(args, scenario: Scenario):
     ]
     if res.eta > 0:
         lines.append(f"  eta       {result['eta']!r}")
-    return (0 if res.certified else 1), lines, {"tol": float(args.tol)}, result
+    return (0 if res.certified else 1), lines, result
 
 
 def _cmd_gn_trace(args, scenario: Scenario):
     f = _need(scenario, "function")
-    point, point_name = _resolve_point(args, scenario)
-    tr = trace(f, scenario.measure, point, args.n_max, args.tol,
-               horizon=args.horizon)
+    tr = trace(f, scenario.measure, _resolve_point(args, scenario),
+               args.n_max, args.tol, horizon=args.horizon)
     ref = tr.reference.bounds
     result = {
         "entries": [{"n": e.n, **_enclosure(e.bounds),
@@ -132,48 +140,42 @@ def _cmd_gn_trace(args, scenario: Scenario):
         "reference": _interval_payload(ref),
     }
     # the g_n column and E[f] show midpoints, point estimates, not bounds
-    lines = [f"g_n trace at point {point_name} ({scenario.name})", "# n  g_n",
+    lines = [f"g_n trace at point {args.point} ({scenario.name})", "# n  g_n",
              *(f"{e.n}  {float(e.bounds.midpoint)!r}" for e in tr.entries),
              f"# reference E[f] = {float(ref.midpoint)!r} "
              f"(width {result['reference']['width']!r})"]
-    params = {"point": point_name, "n_max": args.n_max,
-              "tol": float(args.tol)}
-    return 0, lines, params, result
+    return 0, lines, result
 
 
 def _cmd_strong_approx(args, scenario: Scenario):
     f = _need(scenario, "function")
-    point, point_name = _resolve_point(args, scenario)
-    epsilon, n_max = args.epsilon, args.n_max
-    res = find_strong_approx(f, scenario.measure, point, epsilon, n_max,
-                             args.tol, horizon=args.horizon)
+    res = find_strong_approx(f, scenario.measure,
+                             _resolve_point(args, scenario), args.epsilon,
+                             args.n_max, args.tol, horizon=args.horizon)
     result = {"outcome": res.outcome, "n": res.n,
               "undecided": list(res.undecided),
               "first_certified": res.first_certified,
               "value": (None if res.found_value is None
                         else _interval_payload(res.found_value)),
               "eta": round_up(res.eta)}
-    params = {"point": point_name, "epsilon": float(epsilon),
-              "n_max": n_max, "tol": float(args.tol)}
-    lines = [f"strong approximation search at point {point_name} "
-             f"(epsilon={params['epsilon']}, n_max={n_max})"]
+    lines = [f"strong approximation search at point {args.point} "
+             f"(epsilon={_stated(args.epsilon)}, n_max={args.n_max})"]
     if res.is_found:
         lines.append(f"  Found({res.n})")
         lines.append(f"  g_n in {_shown(result['value'])}")
     elif res.outcome == "not_found":
-        lines.append(f"  NotFoundUpTo({n_max})")
+        lines.append(f"  NotFoundUpTo({args.n_max})")
     else:
         lines.append(f"  Inconclusive(undecided n: {result['undecided']})")
     if res.eta > 0:
         lines.append(f"  eta {result['eta']!r}")
-    return (0 if res.is_found else 1), lines, params, result
+    return (0 if res.is_found else 1), lines, result
 
 
 def _cmd_weak_approx(args, scenario: Scenario):
     f = _need(scenario, "function")
-    depth = args.depth
     cert = weak_zero_from_sample(
-        f, scenario.measure, args.tol, depth, args.seed,
+        f, scenario.measure, args.tol, args.depth, args.seed,
         retries=args.retries, horizon=args.horizon, reference=args.r)
     result = {"coordinate": cert.coordinate, "symbol_low": cert.symbol_low,
               "symbol_high": cert.symbol_high, "eta": round_up(cert.eta)}
@@ -182,7 +184,8 @@ def _cmd_weak_approx(args, scenario: Scenario):
         value = getattr(cert, key)
         result[key], result[f"{key}_rational"] = float(value), _frac_str(value)
     lines = [
-        f"weak 0-approximation certificate ({scenario.name}, depth {depth})",
+        f"weak 0-approximation certificate ({scenario.name}, "
+        f"depth {args.depth})",
         f"  coordinate   {cert.coordinate}",
         f"  alpha        {result['alpha_rational']} = {result['alpha']!r}",
         f"  mixes        {cert.symbol_low!r} (alpha) with {cert.symbol_high!r}",
@@ -190,14 +193,11 @@ def _cmd_weak_approx(args, scenario: Scenario):
     ]
     if cert.eta > 0:
         lines.append(f"  eta          {result['eta']!r}")
-    params = {"depth": depth, "seed": args.seed, "retries": args.retries,
-              "r": None if args.r is None else float(args.r)}
-    return 0, lines, params, result
+    return 0, lines, result
 
 
-def _campaign(command: str, title: str, scenario: Scenario, report,
-              params: dict):
-    """(code, lines, params, result) of a campaign against its threshold."""
+def _campaign(command: str, title: str, scenario: Scenario, report):
+    """(code, lines, result) of a campaign against its threshold."""
     threshold = scenario.threshold(command, "min_certified_fraction")
     met = threshold is None or report.certified_fraction >= threshold
     result = {
@@ -225,22 +225,18 @@ def _campaign(command: str, title: str, scenario: Scenario, report,
     if threshold is not None:
         lines.append(f"  threshold            {result['threshold']!r} "
                      f"-> {'met' if met else 'MISSED'}")
-    return (0 if met else 1), lines, params, result
+    return (0 if met else 1), lines, result
 
 
 def _cmd_verify_strong(args, scenario: Scenario):
     f = _need(scenario, "function")
-    epsilon, n_max = float(args.epsilon), args.n_max
     report = verify_strong(
-        f, scenario.measure, args.epsilon, args.samples, n_max, args.tol,
+        f, scenario.measure, args.epsilon, args.samples, args.n_max, args.tol,
         args.seed, horizon=args.horizon)
-    params = {"epsilon": epsilon, "n_max": n_max, "samples": args.samples,
-              "seed": args.seed, "tol": float(args.tol),
-              "horizon": args.horizon}
     return _campaign(
         "verify-strong", f"strong-approximation campaign ({scenario.name}, "
-        f"epsilon={epsilon}, n_max={n_max})",
-        scenario, report, params)
+        f"epsilon={_stated(args.epsilon)}, n_max={args.n_max})",
+        scenario, report)
 
 
 def _cmd_verify_weak(args, scenario: Scenario):
@@ -248,12 +244,10 @@ def _cmd_verify_weak(args, scenario: Scenario):
     report = verify_weak(
         f, scenario.measure, args.depth, args.samples, args.tol, args.seed,
         horizon=args.horizon)
-    params = {"depth": args.depth, "samples": args.samples, "seed": args.seed,
-              "tol": float(args.tol), "horizon": args.horizon}
     return _campaign(
         "verify-weak",
         f"weak-approximation campaign ({scenario.name}, depth={args.depth})",
-        scenario, report, params)
+        scenario, report)
 
 
 def _profile_payload(profile: FinitisticProfile) -> dict:
@@ -280,11 +274,10 @@ def _cmd_game_value(args, scenario: Scenario):
     lines = [f"best response against the scenario profile ({scenario.name})",
              f"  value in {_shown(result['value'])}",
              f"  argmax action {res.action!r}"]
-    return 0, lines, {"tol": float(args.tol)}, result
+    return 0, lines, result
 
 
 def _cmd_game_purify(args, scenario: Scenario):
-    epsilon = float(args.epsilon)
     res = purify(_need(scenario, "game"), scenario.measure, args.epsilon,
                  args.n_max, args.tol, args.seed, retries=args.retries,
                  horizon=args.horizon)
@@ -300,16 +293,15 @@ def _cmd_game_purify(args, scenario: Scenario):
         "eta": round_up(res.eta),
     }
     lines = [
-        f"purified profile ({scenario.name}, epsilon={epsilon})",
+        f"purified profile ({scenario.name}, "
+        f"epsilon={_stated(args.epsilon)})",
         f"  switch index n = {res.n} (Dirac from coordinate {res.n} on)",
         f"  sample attempt {res.attempt}",
         *(f"  action {c['action']!r}: E_sigma in {_shown(c['sigma_value'])}, "
           f"E_profile in {_shown(c['profile_value'])}"
           for c in result["per_action"]),
     ]
-    params = {"epsilon": epsilon, "n_max": args.n_max,
-              "seed": args.seed, "tol": float(args.tol)}
-    return 0, lines, params, result
+    return 0, lines, result
 
 
 def _cmd_game_naming_demo(args, scenario: Scenario):
@@ -347,26 +339,27 @@ def _cmd_game_naming_demo(args, scenario: Scenario):
         f"  exploited {args.samples} finitistic profiles, payoff 1 each: "
         f"{all_pay_one}",
     ]
-    params = {"samples": args.samples, "seed": args.seed}
-    return (0 if all_pay_one else 1), lines, params, result
+    return (0 if all_pay_one else 1), lines, result
 
 
-#: per command (a game by its verb): its handler, and the settings it
-#: reads besides the horizon, each with the value it takes when neither
-#: its flag nor the scenario's `defaults` set it.  The horizon falls back
-#: to None, which `TailFunction.read_horizon` resolves in the library.
+#: per command (a game by its verb): its handler, and each setting it
+#: reads besides the seed, tol and horizon, with the value it takes when
+#: neither its flag nor the scenario's `defaults` set it.  A setting is a
+#: flag of the subparser and a key of the report's `params`; the horizon
+#: falls back to None, which `TailFunction.read_horizon` resolves.
 COMMANDS = {
     "expect": (_cmd_expect, {}),
-    "gn-trace": (_cmd_gn_trace, {"n_max": 8}),
-    "strong-approx": (_cmd_strong_approx,
-                      {"epsilon": Fraction(1, 100), "n_max": 32}),
-    "weak-approx": (_cmd_weak_approx, {"depth": 2}),
+    "gn-trace": (_cmd_gn_trace, {"point": "lazy", "n_max": 8}),
+    "strong-approx": (_cmd_strong_approx, {
+        "point": "lazy", "epsilon": Fraction(1, 100), "n_max": 32}),
+    "weak-approx": (_cmd_weak_approx, {"depth": 2, "r": None,
+                                       "retries": DEFAULT_RETRIES}),
     "verify-strong": (_cmd_verify_strong, {"epsilon": Fraction(1, 100),
                                            "n_max": 32, "samples": 200}),
     "verify-weak": (_cmd_verify_weak, {"depth": 2, "samples": 200}),
     "game-value": (_cmd_game_value, {}),
-    "game-purify": (_cmd_game_purify, {"epsilon": Fraction(1, 10),
-                                       "n_max": 16}),
+    "game-purify": (_cmd_game_purify, {"epsilon": Fraction(1, 10), "n_max": 16,
+                                       "retries": DEFAULT_PURIFY_RETRIES}),
     "game-naming-demo": (_cmd_game_naming_demo, {"samples": 100}),
 }
 
@@ -376,17 +369,16 @@ def run_scenario(path: str, command: str, args) -> int:
     scenario = load_scenario(path)
     name = f"game-{args.verb}" if command == "game" else command
     handler, fallbacks = COMMANDS[name]
-    code, lines, params, result = handler(
-        _resolve_settings(args, scenario, fallbacks), scenario)
+    args = _resolve_settings(args, scenario, fallbacks)
+    code, lines, result = handler(args, scenario)
+    params = {key: _stated(getattr(args, key))
+              for key in ("seed", "tol", "horizon", *fallbacks)}
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "command": name,
                "scenario": scenario.name, "scenario_digest": scenario.digest,
                "params": params, "result": result}
     text = "\n".join(lines) + "\n"
     machine = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.report == "machine":
-        sys.stdout.write(machine)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(machine if args.report == "machine" else text)
     if args.report_dir is not None:
         directory = Path(args.report_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -418,9 +410,14 @@ _seed = _ranged(int, "seed", lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 _tol = _ranged(as_fraction, "tolerance", lambda v: v > 0, "> 0")
 _epsilon = _ranged(as_fraction, "epsilon", lambda v: v >= 0, ">= 0")
 _target = _ranged(as_fraction, "target", lambda v: True, "rational")
-#: the flag type of each setting a `COMMANDS` entry reads
+#: the flag type of each setting a `COMMANDS` entry reads, and the help
+#: of those whose flag name does not say enough
 _SETTING_TYPES = {"epsilon": _epsilon, "n_max": _count, "samples": _count,
-                  "depth": _count}
+                  "depth": _count, "point": str, "r": _target,
+                  "retries": _count}
+_SETTING_HELP = {
+    "point": "named scenario point, or 'lazy' to sample one",
+    "r": "override the target value (default: midpoint of E[f])"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,27 +448,18 @@ def build_parser() -> argparse.ArgumentParser:
         for key in dict.fromkeys(key for entry in entries or (name,)
                                  for key in COMMANDS[entry][1]):
             p.add_argument("--" + key.replace("_", "-"),
-                           type=_SETTING_TYPES[key])
+                           type=_SETTING_TYPES[key], help=_SETTING_HELP.get(key))
         return p
 
     command("expect", "certified enclosure of E[f]")
-    p = command("gn-trace", "reverse-martingale trace g_1..g_N at a point")
-    p.add_argument("--point", default="lazy",
-                   help="named scenario point, or 'lazy' to sample one")
-    p = command("strong-approx",
-                "smallest certified strong-approximation index")
-    p.add_argument("--point", default="lazy")
-    p = command("weak-approx", "single-coordinate mixing certificate for E[f]")
-    p.add_argument("--r", type=_target, default=None,
-                   help="override the target value (default: midpoint of E[f])")
-    p.add_argument("--retries", type=_count, default=DEFAULT_RETRIES)
+    command("gn-trace", "reverse-martingale trace g_1..g_N at a point")
+    command("strong-approx", "smallest certified strong-approximation index")
+    command("weak-approx", "single-coordinate mixing certificate for E[f]")
     command("verify-strong", "Monte Carlo campaign for strong approximations")
     command("verify-weak", "Monte Carlo campaign for weak 0-approximations")
     p = command("game", "minmax evaluation, purification, naming demo",
                 "game-value", "game-purify", "game-naming-demo")
     p.add_argument("verb", choices=("value", "purify", "naming-demo"))
-    p.add_argument("--retries", type=_count, default=DEFAULT_PURIFY_RETRIES)
-
     return parser
 
 
