@@ -515,9 +515,13 @@ class ProductMeasure:
                     f"expected {pos}"
                 )
             _check_alignment(m, self.spaces.space_at(pos))
-        # instantiate the rule once to validate it against the template space
-        probe = len(self.head) + 1
-        self.tail.measure_at(probe, len(self.head), self.spaces.space_at(probe))
+        # instantiate the rule over one period past every explicit space,
+        # so each space it covers is checked: beyond that it repeats
+        period = (len(self.tail.templates)
+                  if isinstance(self.tail, PeriodicMeasuresTail) else 1)
+        for i in range(len(self.head) + 1,
+                       max(len(self.spaces.head), len(self.head)) + period + 1):
+            self.coordinate_measure(i)
 
     @property
     def head_len(self) -> int:

@@ -249,7 +249,10 @@ def _build_measure(data, spaces, loc) -> ProductMeasure:
             _build_measure_vector(pos, weights, spaces, f"{loc}.head[{pos - 1}]"))
     tail = _build_measure_tail(_require(data, "tail", loc), spaces,
                                len(head), f"{loc}.tail")
-    return ProductMeasure(spaces, tuple(head), tail)
+    try:
+        return ProductMeasure(spaces, tuple(head), tail)
+    except ValidationError as exc:  # the head fits: it was built per space
+        raise ScenarioError(str(exc), f"{loc}.tail") from None
 
 
 def _build_symbol_tail(data, loc):
