@@ -1,12 +1,13 @@
 """Minmax evaluation, purification, naming-game separation."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from prodex.engine import expect
 from prodex.errors import NotFinitisticError, PurificationFailedError, ValidationError
-from prodex.functions import Cylinder
+from prodex.functions import Cylinder, TailFunction
 from prodex.games import (
     FinitisticProfile,
     GameSpec,
@@ -25,6 +26,7 @@ from prodex.model import (
     formula_tail,
     uniform_measure,
 )
+from prodex.numeric import ValueBounds
 from prodex.seeds import derive_seed
 
 from conftest import (
@@ -177,6 +179,56 @@ class TestPurify:
             purify(coordinate_game(), uniform_sigma(), F(1, 100), 1,
                    F(1, 10**6), seed=0, retries=2)
         assert len(err.value.diagnostics) == 2
+
+
+class ScriptedPayoff(TailFunction):
+    """A payoff whose E[f] is 0 and whose g_1, g_2, ... at every point
+    are `script`, its last value repeated: set by hand, to steer purify."""
+
+    family = "scripted"
+    range_lo, range_hi = F(0), F(1)
+
+    def __init__(self, *script):
+        self.script = script
+
+    def expectation(self, mu, horizon):
+        return ValueBounds.point(F(0))
+
+    def martingale_steps(self, sigma, x, horizon):
+        return map(ValueBounds.point, itertools.chain(
+            self.script, itertools.repeat(self.script[-1])))
+
+
+def scripted_game(a_script, b_script) -> GameSpec:
+    return GameSpec(("a", "b"), binary_spaces(),
+                    {"a": ScriptedPayoff(*a_script),
+                     "b": ScriptedPayoff(*b_script)}, F(0), F(1))
+
+
+class TestPurifyCommonIndex:
+    """The common index is re-checked for every action: an action
+    certified at a smaller index may fail there."""
+
+    def test_action_failing_at_the_common_index_moves_it_on(self):
+        # a is first certified at 1, b at 3; a fails at 3, both pass at 4
+        game = scripted_game((0, 1, 1, 0), (1, 1, 0))
+        res = purify(game, uniform_sigma(), F(1, 10), 8, F(1, 10**10))
+        assert (res.n, res.attempt) == (4, 0)
+        assert res.profile.switch_index == 4
+        assert [(c.action, c.found_n, c.profile_value)
+                for c in res.per_action] == [
+            ("a", 4, ValueBounds.point(F(0))),
+            ("b", 4, ValueBounds.point(F(0)))]
+
+    def test_no_common_index_fails_with_its_diagnostic(self):
+        # a passes at 1 only, b from 3 on: no index certifies both
+        game = scripted_game((0, 1), (1, 1, 0))
+        with pytest.raises(PurificationFailedError) as err:
+            purify(game, uniform_sigma(), F(1, 10), 8, F(1, 10**10),
+                   retries=2)
+        assert err.value.diagnostics == [
+            f"attempt {k}: no common index in [3, 8] certifies all actions"
+            for k in range(2)]
 
 
 class TestNamingGame:

@@ -1,10 +1,14 @@
 """Scenario ingestion and the command-line interface."""
 
+import contextlib
 import copy
+import io
+import itertools
 import json
 import re
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +19,10 @@ from prodex import errors
 from prodex.cli import main
 from prodex.engine import expect
 from prodex.errors import ScenarioError
-from prodex.martingale import g_n
-from prodex.model import LazyPoint
+from prodex.games import DEFAULT_PURIFY_RETRIES
+from prodex.martingale import g_n, trace
+from prodex.model import ConstantSymbol, DescribedPoint, LazyPoint
+from prodex.numeric import round_up
 from prodex.scenario import BUILTIN_SCENARIOS, load_scenario, parse_scenario
 
 F = Fraction
@@ -811,3 +817,143 @@ class TestBadSymbolsNameTheirJsonPath:
         err = capsys.readouterr().err
         assert f"error: {location}: {message}\n" in err
         assert "Traceback" not in err
+
+
+#: binary, then three symbols at coordinate 2, binary again beyond: with
+#: no head measure, the measure's tail rule covers coordinate 2
+MISFIT_SPACES = {"head": [{"symbols": [0, 1]}, {"symbols": [0, 1, 2]}],
+                 "tail": {"symbols": [0, 1]}}
+CONSTANT_BINARY = {"kind": "constant", "weights": [0.5, 0.5]}
+
+
+def _cylinder_doc(depth: int, symbols) -> dict:
+    table = [{"prefix": list(key), "value": key[0]}
+             for key in itertools.product(*symbols[:depth])]
+    return {"family": "cylinder", "depth": depth, "table": table}
+
+
+# (name, measure tail, function, coordinate the error names)
+MISFIT_TAILS = [
+    ("periodic", {"kind": "periodic",
+                  "weights": [[0.5, 0.5], [0.2, 0.3, 0.5]]},
+     {"family": "discounted_sum",
+      "weights": {"kind": "geometric", "coef": 1, "ratio": 0.5},
+      "scores": [[0, 0], [1, 1], [2, 2]], "range": [0, 2]}, 4),
+    ("constant-depth-2", CONSTANT_BINARY,
+     _cylinder_doc(2, [(0, 1), (0, 1, 2)]), 2),
+    ("constant-depth-1", CONSTANT_BINARY, _cylinder_doc(1, [(0, 1)]), 2),
+]
+
+
+class TestMeasureTailFitsEverySpace:
+    """A measure tail rule is checked against every space it covers, not
+    only the first: a misfit is a malformed scenario at `measure.tail`,
+    whatever the function reads."""
+
+    @pytest.mark.parametrize("name, tail, function, coordinate",
+                             MISFIT_TAILS, ids=[c[0] for c in MISFIT_TAILS])
+    def test_misfit_exits_two_at_measure_tail(self, name, tail, function,
+                                              coordinate, tmp_path, capsys):
+        text = json.dumps({"spaces": MISFIT_SPACES,
+                           "measure": {"head": [], "tail": tail},
+                           "function": function})
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert exc.value.location == "measure.tail"
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for argv in (["expect", str(path)],
+                     ["gn-trace", str(path), "--n-max", "3"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: measure.tail: coordinate "
+                                  f"{coordinate}: measure symbols")
+            assert "Traceback" not in err
+
+    def test_matching_periodic_tail_past_the_explicit_spaces(self):
+        # three explicit binary spaces, one head measure: the two-template
+        # tail covers coordinates 2 and 3 of the head, then repeats
+        doc = json.loads(DISCOUNTED)
+        doc["spaces"]["head"] = [{"symbols": [0, 1]}] * 3
+        doc["measure"] = {"head": [[0.25, 0.75]], "tail": {
+            "kind": "periodic", "weights": [[0.5, 0.5], [0.1, 0.9]]}}
+        sc = parse_scenario(json.dumps(doc))
+        p_one = {1: F(3, 4), 2: F(1, 2), 3: F(9, 10), 4: F(1, 2), 5: F(9, 10)}
+        assert {i: sc.measure.coordinate_measure(i).weight_of(1)
+                for i in p_one} == p_one
+
+        def weight(i):
+            return p_one[1] if i == 1 else p_one[2 + (i % 2)]
+
+        # E[f] = sum_i 2**-i P(x_i = 1) = 3/8 + 1/6 + 3/20
+        res = expect(sc.function, sc.measure, F(1, 10**9))
+        assert res.bounds.is_point and res.bounds.lo == F(83, 120)
+        # at the all-ones point, g_n = sum_{i<n} 2**-i P(x_i = 1) + 2**-(n-1)
+        ones = DescribedPoint((), ConstantSymbol(1))
+        entries = trace(sc.function, sc.measure, ones, 6, F(1, 10**9)).entries
+        assert [(e.bounds.lo, e.bounds.hi) for e in entries] == [
+            (g, g) for g in (
+                sum(weight(i) / 2**i for i in range(1, n)) + F(1, 2**(n - 1))
+                for n in range(1, 7))]
+
+
+def _params(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main([str(a) for a in argv] + ["--report", "machine"])
+    return json.loads(out.getvalue())["params"]
+
+
+#: one run of every `COMMANDS` entry
+ENTRY_ARGV = {
+    "expect": ["expect", "cylinder-mix"],
+    "gn-trace": ["gn-trace", "cylinder-mix", "--n-max", "2"],
+    "strong-approx": ["strong-approx", "cylinder-mix", "--n-max", "2"],
+    "weak-approx": ["weak-approx", "cylinder-mix"],
+    "verify-strong": ["verify-strong", "cylinder-mix", "--samples", "2"],
+    "verify-weak": ["verify-weak", "cylinder-mix", "--samples", "2"],
+    "game-value": ["game", "purify-demo", "value"],
+    "game-purify": ["game", "purify-demo", "purify"],
+    "game-naming-demo": ["game", "naming-game", "naming-demo",
+                         "--samples", "2"],
+}
+SKEWED = Path(__file__).parent / "scenarios" / "cylinder-skewed.json"
+
+
+class TestReportParams:
+    """A report's `params` state every setting the run was made with."""
+
+    def test_every_entry_states_its_settings(self):
+        assert set(ENTRY_ARGV) == set(prodex.cli.COMMANDS)
+        for name, argv in ENTRY_ARGV.items():
+            settings = prodex.cli.COMMANDS[name][1]
+            assert set(_params(argv)) == {"seed", "tol", "horizon",
+                                          *settings}, name
+
+    def test_seed_and_horizon_tell_runs_apart(self):
+        trace_argv = ["gn-trace", SKEWED, "--seed", "5", "--n-max", "10"]
+        assert _params(trace_argv) != _params(trace_argv + ["--horizon", "4"])
+        assert _params(["strong-approx", SKEWED, "--seed", "4"]) != \
+            _params(["strong-approx", SKEWED, "--seed", "5"])
+
+    def test_tiny_tol_is_stated_positive(self):
+        tol = _params(["expect", "cylinder-mix", "--tol", "1e-400"])["tol"]
+        assert tol > 0 and F(tol) >= F(1, 10**400)
+
+    @pytest.mark.parametrize("argv", [
+        ["gn-trace", "example-3-4", "--n-max", "2"],
+        ["strong-approx", "example-3-4", "--n-max", "2"],
+        ["weak-approx", "example-3-4", "--depth", "2"],
+    ])
+    def test_scenario_default_horizon_is_stated(self, argv):
+        assert _params(argv)["horizon"] == 60
+
+    def test_point_r_and_retries_are_stated(self):
+        assert _params(["gn-trace", "cylinder-mix", "--n-max", "2",
+                        "--point", "all-ones"])["point"] == "all-ones"
+        weak = _params(["weak-approx", "cylinder-mix", "--r", "1/3",
+                        "--retries", "3"])
+        # a rational is stated rounded up, by the report's one rule
+        assert (weak["r"], weak["retries"]) == (round_up(F(1, 3)), 3)
+        assert _params(ENTRY_ARGV["game-purify"])["retries"] == \
+            DEFAULT_PURIFY_RETRIES
