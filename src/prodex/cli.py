@@ -70,9 +70,8 @@ def _shown(bounds: dict) -> str:
 
 
 def _stated(value):
-    """A setting as the report states it: a rational rounded up by the
-    report's one rule (`round_up`), so a positive one never reads 0.0;
-    an int, a string or None as it is."""
+    """A setting as a report states it: a rational rounded up by `round_up`,
+    so a positive one never reads 0.0; an int, str or None as it is."""
     return round_up(value) if isinstance(value, Fraction) else value
 
 
@@ -448,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         for key in dict.fromkeys(key for entry in entries or (name,)
                                  for key in COMMANDS[entry][1]):
             p.add_argument("--" + key.replace("_", "-"),
-                           type=_SETTING_TYPES[key], help=_SETTING_HELP.get(key))
+                           type=_SETTING_TYPES[key],
+                           help=_SETTING_HELP.get(key))
         return p
 
     command("expect", "certified enclosure of E[f]")
