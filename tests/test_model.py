@@ -218,25 +218,20 @@ class TestResolveCoordinateMeasure:
         with pytest.raises(ValidationError):
             ProductMeasure(spaces, (bad,), uniform_tail())
 
-    @pytest.mark.parametrize("templates, coordinate", [
+    @pytest.mark.parametrize("tail, coordinate", [
         # the three-symbol template first falls on a binary space at 4
-        (((F(1, 2), F(1, 2)), (F(1, 5), F(3, 10), F(1, 2))), 4),
+        (PeriodicMeasuresTail((bernoulli_measure(1, F(1, 2)),
+                               CoordinateMeasure.from_weights(
+                                   1, (0, 1, 2), (F(1, 5), F(3, 10),
+                                                  F(1, 2))))), 4),
         # the binary template misses the three-symbol space at 2
-        (((F(1, 2), F(1, 2)),), 2),
+        (ConstantMeasureTail(bernoulli_measure(1, F(1, 2))), 2),
     ])
-    def test_tail_must_match_every_space_it_covers(self, templates,
-                                                   coordinate):
+    def test_tail_must_match_every_space_it_covers(self, tail, coordinate):
         spaces = SpaceFamily((CoordinateSpace(1, (0, 1)),
                               CoordinateSpace(2, (0, 1, 2))), (0, 1))
-        tail = PeriodicMeasuresTail(tuple(
-            CoordinateMeasure.from_weights(1, tuple(range(len(w))), w)
-            for w in templates))
         with pytest.raises(ValidationError, match=f"^coordinate {coordinate}:"):
             ProductMeasure(spaces, (), tail)
-        if len(templates) == 1:
-            with pytest.raises(ValidationError, match="^coordinate 2:"):
-                ProductMeasure(spaces, (), ConstantMeasureTail(
-                    tail.templates[0]))
 
     def test_periodic_tail_past_more_explicit_spaces_than_measures(self):
         sigma = ProductMeasure(
