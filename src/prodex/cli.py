@@ -310,11 +310,9 @@ def _cmd_game_naming_demo(args, scenario: Scenario):
     for j in range(args.samples):
         sub = derive_seed(args.seed, "naming-profile", j)
         switch = 1 + (derive_seed(sub, "switch") % 6)
-        head = tuple(
-            MeasureAssignment(scenario.measure.coordinate_measure(i))
-            for i in range(1, switch))
         tail = LazyPoint(derive_seed(sub, "tail"), scenario.measure)
-        profile = FinitisticProfile(HybridMeasure(head, switch, tail))
+        profile = FinitisticProfile(HybridMeasure.measures_then_point(
+            scenario.measure, tail, switch))
         n, sym = naming_game_exploit(profile)
         # engine-verified: naming (n, sym) pays exactly 1 against tau
         payoff = Cylinder(n, {
@@ -469,8 +467,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _reject_other_verbs_flags(parser, args):
+    """The game subparser takes every verb's flags: one outside the verb's
+    own `COMMANDS` entry is a usage error (exit 2), not dropped."""
+    own = COMMANDS[f"game-{args.verb}"][1]
+    stray = [key for name, (_, keys) in COMMANDS.items() for key in keys
+             if name.startswith("game-") and key not in own
+             and getattr(args, key) is not None]
+    if stray:
+        parser.error(f"argument --{stray[0].replace('_', '-')}: not read by "
+                     f"game {args.verb}")
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command == "game":
+        _reject_other_verbs_flags(parser, args)
     try:
         return run_scenario(args.scenario, args.command, args)
     except ScenarioError as exc:

@@ -7,14 +7,15 @@ a product measure) and `coordinate_measure(i)`, one measure per index
 route reads them on one code path; they differ only from the switch on,
 where a hybrid pins `tail_point`.  Two routes:
 
-* the function's own exact oracle, `f.expectation(mu, horizon)` (see
-  `TailFunction`).  Discounted sums and product indicators evaluate
-  their tail contributions in closed form (width 0 or below 1e-12); a
-  cylinder sums its weighted prefixes in integers, one lookup each in
-  its per-level row aggregates, built once per cylinder;
+* the function's own route (`_oracle`, see `TailFunction`): its oracle
+  `f.expectation(mu)` for a product measure; for a hybrid, g_switch at
+  `tail_point`, the first of `f.martingale_steps` from the switch on.
+  Discounted sums and product indicators evaluate their tails in closed
+  form (width 0 or below 1e-12); a cylinder sums its weighted prefixes
+  in integers, one lookup each in its per-level row aggregates;
 * generic best-first refinement of the prefix tree (the paper's general
-  case; no built-in scenario reaches it), when the oracle returns None
-  or raises UnsupportedTailError: for user-defined functions and tails
+  case; no built-in scenario reaches it), when that route is None or
+  raises UnsupportedTailError: for user-defined functions and tails
   without closed forms, each node scored by (cylinder measure x
   oscillation bound) and leaves pruned as soon as their enclosure width
   hits zero.  A Dirac coordinate has one child, and nodes from the
@@ -83,19 +84,24 @@ def osc_bound(f: TailFunction, prefix) -> Fraction:
     return f.bounds_over(tuple(prefix)).width
 
 
+def _oracle(f: TailFunction, mu: Measure,
+            horizon: Optional[int]) -> Optional[ValueBounds]:
+    """The function's own enclosure of E_mu[f], or None for the tree:
+    its oracle, or under a hybrid the first of its steps from the switch."""
+    switch = mu.switch_index
+    if switch is None:
+        return f.expectation(mu)
+    steps = f.martingale_steps(mu, mu.tail_point, horizon, start=switch)
+    return None if steps is None else next(steps)
+
+
 def exact_expectation_product_indicator(
         f: ProductIndicator, mu: Measure, horizon: Optional[int] = None) -> ValueBounds:
-    """Closed-form E_mu[f] for a product indicator
-    (`ProductIndicator.expectation`).  Raises UnsupportedTailError when
-    the measure tail rule has no closed form."""
+    """Closed-form E_mu[f] for a product indicator (`_oracle`).  Raises
+    UnsupportedTailError when the measure tail rule has no closed form."""
     if not isinstance(f, ProductIndicator):
         raise ValidationError("exact indicator oracle needs a ProductIndicator")
-    return f.expectation(mu, horizon)
-
-
-def _oracle_result(vb: ValueBounds, tol: Fraction) -> ExpectationResult:
-    status = CERTIFIED if vb.width <= 2 * tol else BUDGET_EXHAUSTED
-    return ExpectationResult(vb, 0, status, True)
+    return _oracle(f, mu, horizon)
 
 
 def _check_tol(tol: Rational) -> Fraction:
@@ -124,11 +130,12 @@ def expect(f: TailFunction, mu: Measure, tol: Rational = Fraction(1, 10**9),
 
     if use_oracle:
         try:
-            vb = f.expectation(mu, horizon)
+            vb = _oracle(f, mu, horizon)
         except UnsupportedTailError:
             vb = None
         if vb is not None:
-            return _oracle_result(vb, tol)
+            status = CERTIFIED if vb.width <= 2 * tol else BUDGET_EXHAUSTED
+            return ExpectationResult(vb, 0, status, True)
 
     switch = mu.switch_index
     h = None if switch is None else f.read_horizon(mu.tail_point, horizon)

@@ -9,6 +9,10 @@ implements it through `window_bounds(rest, rest_from, horizon)`, which
 reads the rest once and then encloses f for any prefix shorter than
 rest_from; the hull search asks one window for all of its prefixes.
 
+Each family also routes E[f] under a product measure (`expectation`)
+and g_start(x), g_{start+1}(x), ... (`martingale_steps`), whose first
+value is E[f] under the hybrid pinning x from start on (see `engine`).
+
 Enclosures are exact rationals.  The only soft verdicts come from the
 all-or-nothing indicator family on lazily sampled points: agreement of
 the unrealized tail cannot be decided from a prefix, so the verdict
@@ -46,8 +50,8 @@ DEFAULT_HORIZON = 64
 Measure = Union[ProductMeasure, HybridMeasure]
 
 
-#: the hard point 0, shared by every mismatch verdict
-_ZERO = ValueBounds(F0, F0)
+#: the hard points 0, which every mismatch verdict shares, and 1
+_ZERO, _ONE = ValueBounds(F0, F0), ValueBounds(F1, F1)
 
 
 def _explicit_limit(rest: PointSpec, horizon: int) -> int:
@@ -69,7 +73,8 @@ class TailFunction:
     faster routes through three hooks, each with a default: its exact
     oracle (`expectation`), its g_n steps (`martingale_steps`) and how
     far it reads a pinned point (`read_horizon`).  An oracle or a step
-    must enclose what the tree would.
+    must enclose what the tree would.  A hybrid measure reaches the
+    steps from its switch on, never the oracle.
     """
 
     family = "abstract"
@@ -119,19 +124,18 @@ class TailFunction:
         read as far as `read_horizon(x, horizon)`."""
         return self.bounds_over((), rest=x, rest_from=1, horizon=horizon)
 
-    def expectation(self, mu: Measure,
-                    horizon: Optional[int]) -> Optional[ValueBounds]:
-        """Exact enclosure of E_mu[f], or None (or UnsupportedTailError) for
-        the prefix tree.  Product and hybrid measures read alike:
-        `mu.coordinate_measure(i)` below `mu.switch_index`, then the tail
-        rule `mu.tail` (switch None) or the pinned `mu.tail_point`."""
+    def expectation(self, sigma: ProductMeasure) -> Optional[ValueBounds]:
+        """Exact enclosure of E_sigma[f] under a product measure, or None
+        (or UnsupportedTailError) for the prefix tree."""
         return None
 
-    def martingale_steps(self, sigma: ProductMeasure, x: PointSpec,
-                         horizon: Optional[int]) -> Optional[Iterator[ValueBounds]]:
-        """Enclosures of g_1(x), g_2(x), ..., each equal to `g_n`'s, or None
-        to evaluate each g_n on its own.  An index the steps cannot
-        settle raises what `g_n` would raise, at that index."""
+    def martingale_steps(self, sigma: Measure, x: PointSpec, horizon: Optional[int],
+                         start: int = 1) -> Optional[Iterator[ValueBounds]]:
+        """Enclosures of g_start(x), g_{start+1}(x), ..., each equal to
+        `g_n`'s, or None to evaluate each g_n on its own.  g_n reads
+        `sigma.coordinate_measure(i)` for i < n alone, so sigma may be a
+        hybrid, Dirac head coordinates included.  An index the steps
+        cannot settle raises what `g_n` would raise, at that index."""
         return None
 
     def read_horizon(self, point: PointSpec, horizon: Optional[int]) -> int:
@@ -311,14 +315,14 @@ class Cylinder(TailFunction):
                                self._fractions[highs[key]])
         return bounds
 
-    def _sums(self, measure_at, pins: dict, first: int, last: int):
+    def _sums(self, measure_at, pins: dict, first: int):
         """E[f] with coordinates 1..j integrated out under `measure_at` and
-        the pins after j matched, for j = first..last in turn: one lookup
+        the pins after j matched, for j = first..depth in turn: one lookup
         per prefix of positive weight (a product of integer weights, over
         den = V * prod D_i).  A prefix of positive mass that no row covers
         raises ValidationError, the shortest named; zero-mass gaps are legal."""
         prefixes, weights, den = {(): 1}, [], self._scaled_table[0]
-        for j in range(last + 1):
+        for j in range(self.depth + 1):
             if j:
                 d, nums = measure_at(j)._scaled_weights
                 positive = [(s, w) for s, w in nums.items() if w]
@@ -350,23 +354,18 @@ class Cylinder(TailFunction):
             lo_f = Fraction(lo, den)
             yield ValueBounds(lo_f, lo_f if hi == lo else Fraction(hi, den))
 
-    def expectation(self, mu, horizon):
-        """E_mu[f] as one of `_sums`: the first k = min(switch - 1, depth)
-        coordinates are integrated out, and the pinned point's after them
-        are matched as `pinned_coordinates` reads them."""
-        switch = mu.switch_index
-        k = self.depth if switch is None else min(switch - 1, self.depth)
-        # past k the point is pinned: k + 1 is the switch index
-        pins = {} if k == self.depth else self.pinned_coordinates(
-            mu.tail_point, k + 1, self.read_horizon(mu.tail_point, horizon))
-        return next(self._sums(mu.coordinate_measure, pins, k, k))
+    def expectation(self, sigma):
+        """E_sigma[f]: `_sums` with every table coordinate integrated out."""
+        return next(self._sums(sigma.coordinate_measure, {}, self.depth))
 
-    def martingale_steps(self, sigma, x, horizon):
-        """`expectation`'s g_1(x), g_2(x), ...: x is read once, to min(depth,
-        read limit), and each index integrates one more coordinate out, at
-        about 2 |table| lookups a trace; g_n = E[f] past the depth."""
-        pins = self.pinned_coordinates(x, 1, self.read_horizon(x, horizon))
-        for value in self._sums(sigma.coordinate_measure, pins, 0, self.depth):
+    def martingale_steps(self, sigma, x, horizon, start=1):
+        """g_start(x), g_{start+1}(x), ...: `_sums` from k = min(start - 1,
+        depth) integrated coordinates on, x read once from k + 1 on
+        (`pinned_coordinates`); about 2 |table| lookups a trace, and
+        g_n = E[f] past the depth."""
+        k = min(start - 1, self.depth)
+        pins = self.pinned_coordinates(x, k + 1, self.read_horizon(x, horizon))
+        for value in self._sums(sigma.coordinate_measure, pins, k):
             yield value
         yield from itertools.repeat(value)
 
@@ -516,42 +515,40 @@ class DiscountedSum(TailFunction):
             return ValueBounds(head + wlo + rlo, head + whi + rhi)
         return bounds
 
-    def expectation(self, mu, horizon):
-        """E_mu[f] = sum_i w_i E_i[score], coordinate by coordinate; the
-        tail is the tail rule's closed form, or a hybrid's pinned point
-        summed as a pinned rest (`_rest_bounds`).  Raises
+    def _mean_head(self, sigma: Measure, last: int) -> Fraction:
+        """sum_{i <= last} w_i E_{sigma_i}[score], exact."""
+        return sum((self.weights.weight_at(i) * sigma.coordinate_measure(
+            i).mean_score(self.score_of) for i in range(1, last + 1)), F0)
+
+    def expectation(self, sigma):
+        """E_sigma[f] = sum_i w_i E_i[score], coordinate by coordinate: the
+        head, then the tail rule's closed form.  Raises
         UnsupportedTailError when the tail rule has no closed form."""
-        switch = mu.switch_index
-        boundary = mu.head_len if switch is None else switch - 1
-        head = F0
-        for i in range(1, boundary + 1):
-            head += self.weights.weight_at(i) * mu.coordinate_measure(
-                i).mean_score(self.score_of)
-        if switch is None:
-            tail = mu.tail.mean_tail_sum(
-                self.weights.coef, self.weights.ratio, self.score_of, boundary,
-                mu.head_len, mu.spaces.space_at(boundary + 1))
-            lo, hi = tail.lo, tail.hi
-        else:
-            rest = mu.tail_point
-            lo, hi = self._rest_bounds(rest, switch,
-                                       self.read_horizon(rest, horizon))
-        return ValueBounds(head + lo, head + hi)
+        head = self._mean_head(sigma, sigma.head_len)
+        tail = sigma.tail.mean_tail_sum(
+            self.weights.coef, self.weights.ratio, self.score_of,
+            sigma.head_len, sigma.head_len,
+            sigma.spaces.space_at(sigma.head_len + 1))
+        return ValueBounds(head + tail.lo, head + tail.hi)
 
-    def martingale_steps(self, sigma, x, horizon):
-        """Oracle enclosures of g_1(x), g_2(x), ...
+    def martingale_steps(self, sigma, x, horizon, start=1):
+        """Oracle enclosures of g_start(x), g_{start+1}(x), ...
 
-        g_1 is f at x.  Each step integrates coordinate n out:
+        g_start is the mean head plus x summed from start on as a pinned
+        rest (`_rest_bounds`).  Each step integrates coordinate n out:
         g_{n+1} = g_n + w_n * (E_{sigma_n}[score] - v_n), where v_n is
         score(x_n) while x_n is read, and the score bounds once n is past
         the read limit of a lazily sampled point (its spread then shrinks
         by w_n).  A scan to n_max costs O(n_max + horizon) exact operations.
         """
+        head = self._mean_head(sigma, start - 1)
         h = self.read_horizon(x, horizon)
         read = None if x.eventual_stream() is not None else _explicit_limit(x, h)
-        lo, hi = self._rest_bounds(x, 1, h)
-        w, ratio = self.weights.weight_at(1), self.weights.ratio
-        for n in itertools.count(1):
+        lo, hi = self._rest_bounds(x, start, h)
+        if head:
+            lo, hi = head + lo, head + hi
+        w, ratio = self.weights.weight_at(start), self.weights.ratio
+        for n in itertools.count(start):
             yield ValueBounds(lo, hi)
             mean = sigma.coordinate_measure(n).mean_score(self.score_of)
             if read is None or n <= read:
@@ -606,24 +603,22 @@ class ProductIndicator(TailFunction):
             object.__setattr__(self, "_targets", targets)
         return targets
 
-    def _tail_match(self, rest: PointSpec, start: int,
-                    horizon: int) -> ValueBounds:
-        """Enclosure of [every coordinate >= start of rest hits its target].
-
-        A mismatch read explicitly is the hard point 0; past the read depth
-        a described rest is settled by its stream, any other by
-        `_unread_match`.
-        """
-        k = max(start - 1, self._read_depth(rest, horizon))
-        targets = self._targets_through(k)
-        for i in range(start, k + 1):
-            if rest.coordinate(i) != targets[i - 1]:
-                return _ZERO
+    def _tail_match(self, rest: PointSpec, start: int, horizon: int):
+        """The function n -> enclosure of [every coordinate >= n of rest
+        hits its target], for n >= start: rest is read once, from start to
+        the read depth K.  A mismatch read explicitly is the hard point 0;
+        past K a described rest is settled by its stream, any other by
+        `_unread_match`."""
+        depth = self._read_depth(rest, horizon)
+        targets = self._targets_through(depth)
+        last_miss = next((i for i in range(depth, start - 1, -1)
+                          if rest.coordinate(i) != targets[i - 1]), 0)
         stream = rest.eventual_stream()
         if stream is not None:
             hit = streams_eventually_equal(stream, self.targets_stream())
-            return ValueBounds.point(1 if hit else 0)
-        return self._unread_match(rest, k)
+            return lambda n: _ONE if hit and last_miss < n else _ZERO
+        return lambda n: (_ZERO if last_miss >= n else
+                          self._unread_match(rest, max(n - 1, depth)))
 
     def _read_depth(self, rest: PointSpec, horizon: int) -> int:
         """Coordinates of rest that `_tail_match` reads explicitly, at least."""
@@ -666,62 +661,43 @@ class ProductIndicator(TailFunction):
             return max(DEFAULT_HORIZON, root.measure.head_len)
         return super().read_horizon(point, horizon)
 
-    def expectation(self, mu, horizon):
-        """Closed-form E_mu[f].
-
-        Every head coordinate contributes its weight on the target symbol
-        (a Dirac coordinate's is exactly 0 or 1); the infinite tail
-        product is evaluated in closed form or enclosed to width below
-        1e-12, or is a hybrid's pinned point matched against the targets
-        (`_tail_match`).  Raises UnsupportedTailError when the measure
-        tail rule has no closed form.
-        """
-        targets = self.targets_stream()
-        switch = mu.switch_index
-        boundary = (max(mu.head_len, targets.start - 1) if switch is None
-                    else switch - 1)
-        product = F1
-        target = self._targets_through(boundary)
-        for i in range(1, boundary + 1):
-            product *= mu.coordinate_measure(i).weight_of(target[i - 1])
+    def _head_product(self, sigma: Measure, last: int) -> Fraction:
+        """prod_{i <= last} sigma_i(target_i), stopped at its first 0."""
+        product, target = F1, self._targets_through(last)
+        for i in range(1, last + 1):
+            product *= sigma.coordinate_measure(i).weight_of(target[i - 1])
             if product == 0:
-                return _ZERO
-        if switch is None:
-            return mu.tail.indicator_tail_product(
-                targets, boundary, mu.head_len).scaled(product)
-        rest = mu.tail_point
-        return self._tail_match(rest, switch, self.read_horizon(
-            rest, horizon)).scaled(product)
+                break
+        return product
 
-    def martingale_steps(self, sigma, x, horizon):
-        """Oracle enclosures of g_1(x), g_2(x), ...
+    def expectation(self, sigma):
+        """Closed-form E_sigma[f]: the head weights on the targets times the
+        tail product, exact or enclosed to width below 1e-12.  Raises
+        UnsupportedTailError when the measure tail rule has no closed form."""
+        targets = self.targets_stream()
+        boundary = max(sigma.head_len, targets.start - 1)
+        product = self._head_product(sigma, boundary)
+        if product == 0:
+            return _ZERO
+        return sigma.tail.indicator_tail_product(
+            targets, boundary, sigma.head_len).scaled(product)
 
-        g_n = prod_{i<n} sigma_i(target_i) when x hits every target from n
-        on, else 0.  Up to the read depth K that holds exactly when the
-        last mismatch in [1, K] lies below n; beyond K it rests on the
-        periodic stream of a described x or on `_unread_match`: the
-        residual eta of a lazy x, or [0, prod] when x is user-defined or
-        its sampling tail has no disagreement bound.  A scan to n_max
-        costs O(n_max + horizon) exact operations.
-        """
-        depth = self._read_depth(x, self.read_horizon(x, horizon))
-        target = self._targets_through(depth)
-        last_miss = next((i for i in range(depth, 0, -1)
-                          if x.coordinate(i) != target[i - 1]), 0)
-        stream = x.eventual_stream()
-        hits_eventually = (stream is None or streams_eventually_equal(
-            stream, self.targets_stream()))
-        product = F1
-        for n in itertools.count(1):
-            if product == 0 or last_miss >= n or not hits_eventually:
-                yield _ZERO
-            elif stream is not None:
-                yield ValueBounds(product, product)
-            else:
-                yield self._unread_match(x, max(n - 1, depth)).scaled(product)
-            if product != 0:
+    def martingale_steps(self, sigma, x, horizon, start=1):
+        """Oracle enclosures of g_start(x), g_{start+1}(x), ...: g_n is
+        prod_{i<n} sigma_i(target_i) times the enclosure that x hits every
+        target from n on (`_tail_match`, which reads x once, and not at all
+        once the product is 0).  A scan to n_max costs O(n_max + horizon)
+        exact operations."""
+        product, n = self._head_product(sigma, start - 1), start
+        if product:
+            match = self._tail_match(x, start, self.read_horizon(x, horizon))
+            while product:
+                vb = match(n)
+                yield vb if vb is _ZERO else vb.scaled(product)
                 product *= sigma.coordinate_measure(n).weight_of(
                     self._targets_through(n)[n - 1])
+                n += 1
+        yield from itertools.repeat(_ZERO)
 
     def window_bounds(self, rest, rest_from, horizon):
         targets = self._targets_through(rest_from - 1)
@@ -739,7 +715,7 @@ class ProductIndicator(TailFunction):
                 deviation = self.spaces.any_alternatives_beyond(m)
                 return ValueBounds(F0 if deviation else F1, F1)
             if match is None:
-                match = self._tail_match(rest, rest_from, horizon)
+                match = self._tail_match(rest, rest_from, horizon)(rest_from)
             if match.hi == 0 or last_free <= m:
                 return match
             return ValueBounds(F0, F1)

@@ -10,14 +10,16 @@ g_{n+1}(x) differs from g_n(x) only at coordinate n, which is
 integrated out instead of pinned.  `trace`, `find_strong_approx` and
 `games.purify` scan the indices through the function's own steps,
 `f.martingale_steps(sigma, x, horizon)` (see `TailFunction`), which
-read the point once up to its read limit: discounted sums and product
+read the point once up to its read limit.  `g_n` goes through
+`engine.expect` on the hybrid measure, whose route is the first of the
+steps from index n on (`start=n`).  Discounted sums and product
 indicators take O(1) exact operations per further index, a scan to
 n_max O(n_max + horizon); a cylinder of depth d extends its weighted
 prefixes by one coordinate per index, against row aggregates built
 once, about 2 |table| lookups for a whole trace, and g_n = E[f] for
 n > d.  A function without steps (the hook returns None) evaluates
-each index with `g_n`, the single-index API, on the generic tree,
-which `g_n(..., use_oracle=False)` also forces for every family.  All
+each index with `g_n` on the generic tree, which
+`g_n(..., use_oracle=False)` also forces for every family.  All
 routes give identical enclosures; a scan yields them as bare
 `ValueBounds`.
 `horizon` alone sets how far a lazily sampled x is read (`f.read_horizon`).

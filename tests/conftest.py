@@ -430,6 +430,15 @@ def table_walk_setups(draw):
 
 
 @st.composite
+def partial_tables(draw, f: Cylinder):
+    """`f` keeping a nonempty subset of its rows."""
+    keep = draw(st.lists(st.booleans(), min_size=len(f.table),
+                         max_size=len(f.table)).filter(any))
+    return Cylinder(f.depth, {k: v for (k, v), kept
+                              in zip(f.table.items(), keep) if kept})
+
+
+@st.composite
 def tail_points(draw, sigma, arity):
     """A lazy, a described and a modified point over symbols 0..arity-1."""
     symbols = st.integers(0, arity - 1)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     F,
     NO_SHRINK,
+    partial_tables,
     reference_cylinder_sum,
     table_walk_setups,
     tail_points,
@@ -55,13 +56,6 @@ def assert_steps_match(f, sigma, x, horizon):
                                                 single.eta)
 
 
-def partial(data, f):
-    keep = data.draw(st.lists(st.booleans(), min_size=len(f.table),
-                              max_size=len(f.table)).filter(any))
-    return Cylinder(f.depth, {k: v for (k, v), kept
-                              in zip(f.table.items(), keep) if kept})
-
-
 class TestCylinderSteps:
     @given(data=st.data())
     @settings(max_examples=40, phases=NO_SHRINK)
@@ -77,7 +71,7 @@ class TestCylinderSteps:
     @settings(max_examples=40, phases=NO_SHRINK)
     def test_partial_tables(self, data):
         sigma, f = data.draw(table_walk_setups())
-        f = partial(data, f)
+        f = data.draw(partial_tables(f))
         arity = len(sigma.spaces.space_at(1).symbols)
         below = data.draw(st.integers(0, f.depth - 1))
         for x in data.draw(tail_points(sigma, arity)):
@@ -89,14 +83,14 @@ class TestCylinderSteps:
     def test_expectation_against_the_reference(self, data):
         sigma, f = data.draw(table_walk_setups())
         if data.draw(st.booleans()):
-            f = partial(data, f)
+            f = data.draw(partial_tables(f))
         try:
             expected = reference_cylinder_sum(f, sigma)
         except ValidationError:
             with pytest.raises(ValidationError, match="of positive mass"):
-                f.expectation(sigma, None)
+                f.expectation(sigma)
             return
-        vb = f.expectation(sigma, None)
+        vb = f.expectation(sigma)
         assert (vb.lo, vb.hi, vb.eta) == (*expected, 0)
 
 

@@ -555,8 +555,11 @@ class TestPointMass:
         by_point = hybrid(lambda i, p: DiracAssignment(p))
         by_measure = hybrid(lambda i, p: MeasureAssignment(dirac_measure(
             i, sigma.spaces.space_at(i).symbols, p.coordinate(i))))
-        a, b = (f.expectation(mu, horizon) for mu in (by_point, by_measure))
-        assert (a.lo, a.hi, a.eta) == (b.lo, b.hi, b.eta)
+        a, b = (expect(f, mu, horizon=horizon)
+                for mu in (by_point, by_measure))
+        assert a.oracle_used and b.oracle_used
+        assert (a.bounds.lo, a.bounds.hi, a.eta) == (b.bounds.lo, b.bounds.hi,
+                                                     b.eta)
 
 
 class TestZeroWeightSymbols:
@@ -603,14 +606,18 @@ class TestZeroWeightSymbols:
 # ---------------------------------------------------------------------------
 
 def assert_sum_matches_reference(f, mu, horizon=None):
+    """The cylinder's own route to E_mu[f] (its oracle under a product
+    measure, its steps from the switch under a hybrid) gives the
+    reference sum, or raises its missing-row error."""
     try:
         expected = reference_cylinder_sum(f, mu, horizon)
     except ValidationError:
         with pytest.raises(ValidationError, match="of positive mass"):
-            f.expectation(mu, horizon)
+            expect(f, mu, horizon=horizon)
         return
-    vb = f.expectation(mu, horizon)
-    assert (vb.lo, vb.hi, vb.eta) == (*expected, 0)
+    res = expect(f, mu, horizon=horizon)
+    assert res.oracle_used
+    assert (res.bounds.lo, res.bounds.hi, res.eta) == (*expected, 0)
 
 
 class TestIntegerTableSum:

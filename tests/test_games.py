@@ -191,12 +191,12 @@ class ScriptedPayoff(TailFunction):
     def __init__(self, *script):
         self.script = script
 
-    def expectation(self, mu, horizon):
+    def expectation(self, sigma):
         return ValueBounds.point(F(0))
 
-    def martingale_steps(self, sigma, x, horizon):
-        return map(ValueBounds.point, itertools.chain(
-            self.script, itertools.repeat(self.script[-1])))
+    def martingale_steps(self, sigma, x, horizon, start=1):
+        return map(ValueBounds.point, itertools.islice(itertools.chain(
+            self.script, itertools.repeat(self.script[-1])), start - 1, None))
 
 
 def scripted_game(a_script, b_script) -> GameSpec:

@@ -15,7 +15,11 @@ from prodex.engine import (
     exact_expectation_product_indicator,
     expect,
 )
-from prodex.errors import ToleranceConfigError, UnsupportedTailError
+from prodex.errors import (
+    ToleranceConfigError,
+    UnsupportedTailError,
+    ValidationError,
+)
 from prodex.functions import (
     DEFAULT_HORIZON,
     Cylinder,
@@ -55,6 +59,7 @@ from prodex.model import (
 from prodex.numeric import Interval, abs_difference
 
 from conftest import (
+    NO_SHRINK,
     PROBS,
     all_ones_point,
     bernoulli,
@@ -66,10 +71,13 @@ from conftest import (
     indicator_all_ones,
     mix_cylinder,
     partial_product,
+    partial_tables,
     points,
     product_indicators,
     product_measures,
     reference_bounds_over,
+    table_walk_setups,
+    tail_points,
     uniform_sigma,
 )
 
@@ -374,6 +382,57 @@ class TestScanMatchesPerIndex:
         assert_scan_matches_g_n(indicator_all_ones(), sigma, x, 12, 8)
 
 
+def _steps_from(f, sigma, x, horizon, start, stop):
+    """(n, lo, hi, eta) of `f.martingale_steps` from `start` to `stop`,
+    ending with (n, "raises", message) at an index that raises."""
+    steps = f.martingale_steps(sigma, x, horizon, start)
+    out = []
+    for n in range(start, stop + 1):
+        try:
+            vb = next(steps)
+        except ValidationError as exc:
+            out.append((n, "raises", str(exc)))
+            break
+        out.append((n, vb.lo, vb.hi, vb.eta))
+    return out
+
+
+class TestStepsFromStart:
+    """`martingale_steps(..., start=s)` is the start=1 scan from index s
+    on, so a hybrid's expectation (the first step from its switch) is
+    the scan's g_s.  A partial cylinder table raises the scan's error at
+    the scan's index."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, phases=NO_SHRINK)
+    def test_a_later_start_continues_the_scan(self, data):
+        family = data.draw(st.sampled_from(
+            ["cylinder", "discounted_sum", "product_indicator"]))
+        if family == "cylinder":
+            sigma, f = data.draw(table_walk_setups())
+            if data.draw(st.booleans()):
+                f = data.draw(partial_tables(f))
+            arity, depth = len(sigma.spaces.space_at(1).symbols), f.depth
+        else:
+            sigma, arity, depth = data.draw(product_measures()), 2, 6
+            f = data.draw(discounted_sums() if family == "discounted_sum"
+                          else product_indicators())
+        xs = data.draw(tail_points(sigma, arity))
+        if family == "product_indicator":
+            # the point that hits every target, and those that miss once
+            hit = DescribedPoint(f.targets_head, f.targets_tail)
+            xs += [hit] + [modify_point(hit, {i: 1 - hit.coordinate(i)})
+                           for i in range(1, depth + 3)]
+        stop = depth + 4
+        for x in xs:
+            for horizon in (None, data.draw(st.integers(0, 6))):
+                scan = _steps_from(f, sigma, x, horizon, 1, stop)
+                # every start in 1..depth+2 that the scan reaches
+                for start in range(1, min(scan[-1][0], depth + 2) + 1):
+                    assert _steps_from(f, sigma, x, horizon, start, stop) \
+                        == scan[start - 1:], start
+
+
 class TestStepNesting:
     """`DiscountedSum.nested_steps`: steps read at a depth h enclose those
     read at every deeper h', with eta 0, so a verdict decided at h is
@@ -541,12 +600,11 @@ class UserMix(TailFunction):
 class UserMixWithHooks(UserMix):
     """The same function, opting into an oracle and g_n steps."""
 
-    def expectation(self, mu, horizon):
-        return self.inner.expectation(mu, horizon)
+    def expectation(self, sigma):
+        return self.inner.expectation(sigma)
 
-    def martingale_steps(self, sigma, x, horizon):
-        return (self.expectation(HybridMeasure.measures_then_point(
-            sigma, x, n), horizon) for n in itertools.count(1))
+    def martingale_steps(self, sigma, x, horizon, start=1):
+        return self.inner.martingale_steps(sigma, x, horizon, start)
 
 
 class TestUserHooks:

@@ -577,6 +577,29 @@ def test_node_budget_flag_is_gone(capsys):
     assert "unrecognized arguments: --node-budget" in capsys.readouterr().err
 
 
+class TestGameVerbFlags:
+    """The game subparser takes every verb's flags; each verb rejects
+    those outside its own `COMMANDS` entry, before any work runs."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["game", "purify-demo", "value", "--epsilon", "5", "--samples", "3"],
+         "--epsilon"),
+        (["game", "purify-demo", "purify", "--samples", "3"], "--samples"),
+        (["game", "naming-game", "naming-demo", "--n-max", "4"], "--n-max"),
+    ], ids=["value", "purify", "naming-demo"])
+    def test_another_verbs_flag_exits_two(self, argv, flag, capsys,
+                                          monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a scenario was loaded")
+
+        monkeypatch.setattr(prodex.cli, "load_scenario", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: not read by game {argv[2]}" in \
+            capsys.readouterr().err
+
+
 class TestCountFlags:
     @pytest.mark.parametrize("argv", [
         ["verify-strong", "discounted-uniform", "--samples", "-1"],
