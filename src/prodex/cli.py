@@ -374,7 +374,10 @@ def run_scenario(path: str, command: str, args) -> int:
                "scenario": scenario.name, "scenario_digest": scenario.digest,
                "params": params, "result": result}
     text = "\n".join(lines) + "\n"
-    machine = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # encoded only when printed or written: large for a long campaign
+    machine = (json.dumps(payload, sort_keys=True, indent=2) + "\n"
+               if args.report == "machine" or args.report_dir is not None
+               else None)
     sys.stdout.write(machine if args.report == "machine" else text)
     if args.report_dir is not None:
         directory = Path(args.report_dir)

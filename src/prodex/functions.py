@@ -23,6 +23,7 @@ mismatch verdicts, are hard (eta = 0).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,6 +82,9 @@ class TailFunction:
     #: whether `martingale_steps` at a depth h enclose those at every deeper
     #: depth, with eta 0: a scan decided at h stands (`harness.verify_strong`)
     nested_steps = False
+    #: the k such that f depends on coordinates 1..k alone, or None: a
+    #: campaign record then depends on its sample's first k symbols alone
+    leading_coordinates: Optional[int] = None
 
     range_lo: Fraction
     range_hi: Fraction
@@ -207,6 +211,10 @@ class Cylinder(TailFunction):
     _levels: list = field(init=False, repr=False)
 
     family = "cylinder"
+
+    @property
+    def leading_coordinates(self) -> int:
+        return self.depth
 
     def __post_init__(self):
         if self.depth < 0:
@@ -617,8 +625,11 @@ class ProductIndicator(TailFunction):
         if stream is not None:
             hit = streams_eventually_equal(stream, self.targets_stream())
             return lambda n: _ONE if hit and last_miss < n else _ZERO
+        # every n <= depth + 1 asks for the enclosure past depth: built once
+        at_depth = functools.cache(lambda: self._unread_match(rest, depth))
         return lambda n: (_ZERO if last_miss >= n else
-                          self._unread_match(rest, max(n - 1, depth)))
+                          at_depth() if n <= depth + 1 else
+                          self._unread_match(rest, n - 1))
 
     def _read_depth(self, rest: PointSpec, horizon: int) -> int:
         """Coordinates of rest that `_tail_match` reads explicitly, at least."""

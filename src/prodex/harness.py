@@ -8,10 +8,13 @@ always uses the substream seed ``derive_seed(master, "<campaign>-sample",
 j)``, so campaigns are deterministic given (scenario, master seed,
 sample count); samples run one after another and records come out in
 sample order; a weak sample is `tailclass._weak_sample`, as in
-`weak_zero_from_sample`.  A report names no scenario: the CLI's machine
-report carries the scenario's digest beside it.  A campaign passes
-`horizon` on as given; None is the function's default depth, which the
-library resolves through `f.read_horizon` wherever a point is read.
+`weak_zero_from_sample`.  When f depends on its first k coordinates
+alone (`TailFunction.leading_coordinates`), a record depends only on the
+sample's first k symbols, so each distinct prefix is decided once.  A
+report names no scenario: the CLI's machine report carries the
+scenario's digest beside it.  A campaign passes `horizon` on as given;
+None is the function's default depth, which the library resolves
+through `f.read_horizon` wherever a point is read.
 """
 
 from __future__ import annotations
@@ -79,11 +82,22 @@ class VerificationReport:
         return max((r.eta for r in self.records), default=F0)
 
 
-def _report(theorem, records, seed) -> VerificationReport:
+def _campaign(theorem, label, f, sigma, seed, samples, decide):
+    """The report of samples 0..samples-1: sample j's point x is drawn at
+    `derive_seed(seed, label, j)`, and its (outcome, detail, eta) is
+    `decide(j, x)`, taken once per distinct prefix of x's first
+    `f.leading_coordinates` symbols (once per sample if None)."""
+    k, verdicts, records = f.leading_coordinates, {}, []
+    for j in range(samples):
+        sub = derive_seed(seed, label, j)
+        x = LazyPoint(sub, sigma)
+        key = j if k is None else tuple(map(x.coordinate, range(1, k + 1)))
+        if key not in verdicts:
+            verdicts[key] = decide(j, x)
+        records.append(SampleRecord(j, sub, *verdicts[key]))
     counts = [sum(r.outcome == outcome for r in records)
               for outcome in (CERTIFIED, INCONCLUSIVE, FAILED)]
-    return VerificationReport(theorem, len(records), *counts,
-                              tuple(records), seed)
+    return VerificationReport(theorem, samples, *counts, tuple(records), seed)
 
 
 def _find_shallow_first(f, sigma, x, eps, n_max, tol, horizon, reference):
@@ -120,16 +134,14 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
     eps = as_fraction(epsilon)
     reference = expect(f, sigma, tol, horizon=horizon)
 
-    def worker(j: int) -> SampleRecord:
-        sub = derive_seed(seed, "strong-sample", j)
-        x = LazyPoint(sub, sigma)
+    def decide(j: int, x: LazyPoint) -> tuple:
         res = _find_shallow_first(f, sigma, x, eps, n_max, tol, horizon,
                                   reference)
         outcome = (CERTIFIED if res.outcome == FOUND else
                    FAILED if res.outcome == NOT_FOUND else INCONCLUSIVE)
-        return SampleRecord(j, sub, outcome, res.n, res.eta)
+        return outcome, res.n, res.eta
 
-    return _report(STRONG, [worker(j) for j in range(samples)], seed)
+    return _campaign(STRONG, "strong-sample", f, sigma, seed, samples, decide)
 
 
 def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
@@ -149,11 +161,10 @@ def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
         raise ValidationError("hull depth must be >= 1")
     r = expect(f, sigma, tol, horizon=horizon).midpoint
 
-    def worker(j: int) -> SampleRecord:
-        sub, hull, cert = _weak_sample(f, sigma, r, m, seed, j, horizon)
+    def decide(j: int, x: LazyPoint) -> tuple:
+        _, hull, cert = _weak_sample(f, sigma, r, m, seed, j, horizon)
         if cert is not None:
-            return SampleRecord(j, sub, CERTIFIED, cert.coordinate, cert.eta)
-        return SampleRecord(j, sub, INCONCLUSIVE, m,
-                            F0 if hull is None else hull.eta)
+            return CERTIFIED, cert.coordinate, cert.eta
+        return INCONCLUSIVE, m, F0 if hull is None else hull.eta
 
-    return _report(WEAK, [worker(j) for j in range(samples)], seed)
+    return _campaign(WEAK, "weak-sample", f, sigma, seed, samples, decide)

@@ -8,21 +8,33 @@ from hypothesis import strategies as st
 
 from prodex import harness
 from prodex.engine import expect
-from prodex.errors import StraddleNotFoundError, ValidationError
+from prodex.errors import (
+    StraddleNotFoundError,
+    UndeterminedValueError,
+    ValidationError,
+)
 from prodex.functions import Cylinder, DiscountedSum
 from prodex.harness import (
     CERTIFIED,
     FAILED,
     INCONCLUSIVE,
+    SampleRecord,
     verify_strong,
     verify_weak,
 )
 from prodex.martingale import FOUND, NOT_FOUND, find_strong_approx
 from prodex.model import LazyPoint
+from prodex.scenario import load_scenario
 from prodex.seeds import derive_seed
-from prodex.tailclass import weak_zero_from_sample
+from prodex.tailclass import (
+    _weak_sample,
+    construct_weak_zero,
+    hull_estimate,
+    weak_zero_from_sample,
+)
 
 from conftest import (
+    cylinders,
     discounted_sums,
     discounted_unit,
     geometric_sigma,
@@ -157,7 +169,12 @@ class TestShallowFirst:
                       60, TOL, seed=2024)
         verify_strong(mix_cylinder(), uniform_sigma(), F(1, 10), 20, 4, TOL,
                       seed=1)
-        assert set(depths) == {None} and len(depths) == 40
+        # the cylinder campaign decides each distinct prefix of its samples
+        # once, so it scans once per prefix, not once per sample
+        prefixes = {tuple(LazyPoint(derive_seed(1, "strong-sample", j),
+                                    uniform_sigma()).coordinate(i)
+                          for i in (1, 2)) for j in range(20)}
+        assert set(depths) == {None} and len(depths) == 20 + len(prefixes)
         depths.clear()
         # epsilon is the sample's own |f(x) - E[f]|, read deeper than the
         # cap: g_1 stays undecided at every rung, up to the cap
@@ -233,3 +250,71 @@ class TestVerifyWeak:
         b = verify_weak(mix_cylinder(), uniform_sigma(), 2, 60, TOL, seed=12)
         assert a.records == b.records
         assert [r.index for r in a.records] == list(range(60))
+
+
+class TestOncePerPrefix:
+    """A cylinder campaign decides each distinct prefix of its samples
+    once; every record is still the one its sample gives alone."""
+
+    @given(f=cylinders(), sigma=product_measures(),
+           seed=st.integers(0, 2**64 - 1), samples=st.integers(1, 60),
+           eps=st.sampled_from([F(0), F(1, 10), F(1, 2)]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_strong_records_match_each_sample_alone(self, f, sigma, seed,
+                                                    samples, eps, data):
+        horizon = data.draw(st.none() | st.integers(0, f.depth + 1))
+        n_max = data.draw(st.integers(1, f.depth + 2))
+        rep = verify_strong(f, sigma, eps, samples, n_max, TOL, seed=seed,
+                            horizon=horizon)
+        reference = expect(f, sigma, TOL, horizon=horizon)
+        outcomes = TestShallowFirst.OUTCOMES
+        assert len(rep.records) == samples
+        for j, r in enumerate(rep.records):
+            sub = derive_seed(seed, "strong-sample", j)
+            res = find_strong_approx(f, sigma, LazyPoint(sub, sigma), eps,
+                                     n_max, TOL, horizon=horizon,
+                                     reference=reference)
+            assert r == SampleRecord(j, sub,
+                                     outcomes.get(res.outcome, INCONCLUSIVE),
+                                     res.n, res.eta)
+
+    @given(f=cylinders(), sigma=product_measures(),
+           seed=st.integers(0, 2**64 - 1), samples=st.integers(1, 60),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_weak_records_match_each_sample_alone(self, f, sigma, seed,
+                                                  samples, data):
+        horizon = data.draw(st.none() | st.integers(0, f.depth + 1))
+        m = data.draw(st.integers(1, f.depth + 2))
+        rep = verify_weak(f, sigma, m, samples, TOL, seed=seed,
+                          horizon=horizon)
+        r = expect(f, sigma, TOL, horizon=horizon).midpoint
+        assert len(rep.records) == samples
+        for j, record in enumerate(rep.records):
+            sub = derive_seed(seed, "weak-sample", j)
+            try:
+                hull = hull_estimate(f, LazyPoint(sub, sigma), m,
+                                     sigma.spaces, horizon=horizon)
+                cert = construct_weak_zero(
+                    f, sigma, hull.witness_min, hull.witness_max, r,
+                    horizon) if hull.contains(r) else None
+            except UndeterminedValueError:
+                hull = cert = None
+            expected = (
+                (CERTIFIED, cert.coordinate, cert.eta) if cert is not None
+                else (INCONCLUSIVE, m, F(0) if hull is None else hull.eta))
+            assert record == SampleRecord(j, sub, *expected)
+
+    def test_cylinder_threshold_decides_at_most_eight_samples(self,
+                                                              monkeypatch):
+        decided = []
+
+        def spy(*args):
+            decided.append(args)
+            return _weak_sample(*args)
+
+        monkeypatch.setattr(harness, "_weak_sample", spy)
+        scenario = load_scenario("cylinder-threshold")
+        rep = verify_weak(scenario.function, scenario.measure, 3, 1250, TOL)
+        assert rep.samples == 1250 and rep.certified_fraction == 1
+        assert 1 <= len(decided) <= 8  # binary coordinates 1..3
