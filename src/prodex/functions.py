@@ -51,8 +51,10 @@ DEFAULT_HORIZON = 64
 Measure = Union[ProductMeasure, HybridMeasure]
 
 
-#: the hard points 0, which every mismatch verdict shares, and 1
-_ZERO, _ONE = ValueBounds(F0, F0), ValueBounds(F1, F1)
+#: the hard points 0, which every mismatch verdict shares, and 1, and
+#: the hard interval [0, 1]
+_ZERO, _ONE, _UNIT = (ValueBounds(F0, F0), ValueBounds(F1, F1),
+                      ValueBounds(F0, F1))
 
 
 def _explicit_limit(rest: PointSpec, horizon: int) -> int:
@@ -648,7 +650,7 @@ class ProductIndicator(TailFunction):
         """
         root = _root_of(rest)[0]
         if not isinstance(root, LazyPoint):
-            return ValueBounds(F0, F1)
+            return _UNIT
         measure = root.measure
         eta = F0
         boundary = max(k, measure.head_len)
@@ -659,7 +661,7 @@ class ProductIndicator(TailFunction):
             eta += measure.tail.disagreement_bound(
                 self.targets_stream(), boundary, measure.head_len)
         except UnsupportedTailError:
-            return ValueBounds(F0, F1)
+            return _UNIT
         return ValueBounds(F1, F1, min(eta, F1))
 
     def read_horizon(self, point, horizon):
@@ -724,10 +726,10 @@ class ProductIndicator(TailFunction):
                 return _ZERO
             if rest is None:
                 deviation = self.spaces.any_alternatives_beyond(m)
-                return ValueBounds(F0 if deviation else F1, F1)
+                return _UNIT if deviation else _ONE
             if match is None:
                 match = self._tail_match(rest, rest_from, horizon)(rest_from)
-            if match.hi == 0 or last_free <= m:
+            if match is _ZERO or last_free <= m:
                 return match
-            return ValueBounds(F0, F1)
+            return _UNIT
         return bounds

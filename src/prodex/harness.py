@@ -162,7 +162,7 @@ def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
     r = expect(f, sigma, tol, horizon=horizon).midpoint
 
     def decide(j: int, x: LazyPoint) -> tuple:
-        _, hull, cert = _weak_sample(f, sigma, r, m, seed, j, horizon)
+        hull, cert = _weak_sample(f, sigma, r, m, x, horizon)
         if cert is not None:
             return CERTIFIED, cert.coordinate, cert.eta
         return INCONCLUSIVE, m, F0 if hull is None else hull.eta

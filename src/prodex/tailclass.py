@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, gt, lt
 from typing import Optional
 
 from .engine import expect
@@ -132,7 +133,7 @@ def _determined_value(f: TailFunction, x: PointSpec,
 
 
 def _determined(vb: ValueBounds, depth: int) -> ValueBounds:
-    if vb.width > DETERMINED_WIDTH:
+    if vb.lo is not vb.hi and vb.width > DETERMINED_WIDTH:
         raise UndeterminedValueError(
             f"function value not determinable at horizon {depth} "
             f"(enclosure width {round_up(vb.width)})"
@@ -151,7 +152,9 @@ def hull_estimate(f: TailFunction, x: PointSpec, m: int, spaces: SpaceFamily,
     there, and once more for the base point's own value.  Each endpoint
     is the value of its witness, so the span is inner; for the built-in
     families it is the exact span, because their window bounds are
-    attained and the search never leaves an optimal completion.
+    attained and the search never leaves an optimal completion.  Scoring
+    compares enclosure ends in place, allocating nothing per candidate;
+    ties keep the base point's own symbol, then space order.
     """
     if m < 0:
         raise ValidationError("hull depth must be >= 0")
@@ -173,17 +176,24 @@ def _guided_witness(window, x: PointSpec, m: int, spaces: SpaceFamily,
     """The witness's symbols at 1..m, chosen coordinate by coordinate.
 
     At coordinate i the symbol optimizing the enclosure of f over
-    (chosen prefix, free window to m, base point beyond) is kept; ties
-    prefer the base point's own symbol, then space order.  Every
-    enclosure comes from `window`, one window over x from m + 1 on.
+    (chosen prefix, free window to m, base point beyond) is kept.  The
+    own symbol is bounded first, then the others in space order, and a
+    candidate replaces the best only with a strictly higher hi (max) or
+    lower lo (min), compared in place and skipped when both ends are one
+    object: ties keep the own symbol, then the first in space order.
+    Every enclosure comes from `window`, one window over x from m + 1 on.
     """
+    end, better = (attrgetter("hi"), gt) if maximize else (attrgetter("lo"), lt)
     prefix = ()
     for i in range(1, m + 1):
         own = x.coordinate(i)
-        symbols = [own] + [s for s in spaces.space_at(i).symbols if s != own]
-        bounds = [window(prefix + (s,)) for s in symbols]
-        scores = [vb.hi if maximize else -vb.lo for vb in bounds]
-        prefix += (symbols[scores.index(max(scores))],)
+        best_symbol, best = own, end(window(prefix + (own,)))
+        for s in spaces.space_at(i).symbols:
+            if s != own:
+                e = end(window(prefix + (s,)))
+                if e is not best and better(e, best):
+                    best_symbol, best = s, e
+        prefix += (best_symbol,)
     return prefix
 
 
@@ -225,8 +235,9 @@ def construct_weak_zero(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
     eta = F0
     for k in range(1, n + 2):
         vb = _determined(window(ys[:k - 1] + xs[k - 1:]), depth)
-        values.append(vb.midpoint)
-        eta = max(eta, vb.eta)
+        values.append(vb.lo if vb.lo is vb.hi else vb.midpoint)
+        if vb.eta:
+            eta = max(eta, vb.eta)
     fx, fy = values[0], values[-1]
     if not fx <= rv <= fy:
         raise NotStraddlingError(
@@ -269,22 +280,20 @@ def construct_weak_zero(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
 
 
 def _weak_sample(f: TailFunction, sigma: ProductMeasure, r: Fraction, m: int,
-                 seed: int, j: int, horizon: Optional[int]) -> tuple:
-    """(substream, depth-m hull, certificate) of weak sample j of `seed`.
+                 x: LazyPoint, horizon: Optional[int]) -> tuple:
+    """(depth-m hull, certificate) of the weak sample at point x.
 
     The certificate is None when the hull misses r; both are None when a
     value the sample reads (the base, a witness or a walk point) is
     undetermined at the horizon."""
-    sub = derive_seed(seed, "weak-sample", j)
     try:
-        hull = hull_estimate(f, LazyPoint(sub, sigma), m, sigma.spaces,
-                             horizon=horizon)
+        hull = hull_estimate(f, x, m, sigma.spaces, horizon=horizon)
         if not hull.contains(r):
-            return sub, hull, None
-        return sub, hull, construct_weak_zero(
+            return hull, None
+        return hull, construct_weak_zero(
             f, sigma, hull.witness_min, hull.witness_max, r, horizon)
     except UndeterminedValueError:
-        return sub, None, None
+        return None, None
 
 
 def weak_zero_from_sample(f: TailFunction, sigma: ProductMeasure,
@@ -308,7 +317,8 @@ def weak_zero_from_sample(f: TailFunction, sigma: ProductMeasure,
     r = (expect(f, sigma, tol, horizon=horizon).midpoint
          if reference is None else as_fraction(reference))
     for j in range(retries):
-        cert = _weak_sample(f, sigma, r, m, seed, j, horizon)[2]
+        x = LazyPoint(derive_seed(seed, "weak-sample", j), sigma)
+        cert = _weak_sample(f, sigma, r, m, x, horizon)[1]
         if cert is not None:
             return cert
     raise StraddleNotFoundError(m, retries)

@@ -98,6 +98,11 @@ CASES = [
     ["verify-weak", WALK, "--depth", "2", "--horizon", "2", "--samples", "12",
      "--seed", "183"],
     ["weak-approx", WALK, "--depth", "2", "--horizon", "2", "--seed", "183"],
+    # weak campaigns at the bench's own shape: 150 hulls of depth 30, and
+    # discounted sums at depth 8
+    ["verify-weak", "example-3-4", "--samples", "150", "--seed", "31"],
+    ["verify-weak", "discounted-uniform", "--depth", "8", "--samples", "4",
+     "--seed", "31"],
 ]
 
 

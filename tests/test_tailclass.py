@@ -18,7 +18,15 @@ from prodex.errors import (
     StraddleNotFoundError,
     UndeterminedValueError,
 )
-from prodex.functions import Cylinder, ProductIndicator, eval_function
+from prodex.functions import (
+    Cylinder,
+    DiscountedSum,
+    GeometricWeights,
+    ProductIndicator,
+    TailFunction,
+    ValueBounds,
+    eval_function,
+)
 from prodex.harness import CERTIFIED, verify_weak
 from prodex.model import (
     ConstantSymbol,
@@ -26,6 +34,9 @@ from prodex.model import (
     HybridMeasure,
     LazyPoint,
     MeasureAssignment,
+    PeriodicMeasuresTail,
+    ProductMeasure,
+    SpaceFamily,
     agreement_index,
     modify_point,
     point_coordinate,
@@ -36,6 +47,7 @@ from prodex.seeds import derive_seed
 from prodex.tailclass import (
     UNDETERMINED,
     Z0_CERTIFIED,
+    _guided_witness,
     classify,
     construct_weak_zero,
     hull_estimate,
@@ -47,6 +59,7 @@ from conftest import (
     all_ones_point,
     all_zeros_point,
     binary_spaces,
+    coordinate_measures,
     cylinders,
     discounted_sums,
     discounted_unit,
@@ -58,6 +71,7 @@ from conftest import (
     points,
     product_indicators,
     product_measures,
+    tail_points,
     uniform_sigma,
 )
 
@@ -192,6 +206,106 @@ class TestHullEstimate:
             hull_estimate(f, x, 2, binary_spaces(), 2**20)
         with pytest.raises(TypeError):
             classify(f, sigma, x, F(1, 2), 2, 2**20, 64)
+
+
+def reference_guided_witness(window, x, m, spaces, maximize):
+    """The witness prefix scored as a list per coordinate: hi (max) or
+    -lo (min) of each candidate, own symbol first, then space order; the
+    first maximal score wins."""
+    prefix = ()
+    for i in range(1, m + 1):
+        own = x.coordinate(i)
+        symbols = [own] + [s for s in spaces.space_at(i).symbols if s != own]
+        bounds = [window(prefix + (s,)) for s in symbols]
+        scores = [vb.hi if maximize else -vb.lo for vb in bounds]
+        prefix += (symbols[scores.index(max(scores))],)
+    return prefix
+
+
+@dataclass(frozen=True)
+class FreshBounds(TailFunction):
+    """A user function behind `bounds_over` alone, which returns a new
+    enclosure with new ends on every call: no two candidates share one."""
+
+    inner: TailFunction
+
+    def bounds_over(self, prefix, rest=None, rest_from=None, horizon=None):
+        vb = self.inner.bounds_over(prefix, rest, rest_from, horizon)
+        return ValueBounds(F(vb.lo), F(vb.hi), F(vb.eta))
+
+
+#: few distinct values, so that ties are common
+TIED_VALUES = st.integers(0, 4).map(lambda k: F(k, 2))
+
+
+@st.composite
+def scoring_setups(draw):
+    """(f, sigma, arity): a cylinder, discounted sum or indicator over
+    1..5 symbols (or a binary one from the conftest strategies), sometimes
+    behind `FreshBounds`, and a measure over the same symbols."""
+    arity = draw(st.integers(1, 5))
+    symbols = tuple(range(arity))
+    spaces = SpaceFamily.uniform(symbols)
+    sigma = ProductMeasure(spaces, (), PeriodicMeasuresTail(tuple(
+        draw(st.lists(coordinate_measures(symbols), min_size=1,
+                      max_size=2)))))
+    kind = draw(st.sampled_from(["cylinder", "discounted", "indicator",
+                                 "binary"]))
+    if kind == "cylinder":
+        depth = draw(st.integers(1, 3 if arity > 3 else 4))
+        f = Cylinder(depth, {row: draw(TIED_VALUES) for row in
+                             itertools.product(symbols, repeat=depth)})
+    elif kind == "discounted":
+        f = DiscountedSum(GeometricWeights.of(1, F(1, 2)),
+                          {s: draw(TIED_VALUES) for s in symbols})
+    elif kind == "indicator":
+        target = st.sampled_from(symbols)
+        f = ProductIndicator(spaces, tuple(draw(st.lists(target,
+                                                         max_size=3))),
+                             ConstantSymbol(draw(target)))
+    else:
+        sigma = draw(product_measures())
+        f = draw(st.one_of(cylinders(), discounted_sums(),
+                           product_indicators()))
+        arity = 2
+    if draw(st.booleans()):
+        f = FreshBounds(f)
+    return f, sigma, arity
+
+
+class TestWitnessScoring:
+    """`_guided_witness` compares enclosure ends in place; it picks the
+    prefix that scoring every candidate into a list would pick."""
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_same_prefix_as_score_lists(self, data):
+        f, sigma, arity = data.draw(scoring_setups())
+        x = data.draw(st.sampled_from(data.draw(tail_points(sigma, arity))))
+        m = data.draw(st.integers(0, 6))
+        horizon = data.draw(st.none() | st.integers(0, 6))
+        depth = f.read_horizon(x, horizon)
+        for maximize in (False, True):
+            expected = reference_guided_witness(
+                f.window_bounds(x, m + 1, depth), x, m, sigma.spaces,
+                maximize)
+            assert _guided_witness(f.window_bounds(x, m + 1, depth), x, m,
+                                   sigma.spaces, maximize) == expected
+
+    @pytest.mark.parametrize("maximize, table, own, expected", [
+        (True, (0, 1, 1), 0, 1),
+        (False, (1, 0, 0), 0, 1),
+        (False, (0, 0, 1), 2, 0),
+    ])
+    def test_tie_above_the_own_symbol_goes_to_space_order(
+            self, maximize, table, own, expected):
+        # two other symbols tie (at hi 1, or at lo 0) and beat the own
+        # one: the first of them in space order wins
+        spaces = SpaceFamily.uniform((0, 1, 2))
+        f = Cylinder(1, {(s,): F(v) for s, v in enumerate(table)})
+        x = DescribedPoint((own,), ConstantSymbol(0))
+        assert _guided_witness(f.window_bounds(x, 2, 8), x, 1, spaces,
+                               maximize) == (expected,)
 
 
 class TestClassify:
