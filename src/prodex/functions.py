@@ -73,20 +73,18 @@ class TailFunction:
     A subclass implements `bounds_over` or `window_bounds`; each one's
     default is built from the other, and with them alone E[f] and every
     g_n are enclosed on the generic prefix tree.  A family opts into
-    faster routes through three hooks, each with a default: its exact
-    oracle (`expectation`), its g_n steps (`martingale_steps`) and how
-    far it reads a pinned point (`read_horizon`).  An oracle or a step
-    must enclose what the tree would.  A hybrid measure reaches the
-    steps from its switch on, never the oracle.
+    faster routes through four hooks, each with a default: its exact
+    oracle (`expectation`), its g_n steps (`martingale_steps`), how far
+    it reads a pinned point (`read_horizon`) and a sampled point
+    (`leading_coordinates`).  An oracle or a step must enclose what the
+    tree would.  A hybrid measure reaches the steps from its switch on,
+    never the oracle.
     """
 
     family = "abstract"
     #: whether `martingale_steps` at a depth h enclose those at every deeper
     #: depth, with eta 0: a scan decided at h stands (`harness.verify_strong`)
     nested_steps = False
-    #: the k such that f depends on coordinates 1..k alone, or None: a
-    #: campaign record then depends on its sample's first k symbols alone
-    leading_coordinates: Optional[int] = None
 
     range_lo: Fraction
     range_hi: Fraction
@@ -149,6 +147,14 @@ class TailFunction:
         horizon, else DEFAULT_HORIZON.  The one place where a horizon of
         None becomes a depth; resolving a depth again keeps it."""
         return DEFAULT_HORIZON if horizon is None else horizon
+
+    def leading_coordinates(self, point: PointSpec,
+                            horizon: Optional[int]) -> Optional[int]:
+        """The k such that f, at `horizon`, reads a lazily sampled `point`
+        at coordinates 1..k alone, or None: a campaign decides each
+        distinct x_1..x_k once, asking once per horizon for all of its
+        points, so k may depend on the point's measure, not its symbols."""
+        return None
 
 
 def eval_function(f: TailFunction, x: PointSpec,
@@ -213,10 +219,6 @@ class Cylinder(TailFunction):
     _levels: list = field(init=False, repr=False)
 
     family = "cylinder"
-
-    @property
-    def leading_coordinates(self) -> int:
-        return self.depth
 
     def __post_init__(self):
         if self.depth < 0:
@@ -298,6 +300,9 @@ class Cylinder(TailFunction):
         if isinstance(_root_of(rest)[0], LazyPoint):
             top = min(top, _explicit_limit(rest, horizon))
         return {i: rest.coordinate(i) for i in range(start, top + 1)}
+
+    def leading_coordinates(self, point, horizon):
+        return self.depth
 
     def window_bounds(self, rest, rest_from, horizon):
         # the block is read from rest once; each prefix is one level lookup
@@ -510,6 +515,9 @@ class DiscountedSum(TailFunction):
                       * self.weights.periodic_tail_sum(first, period))
         return exact, exact
 
+    def leading_coordinates(self, point, horizon):
+        return _explicit_limit(point, self.read_horizon(point, horizon))
+
     def window_bounds(self, rest, rest_from, horizon):
         if rest is None:
             rlo = rhi = rest_mass = F0
@@ -640,6 +648,9 @@ class ProductIndicator(TailFunction):
         if stream is not None:
             return max(stream.start - 1, targets.start - 1)
         return max(_explicit_limit(rest, horizon), targets.start - 1)
+
+    def leading_coordinates(self, point, horizon):
+        return self._read_depth(point, self.read_horizon(point, horizon))
 
     def _unread_match(self, rest: PointSpec, k: int) -> ValueBounds:
         """Enclosure of [every coordinate > k of rest hits its target].

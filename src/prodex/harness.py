@@ -8,9 +8,11 @@ always uses the substream seed ``derive_seed(master, "<campaign>-sample",
 j)``, so campaigns are deterministic given (scenario, master seed,
 sample count); samples run one after another and records come out in
 sample order; a weak sample is `tailclass._weak_sample`, as in
-`weak_zero_from_sample`.  When f depends on its first k coordinates
-alone (`TailFunction.leading_coordinates`), a record depends only on the
-sample's first k symbols, so each distinct prefix is decided once.  A
+`weak_zero_from_sample`.  Each decision, a strong scan at a ladder
+rung or at the cap or a weak sample, reads its point's first k symbols
+alone, k from `TailFunction.leading_coordinates` at the decision's
+horizon (at least the hull depth m for a weak sample), so a campaign
+decides each distinct (horizon, prefix) once and shares the verdict.  A
 report names no scenario: the CLI's machine report carries the
 scenario's digest beside it.  A campaign passes `horizon` on as given;
 None is the function's default depth, which the library resolves
@@ -38,6 +40,8 @@ WEAK = "weak-zero"
 CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
 FAILED = "failed"
+#: a strong sample's outcome for each finder outcome but INCONCLUSIVE
+_OUTCOMES = {FOUND: CERTIFIED, NOT_FOUND: FAILED}
 
 
 @dataclass(frozen=True)
@@ -82,41 +86,56 @@ class VerificationReport:
         return max((r.eta for r in self.records), default=F0)
 
 
-def _campaign(theorem, label, f, sigma, seed, samples, decide):
+def _campaign(theorem, label, f, sigma, seed, samples, decide, floor=0):
     """The report of samples 0..samples-1: sample j's point x is drawn at
     `derive_seed(seed, label, j)`, and its (outcome, detail, eta) is
-    `decide(j, x)`, taken once per distinct prefix of x's first
-    `f.leading_coordinates` symbols (once per sample if None)."""
-    k, verdicts, records = f.leading_coordinates, {}, []
+    `decide(x, once)`.  `decide` runs each scan or hull at a horizon h as
+    `once(x, h, run)`, which calls run() once per distinct (h, x_1..x_k),
+    k the larger of `floor` and `f.leading_coordinates(x, h)` (every time
+    if None), resolved once per h: each x is a fresh `LazyPoint` of sigma."""
+    reads, verdicts, records = {}, {}, []
+
+    def once(x, horizon, run):
+        if horizon not in reads:
+            k = f.leading_coordinates(x, horizon)
+            reads[horizon] = k if k is None else range(1, max(k, floor) + 1)
+        if reads[horizon] is None:
+            return run()
+        key = (horizon, *map(x.coordinate, reads[horizon]))
+        if key not in verdicts:
+            verdicts[key] = run()
+        return verdicts[key]
+
     for j in range(samples):
         sub = derive_seed(seed, label, j)
-        x = LazyPoint(sub, sigma)
-        key = j if k is None else tuple(map(x.coordinate, range(1, k + 1)))
-        if key not in verdicts:
-            verdicts[key] = decide(j, x)
-        records.append(SampleRecord(j, sub, *verdicts[key]))
+        records.append(SampleRecord(j, sub, *decide(LazyPoint(sub, sigma),
+                                                    once)))
     counts = [sum(r.outcome == outcome for r in records)
               for outcome in (CERTIFIED, INCONCLUSIVE, FAILED)]
     return VerificationReport(theorem, samples, *counts, tuple(records), seed)
 
 
-def _find_shallow_first(f, sigma, x, eps, n_max, tol, horizon, reference):
+def _find_shallow_first(f, sigma, x, eps, n_max, tol, horizon, reference,
+                        once):
     """`find_strong_approx` at `horizon`, reading x only as deep as its
     verdict needs: if `f.nested_steps`, a verdict decided with eta 0 at a
-    depth 4, 8, 16, ... below `f.read_horizon(x, horizon)` is the cap's."""
+    depth 4, 8, 16, ... below `f.read_horizon(x, horizon)` is the cap's.
+    Each scan, at a rung or the cap, runs through the campaign's `once`."""
+    def scan(h):
+        return find_strong_approx(f, sigma, x, eps, n_max, tol, horizon=h,
+                                  reference=reference)
+
     if f.nested_steps:
         cap, depth = f.read_horizon(x, horizon), 4
         while depth < cap:
             try:
-                res = find_strong_approx(f, sigma, x, eps, n_max, tol,
-                                         horizon=depth, reference=reference)
+                res = once(x, depth, lambda: scan(depth))
             except ValidationError:  # a shallow scan may step further
                 break
             if res.outcome in (FOUND, NOT_FOUND) and res.eta == 0:
                 return res
             depth *= 2
-    return find_strong_approx(f, sigma, x, eps, n_max, tol, horizon=horizon,
-                              reference=reference)
+    return once(x, horizon, lambda: scan(horizon))
 
 
 def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
@@ -134,12 +153,10 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
     eps = as_fraction(epsilon)
     reference = expect(f, sigma, tol, horizon=horizon)
 
-    def decide(j: int, x: LazyPoint) -> tuple:
+    def decide(x: LazyPoint, once) -> tuple:
         res = _find_shallow_first(f, sigma, x, eps, n_max, tol, horizon,
-                                  reference)
-        outcome = (CERTIFIED if res.outcome == FOUND else
-                   FAILED if res.outcome == NOT_FOUND else INCONCLUSIVE)
-        return outcome, res.n, res.eta
+                                  reference, once)
+        return _OUTCOMES.get(res.outcome, INCONCLUSIVE), res.n, res.eta
 
     return _campaign(STRONG, "strong-sample", f, sigma, seed, samples, decide)
 
@@ -161,10 +178,12 @@ def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
         raise ValidationError("hull depth must be >= 1")
     r = expect(f, sigma, tol, horizon=horizon).midpoint
 
-    def decide(j: int, x: LazyPoint) -> tuple:
+    def verdict(x: LazyPoint) -> tuple:
         hull, cert = _weak_sample(f, sigma, r, m, x, horizon)
         if cert is not None:
             return CERTIFIED, cert.coordinate, cert.eta
         return INCONCLUSIVE, m, F0 if hull is None else hull.eta
 
-    return _campaign(WEAK, "weak-sample", f, sigma, seed, samples, decide)
+    return _campaign(WEAK, "weak-sample", f, sigma, seed, samples,
+                     lambda x, once: once(x, horizon, lambda: verdict(x)),
+                     floor=m)

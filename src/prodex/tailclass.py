@@ -248,10 +248,10 @@ def construct_weak_zero(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
         sym_low = sym_high = x.coordinate(1)
     else:
         # f(x) <= r <= f(y), so the last walk value <= r before z_{n+1}
-        # and its successor straddle r: some adjacent pair does
-        k = next(j for j in range(1, n + 1)
-                 if min(values[j - 1], values[j]) <= rv
-                 <= max(values[j - 1], values[j]))
+        # and its successor straddle r: some adjacent pair does, the first
+        # whose sides of r (-1 below, 0 on, 1 above) are not one nonzero
+        sides = [(v > rv) - (v < rv) for v in values]
+        k = next(j for j in range(1, n + 1) if sides[j - 1] * sides[j] <= 0)
         v_low, v_high = values[k - 1], values[k]
         sym_low, sym_high = x.coordinate(k), y.coordinate(k)
 

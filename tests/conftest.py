@@ -368,9 +368,9 @@ def discounted_sums(draw):
 
 
 @st.composite
-def product_indicators(draw):
+def product_indicators(draw, max_head=3):
     return ProductIndicator(binary_spaces(),
-                            tuple(draw(st.lists(BITS, max_size=3))),
+                            tuple(draw(st.lists(BITS, max_size=max_head))),
                             draw(symbol_rules()))
 
 

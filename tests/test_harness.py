@@ -1,5 +1,6 @@
 """Verification campaigns: fractions, reproducibility, monotonicity."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from prodex import harness
 from prodex.engine import expect
 from prodex.errors import (
     StraddleNotFoundError,
-    UndeterminedValueError,
     ValidationError,
 )
 from prodex.functions import Cylinder, DiscountedSum
@@ -28,8 +28,6 @@ from prodex.scenario import load_scenario
 from prodex.seeds import derive_seed
 from prodex.tailclass import (
     _weak_sample,
-    construct_weak_zero,
-    hull_estimate,
     weak_zero_from_sample,
 )
 
@@ -40,6 +38,7 @@ from conftest import (
     geometric_sigma,
     indicator_all_ones,
     mix_cylinder,
+    product_indicators,
     product_measures,
     uniform_sigma,
 )
@@ -165,16 +164,19 @@ class TestShallowFirst:
             return find_strong_approx(*args, horizon=horizon, **kwargs)
 
         monkeypatch.setattr(harness, "find_strong_approx", spy)
-        verify_strong(indicator_all_ones(), geometric_sigma(), F(1, 100), 20,
-                      60, TOL, seed=2024)
-        verify_strong(mix_cylinder(), uniform_sigma(), F(1, 10), 20, 4, TOL,
-                      seed=1)
-        # the cylinder campaign decides each distinct prefix of its samples
+        # each campaign decides each distinct read prefix of its samples
         # once, so it scans once per prefix, not once per sample
-        prefixes = {tuple(LazyPoint(derive_seed(1, "strong-sample", j),
-                                    uniform_sigma()).coordinate(i)
-                          for i in (1, 2)) for j in range(20)}
-        assert set(depths) == {None} and len(depths) == 20 + len(prefixes)
+        scans = 0
+        for f, sigma, eps, n_max, seed in [
+                (indicator_all_ones(), geometric_sigma(), F(1, 100), 60, 2024),
+                (mix_cylinder(), uniform_sigma(), F(1, 10), 4, 1)]:
+            verify_strong(f, sigma, eps, 20, n_max, TOL, seed=seed)
+            points = [LazyPoint(derive_seed(seed, "strong-sample", j), sigma)
+                      for j in range(20)]
+            k = f.leading_coordinates(points[0], None)
+            scans += len({tuple(map(x.coordinate, range(1, k + 1)))
+                          for x in points})
+        assert set(depths) == {None} and len(depths) == scans < 40
         depths.clear()
         # epsilon is the sample's own |f(x) - E[f]|, read deeper than the
         # cap: g_1 stays undecided at every rung, up to the cap
@@ -252,23 +254,54 @@ class TestVerifyWeak:
         assert [r.index for r in a.records] == list(range(60))
 
 
-class TestOncePerPrefix:
-    """A cylinder campaign decides each distinct prefix of its samples
-    once; every record is still the one its sample gives alone."""
+#: every built-in family; an indicator's explicit target head may be
+#: longer than the horizon, which then reads that head all the same
+FAMILIES = st.one_of(cylinders(), discounted_sums(),
+                     product_indicators(max_head=10))
+HORIZONS = st.none() | st.integers(0, 9)
+EPSILONS = st.sampled_from([F(0), F(1, 10), F(1, 2)])
 
-    @given(f=cylinders(), sigma=product_measures(),
-           seed=st.integers(0, 2**64 - 1), samples=st.integers(1, 60),
-           eps=st.sampled_from([F(0), F(1, 10), F(1, 2)]), data=st.data())
+
+class GuardedPoint(LazyPoint):
+    """A lazy point that raises on a read past `limit`, once one is set."""
+
+    limit = None
+
+    def coordinate(self, i):
+        if self.limit is not None and i > self.limit:
+            raise AssertionError(f"read x_{i} past the key x_1..x_{self.limit}")
+        return super().coordinate(i)
+
+
+@contextlib.contextmanager
+def reading_key_alone(x, k):
+    """While inside, x may be read at the campaign key x_1..x_k alone,
+    which the campaign must have read, and nothing else, before."""
+    assert sorted(x._cache) == list(range(1, k + 1))
+    object.__setattr__(x, "limit", k)
+    try:
+        yield
+    finally:
+        object.__setattr__(x, "limit", None)
+
+
+class TestOncePerPrefix:
+    """A campaign decides each distinct read prefix of its samples once,
+    at every ladder rung and for every built-in family; every record is
+    still the one its sample gives alone."""
+
+    @given(f=FAMILIES, sigma=product_measures(),
+           seed=st.integers(0, 2**64 - 1), eps=EPSILONS, horizon=HORIZONS,
+           n_max=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_strong_records_match_each_sample_alone(self, f, sigma, seed,
-                                                    samples, eps, data):
-        horizon = data.draw(st.none() | st.integers(0, f.depth + 1))
-        n_max = data.draw(st.integers(1, f.depth + 2))
-        rep = verify_strong(f, sigma, eps, samples, n_max, TOL, seed=seed,
+                                                    eps, horizon, n_max):
+        # 24 samples on binary spaces, so that keys repeat
+        rep = verify_strong(f, sigma, eps, 24, n_max, TOL, seed=seed,
                             horizon=horizon)
         reference = expect(f, sigma, TOL, horizon=horizon)
         outcomes = TestShallowFirst.OUTCOMES
-        assert len(rep.records) == samples
+        assert len(rep.records) == 24
         for j, r in enumerate(rep.records):
             sub = derive_seed(seed, "strong-sample", j)
             res = find_strong_approx(f, sigma, LazyPoint(sub, sigma), eps,
@@ -278,32 +311,82 @@ class TestOncePerPrefix:
                                      outcomes.get(res.outcome, INCONCLUSIVE),
                                      res.n, res.eta)
 
-    @given(f=cylinders(), sigma=product_measures(),
-           seed=st.integers(0, 2**64 - 1), samples=st.integers(1, 60),
-           data=st.data())
+    @given(f=FAMILIES, sigma=product_measures(),
+           seed=st.integers(0, 2**64 - 1), horizon=HORIZONS,
+           m=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_weak_records_match_each_sample_alone(self, f, sigma, seed,
-                                                  samples, data):
-        horizon = data.draw(st.none() | st.integers(0, f.depth + 1))
-        m = data.draw(st.integers(1, f.depth + 2))
-        rep = verify_weak(f, sigma, m, samples, TOL, seed=seed,
-                          horizon=horizon)
+                                                  horizon, m):
+        rep = verify_weak(f, sigma, m, 24, TOL, seed=seed, horizon=horizon)
         r = expect(f, sigma, TOL, horizon=horizon).midpoint
-        assert len(rep.records) == samples
+        assert len(rep.records) == 24
         for j, record in enumerate(rep.records):
             sub = derive_seed(seed, "weak-sample", j)
-            try:
-                hull = hull_estimate(f, LazyPoint(sub, sigma), m,
-                                     sigma.spaces, horizon=horizon)
-                cert = construct_weak_zero(
-                    f, sigma, hull.witness_min, hull.witness_max, r,
-                    horizon) if hull.contains(r) else None
-            except UndeterminedValueError:
-                hull = cert = None
+            hull, cert = _weak_sample(f, sigma, r, m, LazyPoint(sub, sigma),
+                                      horizon)
             expected = (
                 (CERTIFIED, cert.coordinate, cert.eta) if cert is not None
                 else (INCONCLUSIVE, m, F(0) if hull is None else hull.eta))
             assert record == SampleRecord(j, sub, *expected)
+
+    @given(f=FAMILIES, sigma=product_measures(),
+           seed=st.integers(0, 2**64 - 1), eps=EPSILONS, horizon=HORIZONS,
+           n_max=st.integers(1, 8), m=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_no_decision_reads_past_its_key(self, f, sigma, seed, eps,
+                                            horizon, n_max, m):
+        # the campaign keys a scan, at a rung or the cap, by x_1..x_k, k
+        # the hook's answer at the scan's horizon, and a weak sample by
+        # x_1..x_max(k, m); deciding it reads nothing past that key
+        calls = []
+
+        def strong(f, sigma, x, *args, horizon, **kwargs):
+            calls.append(horizon)
+            with reading_key_alone(x, f.leading_coordinates(x, horizon)):
+                return find_strong_approx(f, sigma, x, *args,
+                                          horizon=horizon, **kwargs)
+
+        def weak(f, sigma, r, m, x, horizon):
+            calls.append(m)
+            with reading_key_alone(x, max(f.leading_coordinates(x, horizon),
+                                          m)):
+                return _weak_sample(f, sigma, r, m, x, horizon)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "LazyPoint", GuardedPoint)
+            patch.setattr(harness, "find_strong_approx", strong)
+            patch.setattr(harness, "_weak_sample", weak)
+            verify_strong(f, sigma, eps, 6, n_max, TOL, seed=seed,
+                          horizon=horizon)
+            strong_calls = len(calls)
+            verify_weak(f, sigma, m, 6, TOL, seed=seed, horizon=horizon)
+        assert 0 < strong_calls < len(calls)
+
+    def test_a_family_without_the_hook_decides_every_sample(self,
+                                                            monkeypatch):
+        class Unkeyed(Cylinder):
+            def leading_coordinates(self, point, horizon):
+                return None
+
+        calls = []
+
+        def spy(run):
+            def call(*args, **kwargs):
+                calls.append(args)
+                return run(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(harness, "find_strong_approx",
+                            spy(find_strong_approx))
+        monkeypatch.setattr(harness, "_weak_sample", spy(_weak_sample))
+        f = Unkeyed(2, mix_cylinder().table)
+        args = (uniform_sigma(), 2, 20, TOL)
+        assert verify_weak(f, *args).records == \
+            verify_weak(mix_cylinder(), *args).records
+        assert len(calls) == 20 + 4  # the keyed campaign: 4 prefixes
+        calls.clear()
+        verify_strong(f, uniform_sigma(), F(1, 10), 20, 4, TOL)
+        assert len(calls) == 20
 
     def test_cylinder_threshold_decides_at_most_eight_samples(self,
                                                               monkeypatch):

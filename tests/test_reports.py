@@ -103,6 +103,10 @@ CASES = [
     ["verify-weak", "example-3-4", "--samples", "150", "--seed", "31"],
     ["verify-weak", "discounted-uniform", "--depth", "8", "--samples", "4",
      "--seed", "31"],
+    # strong campaigns at the bench's own shape, 250 samples each
+    ["verify-strong", "discounted-uniform", "--samples", "250",
+     "--seed", "31"],
+    ["verify-strong", "example-3-4", "--samples", "250", "--seed", "31"],
 ]
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prodex.engine import expect
@@ -47,6 +47,7 @@ from prodex.seeds import derive_seed
 from prodex.tailclass import (
     UNDETERMINED,
     Z0_CERTIFIED,
+    _determined_value,
     _guided_witness,
     classify,
     construct_weak_zero,
@@ -388,6 +389,46 @@ class TestConstructWeakZero:
                                 k + 1, cert.point)
         res = expect(mix_cylinder(), mixture, TOL)
         assert res.interval.is_point and res.interval.lo == F(1, 2)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_coordinate_is_the_first_straddling_pair(self, data):
+        # reference: the walk values of the spliced points read on their
+        # own, then the first adjacent pair with min <= r <= max; r is a
+        # walk value or a midpoint of two, so ties with r are common
+        sigma = data.draw(product_measures())
+        f = data.draw(st.one_of(cylinders(), discounted_sums(),
+                                product_indicators()))
+        m = data.draw(st.integers(1, 6))
+        x = LazyPoint(data.draw(st.integers(0, 2**32)), sigma)
+        low, high = (modify_point(x, dict(enumerate(p, start=1)))
+                     for p in data.draw(st.lists(
+                         st.lists(BITS, min_size=m, max_size=m),
+                         min_size=2, max_size=2)))
+        n = agreement_index(low, high)
+
+        def walk(low, high):
+            return [_determined_value(f, splice_prefix(low, high, k),
+                                      None).midpoint
+                    for k in range(1, n + 2)]
+
+        try:
+            values = walk(low, high)
+            if values[0] > values[-1]:
+                low, high = high, low
+                values = walk(low, high)
+        except UndeterminedValueError:
+            values = None
+        assume(values is not None and values[0] <= values[-1])
+        candidates = values + [(a + b) / 2 for a, b in zip(values, values[1:])]
+        r = data.draw(st.sampled_from(
+            [v for v in candidates if values[0] <= v <= values[-1]]))
+        cert = construct_weak_zero(f, sigma, low, high, r)
+        assert cert.coordinate == next(
+            (j for j in range(1, n + 1)
+             if min(values[j - 1], values[j]) <= r
+             <= max(values[j - 1], values[j])), 1)
+        assert cert.achieved == r
 
     def test_adjacency_of_walk_points(self):
         sigma = uniform_sigma()
