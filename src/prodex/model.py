@@ -5,13 +5,13 @@ spaces.  Infinite objects (measures, points) carry an explicit finite
 head plus a finitely described tail rule, so every coordinate resolves
 in O(1) and closed-form tail computations stay exact.
 
-All types are immutable after construction except four pure memos:
-the realized-prefix cache of lazy points, the per-index tail spaces
-and tail measures of space families and product measures, and the CDF
-thresholds of a coordinate measure.  Each memoized value is a
-deterministic function of the object (and the index), so evaluation
-order cannot matter, and each tail measure is built, validated and
-given its thresholds once per index.
+All types are immutable after construction except three pure memos:
+the realized-prefix cache of lazy points, the per-index tail measures
+of product measures, and the CDF thresholds of a coordinate measure.
+Each memoized value is a deterministic function of the object (and the
+index), so evaluation order cannot matter.  A coordinate index is an
+argument, not part of a space or measure: a space family hands out one
+tail space past its head and a periodic tail its templates themselves.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ Symbol = Union[int, str]
 
 @dataclass(frozen=True)
 class CoordinateSpace:
-    """A finite labeled coordinate space at a fixed index."""
+    """A finite labeled coordinate space; `index` names the coordinate in
+    construction messages only, as one space serves a whole tail."""
 
     index: int
     symbols: tuple
@@ -63,7 +64,7 @@ class SpaceFamily:
 
     head: tuple
     tail_symbols: tuple
-    _tail_spaces: dict = field(default_factory=dict, repr=False, compare=False)
+    _tail_space: CoordinateSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for pos, space in enumerate(self.head, start=1):
@@ -71,8 +72,8 @@ class SpaceFamily:
                 raise ValidationError(
                     f"head space at position {pos} carries index {space.index}"
                 )
-        # validate the template itself
-        CoordinateSpace(max(1, len(self.head) + 1), tuple(self.tail_symbols))
+        object.__setattr__(self, "_tail_space", CoordinateSpace(
+            len(self.head) + 1, tuple(self.tail_symbols)))
 
     @classmethod
     def uniform(cls, symbols: Sequence, head_count: int = 0) -> "SpaceFamily":
@@ -85,10 +86,7 @@ class SpaceFamily:
             raise ValidationError(f"coordinate index must be >= 1, got {i}")
         if i <= len(self.head):
             return self.head[i - 1]
-        space = self._tail_spaces.get(i)
-        if space is None:
-            space = self._tail_spaces[i] = CoordinateSpace(i, self.tail_symbols)
-        return space
+        return self._tail_space
 
     def any_alternatives_beyond(self, i: int) -> bool:
         """True when some coordinate > i has at least two symbols."""
@@ -113,6 +111,7 @@ class CoordinateMeasure:
     positive-weight symbol j with k < ceil(cum_j * 2**64), where cum_j is
     the weight of symbols 1..j.  Since k / 2**64 < c exactly when
     k < ceil(c * 2**64), this is `sample(k / 2**64)`, symbol for symbol.
+    `space_index` names the coordinate in construction messages only.
     """
 
     space_index: int
@@ -165,11 +164,6 @@ class CoordinateMeasure:
     def max_weight(self) -> Fraction:
         return max(self.weights)
 
-    def at_index(self, i: int) -> "CoordinateMeasure":
-        if i == self.space_index:
-            return self
-        return CoordinateMeasure(i, self.symbols, self.weights)
-
     def mean_score(self, score_of) -> Fraction:
         """E[score]; a zero-weight symbol is never scored."""
         return sum((w * score_of(s) for s, w in self.items() if w), F0)
@@ -197,10 +191,6 @@ class CoordinateMeasure:
         for bound, sym in thresholds:
             if k < bound:
                 return sym
-        if not thresholds:
-            raise ValidationError(
-                f"coordinate {self.space_index}: no symbol has positive weight"
-            )
         # positive weights summing to slightly less than 1
         return thresholds[-1][1]
 
@@ -215,10 +205,6 @@ class CoordinateMeasure:
             acc += w
             if u < acc:
                 return sym
-        if chosen is None:
-            raise ValidationError(
-                f"coordinate {self.space_index}: no symbol has positive weight"
-            )
         return chosen
 
 
@@ -364,8 +350,8 @@ class PeriodicMeasuresTail(TailMeasureRule):
         return self.templates[(i - head_len - 1) % len(self.templates)]
 
     def measure_at(self, i, head_len, space):
-        m = self._template_for(i, head_len).at_index(i)
-        _check_alignment(m, space)
+        m = self._template_for(i, head_len)
+        _check_alignment(m, space, i)
         return m
 
     def _period_factors(self, targets, from_index, head_len):
@@ -398,8 +384,8 @@ class PeriodicMeasuresTail(TailMeasureRule):
 
 
 class ConstantMeasureTail(PeriodicMeasuresTail):
-    """The period-1 measure rule: every coordinate past the head follows
-    `template`, re-indexed."""
+    """The period-1 measure rule: every coordinate past the head has
+    `template` itself as its measure."""
 
     kind = "constant"
 
@@ -440,7 +426,7 @@ class GeometricBernoulliTail(TailMeasureRule):
                     f"geometric_bernoulli (expects {self.zero!r}/{self.one!r})"
                 )
         m = CoordinateMeasure(i, space.symbols, tuple(weights))
-        _check_alignment(m, space)
+        _check_alignment(m, space, i)
         return m
 
     def indicator_tail_product(self, targets, from_index, head_len):
@@ -483,10 +469,11 @@ def formula_tail(family: str, params: Optional[Mapping] = None) -> TailMeasureRu
     return cls(**dict(params or {}))
 
 
-def _check_alignment(measure: CoordinateMeasure, space: CoordinateSpace) -> None:
+def _check_alignment(measure: CoordinateMeasure, space: CoordinateSpace,
+                     i: int) -> None:
     if measure.symbols != space.symbols:
         raise ValidationError(
-            f"coordinate {space.index}: measure symbols {measure.symbols!r} "
+            f"coordinate {i}: measure symbols {measure.symbols!r} "
             f"do not match space symbols {space.symbols!r}"
         )
 
@@ -509,12 +496,7 @@ class ProductMeasure:
 
     def __post_init__(self):
         for pos, m in enumerate(self.head, start=1):
-            if m.space_index != pos:
-                raise ValidationError(
-                    f"measure.head[{pos - 1}]: carries index {m.space_index}, "
-                    f"expected {pos}"
-                )
-            _check_alignment(m, self.spaces.space_at(pos))
+            _check_alignment(m, self.spaces.space_at(pos), pos)
         # instantiate the rule over one period past every explicit space,
         # so each space it covers is checked: beyond that it repeats
         period = (len(self.tail.templates)
@@ -786,12 +768,6 @@ class HybridMeasure:
                 f"{len(self.head)} head assignments for switch index "
                 f"{self.switch_index}"
             )
-        for pos, a in enumerate(self.head, start=1):
-            if isinstance(a, MeasureAssignment) and a.measure.space_index != pos:
-                raise ValidationError(
-                    f"hybrid head[{pos - 1}]: measure carries index "
-                    f"{a.measure.space_index}"
-                )
 
     @classmethod
     def dirac(cls, x: PointSpec) -> "HybridMeasure":

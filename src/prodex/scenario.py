@@ -223,7 +223,7 @@ def _build_measure_tail(data, spaces, head_len, loc):
         for off, weights in enumerate(periods):
             templates.append(
                 _build_measure_vector(probe + off, weights, spaces,
-                                      f"{loc}.weights[{off}]").at_index(probe))
+                                      f"{loc}.weights[{off}]"))
         return PeriodicMeasuresTail(tuple(templates))
     if kind == "formula":
         family = _require(data, "family", loc)

@@ -692,4 +692,13 @@ class TestMeasureMemo:
 
         monkeypatch.setattr(CoordinateMeasure, "__post_init__", counting)
         verify_strong(f, sigma, F(1, 100), 40, 30, TOL, seed=4, horizon=30)
-        assert built and max(built.values()) == 1
+        if isinstance(sigma.tail, ConstantMeasureTail):
+            # a constant tail builds no measure: every tail coordinate the
+            # campaign resolved is the template itself
+            assert not built
+            read = range(sigma.head_len + 1, max(sigma._tail_measures) + 1)
+            assert len(read) > 1
+            assert all(sigma.coordinate_measure(i) is sigma.tail.template
+                       for i in read)
+        else:
+            assert built and max(built.values()) == 1

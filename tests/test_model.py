@@ -39,6 +39,7 @@ from prodex.model import (
 from prodex.seeds import derive_seed, unit_bits, unit_fraction, unit_hasher
 
 from conftest import (
+    PROBS,
     all_ones_point,
     binary_spaces,
     const_bernoulli_tail,
@@ -67,7 +68,7 @@ class TestSpaces:
         fam = SpaceFamily((CoordinateSpace(1, ("a", "b", "c")),), (0, 1))
         assert fam.space_at(1).symbols == ("a", "b", "c")
         assert fam.space_at(2).symbols == (0, 1)
-        assert fam.space_at(10**6).index == 10**6
+        assert fam.space_at(10**6) is fam.space_at(2)
 
     def test_family_head_indices_checked(self):
         with pytest.raises(ValidationError):
@@ -241,6 +242,30 @@ class TestResolveCoordinateMeasure:
         assert [sigma.coordinate_measure(i).weight_of(1)
                 for i in range(1, 7)] == [F(3, 4), F(1, 2), F(9, 10),
                                           F(1, 2), F(9, 10), F(1, 2)]
+
+    @settings(max_examples=40)
+    @given(space_head=st.integers(0, 3), head=st.lists(PROBS, max_size=3),
+           templates=st.lists(PROBS, min_size=1, max_size=4),
+           offsets=st.lists(st.integers(0, 10**6), min_size=2, max_size=4))
+    def test_tail_coordinates_share_their_template_and_space(
+            self, space_head, head, templates, offsets):
+        # the index is the caller's: no tail coordinate gets its own copy
+        spaces = binary_spaces(head_count=space_head)
+        sigma = ProductMeasure(
+            spaces, tuple(bernoulli_measure(i, p)
+                          for i, p in enumerate(head, start=1)),
+            PeriodicMeasuresTail(tuple(bernoulli_measure(1, p)
+                                       for p in templates)))
+        p, first = len(templates), len(head) + 1
+        for i in range(first, first + 3 * p):
+            assert sigma.coordinate_measure(i) is sigma.coordinate_measure(i + p)
+        tail_spaces = [spaces.space_at(space_head + 1 + off) for off in offsets]
+        assert all(space is tail_spaces[0] for space in tail_spaces)
+        x = all_ones_point()
+        for n in range(1, first + 3 * p + 1):
+            h = HybridMeasure.measures_then_point(sigma, x, n)
+            for i in range(1, n):
+                assert h.coordinate_measure(i) is sigma.coordinate_measure(i)
 
     def test_unregistered_formula_family(self):
         from prodex.errors import UnsupportedTailError
