@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from prodex.engine import expect
-from prodex.errors import NotFinitisticError, PurificationFailedError, ValidationError
+from prodex.errors import (
+    NotFinitisticError,
+    PurificationFailedError,
+    ToleranceConfigError,
+    ValidationError,
+)
 from prodex.functions import Cylinder, TailFunction
 from prodex.games import (
     FinitisticProfile,
@@ -179,6 +184,16 @@ class TestPurify:
             purify(coordinate_game(), uniform_sigma(), F(1, 100), 1,
                    F(1, 10**6), seed=0, retries=2)
         assert len(err.value.diagnostics) == 2
+
+    def test_tolerance_without_headroom_rejected(self):
+        # tol = epsilon/4 leaves no room to certify |g_n - E| <= epsilon
+        with pytest.raises(ToleranceConfigError):
+            purify(coordinate_game(), uniform_sigma(), F(1, 10), 8, F(1, 40))
+
+    def test_n_max_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="n_max"):
+            purify(coordinate_game(), uniform_sigma(), F(1, 10), 0,
+                   F(1, 10**10))
 
 
 class ScriptedPayoff(TailFunction):

@@ -107,6 +107,12 @@ CASES = [
     ["verify-strong", "discounted-uniform", "--samples", "250",
      "--seed", "31"],
     ["verify-strong", "example-3-4", "--samples", "250", "--seed", "31"],
+    # the epsilon = 0 boundary: example-3-4's g_n stays certified apart
+    # from E[f] up to n_max, while a cylinder's g_n is E[f] past its depth
+    ["verify-strong", "example-3-4", "--epsilon", "0", "--samples", "40",
+     "--seed", "1"],
+    ["verify-strong", "cylinder-mix", "--epsilon", "0", "--samples", "40",
+     "--seed", "1"],
 ]
 
 

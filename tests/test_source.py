@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used there."""
+"""Source hygiene: every name a module of the package imports is used
+there, and the package exports a fixed set of public names."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,38 @@ def test_the_check_sees_a_name_used_only_in_a_comment():
                      "def f(a: 'B'):\n"
                      "    pass  # A\n")
     assert set(imported_names(tree)) - used_names(tree) == {"A"}
+
+
+#: every name `prodex/__init__.py` binds for its users; public names stay,
+#: so a change that drops or renames one must show up here
+PUBLIC_NAMES = {
+    "ClassVerdict", "ConstantMeasureTail", "ConstantSymbol",
+    "CoordinateMeasure", "CoordinateSpace", "Cylinder", "DescribedPoint",
+    "DiscountedSum", "ExpectationResult", "FinitisticProfile", "GameSpec",
+    "GeometricWeights", "HullEstimate", "HybridMeasure", "Interval",
+    "LazyPoint", "MartingaleTrace", "PeriodicMeasuresTail", "PeriodicSymbols",
+    "PointSpec", "ProdexError", "ProductIndicator", "ProductMeasure",
+    "Scenario", "SpaceFamily", "StrongApproxResult", "TailFunction",
+    "ValueBounds", "VerificationReport", "WeakApproxCertificate",
+    "__version__", "agreement_index", "as_fraction", "bernoulli_measure",
+    "best_response_value", "classify", "constant_point",
+    "construct_weak_zero", "cylinder_sum", "dirac_measure", "eval_function",
+    "exact_expectation_product_indicator", "expect", "find_strong_approx",
+    "formula_tail", "g_n", "hull_estimate", "load_scenario", "modify_point",
+    "naming_game_exploit", "naming_game_value", "osc_bound",
+    "parse_scenario", "point_coordinate", "purify",
+    "resolve_coordinate_measure", "trace", "uniform_measure", "verify_strong",
+    "verify_weak", "weak_zero_from_sample",
+}
+
+
+def test_the_package_exports_its_public_names():
+    import prodex
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    assert bound == PUBLIC_NAMES
+    assert all(hasattr(prodex, name) for name in PUBLIC_NAMES)
