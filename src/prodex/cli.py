@@ -41,7 +41,7 @@ from .games import (
 )
 from .harness import verify_strong, verify_weak
 from .martingale import find_strong_approx, trace
-from .model import HybridMeasure, LazyPoint, MeasureAssignment
+from .model import HybridMeasure, LazyPoint
 from .numeric import F0, F1, ValueBounds, as_fraction, round_up
 from .scenario import BUILTIN_SCENARIOS, Scenario, load_scenario
 from .seeds import derive_seed
@@ -251,15 +251,9 @@ def _cmd_verify_weak(args, scenario: Scenario):
 
 def _profile_payload(profile: FinitisticProfile) -> dict:
     mu = profile.measure
-    head = []
-    for i in range(1, mu.switch_index):
-        a = mu.assignment_at(i)
-        if isinstance(a, MeasureAssignment):
-            head.append({"coordinate": i, "kind": "measure",
-                         "weights": [float(w) for w in a.measure.weights]})
-        else:
-            head.append({"coordinate": i, "kind": "dirac",
-                         "symbol": a.point.coordinate(i)})
+    head = [{"coordinate": i, "kind": "measure",
+             "weights": [float(w) for w in m.weights]}
+            for i, m in enumerate(mu.head, start=1)]
     return {"switch_index": mu.switch_index, "head": head}
 
 

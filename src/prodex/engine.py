@@ -3,9 +3,10 @@
 `expect` encloses E_mu[f] for a product or hybrid measure in an exact
 rational interval.  Both kinds of measure give `switch_index` (None for
 a product measure) and `coordinate_measure(i)`, one measure per index
-(a Dirac coordinate's is the one-point measure on its symbol), so every
-route reads them on one code path; they differ only from the switch on,
-where a hybrid pins `tail_point`.  Two routes:
+(a hybrid's head measures below the switch, a pinned one among them
+being the one-point measure on its symbol), so every route reads them
+on one code path; they differ only from the switch on, where a hybrid
+pins `tail_point`.  Two routes:
 
 * the function's own route (`_oracle`, see `TailFunction`): its oracle
   `f.expectation(mu)` for a product measure; for a hybrid, g_switch at
@@ -18,7 +19,7 @@ where a hybrid pins `tail_point`.  Two routes:
   raises UnsupportedTailError: for user-defined functions and tails
   without closed forms, each node scored by (cylinder measure x
   oscillation bound) and leaves pruned as soon as their enclosure width
-  hits zero.  A Dirac coordinate has one child, and nodes from the
+  hits zero.  A one-point coordinate has one child, and nodes from the
   switch index on are settled on the pinned point, so hybrid measures
   keep the tree narrow.  Its expansion limit, `node_budget`, is a
   keyword of `expect` alone; every other entry point runs the tree

@@ -138,7 +138,7 @@ class TailFunction:
         """Enclosures of g_start(x), g_{start+1}(x), ..., each equal to
         `g_n`'s, or None to evaluate each g_n on its own.  g_n reads
         `sigma.coordinate_measure(i)` for i < n alone, so sigma may be a
-        hybrid, Dirac head coordinates included.  An index the steps
+        hybrid, one-point head measures included.  An index the steps
         cannot settle raises what `g_n` would raise, at that index."""
         return None
 

@@ -28,7 +28,8 @@ from .errors import (
     ValidationError,
 )
 from .functions import TailFunction
-from .martingale import YES, _epsilon_verdicts, _scan, find_strong_approx
+from .martingale import (YES, _check_strong_args, _epsilon_verdicts,
+                         _first_certified, _scan)
 from .model import HybridMeasure, LazyPoint, ProductMeasure, SpaceFamily
 from .numeric import F0, Rational, ValueBounds, as_fraction
 from .seeds import derive_seed
@@ -147,11 +148,14 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
     certified index, then re-certifies every action at the common index
     n = max of those (closeness is not monotone in n, so the common
     index is never assumed, always re-checked; on failure larger n are
-    tried, then a fresh sample), from one lazy scan per action.
+    tried, then a fresh sample).  Each action's g_1, g_2, ... come from
+    one lazy scan per attempt: the re-check reads on from the last
+    value the search read, and keeps the last value it read itself.
     """
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise ValidationError("epsilon must be positive")
+    tol = _check_strong_args(eps, tol, n_max)
     references = {
         a: expect(game.payoff(a), sigma, tol, horizon=horizon)
         for a in game.actions
@@ -160,33 +164,31 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
     for attempt in range(retries):
         sample_seed = derive_seed(seed, "purify-sample", attempt)
         x = LazyPoint(sample_seed, sigma)
-        found = {}
+        scans, read = {}, {}  # per action: its scan, (n, g_n) read last
         failed = None
         for a in game.actions:
-            res = find_strong_approx(
-                game.payoff(a), sigma, x, eps, n_max, tol, horizon=horizon,
-                reference=references[a])
+            scans[a] = _scan(game.payoff(a), sigma, x, n_max, tol,
+                             horizon=horizon)
+            res = _first_certified(scans[a], references[a], eps, n_max)
             if not res.is_found:
                 failed = (a, res.outcome)
                 break
-            found[a] = res.n
+            read[a] = (res.n, res.found_value)
         if failed is not None:
             diagnostics.append(
                 f"attempt {attempt}: action {failed[0]!r} {failed[1]} "
                 f"up to n_max={n_max}"
             )
             continue
-        common = max(found.values())
-        scans = {a: _scan(game.payoff(a), sigma, x, n_max, tol,
-                          horizon=horizon) for a in game.actions}
-        values = {a: [] for a in game.actions}  # g_1, g_2, ... read so far
+        common = max(n for n, _ in read.values())
         for n in range(common, n_max + 1):
             certs = []
             eta = F0
             for a in game.actions:
-                while len(values[a]) < n:
-                    values[a].append(next(scans[a]))
-                value = values[a][n - 1]
+                k, value = read[a]
+                for _ in range(k, n):
+                    value = next(scans[a])
+                read[a] = (n, value)
                 eta = max(eta, value.eta, references[a].eta)
                 if _epsilon_verdicts(references[a].bounds, eps)(value) != YES:
                     certs = None

@@ -170,6 +170,21 @@ def compare_to_epsilon(value: ExpectationResult, reference: ExpectationResult,
                              as_fraction(epsilon))(value.bounds)
 
 
+def _check_strong_args(epsilon: Fraction, tol: Rational, n_max: int
+                       ) -> Fraction:
+    """tol as a Fraction, once it leaves headroom below epsilon/4 and
+    n_max >= 1; `find_strong_approx` and `games.purify` share the checks."""
+    tol_f = as_fraction(tol)
+    if epsilon > 0 and tol_f >= epsilon / 4:
+        raise ToleranceConfigError(
+            f"tol {float(tol_f)} leaves no certification headroom for "
+            f"epsilon {float(epsilon)} (need tol < epsilon/4)"
+        )
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
+    return tol_f
+
+
 def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
                        epsilon: Rational, n_max: int,
                        tol: Rational = Fraction(1, 10**9), *,
@@ -184,20 +199,20 @@ def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
     eps = as_fraction(epsilon)
     if eps < 0:
         raise ValidationError("epsilon must be nonnegative")
-    tol_f = as_fraction(tol)
-    if eps > 0 and tol_f >= eps / 4:
-        raise ToleranceConfigError(
-            f"tol {float(tol_f)} leaves no certification headroom for "
-            f"epsilon {float(eps)} (need tol < epsilon/4)"
-        )
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    tol_f = _check_strong_args(eps, tol, n_max)
     if reference is None:
         reference = expect(f, sigma, tol_f, horizon=horizon)
+    return _first_certified(_scan(f, sigma, x, n_max, tol_f, horizon=horizon),
+                            reference, eps, n_max)
+
+
+def _first_certified(scan, reference: ExpectationResult, eps: Fraction,
+                     n_max: int) -> StrongApproxResult:
+    """`find_strong_approx`'s verdict on the enclosures g_1, g_2, ... that
+    `scan` yields, read up to the first certified index and no further."""
     undecided = []
     eta = reference.eta
     verdict_of = _epsilon_verdicts(reference.bounds, eps)
-    scan = _scan(f, sigma, x, n_max, tol_f, horizon=horizon)
     for n, value in enumerate(scan, start=1):
         eta = max(eta, value.eta)
         verdict = verdict_of(value)

@@ -520,10 +520,6 @@ class ProductMeasure:
                 i, len(self.head), self.spaces.space_at(i))
         return m
 
-    def assignment_at(self, i: int) -> "Assignment":
-        """Coordinate i's measure, as `HybridMeasure.assignment_at` gives it."""
-        return MeasureAssignment(self.coordinate_measure(i))
-
 
 def resolve_coordinate_measure(sigma: ProductMeasure, i: int) -> CoordinateMeasure:
     """Measure of coordinate i: head lookup or tail rule instantiation."""
@@ -732,28 +728,14 @@ def agreement_index(x: PointSpec, y: PointSpec) -> int:
 # Hybrid measures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeasureAssignment:
-    measure: CoordinateMeasure
-    is_dirac = False
-
-
-@dataclass(frozen=True, eq=False)
-class DiracAssignment:
-    point: PointSpec
-    is_dirac = True
-
-
-Assignment = Union[MeasureAssignment, DiracAssignment]
-
-
 @dataclass(frozen=True, eq=False)
 class HybridMeasure:
-    """Per-coordinate mix of measures and Dirac points, Dirac from switch_index on.
+    """Coordinate measures below switch_index, Dirac on tail_point from it on.
 
-    Coordinates below switch_index follow `head` (measure or Dirac each);
-    every coordinate >= switch_index is the Dirac measure on tail_point.
-    `coordinate_measure(i)` gives each as a measure, like `ProductMeasure`'s.
+    `head` holds the measures of coordinates 1 .. switch_index - 1; a
+    pinned head coordinate is the one-point measure on its symbol.
+    `coordinate_measure(i)` gives each coordinate's measure, like
+    `ProductMeasure`'s.
     """
 
     head: tuple
@@ -765,7 +747,7 @@ class HybridMeasure:
             raise ValidationError("switch index must be >= 1")
         if len(self.head) != self.switch_index - 1:
             raise ValidationError(
-                f"{len(self.head)} head assignments for switch index "
+                f"{len(self.head)} head measures for switch index "
                 f"{self.switch_index}"
             )
 
@@ -777,22 +759,14 @@ class HybridMeasure:
     def measures_then_point(cls, sigma: ProductMeasure, x: PointSpec,
                             n: int) -> "HybridMeasure":
         """sigma_1 x ... x sigma_{n-1} x x_n x x_{n+1} x ..."""
-        head = tuple(
-            MeasureAssignment(sigma.coordinate_measure(i)) for i in range(1, n)
-        )
-        return cls(head, n, x)
-
-    def assignment_at(self, i: int) -> Assignment:
-        if i < 1:
-            raise ValidationError(f"coordinate index must be >= 1, got {i}")
-        if i >= self.switch_index:
-            return DiracAssignment(self.tail_point)
-        return self.head[i - 1]
+        return cls(tuple(sigma.coordinate_measure(i) for i in range(1, n)),
+                   n, x)
 
     def coordinate_measure(self, i: int) -> CoordinateMeasure:
-        """Coordinate i's measure; a Dirac coordinate's is the one-point
-        measure on its symbol, so no massless symbol is ranked or scored."""
-        a = self.assignment_at(i)
-        if a.is_dirac:
-            return CoordinateMeasure(i, (a.point.coordinate(i),), (F1,))
-        return a.measure
+        """Coordinate i's measure; from the switch on, the one-point measure
+        on tail_point's symbol, so no massless symbol is ranked or scored."""
+        if i < 1:
+            raise ValidationError(f"coordinate index must be >= 1, got {i}")
+        if i < self.switch_index:
+            return self.head[i - 1]
+        return CoordinateMeasure(i, (self.tail_point.coordinate(i),), (F1,))

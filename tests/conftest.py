@@ -27,7 +27,6 @@ from prodex.model import (
     ConstantSymbol,
     CoordinateMeasure,
     DescribedPoint,
-    DiracAssignment,
     LazyPoint,
     ModifiedPoint,
     PeriodicMeasuresTail,
@@ -53,6 +52,12 @@ settings.load_profile("prodex")
 
 def binary_spaces(head_count: int = 0) -> SpaceFamily:
     return SpaceFamily.uniform((0, 1), head_count)
+
+
+def point_mass(i: int, symbol) -> CoordinateMeasure:
+    """The one-point measure on `symbol` at coordinate i: how a hybrid
+    measure pins a coordinate."""
+    return CoordinateMeasure(i, (symbol,), (F(1),))
 
 
 def uniform_tail() -> ConstantMeasureTail:
@@ -155,7 +160,7 @@ def reference_cylinder_sum(f: Cylinder, mu, horizon=None):
     pins = {}
     if k < f.depth:
         pins = f.pinned_coordinates(
-            mu.assignment_at(k + 1).point, k + 1,
+            mu.tail_point, k + 1,
             DEFAULT_HORIZON if horizon is None else horizon)
     groups = {}
     for key, value in f.table.items():
@@ -163,12 +168,8 @@ def reference_cylinder_sum(f: Cylinder, mu, horizon=None):
             continue
         seen = groups.setdefault(key[:k], [value, value])
         seen[0], seen[1] = min(seen[0], value), max(seen[1], value)
-    weights = []
-    for i in range(1, k + 1):
-        a = mu.assignment_at(i)
-        weights.append({a.point.coordinate(i): F(1)}
-                       if isinstance(a, DiracAssignment)
-                       else dict(a.measure.items()))
+    weights = [dict(mu.coordinate_measure(i).items())
+               for i in range(1, k + 1)]
     lo = hi = covered = F(0)
     for prefix, (vlo, vhi) in groups.items():
         w = prod((weights[j].get(sym, F(0)) for j, sym in enumerate(prefix)),
@@ -179,6 +180,57 @@ def reference_cylinder_sum(f: Cylinder, mu, horizon=None):
     if covered != prod((sum(w.values(), F(0)) for w in weights), start=F(1)):
         raise ValidationError("cylinder rows miss positive mass")
     return lo, hi
+
+
+def reference_discounted_sum(f: DiscountedSum, mu, horizon=None):
+    """Independent oracle: E_mu[f] of a discounted sum under a hybrid mu.
+
+    A running Fraction sum, weight w_i = coef * ratio**i: w_i E_i[score]
+    for each coordinate i below the switch, then w_i score(x_i) for each
+    coordinate of the pinned point x read one by one from the switch on,
+    then the rest past the last read: per symbol of x's periodic stream in
+    closed form, or, for a point without one (read as far as the horizon
+    and its overrides), the remaining weight times the score range.
+    """
+    n, x = mu.switch_index, mu.tail_point
+    coef, ratio = f.weights.coef, f.weights.ratio
+    total = F(0)
+    for i in range(1, n):
+        mean = sum((p * f.scores[s] for s, p in mu.coordinate_measure(i).items()
+                    if p), F(0))
+        total += coef * ratio**i * mean
+    stream = x.eventual_stream()
+    if stream is None:
+        h = DEFAULT_HORIZON if horizon is None else horizon
+        last = max(n - 1, h, _root_of(x)[1])
+    else:
+        last = max(n - 1, stream.start - 1)
+    total += reference_weighted_scores(
+        f, n, [x.coordinate(i) for i in range(n, last + 1)])
+    if stream is None:
+        rest = coef * ratio**(last + 1) / (1 - ratio)
+        return ValueBounds(total + rest * min(f.scores.values()),
+                           total + rest * max(f.scores.values()))
+    period = len(stream.symbols)
+    for i in range(last + 1, last + period + 1):
+        total += (f.scores[stream.symbol_at(i)]
+                  * coef * ratio**i / (1 - ratio**period))
+    return ValueBounds(total, total)
+
+
+def reference_indicator(f: ProductIndicator, mu, horizon=None):
+    """Independent oracle: E_mu[f] of a product indicator under a hybrid
+    mu: prod_{i < switch} mu_i(target_i), a plain Fraction product, times
+    the enclosure that the pinned point hits every target from the switch
+    on (`_reference_tail_match`, as deep as `f.read_horizon` reads), which
+    is not read once the product is 0."""
+    n, x = mu.switch_index, mu.tail_point
+    product = prod((dict(mu.coordinate_measure(i).items()).get(
+        f.target_at(i), F(0)) for i in range(1, n)), start=F(1))
+    if product == 0:
+        return ValueBounds(F(0), F(0))
+    match = _reference_tail_match(f, x, n, f.read_horizon(x, horizon))
+    return ValueBounds(product * match.lo, product * match.hi, match.eta)
 
 
 def reference_cylinder_bounds(f: Cylinder, prefix, rest=None, rest_from=None,

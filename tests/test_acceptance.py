@@ -19,7 +19,6 @@ from prodex.martingale import find_strong_approx, g_n, trace
 from prodex.model import (
     HybridMeasure,
     LazyPoint,
-    MeasureAssignment,
     modify_point,
     uniform_measure,
 )
@@ -173,7 +172,7 @@ def test_criterion_6_naming_game_separation(capsys):
         for j in range(100):
             sub = derive_seed(ACCEPTANCE_SEED, "naming", j)
             switch = 1 + (sub % 6)
-            head = tuple(MeasureAssignment(uniform_measure(i, (0, 1)))
+            head = tuple(uniform_measure(i, (0, 1))
                          for i in range(1, switch))
             from prodex.games import FinitisticProfile
             tau = FinitisticProfile(

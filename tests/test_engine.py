@@ -26,10 +26,8 @@ from prodex.model import (
     ConstantSymbol,
     CoordinateMeasure,
     DescribedPoint,
-    DiracAssignment,
     HybridMeasure,
     LazyPoint,
-    MeasureAssignment,
     PeriodicMeasuresTail,
     ProductMeasure,
     SpaceFamily,
@@ -52,6 +50,7 @@ from conftest import (
     indicator_all_ones,
     mix_cylinder,
     partial_product,
+    point_mass,
     points,
     product_indicators,
     product_measures,
@@ -251,13 +250,13 @@ class TestHybridSoundness:
 
     @given(data=st.data())
     @settings(max_examples=60)
-    def test_dirac_head_assignments(self, data):
+    def test_one_point_head_measures(self, data):
         sigma, f = data.draw(product_measures()), data.draw(SEPARABLE)
         x, y = draw_point(data, sigma, f), data.draw(points(sigma))
         dirac = data.draw(st.lists(st.booleans(), max_size=5))
         head = tuple(
-            DiracAssignment(y) if pinned
-            else MeasureAssignment(sigma.coordinate_measure(i))
+            point_mass(i, y.coordinate(i)) if pinned
+            else sigma.coordinate_measure(i)
             for i, pinned in enumerate(dirac, start=1))
         assert_oracle_inside_tree(f, HybridMeasure(head, len(head) + 1, x),
                                   data.draw(HORIZONS))
@@ -446,8 +445,8 @@ class TestCylinderOracle:
         dirac = data.draw(st.lists(st.booleans(), min_size=f.depth,
                                    max_size=f.depth))
         head = tuple(
-            DiracAssignment(y if i % 2 else z) if dirac[i - 1]
-            else MeasureAssignment(sigma.coordinate_measure(i))
+            point_mass(i, (y if i % 2 else z).coordinate(i)) if dirac[i - 1]
+            else sigma.coordinate_measure(i)
             for i in range(1, switch))
         for horizon in (None, *range(f.depth + 1)):
             assert_oracle_matches_tree(f, HybridMeasure(head, switch, x),
@@ -521,15 +520,16 @@ class TestCylinderOracle:
 # ---------------------------------------------------------------------------
 
 class TestPointMass:
-    """A head coordinate given as `DiracAssignment(y)` and one given as
-    the measure `dirac_measure(i, symbols, y_i)` are the same measure, so
-    every family's oracle returns the same enclosure for both."""
+    """A head coordinate given as the one-point measure on y_i and one
+    given as `dirac_measure(i, symbols, y_i)`, which lists every symbol
+    of the space, are the same measure, so every family's oracle returns
+    the same enclosure for both."""
 
     @pytest.mark.parametrize("family", ["cylinder", "discounted_sum",
                                         "product_indicator"])
     @given(data=st.data())
     @settings(max_examples=30)
-    def test_dirac_assignment_is_a_dirac_measure(self, family, data):
+    def test_one_point_measure_is_a_dirac_measure(self, family, data):
         if family == "cylinder":
             arity, sigma, f = data.draw(cylinder_setups())
             x, y, z = data.draw(tail_points(sigma, arity))
@@ -548,13 +548,13 @@ class TestPointMass:
 
         def hybrid(pinned):
             head = tuple(
-                MeasureAssignment(sigma.coordinate_measure(i)) if p is None
+                sigma.coordinate_measure(i) if p is None
                 else pinned(i, p) for i, p in enumerate(pins, start=1))
             return HybridMeasure(head, switch, x)
 
-        by_point = hybrid(lambda i, p: DiracAssignment(p))
-        by_measure = hybrid(lambda i, p: MeasureAssignment(dirac_measure(
-            i, sigma.spaces.space_at(i).symbols, p.coordinate(i))))
+        by_point = hybrid(lambda i, p: point_mass(i, p.coordinate(i)))
+        by_measure = hybrid(lambda i, p: dirac_measure(
+            i, sigma.spaces.space_at(i).symbols, p.coordinate(i)))
         a, b = (expect(f, mu, horizon=horizon)
                 for mu in (by_point, by_measure))
         assert a.oracle_used and b.oracle_used
@@ -643,7 +643,7 @@ class TestIntegerTableSum:
 
     @given(data=st.data())
     @settings(max_examples=40, phases=NO_SHRINK)
-    def test_dirac_head_assignments(self, data):
+    def test_one_point_head_measures(self, data):
         sigma, f = data.draw(table_walk_setups())
         arity = len(sigma.spaces.space_at(1).symbols)
         x, y, z = data.draw(tail_points(sigma, arity))
@@ -651,8 +651,8 @@ class TestIntegerTableSum:
         dirac = data.draw(st.lists(st.booleans(), min_size=switch - 1,
                                    max_size=switch - 1))
         head = tuple(
-            DiracAssignment(y if i % 2 else z) if dirac[i - 1]
-            else MeasureAssignment(sigma.coordinate_measure(i))
+            point_mass(i, (y if i % 2 else z).coordinate(i)) if dirac[i - 1]
+            else sigma.coordinate_measure(i)
             for i in range(1, switch))
         for horizon in (None, data.draw(st.integers(0, f.depth))):
             assert_sum_matches_reference(f, HybridMeasure(head, switch, x),

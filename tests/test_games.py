@@ -25,7 +25,6 @@ from prodex.model import (
     ConstantMeasureTail,
     HybridMeasure,
     LazyPoint,
-    MeasureAssignment,
     ProductMeasure,
     bernoulli_measure,
     formula_tail,
@@ -120,9 +119,8 @@ class TestPurify:
         res = purify(coordinate_game(), uniform_sigma(), F(1, 10), 8,
                      F(1, 10**10), seed=3)
         assert res.n == 2
-        head = res.profile.measure.assignment_at(1)
-        assert isinstance(head, MeasureAssignment)
-        assert head.measure.weight_of(1) == F(1, 2)
+        head, = res.profile.measure.head
+        assert head.weight_of(1) == F(1, 2)
         for cert in res.per_action:
             assert cert.profile_value.is_point
             assert cert.profile_value.lo == F(1, 2)
@@ -198,18 +196,21 @@ class TestPurify:
 
 class ScriptedPayoff(TailFunction):
     """A payoff whose E[f] is 0 and whose g_1, g_2, ... at every point
-    are `script`, its last value repeated: set by hand, to steer purify."""
+    are `script`, its last value repeated: set by hand, to steer purify.
+    `scans` counts the calls of its steps."""
 
     family = "scripted"
     range_lo, range_hi = F(0), F(1)
 
     def __init__(self, *script):
         self.script = script
+        self.scans = 0
 
     def expectation(self, sigma):
         return ValueBounds.point(F(0))
 
     def martingale_steps(self, sigma, x, horizon, start=1):
+        self.scans += 1
         return map(ValueBounds.point, itertools.islice(itertools.chain(
             self.script, itertools.repeat(self.script[-1])), start - 1, None))
 
@@ -234,6 +235,8 @@ class TestPurifyCommonIndex:
                 for c in res.per_action] == [
             ("a", 4, ValueBounds.point(F(0))),
             ("b", 4, ValueBounds.point(F(0)))]
+        # one scan per action serves both the search and the re-check
+        assert [game.payoff(a).scans for a in game.actions] == [1, 1]
 
     def test_no_common_index_fails_with_its_diagnostic(self):
         # a passes at 1 only, b from 3 on: no index certifies both
@@ -281,8 +284,7 @@ class TestNamingGame:
 
     def test_exploit_names_switch_coordinate(self):
         sigma = uniform_sigma()
-        head = tuple(MeasureAssignment(uniform_measure(i, (0, 1)))
-                     for i in range(1, 6))
+        head = tuple(uniform_measure(i, (0, 1)) for i in range(1, 6))
         tail = LazyPoint(77, sigma)
         tau = FinitisticProfile(HybridMeasure(head, 6, tail))
         n, j = naming_game_exploit(tau)
@@ -301,7 +303,7 @@ class TestNamingGame:
         for j in range(25):
             sub = derive_seed(123, "naming", j)
             switch = 1 + (sub % 5)
-            head = tuple(MeasureAssignment(uniform_measure(i, (0, 1)))
+            head = tuple(uniform_measure(i, (0, 1))
                          for i in range(1, switch))
             tau = FinitisticProfile(
                 HybridMeasure(head, switch, LazyPoint(sub, sigma)))
@@ -341,9 +343,9 @@ class TestEventuallyPureMarkovDemo:
         assert cert.achieved == target
         # replaying it as a strategy profile reproduces the payoff exactly
         mixture = HybridMeasure(
-            tuple(HybridMeasure.dirac(cert.point).assignment_at(i)
+            tuple(HybridMeasure.dirac(cert.point).coordinate_measure(i)
                   for i in range(1, cert.coordinate))
-            + (MeasureAssignment(cert.tau),),
+            + (cert.tau,),
             cert.coordinate + 1, cert.point)
         res = expect(payoff, mixture, TOL)
         assert res.interval.contains(target)

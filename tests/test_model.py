@@ -17,10 +17,8 @@ from prodex.model import (
     CoordinateMeasure,
     CoordinateSpace,
     DescribedPoint,
-    DiracAssignment,
     HybridMeasure,
     LazyPoint,
-    MeasureAssignment,
     ModifiedPoint,
     PeriodicMeasuresTail,
     PeriodicSymbols,
@@ -46,6 +44,7 @@ from conftest import (
     coordinate_measures,
     discounted_unit,
     lazy_product_measures,
+    point_mass,
     product_measures,
     reference_coordinate,
     uniform_sigma,
@@ -431,33 +430,34 @@ class TestAgreementIndex:
 class TestHybridMeasure:
     def test_switch_index_consistency(self, sigma_uniform):
         x = all_ones_point()
-        with pytest.raises(ValidationError):
-            HybridMeasure((MeasureAssignment(uniform_measure(1, (0, 1))),), 1, x)
+        with pytest.raises(ValidationError, match="1 head measures for "
+                                                  "switch index 1"):
+            HybridMeasure((uniform_measure(1, (0, 1)),), 1, x)
 
     def test_measures_then_point(self, sigma_uniform):
         x = all_ones_point()
         h = HybridMeasure.measures_then_point(sigma_uniform, x, 3)
-        assert isinstance(h.assignment_at(1), MeasureAssignment)
-        assert isinstance(h.assignment_at(2), MeasureAssignment)
-        a3 = h.assignment_at(3)
-        assert isinstance(a3, DiracAssignment)
-        assert a3.point.coordinate(3) == 1
+        # the head is sigma's own memoized measures
+        assert len(h.head) == 2
+        assert all(m is sigma_uniform.coordinate_measure(i)
+                   for i, m in enumerate(h.head, start=1))
+        assert h.coordinate_measure(3) == point_mass(3, 1)
 
     def test_dirac_is_switch_one(self):
         h = HybridMeasure.dirac(all_ones_point())
-        assert h.switch_index == 1
-        assert isinstance(h.assignment_at(1), DiracAssignment)
+        assert h.switch_index == 1 and h.head == ()
+        assert h.coordinate_measure(1) == point_mass(1, 1)
 
     def test_coordinate_measure_of_each_kind_of_coordinate(self):
         head_measure = bernoulli_measure(1, F(1, 3))
         y = DescribedPoint((1, 0), ConstantSymbol(1))
-        h = HybridMeasure((MeasureAssignment(head_measure),
-                           DiracAssignment(y)), 3, all_ones_point())
-        # a measure head coordinate gives its own measure
+        pinned = point_mass(2, y.coordinate(2))
+        h = HybridMeasure((head_measure, pinned), 3, all_ones_point())
+        # a head coordinate gives its own measure, a pinned one included
         assert h.coordinate_measure(1) is head_measure
-        # a Dirac coordinate is the one-point measure on its symbol, not
-        # the whole space with zero weights
-        assert h.coordinate_measure(2) == CoordinateMeasure(2, (0,), (F(1),))
+        assert h.coordinate_measure(2) is pinned
+        # from the switch on, the one-point measure on the tail point's
+        # symbol, not the whole space with zero weights
         for i in (3, 4, 50):
             assert h.coordinate_measure(i) == CoordinateMeasure(
                 i, (1,), (F(1),))

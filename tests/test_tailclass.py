@@ -33,7 +33,6 @@ from prodex.model import (
     DescribedPoint,
     HybridMeasure,
     LazyPoint,
-    MeasureAssignment,
     PeriodicMeasuresTail,
     ProductMeasure,
     SpaceFamily,
@@ -382,10 +381,10 @@ class TestConstructWeakZero:
         cert = construct_weak_zero(mix_cylinder(), sigma, x, y, F(1, 2))
         k = cert.coordinate
         head = tuple(
-            HybridMeasure.dirac(cert.point).assignment_at(i)
+            HybridMeasure.dirac(cert.point).coordinate_measure(i)
             for i in range(1, k)
         )
-        mixture = HybridMeasure(head[:k - 1] + (MeasureAssignment(cert.tau),),
+        mixture = HybridMeasure(head[:k - 1] + (cert.tau,),
                                 k + 1, cert.point)
         res = expect(mix_cylinder(), mixture, TOL)
         assert res.interval.is_point and res.interval.lo == F(1, 2)
