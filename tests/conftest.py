@@ -420,10 +420,10 @@ def discounted_sums(draw):
 
 
 @st.composite
-def product_indicators(draw, max_head=3):
+def product_indicators(draw, max_head=3, tails=symbol_rules()):
     return ProductIndicator(binary_spaces(),
                             tuple(draw(st.lists(BITS, max_size=max_head))),
-                            draw(symbol_rules()))
+                            draw(tails))
 
 
 @st.composite

@@ -22,9 +22,11 @@ from prodex.functions import (
 )
 from prodex.model import (
     ConstantSymbol,
+    CoordinateSpace,
     DescribedPoint,
     LazyPoint,
     PeriodicSymbols,
+    SpaceFamily,
     modify_point,
 )
 
@@ -73,6 +75,16 @@ class TestEvalFunction:
         vb = eval_function(f, x, horizon=5)
         assert (vb.is_point and vb.lo == 0) or (vb.lo == 0 and vb.hi == 1)
         assert vb.eta == 0
+
+    def test_soft_verdict_widens_to_the_range(self):
+        # x hits every target it is read at; the unread tail misses with
+        # probability at most 2**-8 under the geometric tail
+        f, sigma = indicator_all_ones(), geometric_sigma()
+        x = modify_point(LazyPoint(0, sigma), {i: 1 for i in range(1, 9)})
+        soft = f.eval_soft(x, horizon=8)
+        assert (soft.lo, soft.hi, soft.eta) == (1, 1, F(1, 256))
+        vb = eval_function(f, x, horizon=8)
+        assert (vb.lo, vb.hi, vb.eta) == (0, 1, 0)
 
     def test_discounted_described_exact_via_closed_form(self):
         f = discounted_unit()
@@ -137,6 +149,17 @@ class TestIndicatorMonotonicity:
         coord = data.draw(st.integers(min_value=1, max_value=12))
         after = eval_function(f, modify_point(x, {coord: 0}), horizon=16).lo
         assert after <= before
+
+
+class TestFreeTail:
+    def test_a_head_space_with_alternatives_leaves_the_value_open(self):
+        # two binary head spaces, then one symbol: only coordinate 2 can
+        # still miss once coordinate 1 is pinned to its target
+        spaces = SpaceFamily((CoordinateSpace(1, (0, 1)),
+                              CoordinateSpace(2, (0, 1))), (1,))
+        f = indicator_all_ones(spaces)
+        assert f.bounds_over((1,)) == ValueBounds(F(0), F(1))
+        assert f.bounds_over((1, 1)) == ValueBounds(F(1), F(1))
 
 
 class TestOscBound:

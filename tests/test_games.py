@@ -113,6 +113,17 @@ class TestBestResponse:
         with pytest.raises(ValidationError):
             GameSpec(("a",), binary_spaces(), {"a": fa}, F(0), F(1))
 
+    def test_duplicate_actions_rejected(self):
+        fa = Cylinder(1, {(0,): F(0), (1,): F(1)})
+        with pytest.raises(ValidationError, match="duplicate actions"):
+            GameSpec(("a", "a"), binary_spaces(), {"a": fa}, F(0), F(1))
+
+    def test_action_without_payoff_rejected(self):
+        fa = Cylinder(1, {(0,): F(0), (1,): F(1)})
+        with pytest.raises(ValidationError,
+                           match="action 'b' has no payoff function"):
+            GameSpec(("a", "b"), binary_spaces(), {"a": fa}, F(0), F(1))
+
 
 class TestPurify:
     def test_coordinate_game_pins_from_two(self):
@@ -187,6 +198,11 @@ class TestPurify:
         # tol = epsilon/4 leaves no room to certify |g_n - E| <= epsilon
         with pytest.raises(ToleranceConfigError):
             purify(coordinate_game(), uniform_sigma(), F(1, 10), 8, F(1, 40))
+
+    @pytest.mark.parametrize("epsilon", [0, F(-1, 10)])
+    def test_epsilon_must_be_positive(self, epsilon):
+        with pytest.raises(ValidationError, match="epsilon must be positive"):
+            purify(coordinate_game(), uniform_sigma(), epsilon, 8, seed=3)
 
     def test_n_max_below_one_rejected(self):
         with pytest.raises(ValidationError, match="n_max"):
@@ -274,6 +290,15 @@ class TestNamingGame:
             1, (0, 1, 2), (F(1, 3), F(1, 3), F(1, 3)))
         sigma = ProductMeasure(spaces, (), ConstantMeasureTail(third))
         with pytest.raises(ValidationError):
+            naming_game_value(sigma)
+
+    def test_nonbinary_head_coordinate_rejected(self):
+        from prodex.model import CoordinateSpace, SpaceFamily
+        spaces = SpaceFamily((CoordinateSpace(1, (0, 1, 2)),), (0, 1))
+        head = (uniform_measure(1, (0, 1, 2)),)
+        sigma = ProductMeasure(spaces, head, ConstantMeasureTail(
+            uniform_measure(2, (0, 1))))
+        with pytest.raises(ValidationError, match="coordinate 1 is not binary"):
             naming_game_value(sigma)
 
     def test_exploit_all_dirac_from_one(self):

@@ -80,6 +80,7 @@ from conftest import (
     reference_bounds_over,
     reference_discounted_sum,
     reference_indicator,
+    symbol_rules,
     table_walk_setups,
     tail_points,
     uniform_sigma,
@@ -360,6 +361,15 @@ def assert_scan_matches_g_n(f, sigma, x, n_max, horizon):
             (expected.lo, expected.hi, expected.eta), n
 
 
+@st.composite
+def matched_lazy_points(draw, f, sigma, horizon):
+    """A lazy point set to f's targets on every coordinate f reads of it,
+    so f's verdict at it rests on its unread tail alone."""
+    x = LazyPoint(draw(st.integers(0, 2**32)), sigma)
+    depth = f.leading_coordinates(x, horizon)
+    return modify_point(x, {i: f.target_at(i) for i in range(1, depth + 1)})
+
+
 class TestScanMatchesPerIndex:
     """Each step of the scan equals the g_n evaluated on its own and the
     exact reference of conftest, including indices past the realization
@@ -376,10 +386,15 @@ class TestScanMatchesPerIndex:
     @given(data=st.data())
     @settings(max_examples=40)
     def test_product_indicator(self, data):
+        # a matched lazy point reaches the soft verdicts, 0 < eta < 1, most
+        # often under all-ones targets and a geometric tail
         sigma = data.draw(product_measures())
-        assert_scan_matches_g_n(
-            data.draw(product_indicators()), sigma, data.draw(points(sigma)),
-            16, data.draw(st.one_of(st.none(), st.integers(0, 10))))
+        f = data.draw(product_indicators(
+            tails=symbol_rules() | st.just(ConstantSymbol(1))))
+        horizon = data.draw(st.one_of(st.none(), st.integers(0, 10)))
+        for x in (data.draw(points(sigma)),
+                  data.draw(matched_lazy_points(f, sigma, horizon))):
+            assert_scan_matches_g_n(f, sigma, x, 16, horizon)
 
     @pytest.mark.parametrize("family", ["discounted_sum", "product_indicator"])
     @given(data=st.data())

@@ -113,6 +113,13 @@ CASES = [
      "--seed", "1"],
     ["verify-strong", "cylinder-mix", "--epsilon", "0", "--samples", "40",
      "--seed", "1"],
+    # a command that needs a part its scenario does not declare: exit 2
+    ["expect", "naming-game"],
+    ["game", "discounted-uniform", "value"],
+    # at horizon 1, g_1 .. g_6 straddle epsilon and g_7 is certified
+    # close, so no smallest n is certain: inconclusive, exit 1
+    ["strong-approx", "discounted-uniform", "--seed", "1", "--horizon", "1",
+     "--epsilon", "0.01"],
 ]
 
 

@@ -21,7 +21,8 @@ from prodex.engine import expect
 from prodex.errors import ScenarioError
 from prodex.games import DEFAULT_PURIFY_RETRIES
 from prodex.martingale import g_n, trace
-from prodex.model import ConstantSymbol, DescribedPoint, LazyPoint
+from prodex.model import (ConstantSymbol, DescribedPoint, LazyPoint,
+                          PeriodicSymbols)
 from prodex.numeric import round_up
 from prodex.scenario import BUILTIN_SCENARIOS, load_scenario, parse_scenario
 
@@ -135,6 +136,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "Found(6)" in out
+
+    def test_strong_approx_inconclusive_lists_undecided(self, capsys):
+        # g_1 .. g_6 straddle epsilon at horizon 1, and g_7 is certified
+        code = main(["strong-approx", "discounted-uniform", "--seed", "1",
+                     "--horizon", "1", "--epsilon", "0.01"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert "  Inconclusive(undecided n: [1, 2, 3, 4, 5, 6])" in out
 
     def test_gn_trace_two_column_block(self, capsys):
         code = main(["gn-trace", "example-3-4", "--point", "all-ones",
@@ -918,6 +927,35 @@ class TestMeasureTailFitsEverySpace:
             (g, g) for g in (
                 sum(weight(i) / 2**i for i in range(1, n)) + F(1, 2**(n - 1))
                 for n in range(1, 7))]
+
+
+class TestNamedPoints:
+    """A scenario's named lazy point and a named described point with a
+    periodic symbol tail are the points the library builds: `gn-trace
+    --point` reports the library's trace at each."""
+
+    def test_gn_trace_reports_the_library_trace(self, tmp_path, capsys):
+        doc = json.loads(DISCOUNTED)
+        doc["points"] = {
+            "drawn": {"kind": "lazy", "seed": 5},
+            "alternating": {"kind": "described", "head": [1],
+                            "tail": {"kind": "periodic_symbols",
+                                     "symbols": [0, 0, 1]}}}
+        path = tmp_path / "named-points.json"
+        path.write_text(json.dumps(doc))
+        sc = load_scenario(str(path))
+        points = {"drawn": LazyPoint(5, sc.measure),
+                  "alternating": DescribedPoint((1,),
+                                                PeriodicSymbols((0, 0, 1)))}
+        for name, point in points.items():
+            assert main(["gn-trace", str(path), "--point", name,
+                         "--n-max", "8", "--report", "machine"]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            expected = trace(sc.function, sc.measure, point, 8, F(1, 10**9))
+            assert [(e["n"], e["lo"], e["hi"]) for e in result["entries"]] \
+                == [(e.n, *e.bounds.outward()) for e in expected.entries]
+            assert (result["reference"]["lo"], result["reference"]["hi"]) \
+                == expected.reference.bounds.outward()
 
 
 def _params(argv) -> dict:

@@ -62,6 +62,43 @@ def test_the_check_sees_a_name_used_only_in_a_comment():
     assert set(imported_names(tree)) - used_names(tree) == {"A"}
 
 
+def private_definitions(tree: ast.Module) -> dict:
+    """{name: line} of every function, method and class whose name has
+    one leading underscore."""
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def referenced_names(tree: ast.Module) -> set:
+    """Names read in code, as a name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_private_definition_is_referenced():
+    trees = {m: ast.parse((PACKAGE / m).read_text(encoding="utf-8"))
+             for m in MODULES}
+    referenced = set().union(*map(referenced_names, trees.values()))
+    unreferenced = {f"{module}:{line} {name}"
+                    for module, tree in trees.items()
+                    for name, line in private_definitions(tree).items()
+                    if name not in referenced}
+    assert not unreferenced, f"private definitions nothing reads: " \
+                             f"{sorted(unreferenced)}"
+
+
+def test_the_check_sees_a_private_method_left_behind():
+    tree = ast.parse("class A:\n"
+                     "    def _kept(self): pass\n"
+                     "    def _left(self): pass\n"
+                     "    def run(self): return self._kept()\n")
+    assert set(private_definitions(tree)) - referenced_names(tree) == {
+        "_left"}
+
+
 #: every name `prodex/__init__.py` binds for its users; public names stay,
 #: so a change that drops or renames one must show up here
 PUBLIC_NAMES = {
