@@ -545,8 +545,7 @@ class DiscountedSum(TailFunction):
         head = self._mean_head(sigma, sigma.head_len)
         tail = sigma.tail.mean_tail_sum(
             self.weights.coef, self.weights.ratio, self.score_of,
-            sigma.head_len, sigma.head_len,
-            sigma.spaces.space_at(sigma.head_len + 1))
+            sigma.head_len, sigma.head_len)
         return ValueBounds(head + tail.lo, head + tail.hi)
 
     def martingale_steps(self, sigma, x, horizon, start=1):

@@ -223,7 +223,7 @@ def naming_game_value(sigma: ProductMeasure) -> Fraction:
     best = F0
     for i in range(1, sigma.head_len + 1):
         best = max(best, sigma.coordinate_measure(i).max_weight)
-    tail_sup = sigma.tail.sup_weight_beyond(sigma.head_len, sigma.head_len)
+    tail_sup = sigma.tail.sup_weight_beyond()
     return max(best, tail_sup)
 
 

@@ -3,7 +3,9 @@
 A product space here is a countable product of finite labeled coordinate
 spaces.  Infinite objects (measures, points) carry an explicit finite
 head plus a finitely described tail rule, so every coordinate resolves
-in O(1) and closed-form tail computations stay exact.
+in O(1) and closed-form tail computations stay exact.  A measure tail
+rule describes coordinate measures; the product measure checks them
+against their spaces once, when it is built.
 
 All types are immutable after construction except three pure memos:
 the realized-prefix cache of lazy points, the per-index tail measures
@@ -255,7 +257,6 @@ class PeriodicStream:
 
 @dataclass(frozen=True)
 class PeriodicSymbols:
-    kind = "periodic_symbols"
     symbols: tuple
 
     def __post_init__(self):
@@ -271,8 +272,6 @@ class PeriodicSymbols:
 
 class ConstantSymbol(PeriodicSymbols):
     """The period-1 symbol rule: every coordinate past the head is `symbol`."""
-
-    kind = "constant_symbol"
 
     def __init__(self, symbol: Symbol):
         super().__init__((symbol,))
@@ -299,12 +298,12 @@ def streams_eventually_equal(a: PeriodicStream, b: PeriodicStream) -> bool:
 class TailMeasureRule:
     """Finite description of all coordinate measures beyond the head.
 
-    Subclasses provide per-index instantiation plus the closed forms the
-    exact-expectation oracles need.  A rule that cannot supply a closed
-    form raises UnsupportedTailError from the corresponding hook.
+    A rule describes coordinates: `measure_at(i, head_len, space)` gives
+    coordinate i's measure, and `ProductMeasure` checks it against space
+    once.  Subclasses also provide the closed forms the exact-expectation
+    oracles need; a rule that cannot supply one raises
+    UnsupportedTailError from that hook.
     """
-
-    kind = "abstract"
 
     def measure_at(self, i: int, head_len: int, space: CoordinateSpace) -> CoordinateMeasure:
         raise NotImplementedError
@@ -312,22 +311,24 @@ class TailMeasureRule:
     def indicator_tail_product(self, targets: PeriodicStream, from_index: int,
                                head_len: int) -> ValueBounds:
         """Enclosure of prod_{i > from_index} weight_i(target_i)."""
-        raise UnsupportedTailError(f"{self.kind}: no product closed form")
+        raise UnsupportedTailError(
+            f"{type(self).__name__}: no product closed form")
 
     def mean_tail_sum(self, coef: Fraction, ratio: Fraction, score_of,
-                      from_index: int, head_len: int,
-                      space: CoordinateSpace) -> ValueBounds:
+                      from_index: int, head_len: int) -> ValueBounds:
         """Enclosure of sum_{i > from_index} coef*ratio**i * E_i[score]."""
-        raise UnsupportedTailError(f"{self.kind}: no mean closed form")
+        raise UnsupportedTailError(f"{type(self).__name__}: no mean closed form")
 
     def disagreement_bound(self, targets: PeriodicStream, from_index: int,
                            head_len: int) -> Fraction:
         """Upper bound on P(some coordinate > from_index misses its target)."""
-        raise UnsupportedTailError(f"{self.kind}: no disagreement bound")
+        raise UnsupportedTailError(
+            f"{type(self).__name__}: no disagreement bound")
 
-    def sup_weight_beyond(self, from_index: int, head_len: int) -> Fraction:
-        """Supremum over coordinates > from_index of the max symbol weight."""
-        raise UnsupportedTailError(f"{self.kind}: no sup-weight closed form")
+    def sup_weight_beyond(self) -> Fraction:
+        """Supremum over the tail coordinates of the max symbol weight."""
+        raise UnsupportedTailError(
+            f"{type(self).__name__}: no sup-weight closed form")
 
 
 def _geometric_sum(coef: Fraction, ratio: Fraction, first: int, step: int) -> Fraction:
@@ -339,26 +340,20 @@ def _geometric_sum(coef: Fraction, ratio: Fraction, first: int, step: int) -> Fr
 
 @dataclass(frozen=True)
 class PeriodicMeasuresTail(TailMeasureRule):
-    kind = "periodic"
     templates: tuple
 
     def __post_init__(self):
         if not self.templates:
             raise ValidationError("periodic measure rule needs at least one measure")
 
-    def _template_for(self, i: int, head_len: int) -> CoordinateMeasure:
-        return self.templates[(i - head_len - 1) % len(self.templates)]
-
     def measure_at(self, i, head_len, space):
-        m = self._template_for(i, head_len)
-        _check_alignment(m, space, i)
-        return m
+        return self.templates[(i - head_len - 1) % len(self.templates)]
 
     def _period_factors(self, targets, from_index, head_len):
         span = math.lcm(len(self.templates), len(targets.symbols))
         lo = max(from_index + 1, targets.start)
         return [
-            self._template_for(i, head_len).weight_of(targets.symbol_at(i))
+            self.measure_at(i, head_len, None).weight_of(targets.symbol_at(i))
             for i in range(lo, lo + span)
         ]
 
@@ -366,12 +361,12 @@ class PeriodicMeasuresTail(TailMeasureRule):
         factors = self._period_factors(targets, from_index, head_len)
         return ValueBounds.point(1 if all(f == 1 for f in factors) else 0)
 
-    def mean_tail_sum(self, coef, ratio, score_of, from_index, head_len, space):
+    def mean_tail_sum(self, coef, ratio, score_of, from_index, head_len):
         p = len(self.templates)
         total = F0
         for offset in range(p):
             first = from_index + 1 + offset
-            e = self._template_for(first, head_len).mean_score(score_of)
+            e = self.measure_at(first, head_len, None).mean_score(score_of)
             total += e * _geometric_sum(coef, ratio, first, p)
         return ValueBounds.point(total)
 
@@ -379,15 +374,13 @@ class PeriodicMeasuresTail(TailMeasureRule):
         factors = self._period_factors(targets, from_index, head_len)
         return F0 if all(f == 1 for f in factors) else F1
 
-    def sup_weight_beyond(self, from_index, head_len):
+    def sup_weight_beyond(self):
         return max(t.max_weight for t in self.templates)
 
 
 class ConstantMeasureTail(PeriodicMeasuresTail):
     """The period-1 measure rule: every coordinate past the head has
     `template` itself as its measure."""
-
-    kind = "constant"
 
     def __init__(self, template: CoordinateMeasure):
         super().__init__((template,))
@@ -399,9 +392,9 @@ class ConstantMeasureTail(PeriodicMeasuresTail):
 
 @dataclass(frozen=True)
 class GeometricBernoulliTail(TailMeasureRule):
-    """Two-symbol rule whose weight on `one` at coordinate i is 1 - 2**-i."""
+    """Two-symbol rule whose weight on `one` at coordinate i is 1 - 2**-i,
+    each measure built on its coordinate's space."""
 
-    kind = "geometric_bernoulli"
     zero: Symbol = 0
     one: Symbol = 1
 
@@ -425,9 +418,7 @@ class GeometricBernoulliTail(TailMeasureRule):
                     f"coordinate {i}: space symbol {s!r} unknown to "
                     f"geometric_bernoulli (expects {self.zero!r}/{self.one!r})"
                 )
-        m = CoordinateMeasure(i, space.symbols, tuple(weights))
-        _check_alignment(m, space, i)
-        return m
+        return CoordinateMeasure(i, space.symbols, tuple(weights))
 
     def indicator_tail_product(self, targets, from_index, head_len):
         if any(t != self.one for t in targets.symbols):
@@ -440,7 +431,7 @@ class GeometricBernoulliTail(TailMeasureRule):
         # remaining factors lie in [1 - 2**-last, 1)
         return ValueBounds(partial * (1 - Fraction(1, 2**last)), partial)
 
-    def mean_tail_sum(self, coef, ratio, score_of, from_index, head_len, space):
+    def mean_tail_sum(self, coef, ratio, score_of, from_index, head_len):
         s1, s0 = score_of(self.one), score_of(self.zero)
         base = s1 * _geometric_sum(coef, ratio, from_index + 1, 1)
         correction = (s0 - s1) * _geometric_sum(coef, ratio / 2, from_index + 1, 1)
@@ -451,7 +442,7 @@ class GeometricBernoulliTail(TailMeasureRule):
             return Fraction(1, 2**from_index) if from_index >= 1 else F1
         return F1
 
-    def sup_weight_beyond(self, from_index, head_len):
+    def sup_weight_beyond(self):
         return F1  # sup of 1 - 2**-i, approached but not attained
 
 
@@ -469,22 +460,18 @@ def formula_tail(family: str, params: Optional[Mapping] = None) -> TailMeasureRu
     return cls(**dict(params or {}))
 
 
-def _check_alignment(measure: CoordinateMeasure, space: CoordinateSpace,
-                     i: int) -> None:
-    if measure.symbols != space.symbols:
-        raise ValidationError(
-            f"coordinate {i}: measure symbols {measure.symbols!r} "
-            f"do not match space symbols {space.symbols!r}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Product measures
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ProductMeasure:
-    """Independent coordinates: explicit head measures plus a tail rule."""
+    """Independent coordinates: explicit head measures plus a tail rule.
+
+    The constructor is the one check of measure symbols against space
+    symbols, head and tail alike, up to one period of the rule past every
+    explicit space and head measure: from there on both repeat.
+    """
 
     spaces: SpaceFamily
     head: tuple
@@ -495,15 +482,16 @@ class ProductMeasure:
     switch_index = None
 
     def __post_init__(self):
-        for pos, m in enumerate(self.head, start=1):
-            _check_alignment(m, self.spaces.space_at(pos), pos)
-        # instantiate the rule over one period past every explicit space,
-        # so each space it covers is checked: beyond that it repeats
         period = (len(self.tail.templates)
                   if isinstance(self.tail, PeriodicMeasuresTail) else 1)
-        for i in range(len(self.head) + 1,
-                       max(len(self.spaces.head), len(self.head)) + period + 1):
-            self.coordinate_measure(i)
+        for i in range(1, max(len(self.spaces.head), len(self.head))
+                       + period + 1):
+            measure, space = self.coordinate_measure(i), self.spaces.space_at(i)
+            if measure.symbols != space.symbols:
+                raise ValidationError(
+                    f"coordinate {i}: measure symbols {measure.symbols!r} "
+                    f"do not match space symbols {space.symbols!r}"
+                )
 
     @property
     def head_len(self) -> int:
@@ -533,8 +521,6 @@ def resolve_coordinate_measure(sigma: ProductMeasure, i: int) -> CoordinateMeasu
 class PointSpec:
     """A point of the product space with every coordinate resolvable."""
 
-    kind = "abstract"
-
     def coordinate(self, i: int):
         raise NotImplementedError
 
@@ -549,7 +535,6 @@ class DescribedPoint(PointSpec):
 
     head: tuple
     tail: SymbolRule
-    kind = "described"
 
     def coordinate(self, i: int):
         if i < 1:
@@ -598,8 +583,6 @@ class LazyPoint(PointSpec):
     measure: ProductMeasure
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    kind = "lazy"
-
     def __post_init__(self):
         object.__setattr__(self, "_hasher", unit_hasher(self.seed, "coord"))
 
@@ -633,8 +616,6 @@ class ModifiedPoint(PointSpec):
     overrides: tuple  # sorted ((index, symbol), ...)
     #: the overrides as {index: symbol}, for one lookup per coordinate
     _by_index: dict = field(init=False, repr=False)
-
-    kind = "modified"
 
     def __post_init__(self):
         idxs = [i for i, _ in self.overrides]

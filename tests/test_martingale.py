@@ -576,8 +576,6 @@ class NoDisagreementBound(TailMeasureRule):
     """A user tail rule with the closed forms of E[f] but no bound on
     P(a tail coordinate misses a target): `disagreement_bound` raises."""
 
-    kind = "no-disagreement-bound"
-
     def __init__(self, inner):
         self.inner = inner
 

@@ -21,9 +21,11 @@ from prodex.model import (
     LazyPoint,
     ModifiedPoint,
     PeriodicMeasuresTail,
+    PeriodicStream,
     PeriodicSymbols,
     ProductMeasure,
     SpaceFamily,
+    TailMeasureRule,
     agreement_index,
     bernoulli_measure,
     dirac_measure,
@@ -270,6 +272,26 @@ class TestResolveCoordinateMeasure:
         from prodex.errors import UnsupportedTailError
         with pytest.raises(UnsupportedTailError):
             formula_tail("no_such_family")
+
+    def test_a_missing_closed_form_names_the_rule_class(self):
+        from prodex.errors import UnsupportedTailError
+
+        class Opaque(TailMeasureRule):
+            def measure_at(self, i, head_len, space):
+                return uniform_measure(i, space.symbols)
+
+        rule, targets = Opaque(), PeriodicStream(1, (1,))
+        for hook, message in [
+                (lambda: rule.indicator_tail_product(targets, 0, 0),
+                 "no product closed form"),
+                (lambda: rule.mean_tail_sum(F(1), F(1, 2), abs, 0, 0),
+                 "no mean closed form"),
+                (lambda: rule.disagreement_bound(targets, 0, 0),
+                 "no disagreement bound"),
+                (rule.sup_weight_beyond, "no sup-weight closed form")]:
+            with pytest.raises(UnsupportedTailError) as exc:
+                hook()
+            assert str(exc.value) == f"Opaque: {message}"
 
 
 class TestPoints:
