@@ -299,10 +299,12 @@ class TailMeasureRule:
     """Finite description of all coordinate measures beyond the head.
 
     A rule describes coordinates: `measure_at(i, head_len, space)` gives
-    coordinate i's measure, and `ProductMeasure` checks it against space
-    once.  Subclasses also provide the closed forms the exact-expectation
-    oracles need; a rule that cannot supply one raises
-    UnsupportedTailError from that hook.
+    coordinate i's measure.  `ProductMeasure` checks it against space
+    over one period past the explicit spaces (period 1 unless the rule
+    is periodic), so a later measure repeats a checked one or is built
+    on the space it is given.  Subclasses also provide the closed forms
+    the exact-expectation oracles need; a rule that cannot supply one
+    raises UnsupportedTailError from that hook.
     """
 
     def measure_at(self, i: int, head_len: int, space: CoordinateSpace) -> CoordinateMeasure:
