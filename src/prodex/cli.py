@@ -33,7 +33,6 @@ from .errors import ProdexError, ScenarioError, ValidationError
 from .functions import Cylinder
 from .games import (
     DEFAULT_PURIFY_RETRIES,
-    FinitisticProfile,
     best_response_value,
     naming_game_exploit,
     naming_game_value,
@@ -249,12 +248,11 @@ def _cmd_verify_weak(args, scenario: Scenario):
         scenario, report)
 
 
-def _profile_payload(profile: FinitisticProfile) -> dict:
-    mu = profile.measure
+def _profile_payload(profile: HybridMeasure) -> dict:
     head = [{"coordinate": i, "kind": "measure",
              "weights": [float(w) for w in m.weights]}
-            for i, m in enumerate(mu.head, start=1)]
-    return {"switch_index": mu.switch_index, "head": head}
+            for i, m in enumerate(profile.head, start=1)]
+    return {"switch_index": profile.switch_index, "head": head}
 
 
 def _cmd_game_value(args, scenario: Scenario):
@@ -305,8 +303,8 @@ def _cmd_game_naming_demo(args, scenario: Scenario):
         sub = derive_seed(args.seed, "naming-profile", j)
         switch = 1 + (derive_seed(sub, "switch") % 6)
         tail = LazyPoint(derive_seed(sub, "tail"), scenario.measure)
-        profile = FinitisticProfile(HybridMeasure.measures_then_point(
-            scenario.measure, tail, switch))
+        profile = HybridMeasure.measures_then_point(scenario.measure, tail,
+                                                    switch)
         n, sym = naming_game_exploit(profile)
         # engine-verified: naming (n, sym) pays exactly 1 against tau
         payoff = Cylinder(n, {
@@ -315,7 +313,7 @@ def _cmd_game_naming_demo(args, scenario: Scenario):
                 *(scenario.spaces.space_at(i).symbols
                   for i in range(1, n + 1)))
         })
-        res = expect(payoff, profile.measure, args.tol)
+        res = expect(payoff, profile, args.tol)
         ok = res.bounds.is_point and res.bounds.lo == 1
         all_pay_one = all_pay_one and ok
         exploits.append({"profile": j, "coordinate": n, "symbol": sym})
@@ -464,9 +462,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _reject_other_verbs_flags(parser, args):
+def _check_game_flags(parser, args):
     """The game subparser takes every verb's flags: one outside the verb's
-    own `COMMANDS` entry is a usage error (exit 2), not dropped."""
+    own `COMMANDS` entry is a usage error (exit 2), not dropped.  So is
+    `--epsilon 0` for `purify`, which certifies only a positive epsilon;
+    the shared `_epsilon` type admits 0 for the strong commands."""
     own = COMMANDS[f"game-{args.verb}"][1]
     stray = [key for name, (_, keys) in COMMANDS.items() for key in keys
              if name.startswith("game-") and key not in own
@@ -474,13 +474,16 @@ def _reject_other_verbs_flags(parser, args):
     if stray:
         parser.error(f"argument --{stray[0].replace('_', '-')}: not read by "
                      f"game {args.verb}")
+    if args.verb == "purify" and args.epsilon == 0:
+        parser.error("argument --epsilon: must be > 0 for game purify, "
+                     "got 0")
 
 
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "game":
-        _reject_other_verbs_flags(parser, args)
+        _check_game_flags(parser, args)
     try:
         return run_scenario(args.scenario, args.command, args)
     except ScenarioError as exc:

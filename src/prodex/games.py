@@ -3,10 +3,12 @@ countably many independent opponents.
 
 Player 0 picks an action from a finite set; the opponents jointly play a
 product measure over the coordinate spaces.  `purify` turns a given
-opponent profile sigma into a finitistic one (Dirac from some index on)
-that is certified not to raise player 0's best payoff by more than
-epsilon per action: sample a point, find a common martingale index where
-every action's payoff is epsilon-close, and pin the tail there.
+opponent profile sigma into a finitistic one that is certified not to
+raise player 0's best payoff by more than epsilon per action: sample a
+point x, find a common martingale index n where every action's payoff is
+epsilon-close, and pin the tail there.  The profile it returns is the
+`HybridMeasure` sigma_1 x .. x sigma_{n-1} x x_n x x_{n+1} x .., Dirac
+from n on; `FinitisticProfile` is another name for that class.
 
 The naming game (player 0 names an opponent and one of two actions,
 winning when the named opponent plays it) has an infinite action set and
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .engine import expect
 from .errors import (
@@ -27,10 +29,10 @@ from .errors import (
     PurificationFailedError,
     ValidationError,
 )
-from .functions import TailFunction
+from .functions import Measure, TailFunction
 from .martingale import (YES, _check_strong_args, _epsilon_verdicts,
                          _first_certified, _scan)
-from .model import HybridMeasure, LazyPoint, ProductMeasure, SpaceFamily
+from .model import HybridMeasure, LazyPoint, ProductMeasure
 from .numeric import F0, Rational, ValueBounds, as_fraction
 from .seeds import derive_seed
 
@@ -42,7 +44,6 @@ class GameSpec:
     """Finite action set for player 0, one payoff function per action."""
 
     actions: tuple
-    opponents: SpaceFamily
     payoffs: Mapping
     range_lo: Fraction
     range_hi: Fraction
@@ -65,23 +66,10 @@ class GameSpec:
         return self.payoffs[action]
 
 
-@dataclass(frozen=True, eq=False)
-class FinitisticProfile:
-    """Opponent profile with a declared Dirac tail (all but finitely
-    many coordinates pure)."""
-
-    measure: HybridMeasure
-
-    @property
-    def switch_index(self) -> int:
-        return self.measure.switch_index
-
-
-Profile = Union[ProductMeasure, HybridMeasure, FinitisticProfile]
-
-
-def _as_measure(pi: Profile):
-    return pi.measure if isinstance(pi, FinitisticProfile) else pi
+#: another name for `HybridMeasure`, not a class of its own: an opponent
+#: profile with a declared Dirac tail (all but finitely many coordinates
+#: pure)
+FinitisticProfile = HybridMeasure
 
 
 @dataclass(frozen=True)
@@ -97,7 +85,7 @@ class BestResponseResult:
         return self.bounds
 
 
-def best_response_value(game: GameSpec, pi: Profile,
+def best_response_value(game: GameSpec, pi: Measure,
                         tol: Rational = Fraction(1, 10**9), *,
                         horizon: Optional[int] = None
                         ) -> BestResponseResult:
@@ -107,10 +95,9 @@ def best_response_value(game: GameSpec, pi: Profile,
     per-action eta; the action attaining the upper end is returned, ties
     broken by action order.
     """
-    mu = _as_measure(pi)
     results = []
     for a in game.actions:
-        res = expect(game.payoff(a), mu, tol, horizon=horizon)
+        res = expect(game.payoff(a), pi, tol, horizon=horizon)
         results.append((a, res))
     lo = max(res.bounds.lo for _, res in results)
     hi = max(res.bounds.hi for _, res in results)
@@ -124,14 +111,12 @@ class ActionCertification:
     action: object
     sigma_value: ValueBounds
     profile_value: ValueBounds
-    found_n: int
 
 
 @dataclass(frozen=True, eq=False)
 class PurifyResult:
-    profile: FinitisticProfile
+    profile: HybridMeasure
     n: int
-    epsilon: Fraction
     attempt: int
     sample_seed: int
     per_action: tuple
@@ -169,7 +154,7 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
         for a in game.actions:
             scans[a] = _scan(game.payoff(a), sigma, x, n_max, tol,
                              horizon=horizon)
-            res = _first_certified(scans[a], references[a], eps, n_max)
+            res = _first_certified(scans[a], references[a], eps)
             if not res.is_found:
                 failed = (a, res.outcome)
                 break
@@ -194,12 +179,11 @@ def purify(game: GameSpec, sigma: ProductMeasure, epsilon: Rational,
                     certs = None
                     break
                 certs.append(ActionCertification(
-                    a, references[a].bounds, value, n))
+                    a, references[a].bounds, value))
             if certs is not None:
-                profile = FinitisticProfile(
-                    HybridMeasure.measures_then_point(sigma, x, n))
-                return PurifyResult(profile, n, eps, attempt, sample_seed,
-                                    tuple(certs), eta)
+                return PurifyResult(
+                    HybridMeasure.measures_then_point(sigma, x, n), n,
+                    attempt, sample_seed, tuple(certs), eta)
         diagnostics.append(
             f"attempt {attempt}: no common index in [{common}, {n_max}] "
             f"certifies all actions"
@@ -227,14 +211,12 @@ def naming_game_value(sigma: ProductMeasure) -> Fraction:
     return max(best, tail_sup)
 
 
-def naming_game_exploit(tau: Profile):
+def naming_game_exploit(tau: Measure):
     """Action (coordinate, symbol) with certain payoff 1 against tau.
 
     The smallest coordinate of the declared Dirac tail is named together
     with the symbol it is pinned to.
     """
-    if isinstance(tau, FinitisticProfile):
-        tau = tau.measure
     if not isinstance(tau, HybridMeasure):
         raise NotFinitisticError("profile declares no Dirac tail")
     n = tau.switch_index

@@ -13,10 +13,12 @@ rung or at the cap or a weak sample, reads its point's first k symbols
 alone, k from `TailFunction.leading_coordinates` at the decision's
 horizon (at least the hull depth m for a weak sample), so a campaign
 decides each distinct (horizon, prefix) once and shares the verdict.  A
-report names no scenario: the CLI's machine report carries the
-scenario's digest beside it.  A campaign passes `horizon` on as given;
-None is the function's default depth, which the library resolves
-through `f.read_horizon` wherever a point is read.
+report holds the outcome counts and the per-sample records alone: its
+caller knows which campaign it ran and at which master seed, and the
+CLI's machine report carries the scenario's digest beside it.  A
+campaign passes `horizon` on as given; None is the function's default
+depth, which the library resolves through `f.read_horizon` wherever a
+point is read.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ from .model import LazyPoint, ProductMeasure
 from .numeric import F0, Rational, as_fraction
 from .seeds import derive_seed
 from .tailclass import _weak_sample
-
-STRONG = "strong-epsilon"
-WEAK = "weak-zero"
 
 CERTIFIED = "certified"
 INCONCLUSIVE = "inconclusive"
@@ -57,13 +56,11 @@ class SampleRecord:
 class VerificationReport:
     """Outcome counts plus per-sample records for one campaign."""
 
-    theorem: str
     samples: int
     certified: int
     inconclusive: int
     failed: int
     records: tuple
-    master_seed: int
 
     def __post_init__(self):
         if self.certified + self.inconclusive + self.failed != self.samples:
@@ -86,7 +83,7 @@ class VerificationReport:
         return max((r.eta for r in self.records), default=F0)
 
 
-def _campaign(theorem, label, f, sigma, seed, samples, decide, floor=0):
+def _campaign(label, f, sigma, seed, samples, decide, floor=0):
     """The report of samples 0..samples-1: sample j's point x is drawn at
     `derive_seed(seed, label, j)`, and its (outcome, detail, eta) is
     `decide(x, once)`.  `decide` runs each scan or hull at a horizon h as
@@ -112,7 +109,7 @@ def _campaign(theorem, label, f, sigma, seed, samples, decide, floor=0):
                                                     once)))
     counts = [sum(r.outcome == outcome for r in records)
               for outcome in (CERTIFIED, INCONCLUSIVE, FAILED)]
-    return VerificationReport(theorem, samples, *counts, tuple(records), seed)
+    return VerificationReport(samples, *counts, tuple(records))
 
 
 def _find_shallow_first(f, sigma, x, eps, n_max, tol, horizon, reference,
@@ -158,7 +155,7 @@ def verify_strong(f: TailFunction, sigma: ProductMeasure, epsilon: Rational,
                                   reference, once)
         return _OUTCOMES.get(res.outcome, INCONCLUSIVE), res.n, res.eta
 
-    return _campaign(STRONG, "strong-sample", f, sigma, seed, samples, decide)
+    return _campaign("strong-sample", f, sigma, seed, samples, decide)
 
 
 def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
@@ -184,6 +181,6 @@ def verify_weak(f: TailFunction, sigma: ProductMeasure, m: int, samples: int,
             return CERTIFIED, cert.coordinate, cert.eta
         return INCONCLUSIVE, m, F0 if hull is None else hull.eta
 
-    return _campaign(WEAK, "weak-sample", f, sigma, seed, samples,
+    return _campaign("weak-sample", f, sigma, seed, samples,
                      lambda x, once: once(x, horizon, lambda: verdict(x)),
                      floor=m)

@@ -90,11 +90,9 @@ class StrongApproxResult:
     ever silently skipped.
     """
 
-    epsilon: Fraction
     outcome: str
     n: Optional[int]
     undecided: tuple
-    n_max: int
     eta: Fraction = F0
     first_certified: Optional[int] = None
     found_value: Optional[ValueBounds] = None
@@ -203,11 +201,11 @@ def find_strong_approx(f: TailFunction, sigma: ProductMeasure, x: PointSpec,
     if reference is None:
         reference = expect(f, sigma, tol_f, horizon=horizon)
     return _first_certified(_scan(f, sigma, x, n_max, tol_f, horizon=horizon),
-                            reference, eps, n_max)
+                            reference, eps)
 
 
-def _first_certified(scan, reference: ExpectationResult, eps: Fraction,
-                     n_max: int) -> StrongApproxResult:
+def _first_certified(scan, reference: ExpectationResult, eps: Fraction
+                     ) -> StrongApproxResult:
     """`find_strong_approx`'s verdict on the enclosures g_1, g_2, ... that
     `scan` yields, read up to the first certified index and no further."""
     undecided = []
@@ -219,14 +217,12 @@ def _first_certified(scan, reference: ExpectationResult, eps: Fraction,
         if verdict == YES:
             if undecided:
                 return StrongApproxResult(
-                    eps, INCONCLUSIVE, None, tuple(undecided), n_max, eta,
+                    INCONCLUSIVE, None, tuple(undecided), eta,
                     first_certified=n, found_value=value)
-            return StrongApproxResult(
-                eps, FOUND, n, (), n_max, eta, first_certified=n,
-                found_value=value)
+            return StrongApproxResult(FOUND, n, (), eta, first_certified=n,
+                                      found_value=value)
         if verdict == UNDECIDED:
             undecided.append(n)
     if undecided:
-        return StrongApproxResult(eps, INCONCLUSIVE, None, tuple(undecided),
-                                  n_max, eta)
-    return StrongApproxResult(eps, NOT_FOUND, None, (), n_max, eta)
+        return StrongApproxResult(INCONCLUSIVE, None, tuple(undecided), eta)
+    return StrongApproxResult(NOT_FOUND, None, (), eta)

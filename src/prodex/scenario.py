@@ -389,7 +389,7 @@ def _build_game(data, spaces, loc) -> GameSpec:
         key = str(a)
         spec = _require(_require(data, "payoffs", loc), key, f"{loc}.payoffs")
         payoffs[a] = _build_function(spec, spaces, f"{loc}.payoffs.{key}")
-    return GameSpec(actions, spaces, payoffs, rng[0], rng[1])
+    return GameSpec(actions, payoffs, rng[0], rng[1])
 
 
 #: the campaigns a scenario may hold to a threshold, and the one key read

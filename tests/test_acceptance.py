@@ -153,12 +153,12 @@ def test_criterion_5_purification_guarantee(capsys):
             eps = F(sc.defaults["epsilon"])
             res = purify(sc.game, sc.measure, eps, int(sc.defaults["n_max"]),
                          F(1, 10**10), seed=ACCEPTANCE_SEED)
-            assert res.profile.measure.switch_index == res.n
+            assert res.profile.switch_index == res.n
             # post-hoc recertification with two fresh engine calls per action
             for action in sc.game.actions:
                 f = sc.game.payoff(action)
                 original = expect(f, sc.measure, TOL)
-                purified = expect(f, res.profile.measure, TOL)
+                purified = expect(f, res.profile, TOL)
                 assert purified.interval.hi <= original.interval.lo + eps
         assert time.perf_counter() - start <= 10.0
 
@@ -174,15 +174,13 @@ def test_criterion_6_naming_game_separation(capsys):
             switch = 1 + (sub % 6)
             head = tuple(uniform_measure(i, (0, 1))
                          for i in range(1, switch))
-            from prodex.games import FinitisticProfile
-            tau = FinitisticProfile(
-                HybridMeasure(head, switch, LazyPoint(sub, sc.measure)))
+            tau = HybridMeasure(head, switch, LazyPoint(sub, sc.measure))
             n, sym = naming_game_exploit(tau)
             payoff = Cylinder(n, {
                 key: F(1) if key[n - 1] == sym else F(0)
                 for key in itertools.product((0, 1), repeat=n)
             })
-            res = expect(payoff, tau.measure, TOL)
+            res = expect(payoff, tau, TOL)
             assert res.interval.is_point and res.interval.lo == 1
         assert time.perf_counter() - start <= 5.0
 

@@ -342,7 +342,7 @@ def _entry_point_calls():
     """Each public entry point that once took `node_budget` or
     `scenario_digest`, called on small valid arguments plus `**kw`."""
     f, sigma, x = discounted_unit(), uniform_sigma(), all_ones_point()
-    game = GameSpec(("a",), binary_spaces(), {"a": f}, F(0), F(1))
+    game = GameSpec(("a",), {"a": f}, F(0), F(1))
     return {
         "g_n": lambda kw: g_n(f, sigma, x, 2, TOL, **kw),
         "trace": lambda kw: trace(f, sigma, x, 2, TOL, **kw),

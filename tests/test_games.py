@@ -49,22 +49,22 @@ def coordinate_game() -> GameSpec:
     """u(a, x) = x_1, u(b, x) = 1 - x_1."""
     fa = Cylinder(1, {(0,): F(0), (1,): F(1)})
     fb = Cylinder(1, {(0,): F(1), (1,): F(0)})
-    return GameSpec(("a", "b"), binary_spaces(), {"a": fa, "b": fb}, F(0), F(1))
+    return GameSpec(("a", "b"), {"a": fa, "b": fb}, F(0), F(1))
 
 
 def quad_game() -> GameSpec:
     """u(a, x) = x_1 * x_2, u(b, x) = 1 - x_1 * x_2."""
     fa = Cylinder.from_callable([(0, 1), (0, 1)], lambda p, q: F(p * q))
     fb = Cylinder.from_callable([(0, 1), (0, 1)], lambda p, q: F(1 - p * q))
-    return GameSpec(("a", "b"), binary_spaces(), {"a": fa, "b": fb}, F(0), F(1))
+    return GameSpec(("a", "b"), {"a": fa, "b": fb}, F(0), F(1))
 
 
 def naming_restriction_game() -> GameSpec:
     """The two coordinate-1 actions of the naming game: (1,0) and (1,1)."""
     f10 = Cylinder(1, {(0,): F(1), (1,): F(0)})
     f11 = Cylinder(1, {(0,): F(0), (1,): F(1)})
-    return GameSpec(("(1,0)", "(1,1)"), binary_spaces(),
-                    {"(1,0)": f10, "(1,1)": f11}, F(0), F(1))
+    return GameSpec(("(1,0)", "(1,1)"), {"(1,0)": f10, "(1,1)": f11},
+                    F(0), F(1))
 
 
 class TestBestResponse:
@@ -88,8 +88,7 @@ class TestBestResponse:
     def test_value_keeps_the_per_action_eta(self):
         # the all-ones verdict rests on a lazy point's unread tail
         sigma = geometric_sigma()
-        game = GameSpec(("a",), binary_spaces(), {"a": indicator_all_ones()},
-                        F(0), F(1))
+        game = GameSpec(("a",), {"a": indicator_all_ones()}, F(0), F(1))
         profile = HybridMeasure.measures_then_point(
             sigma, LazyPoint(2, sigma), 3)
         res = best_response_value(game, profile, TOL)
@@ -102,8 +101,8 @@ class TestBestResponse:
     def test_enlarging_action_set_never_decreases_upper(self):
         game = coordinate_game()
         fc = Cylinder(1, {(0,): F(1, 3), (1,): F(1, 3)})
-        bigger = GameSpec(("a", "b", "c"), binary_spaces(),
-                          {**dict(game.payoffs), "c": fc}, F(0), F(1))
+        bigger = GameSpec(("a", "b", "c"), {**dict(game.payoffs), "c": fc},
+                          F(0), F(1))
         small = best_response_value(game, uniform_sigma(), TOL)
         grown = best_response_value(bigger, uniform_sigma(), TOL)
         assert grown.interval.hi >= small.interval.hi
@@ -111,18 +110,18 @@ class TestBestResponse:
     def test_payoff_range_validated(self):
         fa = Cylinder(1, {(0,): F(0), (1,): F(2)})
         with pytest.raises(ValidationError):
-            GameSpec(("a",), binary_spaces(), {"a": fa}, F(0), F(1))
+            GameSpec(("a",), {"a": fa}, F(0), F(1))
 
     def test_duplicate_actions_rejected(self):
         fa = Cylinder(1, {(0,): F(0), (1,): F(1)})
         with pytest.raises(ValidationError, match="duplicate actions"):
-            GameSpec(("a", "a"), binary_spaces(), {"a": fa}, F(0), F(1))
+            GameSpec(("a", "a"), {"a": fa}, F(0), F(1))
 
     def test_action_without_payoff_rejected(self):
         fa = Cylinder(1, {(0,): F(0), (1,): F(1)})
         with pytest.raises(ValidationError,
                            match="action 'b' has no payoff function"):
-            GameSpec(("a", "b"), binary_spaces(), {"a": fa}, F(0), F(1))
+            GameSpec(("a", "b"), {"a": fa}, F(0), F(1))
 
 
 class TestPurify:
@@ -130,7 +129,7 @@ class TestPurify:
         res = purify(coordinate_game(), uniform_sigma(), F(1, 10), 8,
                      F(1, 10**10), seed=3)
         assert res.n == 2
-        head, = res.profile.measure.head
+        head, = res.profile.head
         assert head.weight_of(1) == F(1, 2)
         for cert in res.per_action:
             assert cert.profile_value.is_point
@@ -141,7 +140,7 @@ class TestPurify:
                      F(1, 10), seed=0)
         assert res.n == 1
         assert res.attempt == 0
-        assert res.profile.measure.switch_index == 1
+        assert res.profile.switch_index == 1
 
     def test_quad_game_certifies_with_common_index(self):
         res = purify(quad_game(), uniform_sigma(), F(3, 10), 8,
@@ -162,7 +161,7 @@ class TestPurify:
         for action in game.actions:
             f = game.payoff(action)
             original = expect(f, sigma, TOL)
-            purified = expect(f, res.profile.measure, TOL)
+            purified = expect(f, res.profile, TOL)
             assert purified.interval.hi <= original.interval.lo + eps
 
     def test_common_index_covers_slower_action(self):
@@ -170,12 +169,10 @@ class TestPurify:
         # the common index must be 3, re-certified for both actions
         fa = Cylinder(1, {(0,): F(0), (1,): F(1)})
         fc = Cylinder.from_callable([(0, 1), (0, 1)], lambda p, q: F(q))
-        game = GameSpec(("a", "c"), binary_spaces(), {"a": fa, "c": fc},
-                        F(0), F(1))
+        game = GameSpec(("a", "c"), {"a": fa, "c": fc}, F(0), F(1))
         res = purify(game, uniform_sigma(), F(1, 10), 8, F(1, 10**10), seed=2)
         assert res.n == 3
         for cert in res.per_action:
-            assert cert.found_n == 3
             assert cert.profile_value.is_point
             assert cert.profile_value.lo == F(1, 2)
 
@@ -183,8 +180,8 @@ class TestPurify:
         for seed in range(5):
             res = purify(quad_game(), uniform_sigma(), F(3, 10), 8,
                          F(1, 10**10), seed=seed)
-            assert isinstance(res.profile, FinitisticProfile)
-            assert res.profile.measure.switch_index >= 1
+            assert isinstance(res.profile, HybridMeasure)
+            assert res.profile.switch_index == res.n >= 1
 
     def test_failure_reports_diagnostics(self):
         # epsilon smaller than the everywhere-positive gap |g_1 - E| = 1/2
@@ -210,6 +207,42 @@ class TestPurify:
                    F(1, 10**10))
 
 
+class TestProfileIsHybrid:
+    """A finitistic profile is the hybrid measure itself: purify returns
+    one, and every reader takes it as it is."""
+
+    def test_finitistic_profile_is_another_name_for_hybrid_measure(self):
+        import prodex
+
+        assert prodex.FinitisticProfile is prodex.HybridMeasure
+        assert FinitisticProfile is HybridMeasure
+
+    def test_purify_returns_a_hybrid_on_sigmas_own_measures(self):
+        sigma = uniform_sigma(head_weights=(F(1, 3),))
+        res = purify(quad_game(), sigma, F(1, 10), 8, F(1, 10**10), seed=3)
+        assert type(res.profile) is HybridMeasure
+        # a head coordinate of sigma and a memoized tail coordinate
+        assert res.profile.switch_index == res.n == 3
+        assert len(res.profile.head) == res.n - 1
+        for i, m in enumerate(res.profile.head, start=1):
+            assert m is sigma.coordinate_measure(i)
+        x = LazyPoint(res.sample_seed, sigma)
+        assert [res.profile.tail_point.coordinate(i)
+                for i in range(res.n, res.n + 8)] == [
+            x.coordinate(i) for i in range(res.n, res.n + 8)]
+
+    def test_readers_take_the_profile_as_it_is(self):
+        game = coordinate_game()
+        res = purify(game, uniform_sigma(), F(1, 10), 8, F(1, 10**10),
+                     seed=3)
+        n = res.n
+        assert naming_game_exploit(res.profile) == (
+            n, res.profile.tail_point.coordinate(n))
+        best = best_response_value(game, res.profile, TOL)
+        assert [(a, r.bounds) for a, r in best.per_action] == [
+            (c.action, c.profile_value) for c in res.per_action]
+
+
 class ScriptedPayoff(TailFunction):
     """A payoff whose E[f] is 0 and whose g_1, g_2, ... at every point
     are `script`, its last value repeated: set by hand, to steer purify.
@@ -232,9 +265,8 @@ class ScriptedPayoff(TailFunction):
 
 
 def scripted_game(a_script, b_script) -> GameSpec:
-    return GameSpec(("a", "b"), binary_spaces(),
-                    {"a": ScriptedPayoff(*a_script),
-                     "b": ScriptedPayoff(*b_script)}, F(0), F(1))
+    return GameSpec(("a", "b"), {"a": ScriptedPayoff(*a_script),
+                                 "b": ScriptedPayoff(*b_script)}, F(0), F(1))
 
 
 class TestPurifyCommonIndex:
@@ -247,10 +279,8 @@ class TestPurifyCommonIndex:
         res = purify(game, uniform_sigma(), F(1, 10), 8, F(1, 10**10))
         assert (res.n, res.attempt) == (4, 0)
         assert res.profile.switch_index == 4
-        assert [(c.action, c.found_n, c.profile_value)
-                for c in res.per_action] == [
-            ("a", 4, ValueBounds.point(F(0))),
-            ("b", 4, ValueBounds.point(F(0)))]
+        assert [(c.action, c.profile_value) for c in res.per_action] == [
+            ("a", ValueBounds.point(F(0))), ("b", ValueBounds.point(F(0)))]
         # one scan per action serves both the search and the re-check
         assert [game.payoff(a).scans for a in game.actions] == [1, 1]
 
@@ -303,15 +333,15 @@ class TestNamingGame:
 
     def test_exploit_all_dirac_from_one(self):
         from prodex.model import DescribedPoint, PeriodicSymbols
-        tau = FinitisticProfile(HybridMeasure.dirac(
-            DescribedPoint((0, 1, 0), PeriodicSymbols((0, 1)))))
+        tau = HybridMeasure.dirac(
+            DescribedPoint((0, 1, 0), PeriodicSymbols((0, 1))))
         assert naming_game_exploit(tau) == (1, 0)
 
     def test_exploit_names_switch_coordinate(self):
         sigma = uniform_sigma()
         head = tuple(uniform_measure(i, (0, 1)) for i in range(1, 6))
         tail = LazyPoint(77, sigma)
-        tau = FinitisticProfile(HybridMeasure(head, 6, tail))
+        tau = HybridMeasure(head, 6, tail)
         n, j = naming_game_exploit(tau)
         assert n == 6
         assert j == tail.coordinate(6)
@@ -330,8 +360,7 @@ class TestNamingGame:
             switch = 1 + (sub % 5)
             head = tuple(uniform_measure(i, (0, 1))
                          for i in range(1, switch))
-            tau = FinitisticProfile(
-                HybridMeasure(head, switch, LazyPoint(sub, sigma)))
+            tau = HybridMeasure(head, switch, LazyPoint(sub, sigma))
             n, sym = naming_game_exploit(tau)
             # payoff of the naming action (n, sym) is exactly 1: the
             # indicator of coordinate n being sym has expectation 1
@@ -340,7 +369,7 @@ class TestNamingGame:
                 key: table[(key[n - 1],)]
                 for key in _binary_prefixes(n)
             })
-            res = expect(payoff, tau.measure, TOL)
+            res = expect(payoff, tau, TOL)
             assert res.interval.is_point and res.interval.lo == 1
 
 

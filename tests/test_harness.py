@@ -19,6 +19,7 @@ from prodex.harness import (
     FAILED,
     INCONCLUSIVE,
     SampleRecord,
+    VerificationReport,
     verify_strong,
     verify_weak,
 )
@@ -73,6 +74,13 @@ class TestVerifyStrong:
         assert rep.certified + rep.inconclusive + rep.failed == rep.samples
         assert (rep.certified_fraction + rep.inconclusive_fraction
                 + rep.failed_fraction) == 1
+
+    @pytest.mark.parametrize("counts", [(1, 1, 0), (2, 1, 1), (0, 0, 0)])
+    def test_counts_that_do_not_partition_rejected(self, counts):
+        # fields: samples, certified, inconclusive, failed, records
+        with pytest.raises(ValidationError,
+                           match="sample outcome counts do not partition"):
+            VerificationReport(3, *counts, ())
 
     def test_fraction_monotone_in_n_max(self):
         fractions = [

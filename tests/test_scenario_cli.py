@@ -654,6 +654,8 @@ class TestRangedFlags:
         (["expect", "example-3-4", "--tol", "1/0"], "invalid tolerance"),
         (["expect", "example-3-4", "--seed", "one"], "invalid seed"),
         (["weak-approx", "cylinder-mix", "--r", "1/0"], "invalid target"),
+        (["game", "purify-demo", "purify", "--epsilon", "0"],
+         "argument --epsilon: must be > 0 for game purify"),
     ])
     def test_out_of_range_exits_two_at_parse_time(self, argv, message,
                                                   capsys):
