@@ -74,6 +74,69 @@ def _stated(value):
     return round_up(value) if isinstance(value, Fraction) else value
 
 
+#: the exact types the stdlib writes as JSON scalars
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(level: int):
+    """Writes a scalar as the stdlib does, and a container of scalars with
+    each member on its own line at indent `level`, its brackets unindented.
+    The C encoder is built once per level, its separator fixed."""
+    separator = ",\n" + "  " * level
+    make = json.encoder.c_make_encoder
+    if make is None:  # an interpreter without the C accelerator
+        return json.JSONEncoder(sort_keys=True,
+                                separators=(separator, ": ")).encode
+    encode = make(None, json.JSONEncoder().default,
+                  json.encoder.encode_basestring_ascii, None, ": ",
+                  separator, True, False, True)
+    return lambda o: "".join(encode(o, 0))
+
+
+def _machine_json(payload) -> str:
+    """`json.dumps(payload, sort_keys=True, indent=2)`, byte for byte.
+
+    With an indent the stdlib encodes in pure Python.  Here a dict or list
+    whose members are all scalars, such as a campaign record, is one call
+    of `_flat_encoder`, which leaves only its brackets to indent; other
+    containers nest as the stdlib nests them."""
+    out = []
+
+    def write(o, level):
+        is_dict = isinstance(o, dict)
+        if not (is_dict or isinstance(o, (list, tuple))) or not o:
+            out.append(_flat_encoder(level)(o))  # a scalar, {} or []
+            return
+        inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+        if _SCALARS.issuperset(map(type, o.values() if is_dict else o)):
+            text = _flat_encoder(level + 1)(o)
+            out.append(text[0] + inner + text[1:-1] + outer + text[-1])
+            return
+        separator = "{" if is_dict else "["
+        for member in sorted(o.items()) if is_dict else o:
+            out.append(separator + inner)
+            separator = ","
+            if is_dict:
+                key, member = member
+                out.append(_key_text(key) + ": ")
+            write(member, level + 1)
+        out.append(outer + ("}" if is_dict else "]"))
+
+    write(payload, 0)
+    return "".join(out)
+
+
+def _key_text(key) -> str:
+    """A dict key as the stdlib writes it: a scalar key as a string."""
+    if isinstance(key, str):
+        return _flat_encoder(0)(key)
+    if key is None or isinstance(key, (int, float)):
+        return _flat_encoder(0)(_flat_encoder(0)(key))
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
 def _resolve_settings(args, scenario: Scenario, fallbacks: dict):
     """A copy of args with the horizon and each setting in `fallbacks`
     resolved: its flag, else the scenario's default, else the fallback."""
@@ -198,6 +261,9 @@ def _campaign(command: str, title: str, scenario: Scenario, report):
     """(code, lines, result) of a campaign against its threshold."""
     threshold = scenario.threshold(command, "min_certified_fraction")
     met = threshold is None or report.certified_fraction >= threshold
+    # memo hits share their verdict's eta: round each distinct one once
+    etas = {id(r.eta): r.eta for r in report.records}
+    stated = {key: round_up(eta) for key, eta in etas.items()}
     result = {
         "samples": report.samples, "certified": report.certified,
         "inconclusive": report.inconclusive, "failed": report.failed,
@@ -207,7 +273,7 @@ def _campaign(command: str, title: str, scenario: Scenario, report):
         "threshold": None if threshold is None else float(threshold),
         "records": [
             {"index": r.index, "substream": r.substream, "outcome": r.outcome,
-             "detail": r.detail, "eta": round_up(r.eta)}
+             "detail": r.detail, "eta": stated[id(r.eta)]}
             for r in report.records
         ],
     }
@@ -366,8 +432,9 @@ def run_scenario(path: str, command: str, args) -> int:
                "scenario": scenario.name, "scenario_digest": scenario.digest,
                "params": params, "result": result}
     text = "\n".join(lines) + "\n"
-    # encoded only when printed or written: large for a long campaign
-    machine = (json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # encoded only when printed or written: large for a long campaign,
+    # whose records `_machine_json` writes one C encoder call each
+    machine = (_machine_json(payload) + "\n"
                if args.report == "machine" or args.report_dir is not None
                else None)
     sys.stdout.write(machine if args.report == "machine" else text)
@@ -453,6 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("game", "minmax evaluation, purification, naming demo",
                 "game-value", "game-purify", "game-naming-demo")
     p.add_argument("verb", choices=("value", "purify", "naming-demo"))
+    # a verb's flag error is a usage error of `prodex game`, not `prodex`
+    p.set_defaults(check_flags=functools.partial(_check_game_flags, p))
     return parser
 
 
@@ -480,10 +549,9 @@ def _check_game_flags(parser, args):
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "game":
-        _check_game_flags(parser, args)
+        args.check_flags(args)
     try:
         return run_scenario(args.scenario, args.command, args)
     except ScenarioError as exc:

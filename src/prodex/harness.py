@@ -31,9 +31,9 @@ from .engine import expect
 from .errors import ValidationError
 from .functions import TailFunction
 from .martingale import FOUND, NOT_FOUND, find_strong_approx
-from .model import LazyPoint, ProductMeasure
+from .model import LazyPoint, ProductMeasure, draw_table
 from .numeric import F0, Rational, as_fraction
-from .seeds import derive_seed
+from .seeds import path_hasher
 from .tailclass import _weak_sample
 
 CERTIFIED = "certified"
@@ -89,22 +89,30 @@ def _campaign(label, f, sigma, seed, samples, decide, floor=0):
     `decide(x, once)`.  `decide` runs each scan or hull at a horizon h as
     `once(x, h, run)`, which calls run() once per distinct (h, x_1..x_k),
     k the larger of `floor` and `f.leading_coordinates(x, h)` (every time
-    if None), resolved once per h: each x is a fresh `LazyPoint` of sigma."""
-    reads, verdicts, records = {}, {}, []
+    if None), resolved once per h: each x is a fresh `LazyPoint` of sigma.
+    Each seed is a copy of one hasher pre-fed ``<label>/`` (`path_hasher`),
+    and each key is drawn by `LazyPoint.realize` in one loop over the
+    `draw_table` of x_1..x_k, built once per h: the bits of `derive_seed`
+    and `LazyPoint.coordinate`, without their per-call set-up."""
+    tables, verdicts, records = {}, {}, []
 
     def once(x, horizon, run):
-        if horizon not in reads:
+        if horizon not in tables:
             k = f.leading_coordinates(x, horizon)
-            reads[horizon] = k if k is None else range(1, max(k, floor) + 1)
-        if reads[horizon] is None:
+            tables[horizon] = k if k is None else draw_table(
+                sigma, range(1, max(k, floor) + 1))
+        if tables[horizon] is None:
             return run()
-        key = (horizon, *map(x.coordinate, reads[horizon]))
+        key = (horizon, x.realize(tables[horizon]))
         if key not in verdicts:
             verdicts[key] = run()
         return verdicts[key]
 
+    hasher = path_hasher(seed, label)
     for j in range(samples):
-        sub = derive_seed(seed, label, j)
+        h = hasher.copy()
+        h.update(str(j).encode())
+        sub = int.from_bytes(h.digest(), "little")
         records.append(SampleRecord(j, sub, *decide(LazyPoint(sub, sigma),
                                                     once)))
     counts = [sum(r.outcome == outcome for r in records)

@@ -576,6 +576,9 @@ class LazyPoint(PointSpec):
     one hasher (`seeds.unit_hasher`, rebuilt rather than pickled or copied)
     fed ``str(i)``, is inverted through coordinate i's CDF by comparing k
     with the integer thresholds ceil(cum * 2**64) of `sample_bits`.
+    `realize` draws many coordinates in one loop over a `draw_table`
+    (index, ``str(i)`` bytes, thresholds), each row built once per
+    campaign horizon rather than per point: the same bits and symbols.
     The cache is write-once per index and safe under concurrent readers
     because every writer computes the identical value.  The seed must lie
     in [0, 2**64), checked once here rather than on every draw.
@@ -605,6 +608,32 @@ class LazyPoint(PointSpec):
             int.from_bytes(h.digest(), "little"))
         self._cache[i] = sym
         return sym
+
+    def realize(self, table) -> tuple:
+        """The symbols at the indices of `table`, a `draw_table` of this
+        point's measure, in its order: `coordinate` of each, realized in
+        one loop that writes the same cache."""
+        cache, hasher, symbols = self._cache, self._hasher, []
+        for i, label, thresholds in table:
+            sym = cache.get(i)
+            if sym is None:
+                h = hasher.copy()
+                h.update(label)
+                k = int.from_bytes(h.digest(), "little")
+                # `sample_bits`: the last symbol if no threshold exceeds k
+                for bound, sym in thresholds:
+                    if k < bound:
+                        break
+                cache[i] = sym
+            symbols.append(sym)
+        return tuple(symbols)
+
+
+def draw_table(measure: ProductMeasure, indices) -> tuple:
+    """Per index i, what `LazyPoint.realize` needs to draw coordinate i of
+    a point of `measure`: (i, ``str(i)`` as bytes, i's CDF thresholds)."""
+    return tuple((i, str(i).encode(),
+                  measure.coordinate_measure(i)._thresholds) for i in indices)
 
 
 _UNSET = object()

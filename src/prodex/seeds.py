@@ -11,9 +11,13 @@ mutable generator state, so
   ``derive_seed(master, "<campaign>-sample", j)``, so no sample's draws
   depend on another's.
 
-A lazy point draws ``unit_bits(seed, "coord", i)`` from a copy of one
-hasher per point (`unit_hasher`: keyed, pre-fed ``u/coord/``) fed
-``str(i)``, which digests the same bytes, so the same 64 bits.
+Both hot derivations copy one hasher keyed and pre-fed the shared part
+of their label (`path_hasher`), then feed it the last part, ``str(j)``:
+the copy digests the same bytes, so gives the same 64 bits.  A campaign
+derives sample j's seed from one hasher pre-fed ``<campaign>-sample/``,
+and a lazy point draws ``unit_bits(seed, "coord", i)`` from one pre-fed
+``u/coord/`` (`unit_hasher`), built once per point; a campaign draws a
+sample's whole key from it in one loop (`model.LazyPoint.realize`).
 """
 
 from __future__ import annotations
@@ -49,13 +53,19 @@ def unit_bits(seed: int, *path) -> int:
     return int.from_bytes(_digest(seed, label.encode("utf-8")), "little")
 
 
+def path_hasher(seed: int, *path):
+    """Keyed blake2b pre-fed the label of ``derive_seed(seed, *path, j)`` up
+    to j: a copy fed ``str(j)`` digests to that seed's 64 bits."""
+    check_seed(seed)
+    label = "/".join((*map(str, path), ""))
+    return hashlib.blake2b(label.encode("utf-8"), digest_size=8,
+                           key=seed.to_bytes(8, "little"))
+
+
 def unit_hasher(seed: int, *path):
     """Keyed blake2b pre-fed the label of ``unit_bits(seed, *path, i)`` up
     to i: a copy fed ``str(i)`` digests to that draw's 64 bits."""
-    check_seed(seed)
-    label = "/".join(("u", *map(str, path), ""))
-    return hashlib.blake2b(label.encode("utf-8"), digest_size=8,
-                           key=seed.to_bytes(8, "little"))
+    return path_hasher(seed, "u", *path)
 
 
 def unit_fraction(seed: int, *path) -> Fraction:

@@ -370,6 +370,17 @@ class TestOncePerPrefix:
             verify_weak(f, sigma, m, 6, TOL, seed=seed, horizon=horizon)
         assert 0 < strong_calls < len(calls)
 
+    def test_each_substream_is_derive_seed_of_its_sample(self):
+        f, sigma = mix_cylinder(), uniform_sigma()
+        for label, seed, rep in (
+                ("strong-sample", 2**64 - 1,
+                 verify_strong(f, sigma, F(1, 10), 30, 4, TOL,
+                               seed=2**64 - 1)),
+                ("weak-sample", 12345,
+                 verify_weak(f, sigma, 2, 30, TOL, seed=12345))):
+            assert [r.substream for r in rep.records] == \
+                [derive_seed(seed, label, j) for j in range(30)]
+
     def test_a_family_without_the_hook_decides_every_sample(self,
                                                             monkeypatch):
         class Unkeyed(Cylinder):

@@ -29,6 +29,7 @@ from prodex.model import (
     agreement_index,
     bernoulli_measure,
     dirac_measure,
+    draw_table,
     formula_tail,
     modify_point,
     point_coordinate,
@@ -36,7 +37,8 @@ from prodex.model import (
     splice_prefix,
     uniform_measure,
 )
-from prodex.seeds import derive_seed, unit_bits, unit_fraction, unit_hasher
+from prodex.seeds import (derive_seed, path_hasher, unit_bits, unit_fraction,
+                          unit_hasher)
 
 from conftest import (
     PROBS,
@@ -138,6 +140,34 @@ class TestIntegerDraws:
         for i in range(1, 71):
             assert x.coordinate(i) == reference_coordinate(x, i), i
 
+    @given(sigma=st.one_of(lazy_product_measures(), product_measures()),
+           seed=st.integers(0, TOP), k=st.integers(1, 70), data=st.data())
+    @settings(max_examples=40)
+    def test_realize_draws_what_coordinate_draws(self, sigma, seed, k, data):
+        # some coordinates read first, in any order, some past the key
+        early = data.draw(st.lists(st.integers(1, k + 5), unique=True,
+                                   max_size=10))
+        x, y = LazyPoint(seed, sigma), LazyPoint(seed, sigma)
+        for i in early:
+            x.coordinate(i)
+            y.coordinate(i)
+        key = x.realize(draw_table(sigma, range(1, k + 1)))
+        assert key == tuple(reference_coordinate(x, i)
+                            for i in range(1, k + 1))
+        assert key == tuple(map(y.coordinate, range(1, k + 1)))
+        assert x._cache == y._cache
+
+    def test_realize_at_a_threshold_equal_to_the_draw(self):
+        # coordinate 1's first threshold is its own draw k, so k < k
+        # fails and the draw takes "b", as `sample_bits` does
+        k = unit_bits(7, "coord", 1)
+        m = CoordinateMeasure(1, ("a", "b"), (F(k, 2**64), 1 - F(k, 2**64)))
+        sigma = ProductMeasure(SpaceFamily.uniform(("a", "b")), (m,),
+                               ConstantMeasureTail(m))
+        assert m._thresholds[0] == (k, "a")
+        assert LazyPoint(7, sigma).realize(draw_table(sigma, [1])) == \
+            (m.sample_bits(k),) == ("b",)
+
     def test_short_sum_top_draw_takes_last_positive_symbol(self):
         # positive weights sum to 1 - 1e-13; the trailing symbol has none
         m = CoordinateMeasure(1, ("a", "b", "c", "d"),
@@ -169,7 +199,8 @@ class TestIntegerDraws:
         sigma = uniform_sigma()
         with pytest.raises(ValidationError):
             LazyPoint(seed, sigma)
-        for draw in (derive_seed, unit_bits, unit_fraction, unit_hasher):
+        for draw in (derive_seed, unit_bits, unit_fraction, unit_hasher,
+                     path_hasher):
             with pytest.raises(ValidationError):
                 draw(seed, "sample", 0)
         with pytest.raises(ValidationError):

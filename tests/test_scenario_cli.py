@@ -609,6 +609,19 @@ class TestGameVerbFlags:
             capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["game", "purify-demo", "value", "--epsilon", "5"],
+        ["game", "purify-demo", "purify", "--epsilon", "0"],
+    ], ids=["stray-flag", "purify-epsilon-0"])
+    def test_verb_errors_print_the_game_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: prodex game ")
+        assert "\nprodex game: error: argument --epsilon: " in err
+
+
 class TestCountFlags:
     @pytest.mark.parametrize("argv", [
         ["verify-strong", "discounted-uniform", "--samples", "-1"],
